@@ -3,7 +3,7 @@
 # `make check` is the extended tier-1 gate (build + vet + simlint +
 # tests + race on the sim kernel); see scripts/check.sh and ROADMAP.md.
 
-.PHONY: all build test lint race check bench cover
+.PHONY: all build test lint race check bench benchcheck cover
 
 all: check
 
@@ -27,6 +27,12 @@ check:
 # (the committed baseline is carried forward; see scripts/bench.sh).
 bench:
 	scripts/bench.sh
+
+# benchcheck runs the schema test of the repository's benchmark (bench/
+# is a module of its own, so `go test ./...` never sees it): every
+# workload at 1 MB, BENCHMARK.json in step with the catalogues.
+benchcheck:
+	go -C bench test .
 
 # cover writes a whole-tree coverage profile and prints the per-function
 # summary tail plus the total.

@@ -18,8 +18,10 @@ import (
 // volume: the engine, file system, and driver are wired identically,
 // but requests fan out across member spindles whose service processes
 // interleave in the scheduler — exactly the extra concurrency the
-// determinism gate must prove reproducible.
-func newVolRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64, vc vol.Config) (*rig, *vol.Volume) {
+// determinism gate must prove reproducible. wrap, when non-nil, stands
+// between the volume and everything above it (the row-cut tests mask
+// the device's write-unit hint this way).
+func newVolRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64, vc vol.Config, wrap func(disk.Device) disk.Device) (*rig, *vol.Volume) {
 	t.Helper()
 	s := sim.New(1)
 	t.Cleanup(s.Close)
@@ -33,10 +35,14 @@ func newVolRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64, vc
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dev disk.Device = vl
+	if wrap != nil {
+		dev = wrap(vl)
+	}
 	dc := driver.DefaultConfig()
 	dc.MaxPhys = 128 << 10
-	dr := driver.New(s, vl, cm, dc)
-	if _, err := ufs.Mkfs(vl, mkfs); err != nil {
+	dr := driver.New(s, dev, cm, dc)
+	if _, err := ufs.Mkfs(dev, mkfs); err != nil {
 		t.Fatal(err)
 	}
 	fs, err := ufs.Mount(s, cm, dr, ufs.MountOpts{WriteLimit: writeLimit})
@@ -52,7 +58,7 @@ func newVolRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64, vc
 func traceVolRun(t *testing.T, vc vol.Config) (trace string, stats Stats, now sim.Time, fsck string) {
 	t.Helper()
 	mk, cfg := clusteredOpts()
-	r, vl := newVolRig(t, mk, cfg, 240<<10, vc)
+	r, vl := newVolRig(t, mk, cfg, 240<<10, vc, nil)
 	var tw bytes.Buffer
 	r.s.TraceW = &tw
 	determinismWorkload(t, r)
@@ -77,6 +83,7 @@ func TestSameSeedReplaysByteIdenticalOnVolumes(t *testing.T) {
 	for _, vc := range []vol.Config{
 		{Level: vol.RAID0, Members: 3},
 		{Level: vol.RAID1, Members: 2},
+		{Level: vol.RAID5, Members: 3, StripeKB: 16}, // 32 KB rows: the row cut is live
 	} {
 		vc := vc
 		t.Run(fmt.Sprintf("%s-x%d", vc.Level, vc.Members), func(t *testing.T) {

@@ -189,16 +189,7 @@ func NewEngine(s *sim.Sim, cpuModel *cpu.Model, vmSys *vm.VM, fs *ufs.Fs, cfg Co
 }
 
 // maxClusterBlocks returns the effective cluster size in blocks.
-func (e *Engine) maxClusterBlocks() int {
-	mc := int(e.FS.SB.Maxcontig)
-	if mc < 1 {
-		mc = 1
-	}
-	if byPhys := e.FS.Drv.MaxPhys() / int(e.FS.SB.Bsize); mc > byPhys {
-		mc = byPhys
-	}
-	return mc
-}
+func (e *Engine) maxClusterBlocks() int { return e.FS.ClusterBlocks() }
 
 // fixedPolicy is the default read-ahead policy, shared safely across
 // engines because it is stateless.
@@ -333,7 +324,7 @@ func (f *File) Inode() *ufs.Inode { return f.vn.IP }
 func (f *File) Fsync(p *sim.Proc) error {
 	vn := f.vn
 	if vn.IP.Delaylen > 0 {
-		f.eng.push(p, vn, vn.IP.Delayoff, vn.IP.Delaylen, true)
+		f.eng.push(p, vn, vn.IP.Delayoff, vn.IP.Delaylen, true, 0)
 		vn.IP.Delayoff, vn.IP.Delaylen = 0, 0
 	}
 	for vn.pending > 0 {

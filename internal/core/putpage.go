@@ -18,7 +18,7 @@ func (e *Engine) PutPage(p *sim.Proc, vn *Vnode, off int64) {
 	e.Stats.PutPages++
 	e.charge(p, cpu.PutPage, e.Cfg.Costs.PutPage)
 	if !e.Cfg.Clustered {
-		e.push(p, vn, off, int64(e.FS.SB.Bsize), true)
+		e.push(p, vn, off, int64(e.FS.SB.Bsize), true, 0)
 		return
 	}
 	bsize := int64(e.FS.SB.Bsize)
@@ -34,14 +34,21 @@ func (e *Engine) PutPage(p *sim.Proc, vn *Vnode, off int64) {
 		e.Stats.Lies++
 		e.Bus.Emit(telemetry.Event{T: e.Sim.Now(), Kind: telemetry.EvWriteLie, LBN: off / bsize, Blocks: 1})
 		if ip.Delaylen >= maxBytes {
-			e.push(p, vn, ip.Delayoff, ip.Delaylen, true)
-			ip.Delayoff, ip.Delaylen = 0, 0
+			// A full cluster: write it, but only as far as the device's
+			// last row boundary. What lies past it stays delayed and
+			// opens the next window, so once the stream is under way
+			// every push is whole rows. The window's end is taken first:
+			// push can block on the write limit, and the pageout daemon
+			// trims Delaylen meanwhile.
+			end := ip.Delayoff + ip.Delaylen
+			held := e.push(p, vn, ip.Delayoff, ip.Delaylen, true, e.FS.RowBlocks())
+			ip.Delayoff, ip.Delaylen = end-held, held
 		}
 		return
 	}
 	// Sequentiality assumption was wrong: flush the old window and
 	// start over with the current page.
-	e.push(p, vn, ip.Delayoff, ip.Delaylen, true)
+	e.push(p, vn, ip.Delayoff, ip.Delaylen, true, 0)
 	ip.Delayoff, ip.Delaylen = off, bsize
 }
 
@@ -50,12 +57,19 @@ func (e *Engine) PutPage(p *sim.Proc, vn *Vnode, off int64) {
 // Figure 8: "we do not know if the file is allocated contiguously until
 // we try to write out the cluster"). limit applies the per-file write
 // limit; the pageout daemon passes false so it can always make progress.
-func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool) {
+//
+// row > 0 is the device's write unit in blocks (ufs.Fs.RowBlocks): the
+// transfer that would finish the range stops at the last row boundary
+// of the device instead, and push returns how many bytes at the end of
+// the range it left dirty for the caller to keep delayed. With row 0
+// everything is written and the result is 0.
+func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool, row int) (held int64) {
 	sb := e.FS.SB
 	bsize := int64(sb.Bsize)
 	e.Stats.Pushes++
 
-	lbn := off / bsize
+	first := off / bsize
+	lbn := first
 	end := (off + length + bsize - 1) / bsize
 	for lbn < end {
 		// Find the next dirty, unlocked, cached page.
@@ -95,6 +109,24 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool) {
 		}
 		if rem := int(end - lbn); contig > rem {
 			contig = rem
+		}
+		if row > 0 && contig == int(end-lbn) && fsbn%sb.Frag == 0 {
+			// Bmap has just said where this last run lies on the device,
+			// so the cut costs no second translation. A run with no
+			// boundary inside it is held back whole — joined by the blocks
+			// that follow, it will reach one — unless it is all there is.
+			tail := int((int64(fsbn/sb.Frag) + int64(contig)) % int64(row))
+			if tail >= contig {
+				tail = contig
+				if lbn == first {
+					tail = 0
+				}
+			}
+			held += int64(tail) * bsize
+			end -= int64(tail)
+			if contig -= tail; contig == 0 {
+				break
+			}
 		}
 		// Gather the dirty run within the contiguous extent.
 		var pages []*vm.Page
@@ -177,6 +209,7 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool) {
 		})
 		lbn += int64(len(pages))
 	}
+	return held
 }
 
 // PageOut implements vm.Object: the pageout daemon found this dirty
@@ -199,5 +232,5 @@ func (vn *Vnode) PageOut(p *sim.Proc, pg *vm.Page) {
 	if ip.Delaylen > 0 && pg.Off >= ip.Delayoff && pg.Off < ip.Delayoff+ip.Delaylen {
 		ip.Delaylen = pg.Off - ip.Delayoff
 	}
-	e.push(p, vn, pg.Off, length, false)
+	e.push(p, vn, pg.Off, length, false, 0)
 }

@@ -34,6 +34,12 @@ type Device interface {
 	// driver keeps up to this many requests in flight so member seeks
 	// overlap.
 	Channels() int
+	// WriteUnit is the aligned write size, in sectors, below which a
+	// write costs the device extra reads: one full parity row of a
+	// RAID-5 volume. 0 means writes of every size cost the same (a
+	// single spindle, a concatenation, a stripe set, a mirror). It is a
+	// hint to the layer that sizes write clusters, never a requirement.
+	WriteUnit() int
 	// ReadImage / WriteImage access the platter content without
 	// consuming simulated time — the offline path. A volume translates
 	// addresses and maintains redundancy (mirrors, parity) on offline
@@ -206,6 +212,10 @@ func (d *Disk) Name() string { return d.name }
 
 // Channels reports a single spindle: one request in service at a time.
 func (d *Disk) Channels() int { return 1 }
+
+// WriteUnit reports no preferred write size: a spindle writes any
+// sector run without reading first.
+func (d *Disk) WriteUnit() int { return 0 }
 
 // SetEventLabel tags every event this drive emits with a member label
 // (telemetry.Event.Dev). Volumes label their members so fault plans and

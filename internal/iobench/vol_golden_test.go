@@ -2,11 +2,13 @@ package iobench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ufsclust"
+	"ufsclust/internal/disk"
 	"ufsclust/internal/vol"
 )
 
@@ -18,8 +20,8 @@ import (
 // single member, so if this test fails the layer has leaked into the
 // machine's behaviour and every pre-volume measurement is suspect.
 //
-// There is deliberately no -update flag here: the fixtures belong to
-// the bare-disk tests, and this test only ever consumes them.
+// There is deliberately no -update flag for those two: the fixtures
+// belong to the bare-disk tests, and this test only ever consumes them.
 func TestVolumePassthroughMatchesGoldens(t *testing.T) {
 	var tw, ew bytes.Buffer
 	prm := Params{
@@ -56,5 +58,27 @@ func TestVolumePassthroughMatchesGoldens(t *testing.T) {
 			}
 		}
 		t.Fatalf("%s: length differs from golden: got %d lines, want %d", c.name, len(gl), len(wl))
+	}
+
+	// The compositions that do translate — a two-member concat, a stripe
+	// set, a mirror — replay the event streams they produced before
+	// disk.Device grew its write-unit hint: all three report no unit, so
+	// neither the engine's write clustering nor the allocator may have
+	// moved by one event. These fixtures are this test's own
+	// (-update-events rewrites them, for a deliberate change to a level).
+	member := disk.DefaultParams()
+	member.Geom = disk.UniformGeometry(200, 8, 64, 3600) // 50 MB, so mkfs stays quick
+	for _, vc := range []vol.Config{
+		{Level: vol.Concat, Members: 2},
+		{Level: vol.RAID0, Members: 3},
+		{Level: vol.RAID1, Members: 2},
+	} {
+		vc.Member = &member
+		var ew bytes.Buffer
+		prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew, Volume: &vc}
+		if _, _, err := RunMeasured(ufsclust.RunA(), FSW, prm); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, ew.Bytes(), fmt.Sprintf("events_fsw_runA_%sx%d.golden", vc.Level, vc.Members))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"ufsclust/internal/cpu"
+	"ufsclust/internal/disk"
 	"ufsclust/internal/sim"
 )
 
@@ -41,17 +42,52 @@ func (sb *Superblock) GapBlocks() int32 {
 // none). This is where rotdelay placement happens: with a gap of g
 // blocks the preference is prev + (1+g) blocks. Every maxbpg blocks the
 // preference jumps to a cylinder group with above-average free space,
-// so one file cannot exhaust a group.
+// so one file cannot exhaust a group — and, on a device with a write
+// unit, starts the new run on a row boundary, so the first cluster
+// pushed there is a whole row rather than the ragged end of one.
 func (fs *Fs) BlkPref(ip *Inode, lbn int64, prev int32) int32 {
 	if prev > 0 {
 		if mb := int64(fs.SB.Maxbpg); mb > 0 && lbn > 0 && lbn%mb == 0 {
-			return fs.SB.CgDmin(fs.pickCg(fs.SB.DtoCg(prev)))
+			pref := fs.SB.CgDmin(fs.pickCg(fs.SB.DtoCg(prev)))
+			if row := int32(fs.RowBlocks()) * fs.SB.Frag; row > 0 {
+				pref = (pref + row - 1) / row * row
+			}
+			return pref
 		}
 		return prev + (1+fs.SB.GapBlocks())*fs.SB.Frag
 	}
 	// First block (or after a hole): start in the inode's group.
 	cg := fs.SB.InoToCg(ip.Ino)
 	return fs.SB.CgDmin(cg)
+}
+
+// ClusterBlocks returns the effective cluster size in blocks: the
+// superblock's maxcontig capped by the driver's maxphys.
+func (fs *Fs) ClusterBlocks() int {
+	mc := int(fs.SB.Maxcontig)
+	if mc < 1 {
+		mc = 1
+	}
+	if byPhys := fs.Drv.MaxPhys() / int(fs.SB.Bsize); mc > byPhys {
+		mc = byPhys
+	}
+	return mc
+}
+
+// RowBlocks returns the device's write unit (disk.Device.WriteUnit) in
+// file system blocks, or 0 when there is none to honour: the device
+// reports no unit, the unit is not a whole number of blocks, or it is
+// larger than a cluster — no single transfer could ever cover a row, so
+// aligning to rows would only shrink transfers. Fragment address 0 is
+// device sector 0, so row boundaries fall on multiples of the result in
+// file system block addresses too.
+func (fs *Fs) RowBlocks() int {
+	unit := fs.Drv.Disk.WriteUnit() * disk.SectorSize
+	bsize := int(fs.SB.Bsize)
+	if unit%bsize != 0 || unit/bsize > fs.ClusterBlocks() {
+		return 0
+	}
+	return unit / bsize
 }
 
 // pickCg returns the next cylinder group after cur with at least the

@@ -147,9 +147,8 @@ func (v *Volume) writeImageRow(row, lo, cnt, sector int64, data []byte) {
 			v.members[p.member].ReadImage(p.msec, old)
 			nd := data[p.boff : p.boff+p.n*disk.SectorSize]
 			po := (p.msec - row*v.ss - uo) * disk.SectorSize
-			for j := range nd {
-				newP[po+int64(j)] ^= old[j] ^ nd[j]
-			}
+			xorInto(newP[po:], old)
+			xorInto(newP[po:], nd)
 			v.members[p.member].WriteImage(p.msec, nd)
 		}
 		v.members[pm].WriteImage(row*v.ss+uo, newP)

@@ -1,6 +1,8 @@
 package vol
 
 import (
+	"crypto/subtle"
+
 	"ufsclust/internal/disk"
 	"ufsclust/internal/telemetry"
 )
@@ -612,9 +614,8 @@ func (v *Volume) rmwRow(q *volReq, row int64, pieces []piece) {
 		for i, p := range pieces {
 			nd := data[p.boff : p.boff+p.n*disk.SectorSize]
 			po := (p.msec - row*v.ss - uo) * disk.SectorSize
-			for j := range nd {
-				newP[po+int64(j)] ^= oldD[i][j] ^ nd[j]
-			}
+			xorInto(newP[po:], oldD[i])
+			xorInto(newP[po:], nd)
 		}
 		for _, p := range pieces {
 			v.subIO(q, p.member, p.msec, data[p.boff:p.boff+p.n*disk.SectorSize], true, nil)
@@ -691,10 +692,7 @@ func (v *Volume) degradedRMWRow(q *volReq, row int64, pieces []piece, fi int) {
 	}
 }
 
-// xorInto folds src into dst byte-wise; len(src) must not exceed
-// len(dst).
+// xorInto folds src into dst; len(src) must not exceed len(dst).
 func xorInto(dst, src []byte) {
-	for i, b := range src {
-		dst[i] ^= b
-	}
+	subtle.XORBytes(dst, dst, src)
 }

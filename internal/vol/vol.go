@@ -293,6 +293,16 @@ func (v *Volume) Geom() *disk.Geometry { return v.geom }
 // that many requests in flight so the spindles seek concurrently.
 func (v *Volume) Channels() int { return len(v.members) }
 
+// WriteUnit is one RAID-5 parity row of data — the only composition
+// whose partial writes read before they write (see writeRow). Every
+// other level reports 0.
+func (v *Volume) WriteUnit() int {
+	if v.cfg.Level != RAID5 {
+		return 0
+	}
+	return v.dataMembers() * int(v.ss)
+}
+
 // Members returns the member drives, in member order. Callers must not
 // submit to members directly while the volume is live.
 func (v *Volume) Members() []*disk.Disk { return v.members }

@@ -17,6 +17,10 @@
 #   4. go test ./...                       the full test suite, including
 #                                          the same-seed replay gate and
 #                                          the simlint golden tests
+#      go -C bench test .                  the benchmark's schema test
+#                                          (bench/ is its own module, so
+#                                          the line above cannot see it;
+#                                          also `make benchcheck`)
 #   5. go test -race ./internal/sim/...    the packages that touch host
 #      go test -race ./internal/runner/... goroutines and channels
 #      go test -race ./internal/telemetry/...  (and the bus, whose
@@ -73,6 +77,9 @@ echo "==> simlint self-run (internal/analysis/...)"
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> go -C bench test ."
+go -C bench test .
 
 echo "==> go test -race ./internal/sim/..."
 go test -race ./internal/sim/...

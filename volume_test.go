@@ -3,10 +3,13 @@ package ufsclust
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"ufsclust/internal/detsort"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/sim"
+	"ufsclust/internal/telemetry"
 	"ufsclust/internal/vol"
 )
 
@@ -144,5 +147,138 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 	rep, err := m2.Fsck()
 	if err != nil || !rep.Clean() {
 		t.Fatalf("fsck after snapshot boot: %v %v", err, rep.Problems)
+	}
+}
+
+// TestRowCutTailNeverLostNeverRewritten is the property behind
+// row-aligned write clustering on a RAID-5 machine: whatever part of a
+// full window PutPage holds back for the next row, every block a write
+// dirtied is pushed to the array exactly once per dirtying — by the
+// next cluster, the sequentiality break, Fsync, Truncate or the pageout
+// daemon, whichever comes first — and the platters end up equal to a
+// flat shadow copy. The machine has 2 MB of memory and no free-behind,
+// and the writer now and then wanders off to stream another file, so
+// the daemon sweeps all of memory and launders the idle tail itself.
+func TestRowCutTailNeverLostNeverRewritten(t *testing.T) {
+	const (
+		bsize   = 8192
+		maxBlks = 512 // 4 MB
+	)
+	for seed := int64(1); seed <= 6; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			m, err := New(RunA(),
+				WithSeed(seed),
+				WithMemBytes(2<<20),
+				WithFreeBehind(false),
+				WithDiskParams(volMember()),
+				WithVolume(vol.Config{Level: vol.RAID5, Members: 4}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+
+			rng := rand.New(rand.NewSource(seed))
+			shadow := make([]byte, maxBlks*bsize)
+			var blocks int64 // file size in blocks
+			// pending holds the blocks dirtied and not yet pushed.
+			pending := make(map[int64]bool)
+			settled := func(what string) {
+				if len(pending) > 0 {
+					t.Errorf("%s left %d dirtied blocks unpushed: %v", what, len(pending), detsort.Keys(pending))
+				}
+			}
+			err = m.Run(func(p *sim.Proc) {
+				other, err := m.Engine.Create(p, "/other")
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				other.Write(p, 0, shadow)
+				other.Purge(p)
+				f, err := m.Engine.Create(p, "/tail")
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				m.Tel.Bus.Subscribe(func(ev telemetry.Event) {
+					if ev.Kind != telemetry.EvClusterPush {
+						return
+					}
+					for lbn := ev.LBN; lbn < ev.LBN+ev.Blocks; lbn++ {
+						if !pending[lbn] {
+							t.Errorf("block %d pushed at %v without having been dirtied since its last push", lbn, ev.T)
+						}
+						delete(pending, lbn)
+					}
+				})
+				write := func(lbn, n int64) {
+					if lbn+n > maxBlks {
+						n = maxBlks - lbn
+					}
+					for i := int64(0); i < n; i++ {
+						b := shadow[(lbn+i)*bsize : (lbn+i+1)*bsize]
+						rng.Read(b)
+						pending[lbn+i] = true
+						if _, err := f.Write(p, (lbn+i)*bsize, b); err != nil {
+							t.Errorf("write block %d: %v", lbn+i, err)
+						}
+					}
+					if lbn+n > blocks {
+						blocks = lbn + n
+					}
+				}
+				cursor := int64(0)
+				sink := make([]byte, 64*bsize)
+				for op := 0; op < 60 && !t.Failed(); op++ {
+					switch k := rng.Intn(10); {
+					case k < 4: // sequential run at the cursor
+						write(cursor, int64(rng.Intn(40)+1))
+						cursor = blocks
+					case k < 6 && blocks > 0: // backward seek, then overwrite from there
+						cursor = rng.Int63n(blocks)
+						write(cursor, int64(rng.Intn(20)+1))
+					case k < 7:
+						if err := f.Fsync(p); err != nil {
+							t.Errorf("fsync: %v", err)
+						}
+						settled("fsync")
+					case k < 8 && blocks > 0:
+						blocks = rng.Int63n(blocks + 1)
+						if err := f.Truncate(p, blocks*bsize); err != nil {
+							t.Errorf("truncate: %v", err)
+						}
+						settled("truncate")
+						cursor = blocks
+					default: // leave the tail idle and stream the other file
+						for off := int64(0); off < maxBlks*bsize; off += int64(len(sink)) {
+							other.Read(p, off, sink)
+						}
+					}
+				}
+				if err := f.Purge(p); err != nil {
+					t.Errorf("purge: %v", err)
+				}
+				settled("purge")
+				got := make([]byte, blocks*bsize)
+				if n, err := f.Read(p, 0, got); err != nil || int64(n) != blocks*bsize {
+					t.Errorf("cold read: n=%d err=%v, want %d", n, err, blocks*bsize)
+				} else if !bytes.Equal(got, shadow[:blocks*bsize]) {
+					t.Error("platters diverge from the shadow copy")
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Engine.Stats.DaemonPushes == 0 {
+				t.Error("the pageout daemon never laundered a dirty page; the property ran without memory pressure")
+			}
+			if bad, first := m.Vol.CheckParity(); bad > 0 {
+				t.Errorf("%d bad parity spans: %v", bad, first)
+			}
+			if rep, err := m.Fsck(); err != nil || !rep.Clean() {
+				t.Errorf("fsck: %v %v", err, rep)
+			}
+		})
 	}
 }
