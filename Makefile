@@ -3,7 +3,7 @@
 # `make check` is the extended tier-1 gate (build + vet + simlint +
 # tests + race on the sim kernel); see scripts/check.sh and ROADMAP.md.
 
-.PHONY: all build test lint race check bench benchcheck cover
+.PHONY: all build test lint race check bench benchcheck cover loc
 
 all: check
 
@@ -24,7 +24,7 @@ check:
 	scripts/check.sh
 
 # bench measures the sim kernel's host cost and refreshes BENCH_sim.json
-# (the committed baseline is carried forward; see scripts/bench.sh).
+# and the iobench matrix in BENCH_iobench.json (see scripts/bench.sh).
 bench:
 	scripts/bench.sh
 
@@ -40,3 +40,10 @@ cover:
 	go test -coverprofile=coverage.out ./...
 	go tool cover -func=coverage.out | tail -n 1
 	@echo "cover: wrote coverage.out (go tool cover -html=coverage.out to browse)"
+
+# loc prints the two sizes every design-diet PR reports (ROADMAP.md):
+# non-test Go lines outside bench/ and testdata/, and the root package's
+# With* option constructors.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go lines:"
+	@grep -c '^func With' options.go | xargs echo "root With* constructors:"

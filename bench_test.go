@@ -110,7 +110,7 @@ func BenchmarkFig10IObench(b *testing.B) {
 				var res iobench.Result
 				for i := 0; i < b.N; i++ {
 					var err error
-					res, err = iobench.Run(rc, kind, benchParams())
+					res, err = iobench.Run(ufsclust.Scenario{Run: rc}, kind, benchParams())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -125,7 +125,7 @@ func BenchmarkFig11Ratios(b *testing.B) {
 	var tab *iobench.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = iobench.RunAll([]ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunD()}, iobench.Kinds(), benchParams())
+		tab, err = iobench.RunAll(ufsclust.Scenario{}, []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunD()}, iobench.Kinds(), benchParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkIObenchMatrixParallel(b *testing.B) {
 	var tab *iobench.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = iobench.RunAllParallel(ufsclust.Runs(), iobench.Kinds(), benchParams(), 0)
+		tab, err = iobench.RunAllParallel(ufsclust.Scenario{}, ufsclust.Runs(), iobench.Kinds(), benchParams(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkIntroHalfCPU(b *testing.B) {
 func BenchmarkAllocatorExtentsBestCase(b *testing.B) {
 	var avg int64
 	for i := 0; i < b.N; i++ {
-		m, err := ufsclust.NewMachineForRun(ufsclust.RunA())
+		m, err := ufsclust.New(ufsclust.RunA())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func BenchmarkAllocatorExtentsBestCase(b *testing.B) {
 func BenchmarkAllocatorExtentsWorstCase(b *testing.B) {
 	var avg int64
 	for i := 0; i < b.N; i++ {
-		m, err := ufsclust.NewMachineForRun(ufsclust.RunA())
+		m, err := ufsclust.New(ufsclust.RunA())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -504,7 +504,7 @@ func BenchmarkExtentVsCluster(b *testing.B) {
 	b.Run("clustered-ufs", func(b *testing.B) {
 		var rate float64
 		for i := 0; i < b.N; i++ {
-			m, err := ufsclust.NewMachineForRun(ufsclust.RunA())
+			m, err := ufsclust.New(ufsclust.RunA())
 			if err != nil {
 				b.Fatal(err)
 			}

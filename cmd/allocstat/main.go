@@ -51,7 +51,7 @@ func main() {
 }
 
 func measure(fn func(p *sim.Proc, fs *ufs.Fs) (*alloclab.Report, error)) *alloclab.Report {
-	m, err := ufsclust.NewMachineForRun(ufsclust.RunA())
+	m, err := ufsclust.New(ufsclust.RunA())
 	if err != nil {
 		fatal(err)
 	}

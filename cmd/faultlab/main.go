@@ -6,8 +6,9 @@
 //
 // Usage:
 //
-//	faultlab [-run A] [-file MB] [-fsync BYTES] [-cuts N] [-parallel N] [-seed S]
-//	         [-journal MODE] [-vol LEVEL] [-members N] [-stripe KB] [-degraded I,J]
+//	faultlab [-run A] [-file MB] [-fsync BYTES] [-cuts N] [-parallel N]
+//	         [-seed S] [-mem MB] [-ra policy] [-vec strategy] [-journal MODE]
+//	         [-vol LEVEL] [-members N] [-stripe KB] [-degraded I,J]
 //	faultlab -vol raid1 -members 2 -losemember 1
 //
 // With -vol the workload runs on a composed volume (concat, raid0,
@@ -32,80 +33,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"ufsclust"
 	"ufsclust/internal/faultlab"
 	"ufsclust/internal/vol"
-	"ufsclust/internal/wal"
 )
 
 func main() {
+	w := faultlab.Workload{Scenario: ufsclust.Scenario{Seed: 42}}
+	w.RegisterFlags(flag.CommandLine)
 	runName := flag.String("run", "A", "IObench run configuration (A, B, C, D)")
-	fileMB := flag.Int("file", 16, "workload file size in MB")
-	fsync := flag.Int("fsync", 1<<20, "fsync interval in bytes (0 = only the final fsync)")
+	flag.IntVar(&w.FileMB, "file", 16, "workload file size in MB")
+	flag.IntVar(&w.FsyncEvery, "fsync", 1<<20, "fsync interval in bytes (0 = only the final fsync)")
 	cuts := flag.Int("cuts", 50, "number of evenly spaced crash points")
 	parallel := flag.Int("parallel", 0, "host workers (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 42, "workload seed (pattern + sim)")
-	jmode := flag.String("journal", "off", "metadata journal (off, wal, wal-clustered)")
-	volLevel := flag.String("vol", "", "run on a volume: concat, raid0|stripe, raid1|mirror, raid5")
-	members := flag.Int("members", 0, "volume member count (default per level)")
-	stripe := flag.Int("stripe", 0, "stripe unit in KB for raid0/raid5 (default 32)")
-	degraded := flag.String("degraded", "", "comma-separated members dead from boot (redundant levels)")
 	loseMember := flag.Int("losemember", -1, "run the spindle-loss round trip against this member instead of the cut sweep")
 	flag.Parse()
 
-	var rc ufsclust.RunConfig
-	found := false
-	for _, r := range ufsclust.Runs() {
-		if strings.EqualFold(r.Name, *runName) {
-			rc, found = r, true
-		}
+	var err error
+	if w.Run, err = ufsclust.RunByName(*runName); err == nil {
+		_, err = w.Options()
 	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "faultlab: unknown run %q\n", *runName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "faultlab: %v\n", err)
 		os.Exit(2)
-	}
-
-	w := faultlab.Workload{RC: rc, FileMB: *fileMB, FsyncEvery: *fsync, Seed: *seed}
-	switch *jmode {
-	case "off":
-	case "wal":
-		w.Journal = &wal.Config{}
-	case "wal-clustered":
-		w.Journal = &wal.Config{Clustered: true}
-	default:
-		fmt.Fprintf(os.Stderr, "faultlab: unknown journal mode %q\n", *jmode)
-		os.Exit(2)
-	}
-	if *volLevel != "" {
-		lvl, ok := vol.ParseLevel(*volLevel)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "faultlab: unknown volume level %q\n", *volLevel)
-			os.Exit(2)
-		}
-		cfg := vol.Config{Level: lvl, Members: *members, StripeKB: *stripe}
-		if cfg.Members == 0 {
-			switch lvl {
-			case vol.RAID5:
-				cfg.Members = 3
-			case vol.Concat:
-				cfg.Members = 1
-			default:
-				cfg.Members = 2
-			}
-		}
-		if *degraded != "" {
-			for _, s := range strings.Split(*degraded, ",") {
-				var i int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &i); err != nil {
-					fmt.Fprintf(os.Stderr, "faultlab: bad -degraded member %q\n", s)
-					os.Exit(2)
-				}
-				cfg.Degraded = append(cfg.Degraded, i)
-			}
-		}
-		w.Volume = &cfg
 	}
 
 	if *loseMember >= 0 {

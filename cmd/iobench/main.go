@@ -4,46 +4,22 @@
 //
 // Usage:
 //
-//	iobench [-file MB] [-ops N] [-runs A,B,C,D] [-ra fixed] [-list] [-ratios] [-parallel N]
-//	iobench -ramatrix BENCH_iobench.json
-//	iobench -volmatrix BENCH_iobench.json
-//	iobench -vecmatrix BENCH_iobench.json
-//	iobench -jmatrix BENCH_iobench.json
+//	iobench [-file MB] [-ops N] [-runs A,B,C,D] [-list] [-ratios] [-parallel N]
+//	        [-seed N] [-mem MB] [-ra policy] [-vec strategy] [-journal mode]
+//	        [-vol LEVEL] [-members N] [-stripe KB] [-degraded I,J]
+//	iobench -matrix BENCH_iobench.json
 //
 // -parallel runs the (run, kind) matrix on N host workers (0 means
 // GOMAXPROCS). Every cell is an independent deterministic simulation,
 // so the output is byte-identical to the serial run.
 //
-// -ramatrix skips the figures and instead writes the read-ahead policy
-// comparison to the named JSON file: policy × {FSR, FRR, FMX} on run A
-// under memory pressure (file twice physical memory), with transfer
-// rates and the prefetch hit/waste counters.
-//
-// -volmatrix likewise writes the volume-layer comparison: cluster size
-// (run A's 120 KB against run B's 8 KB) × RAID level × stripe width,
-// sequential write and read rates plus the parity path counters.
-//
-// -vecmatrix writes the vectored-I/O strategy comparison: the FSTR
-// strided-read cell (8 KB records) swept from dense to sparse strides
-// under each Readv strategy, with transfer rates and the vec counters.
-// Data sieving wins the dense strides, true list I/O the sparse ones —
-// the crossover of Ching et al.'s noncontiguous-I/O study — and the
-// auto rows show the density cutoff tracking the winner.
-//
-// -jmatrix writes the metadata-journal comparison: journal mode (off,
-// per-record, clustered) × {FSW, FSR} on runs A and B, with transfer
-// rates and the wal commit/checkpoint counters. The write cells price
-// the log's steady-state cost (every metadata update commits twice:
-// once to the log, once at checkpoint); the read cells pin that a
-// journal is free when nothing dirties metadata.
-//
-// All matrix flags merge their section into the same JSON report file
-// ({"ramatrix": ..., "volmatrix": ..., "vecmatrix": ..., "jmatrix":
-// ...}), so bench.sh can refresh them independently.
+// -matrix skips the figures and instead writes the comparison report
+// to the named JSON file: four sections (ramatrix, volmatrix,
+// vecmatrix, jmatrix) of cells in one schema, from one table — see
+// matrix.go for what each section varies and why.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,300 +27,38 @@ import (
 
 	"ufsclust"
 	"ufsclust/internal/iobench"
-	"ufsclust/internal/vol"
-	"ufsclust/internal/wal"
 )
 
-// writeSection merges one named section into the JSON report at path,
-// preserving the other sections already there (a legacy flat report is
-// discarded: it carries no section keys worth keeping).
-func writeSection(path, key string, section any) error {
-	full := map[string]json.RawMessage{}
-	if b, err := os.ReadFile(path); err == nil {
-		var old map[string]json.RawMessage
-		if json.Unmarshal(b, &old) == nil {
-			for _, k := range []string{"ramatrix", "volmatrix", "vecmatrix", "jmatrix"} {
-				if v, ok := old[k]; ok {
-					full[k] = v
-				}
-			}
-		}
-	}
-	raw, err := json.Marshal(section)
-	if err != nil {
-		return err
-	}
-	full[key] = raw
-	out, err := json.MarshalIndent(full, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// raCell is one matrix entry in the -ramatrix report.
-type raCell struct {
-	Kind    string  `json:"kind"`
-	Policy  string  `json:"policy"`
-	RateKBs float64 `json:"rate_kbs"`
-	RAHits  int64   `json:"ra_hits"`
-	RAWaste int64   `json:"ra_waste"`
-}
-
-// raMatrix writes the policy comparison matrix. The cell parameters
-// mirror the acceptance tests: a 2 MB file against 1 MB of memory, so
-// the steady state has real replacement pressure; pure-random gets
-// enough operations for fixed's accidental trigger matches to show up.
-func raMatrix(path string) error {
-	type cellParams struct {
-		kind iobench.Kind
-		ops  int
-	}
-	cells := []cellParams{{iobench.FSR, 0}, {iobench.FRR, 512}, {iobench.FMX, 16}}
-	policies := []string{"fixed", "adaptive", "off"}
-	report := struct {
-		Run       string         `json:"run"`
-		FileMB    int            `json:"file_mb"`
-		MemMB     int            `json:"mem_mb"`
-		RandomOps map[string]int `json:"random_ops"`
-		Cells     []raCell       `json:"cells"`
-	}{Run: "A", FileMB: 2, MemMB: 1, RandomOps: map[string]int{}}
-	for _, c := range cells {
-		report.RandomOps[string(c.kind)] = c.ops
-		for _, name := range policies {
-			pol, _ := iobench.PolicyFactory(name)
-			prm := iobench.Params{FileMB: report.FileMB, RandomOps: c.ops, MemBytes: int64(report.MemMB) << 20, Policy: pol}
-			res, snap, err := iobench.RunMeasured(ufsclust.RunA(), c.kind, prm)
-			if err != nil {
-				return err
-			}
-			report.Cells = append(report.Cells, raCell{
-				Kind: string(c.kind), Policy: name, RateKBs: res.RateKBs(),
-				RAHits: snap.Get("core.ra_hits"), RAWaste: snap.Get("vm.ra_waste"),
-			})
-		}
-	}
-	return writeSection(path, "ramatrix", report)
-}
-
-// volCell is one matrix entry in the -volmatrix report.
-type volCell struct {
-	Run              string  `json:"run"`
-	Level            string  `json:"level"`
-	Members          int     `json:"members"`
-	StripeKB         int     `json:"stripe_kb,omitempty"`
-	Kind             string  `json:"kind"`
-	RateKBs          float64 `json:"rate_kbs"`
-	SubRequests      int64   `json:"sub_requests"`
-	FullStripeWrites int64   `json:"full_stripe_writes,omitempty"`
-	ParityRMWRows    int64   `json:"parity_rmw_rows,omitempty"`
-}
-
-// volMatrix writes the volume comparison: for each cluster size (run A
-// clusters at 120 KB, run B at 8 KB with rotdelay), each level, and —
-// on the striped levels — each stripe width, the sequential write and
-// read rates. The single-spindle concat row is the baseline; the
-// parity counters show how much of RAID-5's write traffic ran the
-// full-stripe fast path versus read-modify-write, which is the whole
-// performance story of striping under a clustering file system.
-func volMatrix(path string, fileMB int) error {
-	type shape struct {
-		cfg     vol.Config
-		stripes []int
-	}
-	shapes := []shape{
-		{vol.Config{Level: vol.Concat, Members: 1}, []int{0}},
-		{vol.Config{Level: vol.RAID0, Members: 3}, []int{16, 32, 64}},
-		{vol.Config{Level: vol.RAID1, Members: 2}, []int{0}},
-		{vol.Config{Level: vol.RAID5, Members: 4}, []int{16, 32, 64}},
-	}
-	report := struct {
-		FileMB int       `json:"file_mb"`
-		Kinds  []string  `json:"kinds"`
-		Cells  []volCell `json:"cells"`
-	}{FileMB: fileMB, Kinds: []string{string(iobench.FSW), string(iobench.FSR)}}
-	for _, rc := range []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunB()} {
-		for _, sh := range shapes {
-			for _, st := range sh.stripes {
-				cfg := sh.cfg
-				cfg.StripeKB = st
-				for _, kind := range []iobench.Kind{iobench.FSW, iobench.FSR} {
-					prm := iobench.Params{FileMB: fileMB, Volume: &cfg}
-					res, snap, err := iobench.RunMeasured(rc, kind, prm)
-					if err != nil {
-						return fmt.Errorf("%s %s x%d stripe %dK %s: %w",
-							rc.Name, cfg.Level, cfg.Members, st, kind, err)
-					}
-					report.Cells = append(report.Cells, volCell{
-						Run: rc.Name, Level: cfg.Level.String(), Members: cfg.Members,
-						StripeKB: st, Kind: string(kind), RateKBs: res.RateKBs(),
-						SubRequests:      snap.Get("vol.sub_requests"),
-						FullStripeWrites: snap.Get("vol.full_stripe_writes"),
-						ParityRMWRows:    snap.Get("vol.parity_rmw_rows"),
-					})
-				}
-			}
-		}
-	}
-	return writeSection(path, "volmatrix", report)
-}
-
-// vecCell is one matrix entry in the -vecmatrix report.
-type vecCell struct {
-	StrideKB     int     `json:"stride_kb"`
-	Density      float64 `json:"density"`
-	Strategy     string  `json:"strategy"`
-	RateKBs      float64 `json:"rate_kbs"`
-	VecRuns      int64   `json:"vec_runs"`
-	VecCoalesced int64   `json:"vec_coalesced"`
-	SieveWaste   int64   `json:"sieve_waste"`
-	VecQueued    int64   `json:"vec_queued"`
-}
-
-// vecMatrix writes the Readv strategy comparison: the FSTR cell (2 KB
-// records, 32 per call) swept across strides on run A under each
-// strategy. Density — record over stride — is the independent variable:
-// at 1.0 the vector is one contiguous run, and as the stride widens the
-// sieve envelope reads ever more bytes it throws away while list I/O
-// pays per-run transfers that the elevator batches into one sweep. The
-// records are sub-block on purpose: that is the regime where sieving's
-// clustered envelope genuinely beats per-run transfers at dense
-// strides, so the sweep exhibits the crossover instead of list
-// dominating everywhere.
-func vecMatrix(path string, fileMB int) error {
-	const recordKB = 2
-	strides := []int{2, 4, 8, 16, 32, 64}
-	strategies := []string{"naive", "sieve", "list", "auto"}
-	report := struct {
-		Run      string    `json:"run"`
-		FileMB   int       `json:"file_mb"`
-		RecordKB int       `json:"record_kb"`
-		VecBatch int       `json:"vec_batch"`
-		Cells    []vecCell `json:"cells"`
-	}{Run: "A", FileMB: fileMB, RecordKB: recordKB, VecBatch: 32}
-	for _, st := range strides {
-		for _, name := range strategies {
-			fac, _ := iobench.VecFactory(name)
-			prm := iobench.Params{
-				FileMB: fileMB, Record: recordKB << 10, Stride: st << 10,
-				VecBatch: report.VecBatch, Vec: fac,
-			}
-			res, snap, err := iobench.RunMeasured(ufsclust.RunA(), iobench.FSTR, prm)
-			if err != nil {
-				return fmt.Errorf("stride %dK %s: %w", st, name, err)
-			}
-			report.Cells = append(report.Cells, vecCell{
-				StrideKB: st, Density: float64(recordKB) / float64(st), Strategy: name,
-				RateKBs:      res.RateKBs(),
-				VecRuns:      snap.Get("core.vec_runs"),
-				VecCoalesced: snap.Get("core.vec_coalesced"),
-				SieveWaste:   snap.Get("core.sieve_waste"),
-				VecQueued:    snap.Get("driver.vec_queued"),
-			})
-		}
-	}
-	return writeSection(path, "vecmatrix", report)
-}
-
-// jCell is one matrix entry in the -jmatrix report.
-type jCell struct {
-	Run              string  `json:"run"`
-	Journal          string  `json:"journal"`
-	Kind             string  `json:"kind"`
-	RateKBs          float64 `json:"rate_kbs"`
-	Commits          int64   `json:"wal_commits,omitempty"`
-	CommitSectors    int64   `json:"wal_commit_sectors,omitempty"`
-	Checkpoints      int64   `json:"wal_checkpoints,omitempty"`
-	CheckpointBlocks int64   `json:"wal_checkpoint_blocks,omitempty"`
-	JournalMetaWr    int64   `json:"journal_meta_writes,omitempty"`
-}
-
-// jMatrix writes the journal cost comparison: each journal mode (off,
-// per-record commits, clustered commits) against the sequential write
-// and read cells on runs A and B. FSW is where the log charges rent —
-// the file grows, so every fsync interval commits inode and indirect
-// block updates to the log before their home locations — and FSR is
-// the control: a read-only steady state stages nothing, so the rate
-// must match the unjournaled machine to the digit.
-func jMatrix(path string, fileMB int) error {
-	modes := []struct {
-		name string
-		cfg  *wal.Config
-	}{
-		{"off", nil},
-		{"wal", &wal.Config{}},
-		{"wal-clustered", &wal.Config{Clustered: true}},
-	}
-	report := struct {
-		FileMB int      `json:"file_mb"`
-		Kinds  []string `json:"kinds"`
-		Cells  []jCell  `json:"cells"`
-	}{FileMB: fileMB, Kinds: []string{string(iobench.FSW), string(iobench.FSR)}}
-	for _, rc := range []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunB()} {
-		for _, mode := range modes {
-			for _, kind := range []iobench.Kind{iobench.FSW, iobench.FSR} {
-				prm := iobench.Params{FileMB: fileMB, Journal: mode.cfg}
-				res, snap, err := iobench.RunMeasured(rc, kind, prm)
-				if err != nil {
-					return fmt.Errorf("%s %s %s: %w", rc.Name, mode.name, kind, err)
-				}
-				report.Cells = append(report.Cells, jCell{
-					Run: rc.Name, Journal: mode.name, Kind: string(kind), RateKBs: res.RateKBs(),
-					Commits:          snap.Get("wal.commits"),
-					CommitSectors:    snap.Get("wal.commit_sectors"),
-					Checkpoints:      snap.Get("wal.checkpoints"),
-					CheckpointBlocks: snap.Get("wal.checkpoint_blocks"),
-					JournalMetaWr:    snap.Get("fs.journal_meta_writes"),
-				})
-			}
-		}
-	}
-	return writeSection(path, "jmatrix", report)
-}
-
 func main() {
+	var sc ufsclust.Scenario
+	sc.RegisterFlags(flag.CommandLine)
 	fileMB := flag.Int("file", 16, "benchmark file size in MB")
 	ops := flag.Int("ops", 0, "random-phase operations (default file/8KB)")
 	runsFlag := flag.String("runs", "A,B,C,D", "comma-separated run configurations")
-	raFlag := flag.String("ra", "fixed", "read-ahead policy (fixed, adaptive, off)")
-	matrix := flag.String("ramatrix", "", "write the read-ahead policy matrix to this JSON file and exit")
-	volmat := flag.String("volmatrix", "", "write the volume (RAID level x stripe) matrix to this JSON file and exit")
-	vecmat := flag.String("vecmatrix", "", "write the vectored-I/O (stride x strategy) matrix to this JSON file and exit")
-	jmat := flag.String("jmatrix", "", "write the metadata-journal (mode x kind) matrix to this JSON file and exit")
+	matrix := flag.String("matrix", "", "write the comparison matrix report to this JSON file and exit")
 	list := flag.Bool("list", false, "print Figure 9 (run descriptions) and exit")
 	ratiosOnly := flag.Bool("ratios", false, "print only Figure 11 (ratios)")
 	parallel := flag.Int("parallel", 1, "host workers for the run×kind matrix (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	anyMatrix := false
-	runMatrix := func(path string, fn func(string) error) {
-		if path == "" {
-			return
+	if *matrix != "" {
+		buf, err := matrixJSON(*parallel)
+		if err == nil {
+			err = os.WriteFile(*matrix, buf, 0o644)
 		}
-		anyMatrix = true
-		if err := fn(path); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("iobench: wrote %s\n", path)
-	}
-	runMatrix(*matrix, raMatrix)
-	runMatrix(*volmat, func(p string) error { return volMatrix(p, 2) })
-	runMatrix(*vecmat, func(p string) error { return vecMatrix(p, 8) })
-	runMatrix(*jmat, func(p string) error { return jMatrix(p, 8) })
-	if anyMatrix {
+		fmt.Printf("iobench: wrote %s\n", *matrix)
 		return
 	}
 
-	all := map[string]ufsclust.RunConfig{}
-	for _, rc := range ufsclust.Runs() {
-		all[rc.Name] = rc
-	}
 	var runs []ufsclust.RunConfig
 	for _, name := range strings.Split(*runsFlag, ",") {
-		rc, ok := all[strings.TrimSpace(name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "iobench: unknown run %q\n", name)
+		rc, err := ufsclust.RunByName(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 			os.Exit(2)
 		}
 		runs = append(runs, rc)
@@ -360,13 +74,12 @@ func main() {
 		return
 	}
 
-	pol, ok := iobench.PolicyFactory(*raFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "iobench: unknown read-ahead policy %q\n", *raFlag)
+	if _, err := sc.Options(); err != nil {
+		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 		os.Exit(2)
 	}
-	prm := iobench.Params{FileMB: *fileMB, RandomOps: *ops, Policy: pol}
-	tab, err := iobench.RunAllParallel(runs, iobench.Kinds(), prm, *parallel)
+	prm := iobench.Params{FileMB: *fileMB, RandomOps: *ops}
+	tab, err := iobench.RunAllParallel(sc, runs, iobench.Kinds(), prm, *parallel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 		os.Exit(1)

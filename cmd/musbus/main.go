@@ -22,7 +22,6 @@ func main() {
 	prm := musbus.Params{Users: *users, Duration: sim.Time(*minutes) * 60 * sim.Second}
 	fmt.Printf("MusBus-like time-sharing mix: %d users, %d virtual minutes\n", *users, *minutes)
 	fmt.Printf("%-4s %12s %10s\n", "run", "iter/minute", "cpu")
-	var base float64
 	for _, rc := range ufsclust.Runs() {
 		res, err := musbus.Run(rc, prm)
 		if err != nil {
@@ -30,11 +29,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("%-4s %12.1f %10v\n", res.Run, res.Throughput(), res.CPUTime)
-		if rc.Name == "A" {
-			base = res.Throughput()
-		} else if base > 0 {
-			// show relative change vs A inline
-		}
 	}
 	fmt.Println("(paper: \"the time-sharing benchmarks improved only slightly\")")
 }

@@ -2,9 +2,7 @@
 // kernel on pinned workloads: events per host second, heap allocations
 // per event, and host nanoseconds per simulated context switch. It is
 // the perf harness behind `make bench`: scripts/bench.sh runs it and
-// records the numbers in BENCH_sim.json, carrying the previous baseline
-// forward so the kernel's host-performance trajectory is tracked across
-// PRs.
+// records the numbers in BENCH_sim.json.
 //
 // Every workload is fixed (fixed seed, fixed event count, fixed process
 // population), so two runs on the same host measure the same work; the
@@ -13,7 +11,7 @@
 //
 // Usage:
 //
-//	simbench [-events N] [-reps N] [-o file] [-baseline BENCH_sim.json]
+//	simbench [-events N] [-reps N] [-o file]
 package main
 
 import (
@@ -71,30 +69,17 @@ type Workloads struct {
 
 // Report is the BENCH_sim.json schema.
 type Report struct {
-	Tool       string     `json:"tool"`
-	GoVersion  string     `json:"go_version"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	EventTotal int64      `json:"event_total"`
-	Current    Workloads  `json:"current"`
-	Baseline   *Workloads `json:"baseline,omitempty"`
-	Speedup    *Speedup   `json:"speedup,omitempty"`
-}
-
-// Speedup compares Current against Baseline (ratios > 1 mean the
-// current kernel is better).
-type Speedup struct {
-	TimerStormEventsPerSec float64 `json:"timer_storm_events_per_sec"`
-	TimerStormAllocsRatio  float64 `json:"timer_storm_allocs_per_event_old_over_new"`
-	SwitchNsRatio          float64 `json:"context_switch_ns_old_over_new"`
-	PingpongNsRatio        float64 `json:"waitq_pingpong_ns_old_over_new"`
-	ParallelEventsPerSec   float64 `json:"parallel_scale_events_per_sec"`
+	Tool       string    `json:"tool"`
+	GoVersion  string    `json:"go_version"`
+	GOMAXPROCS int       `json:"gomaxprocs"`
+	EventTotal int64     `json:"event_total"`
+	Current    Workloads `json:"current"`
 }
 
 func main() {
 	events := flag.Int64("events", 1<<20, "events per workload")
 	reps := flag.Int("reps", 3, "measurement repetitions (best time kept)")
 	out := flag.String("o", "", "write JSON report to this file (default stdout)")
-	baseline := flag.String("baseline", "", "prior BENCH_sim.json to carry forward as the baseline")
 	flag.Parse()
 
 	rep := Report{
@@ -109,13 +94,6 @@ func main() {
 	rep.Current.ParallelScale = measure(*reps, parallelScale(*events))
 	rep.Current.TelemetryEmit = measure(*reps, telemetryEmit(*events))
 	rep.Current.ReadAhead = measure(*reps, readahead(*events))
-
-	if *baseline != "" {
-		if err := attachBaseline(&rep, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: baseline: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -133,40 +111,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "simbench: wrote %s (timer storm: %.0f events/s, %.3f allocs/event)\n",
 		*out, rep.Current.TimerStorm.EventsPerSec, rep.Current.TimerStorm.AllocsPerEvent)
-}
-
-// attachBaseline loads a prior report and anchors Baseline to it: to
-// the prior run's own baseline when it has one (so the pre-optimization
-// anchor survives repeated `make bench`), else to its current numbers.
-func attachBaseline(rep *Report, path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var old Report
-	if err := json.Unmarshal(buf, &old); err != nil {
-		return err
-	}
-	base := old.Current
-	if old.Baseline != nil {
-		base = *old.Baseline
-	}
-	rep.Baseline = &base
-	rep.Speedup = &Speedup{
-		TimerStormEventsPerSec: ratio(rep.Current.TimerStorm.EventsPerSec, base.TimerStorm.EventsPerSec),
-		TimerStormAllocsRatio:  ratio(base.TimerStorm.AllocsPerEvent, rep.Current.TimerStorm.AllocsPerEvent),
-		SwitchNsRatio:          ratio(base.ContextSwitch.NsPerSwitch, rep.Current.ContextSwitch.NsPerSwitch),
-		PingpongNsRatio:        ratio(base.Pingpong.NsPerSwitch, rep.Current.Pingpong.NsPerSwitch),
-		ParallelEventsPerSec:   ratio(rep.Current.ParallelScale.EventsPerSec, base.ParallelScale.EventsPerSec),
-	}
-	return nil
-}
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // measure runs a workload reps times and keeps the fastest run (and its

@@ -6,7 +6,12 @@
 //
 // Usage:
 //
-//	simstat [-run A] [-kind FSR] [-ra fixed] [-vec auto] [-record B] [-stride B] [-file MB] [-ops N] [-mem MB] [-seed N] [-journal mode] [-jsonl file]
+//	simstat [-run A] [-kind FSR] [-record B] [-stride B] [-file MB] [-ops N] [-jsonl file]
+//	        [-seed N] [-mem MB] [-ra policy] [-vec strategy] [-journal mode]
+//	        [-vol LEVEL] [-members N] [-stripe KB] [-degraded I,J]
+//
+// The second and third lines are the machine-shape flags every command
+// shares (ufsclust.Scenario.RegisterFlags).
 package main
 
 import (
@@ -17,33 +22,26 @@ import (
 
 	"ufsclust"
 	"ufsclust/internal/iobench"
-	"ufsclust/internal/wal"
 )
 
 func main() {
+	var sc ufsclust.Scenario
+	sc.RegisterFlags(flag.CommandLine)
 	runName := flag.String("run", "A", "run configuration (A, B, C, D)")
 	kindFlag := flag.String("kind", "FSR", "I/O type (FSR, FSU, FSW, FRR, FRU, FMX, FSTR)")
-	raFlag := flag.String("ra", "fixed", "read-ahead policy (fixed, adaptive, off)")
-	vecFlag := flag.String("vec", "auto", "Readv/Writev strategy (auto, naive, sieve, list)")
 	record := flag.Int("record", 0, "FSTR record size in bytes (default the I/O size)")
 	stride := flag.Int("stride", 0, "FSTR stride in bytes (default 4x record)")
 	fileMB := flag.Int("file", 16, "benchmark file size in MB")
 	ops := flag.Int("ops", 0, "random-phase operations (default file/8KB)")
-	memMB := flag.Int("mem", 0, "override physical memory in MB (0 = run default)")
-	seed := flag.Int64("seed", 0, "workload RNG seed")
-	jmode := flag.String("journal", "off", "metadata journal (off, wal, wal-clustered)")
 	jsonl := flag.String("jsonl", "", "write the measured phase's event stream to this file as JSON lines (- for stdout)")
 	flag.Parse()
 
-	var rc ufsclust.RunConfig
-	found := false
-	for _, r := range ufsclust.Runs() {
-		if r.Name == *runName {
-			rc, found = r, true
-		}
+	var err error
+	if sc.Run, err = ufsclust.RunByName(*runName); err == nil {
+		_, err = sc.Options()
 	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "simstat: unknown run %q\n", *runName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simstat: %v\n", err)
 		os.Exit(2)
 	}
 	kind := iobench.Kind(strings.ToUpper(*kindFlag))
@@ -57,32 +55,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simstat: unknown kind %q\n", *kindFlag)
 		os.Exit(2)
 	}
-	pol, ok := iobench.PolicyFactory(*raFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "simstat: unknown read-ahead policy %q\n", *raFlag)
-		os.Exit(2)
-	}
-	vfac, ok := iobench.VecFactory(*vecFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "simstat: unknown vec strategy %q\n", *vecFlag)
-		os.Exit(2)
-	}
 
-	prm := iobench.Params{FileMB: *fileMB, RandomOps: *ops, Seed: *seed, Policy: pol,
-		Vec: vfac, Record: *record, Stride: *stride}
-	switch *jmode {
-	case "off":
-	case "wal":
-		prm.Journal = &wal.Config{}
-	case "wal-clustered":
-		prm.Journal = &wal.Config{Clustered: true}
-	default:
-		fmt.Fprintf(os.Stderr, "simstat: unknown journal mode %q\n", *jmode)
-		os.Exit(2)
-	}
-	if *memMB > 0 {
-		prm.MemBytes = int64(*memMB) << 20
-	}
+	prm := iobench.Params{FileMB: *fileMB, RandomOps: *ops, Record: *record, Stride: *stride}
 	if *jsonl == "-" {
 		prm.EventW = os.Stdout
 	} else if *jsonl != "" {
@@ -95,7 +69,7 @@ func main() {
 		prm.EventW = f
 	}
 
-	res, snap, err := iobench.RunMeasured(rc, kind, prm)
+	res, snap, err := iobench.RunMeasured(sc, kind, prm)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simstat: %v\n", err)
 		os.Exit(1)
@@ -104,16 +78,16 @@ func main() {
 		res.Run, res.Kind, *fileMB, res.RateKBs(), res.Elapsed, res.CPUTime)
 	win := snap.Hist("core.ra_window")
 	fmt.Printf("read-ahead %s: %d triggers, %d hits, %d wasted blocks, mean window %.1f blocks\n",
-		*raFlag, snap.Get("core.ra_triggers"), snap.Get("core.ra_hits"),
+		sc.ReadAhead, snap.Get("core.ra_triggers"), snap.Get("core.ra_hits"),
 		snap.Get("vm.ra_waste"), win.Mean())
 	if calls := snap.Get("core.vec_calls"); calls > 0 {
 		fmt.Printf("vectored %s: %d calls, %d runs (%d coalesced), %d sieve-waste bytes, %d list transfers\n",
-			*vecFlag, calls, snap.Get("core.vec_runs"), snap.Get("core.vec_coalesced"),
+			sc.Vec, calls, snap.Get("core.vec_runs"), snap.Get("core.vec_coalesced"),
 			snap.Get("core.sieve_waste"), snap.Get("driver.vec_queued"))
 	}
-	if prm.Journal != nil {
+	if sc.Journaled() {
 		fmt.Printf("journal %s: %d commits (%d blocks, %d sectors), %d checkpoints (%d blocks), %d staged metadata writes\n",
-			*jmode, snap.Get("wal.commits"), snap.Get("wal.commit_blocks"), snap.Get("wal.commit_sectors"),
+			sc.Journal, snap.Get("wal.commits"), snap.Get("wal.commit_blocks"), snap.Get("wal.commit_sectors"),
 			snap.Get("wal.checkpoints"), snap.Get("wal.checkpoint_blocks"), snap.Get("fs.journal_meta_writes"))
 	}
 	fmt.Println()

@@ -30,7 +30,7 @@ type SweepResult struct {
 func SweepWorstCase(rc ufsclust.RunConfig, points []SweepPoint, workers int) ([]SweepResult, error) {
 	return runner.Map(len(points), runner.Options{Workers: workers}, func(i int) (SweepResult, error) {
 		pt := points[i]
-		m, err := ufsclust.NewMachineForRun(rc)
+		m, err := ufsclust.New(rc)
 		if err != nil {
 			return SweepResult{}, err
 		}

@@ -17,48 +17,39 @@ import (
 	"ufsclust/internal/sim"
 )
 
-func TestIobenchReplayByteIdentical(t *testing.T) {
-	run := func() ([]byte, iobench.Result) {
-		var tw bytes.Buffer
-		prm := iobench.Params{FileMB: 1, RandomOps: 16, Seed: 3, TraceW: &tw}
-		res, err := iobench.Run(ufsclust.RunD(), iobench.FSW, prm)
-		if err != nil {
+// replayTwice runs one traced workload twice and requires both the
+// scheduler traces and the results to match.
+func replayTwice[R comparable](t *testing.T, what string, run func(tw *bytes.Buffer) (R, error)) {
+	t.Helper()
+	var traces [2]bytes.Buffer
+	var results [2]R
+	for i := range traces {
+		var err error
+		if results[i], err = run(&traces[i]); err != nil {
 			t.Fatal(err)
 		}
-		return tw.Bytes(), res
 	}
-	t1, r1 := run()
-	t2, r2 := run()
-	if len(t1) == 0 {
-		t.Fatal("empty scheduler trace: TraceW not wired through iobench")
+	if traces[0].Len() == 0 {
+		t.Fatalf("empty scheduler trace: TraceW not wired through %s", what)
 	}
-	if !bytes.Equal(t1, t2) {
-		t.Fatalf("iobench FSW traces differ between identical runs (%d vs %d bytes)", len(t1), len(t2))
+	if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
+		t.Fatalf("%s traces differ between identical runs (%d vs %d bytes)", what, traces[0].Len(), traces[1].Len())
 	}
-	if r1 != r2 {
-		t.Fatalf("iobench FSW results differ between identical runs:\n%+v\n%+v", r1, r2)
+	if results[0] != results[1] {
+		t.Fatalf("%s results differ between identical runs:\n%+v\n%+v", what, results[0], results[1])
 	}
 }
 
+func TestIobenchReplayByteIdentical(t *testing.T) {
+	replayTwice(t, "iobench FSW", func(tw *bytes.Buffer) (iobench.Result, error) {
+		sc := ufsclust.Scenario{Run: ufsclust.RunD(), Seed: 3}
+		return iobench.Run(sc, iobench.FSW, iobench.Params{FileMB: 1, RandomOps: 16, TraceW: tw})
+	})
+}
+
 func TestMusbusReplayByteIdentical(t *testing.T) {
-	run := func() ([]byte, musbus.Result) {
-		var tw bytes.Buffer
-		prm := musbus.Params{Users: 3, Duration: 20 * sim.Second, Seed: 9, TraceW: &tw}
-		res, err := musbus.Run(ufsclust.RunA(), prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tw.Bytes(), res
-	}
-	t1, r1 := run()
-	t2, r2 := run()
-	if len(t1) == 0 {
-		t.Fatal("empty scheduler trace: TraceW not wired through musbus")
-	}
-	if !bytes.Equal(t1, t2) {
-		t.Fatalf("musbus traces differ between identical runs (%d vs %d bytes)", len(t1), len(t2))
-	}
-	if r1 != r2 {
-		t.Fatalf("musbus results differ between identical runs:\n%+v\n%+v", r1, r2)
-	}
+	replayTwice(t, "musbus", func(tw *bytes.Buffer) (musbus.Result, error) {
+		prm := musbus.Params{Users: 3, Duration: 20 * sim.Second, Seed: 9, TraceW: tw}
+		return musbus.Run(ufsclust.RunA(), prm)
+	})
 }

@@ -6,8 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"ufsclust/internal/cpu"
+	"ufsclust/internal/disk"
+	"ufsclust/internal/driver"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/ufs"
+	"ufsclust/internal/vm"
+	"ufsclust/internal/vol"
 )
 
 // determinismWorkload drives the full data path — allocation, clustered
@@ -69,26 +74,104 @@ func determinismWorkload(t *testing.T, r *rig) {
 	})
 }
 
-// traceRun executes the workload on a fresh rig with the scheduler
-// trace captured, then checks the image offline, returning everything
-// that must be reproducible: the scheduling trace, the engine's event
-// counters, the final virtual time, and the fsck report text.
-func traceRun(t *testing.T) (trace string, stats Stats, now sim.Time, fsck string) {
+// newVolRig is newRig with the single drive replaced by a composed
+// volume: the engine, file system, and driver are wired identically,
+// but requests fan out across member spindles whose service processes
+// interleave in the scheduler — exactly the extra concurrency the
+// determinism gate must prove reproducible. wrap, when non-nil, stands
+// between the volume and everything above it (the row-cut tests mask
+// the device's write-unit hint this way).
+func newVolRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64, vc vol.Config, wrap func(disk.Device) disk.Device) (*rig, *vol.Volume) {
+	t.Helper()
+	s := sim.New(1)
+	t.Cleanup(s.Close)
+	cm := cpu.New(s, 12)
+	if vc.Member == nil {
+		dp := disk.DefaultParams()
+		dp.Geom = disk.UniformGeometry(96, 8, 64, 3600) // ~25 MB per member
+		vc.Member = &dp
+	}
+	vl, err := vol.New(s, "vol0", vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dev disk.Device = vl
+	if wrap != nil {
+		dev = wrap(vl)
+	}
+	dc := driver.DefaultConfig()
+	dc.MaxPhys = 128 << 10
+	dr := driver.New(s, dev, cm, dc)
+	if _, err := ufs.Mkfs(dev, mkfs); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := ufs.Mount(s, cm, dr, ufs.MountOpts{WriteLimit: writeLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vm.New(s, cm, vm.Config{MemBytes: 8 << 20})
+	eng := NewEngine(s, cm, v, fs, cfg)
+	return &rig{s: s, dr: dr, fs: fs, v: v, eng: eng}, vl
+}
+
+// replay is everything a run leaves behind that must be reproducible:
+// the scheduling trace, the engine's event counters, the final virtual
+// time, and the fsck report text.
+type replay struct {
+	trace string
+	stats Stats
+	now   sim.Time
+	fsck  string
+}
+
+// requireSameReplay fails the test wherever two same-seed runs differ.
+func requireSameReplay(t *testing.T, a, b replay) {
+	t.Helper()
+	if a.trace == "" {
+		t.Fatal("empty scheduler trace: TraceW is not capturing")
+	}
+	if a.trace != b.trace {
+		t.Errorf("scheduler traces diverge: %s", firstDiff(a.trace, b.trace))
+	}
+	if a.stats != b.stats {
+		t.Errorf("engine stats diverge:\nrun1: %+v\nrun2: %+v", a.stats, b.stats)
+	}
+	if a.now != b.now {
+		t.Errorf("final virtual time diverges: %v vs %v", a.now, b.now)
+	}
+	if a.fsck != b.fsck {
+		t.Errorf("fsck reports diverge: %s", firstDiff(a.fsck, b.fsck))
+	}
+}
+
+// traceRun executes the workload with the scheduler trace captured, on
+// a fresh single-drive rig or, when vc is non-nil, on that volume, then
+// checks the image offline.
+func traceRun(t *testing.T, vc *vol.Config) replay {
 	t.Helper()
 	mk, cfg := clusteredOpts()
-	r := newRig(t, mk, cfg, 240<<10)
+	var (
+		r   *rig
+		dev disk.Device
+	)
+	if vc == nil {
+		r = newRig(t, mk, cfg, 240<<10)
+		dev = r.d
+	} else {
+		r, dev = newVolRig(t, mk, cfg, 240<<10, *vc, nil)
+	}
 	var tw bytes.Buffer
 	r.s.TraceW = &tw
 	determinismWorkload(t, r)
 	r.fs.SyncImage()
-	rep, err := ufs.Fsck(r.d)
+	rep, err := ufs.Fsck(dev)
 	if err != nil {
 		t.Fatalf("fsck: %v", err)
 	}
 	if !rep.Clean() {
 		t.Fatalf("workload left an inconsistent file system: %v", rep.Problems)
 	}
-	return tw.String(), r.eng.Stats, r.s.Now(), fmt.Sprintf("%+v", *rep)
+	return replay{tw.String(), r.eng.Stats, r.s.Now(), fmt.Sprintf("%+v", *rep)}
 }
 
 // firstDiff returns the first line index (1-based) where a and b
@@ -107,6 +190,18 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
+// replayShapes is every device shape the determinism gate covers: the
+// single drive, then the composed volumes.
+var replayShapes = []struct {
+	name string
+	vc   *vol.Config
+}{
+	{"sd0", nil},
+	{"raid0-x3", &vol.Config{Level: vol.RAID0, Members: 3}},
+	{"raid1-x2", &vol.Config{Level: vol.RAID1, Members: 2}},
+	{"raid5-x3", &vol.Config{Level: vol.RAID5, Members: 3, StripeKB: 16}}, // 32 KB rows: the row cut is live
+}
+
 // TestSameSeedReplaysByteIdentical is the determinism regression gate:
 // two runs of the same workload from the same seed must make exactly
 // the same scheduling decisions at exactly the same virtual times and
@@ -114,21 +209,19 @@ func firstDiff(a, b string) string {
 // rules guard (map order, ambient time, raw goroutines) shows up here
 // first as a trace divergence.
 func TestSameSeedReplaysByteIdentical(t *testing.T) {
-	trace1, stats1, now1, fsck1 := traceRun(t)
-	trace2, stats2, now2, fsck2 := traceRun(t)
-	if trace1 == "" {
-		t.Fatal("empty scheduler trace: TraceW is not capturing")
-	}
-	if trace1 != trace2 {
-		t.Errorf("scheduler traces diverge: %s", firstDiff(trace1, trace2))
-	}
-	if stats1 != stats2 {
-		t.Errorf("engine stats diverge:\nrun1: %+v\nrun2: %+v", stats1, stats2)
-	}
-	if now1 != now2 {
-		t.Errorf("final virtual time diverges: %v vs %v", now1, now2)
-	}
-	if fsck1 != fsck2 {
-		t.Errorf("fsck reports diverge: %s", firstDiff(fsck1, fsck2))
+	requireSameReplay(t, traceRun(t, replayShapes[0].vc), traceRun(t, replayShapes[0].vc))
+}
+
+// TestSameSeedReplaysByteIdenticalOnVolumes extends the determinism
+// gate over composed devices. A volume machine runs one service
+// process per spindle plus parity read-modify-write phase chains in
+// completion context, so any ordering leak in the volume layer (map
+// iteration over members, unkeyed completion fan-in, ambient time)
+// surfaces here as a trace divergence between same-seed runs.
+func TestSameSeedReplaysByteIdenticalOnVolumes(t *testing.T) {
+	for _, sh := range replayShapes[1:] {
+		t.Run(sh.name, func(t *testing.T) {
+			requireSameReplay(t, traceRun(t, sh.vc), traceRun(t, sh.vc))
+		})
 	}
 }

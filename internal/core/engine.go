@@ -223,6 +223,8 @@ func (e *Engine) charge(p *sim.Proc, c cpu.Category, instr int64) {
 	}
 }
 
+var _ vm.Object = (*Vnode)(nil)
+
 // Vnode is the per-file object: the ufs inode plus engine state. It
 // implements vm.Object so the pageout daemon can write its dirty pages.
 type Vnode struct {

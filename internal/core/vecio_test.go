@@ -386,8 +386,8 @@ func vecDeterminismWorkload(t *testing.T, r *rig) {
 	})
 }
 
-// vecTraceRun is traceRun for the vectored workload.
-func vecTraceRun(t *testing.T) (trace string, stats Stats, now sim.Time) {
+// vecTraceRun is traceRun for the vectored workload (no offline check).
+func vecTraceRun(t *testing.T) replay {
 	t.Helper()
 	mk, cfg := clusteredOpts()
 	cfg.Vec = vec.Auto(0)
@@ -395,28 +395,16 @@ func vecTraceRun(t *testing.T) (trace string, stats Stats, now sim.Time) {
 	var tw bytes.Buffer
 	r.s.TraceW = &tw
 	vecDeterminismWorkload(t, r)
-	return tw.String(), r.eng.Stats, r.s.Now()
+	return replay{trace: tw.String(), stats: r.eng.Stats, now: r.s.Now()}
 }
 
 // TestVecSameSeedReplaysByteIdentical extends the determinism gate to
 // vectored I/O: the run-merge sort, the strategy pick, and both
 // mechanisms' issue orders must be pure functions of the seed.
 func TestVecSameSeedReplaysByteIdentical(t *testing.T) {
-	trace1, stats1, now1 := vecTraceRun(t)
-	trace2, stats2, now2 := vecTraceRun(t)
-	if trace1 == "" {
-		t.Fatal("empty scheduler trace: TraceW is not capturing")
-	}
-	if trace1 != trace2 {
-		t.Errorf("scheduler traces diverge: %s", firstDiff(trace1, trace2))
-	}
-	if stats1 != stats2 {
-		t.Errorf("engine stats diverge:\nrun1: %+v\nrun2: %+v", stats1, stats2)
-	}
-	if stats1.VecCalls == 0 {
+	r1, r2 := vecTraceRun(t), vecTraceRun(t)
+	requireSameReplay(t, r1, r2)
+	if r1.stats.VecCalls == 0 {
 		t.Error("vectored workload never reached the vec path")
-	}
-	if now1 != now2 {
-		t.Errorf("final virtual time diverges: %v vs %v", now1, now2)
 	}
 }

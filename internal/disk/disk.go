@@ -574,7 +574,7 @@ func (d *Disk) WriteImage(sector int64, data []byte) { d.writeImage(sector, data
 
 // Image is a point-in-time deep copy of a drive's platter contents in
 // the sparse chunk representation. Snapshot one from a crashed machine
-// and hand it to a fresh machine (ufsclust.WithCrashRecovery) to model
+// and hand it to a fresh machine (ufsclust.WithRecovery) to model
 // the reboot after a power cut. For the serialized on-host file format
 // see DumpImage/LoadImage in image.go.
 type Image struct {

@@ -20,8 +20,6 @@ import (
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
 	"ufsclust/internal/ufs"
-	"ufsclust/internal/vol"
-	"ufsclust/internal/wal"
 )
 
 // Workload is a sequential create-write-fsync job, the write cell of
@@ -29,43 +27,26 @@ import (
 // pattern of its offset, and the workload records how much the file
 // system has acknowledged as durable (fsync returned) at any instant.
 type Workload struct {
-	RC         ufsclust.RunConfig
-	FileMB     int   // file size in MB; default 16 (the paper's IObench file)
-	IOSize     int   // bytes per write call; default 8192
-	FsyncEvery int   // fsync after every N bytes written; 0 = only a final fsync
-	Seed       int64 // machine seed
-	MemBytes   int64 // machine memory; 0 = the paper's 8 MB
+	// Scenario is the machine the workload runs on — including a
+	// volume (degraded members and all, so a cut sweep can prove the
+	// durability contract holds with a spindle already dead) or a
+	// journal (recovery after the cut is then a log replay whose cost
+	// is bounded by the log region size, under the same zero-violation
+	// bar). Seed also keys the byte pattern.
+	ufsclust.Scenario
+
+	FileMB     int // file size in MB; default 16 (the paper's IObench file)
+	IOSize     int // bytes per write call; default 8192
+	FsyncEvery int // fsync after every N bytes written; 0 = only a final fsync
 	Path       string
-
-	// Volume, when non-nil, runs the workload on a composed volume
-	// (internal/vol) instead of the single drive — including degraded
-	// configurations (Volume.Degraded), so a cut sweep can prove the
-	// durability contract holds with a spindle already dead.
-	Volume *vol.Config
-
-	// Journal, when non-nil, runs the workload on a journaled machine
-	// (internal/wal): recovery after the cut is then a log replay whose
-	// cost is bounded by the log region size, not the full-image repair
-	// — under the same zero-violation bar. The report carries the
-	// replay's sector accounting.
-	Journal *wal.Config
 }
 
-// options assembles the machine options shared by every boot of this
-// workload (seedOff keeps the builder, crash, and recovery machines on
-// distinct seeds).
-func (w Workload) options(seedOff int64, extra ...ufsclust.Option) []ufsclust.Option {
-	opts := []ufsclust.Option{
-		ufsclust.WithSeed(w.Seed + seedOff),
-		ufsclust.WithMemBytes(w.MemBytes),
-	}
-	if w.Volume != nil {
-		opts = append(opts, ufsclust.WithVolume(*w.Volume))
-	}
-	if w.Journal != nil {
-		opts = append(opts, ufsclust.WithJournal(*w.Journal))
-	}
-	return append(opts, extra...)
+// boot assembles one machine of this workload (seedOff keeps the
+// builder, crash, and recovery machines on distinct seeds).
+func (w Workload) boot(seedOff int64, extra ...ufsclust.Option) (*ufsclust.Machine, error) {
+	sc := w.Scenario
+	sc.Seed += seedOff
+	return sc.New(extra...)
 }
 
 func (w Workload) withDefaults() Workload {
@@ -96,10 +77,9 @@ func PatternByte(seed, off int64) byte {
 // CrashState is what survives a power cut: the frozen platter and the
 // workload's durability watermark at the instant the lights went out.
 type CrashState struct {
-	Image *disk.Image
-	// VolImages is the per-member platter set when the workload ran on
-	// a volume (Image is then nil), in member order.
-	VolImages []*disk.Image
+	// Images is the frozen platter set, one per member drive in member
+	// order (a single image for the bare disk).
+	Images []*disk.Image
 	// Acked is the durability watermark: -1 until Create returned
 	// (the file itself may not exist), then the number of leading
 	// bytes fsync has acknowledged.
@@ -115,7 +95,7 @@ type CrashState struct {
 // Acked == w.Size().
 func RunToCrash(w Workload, plan fault.Plan) (*CrashState, error) {
 	w = w.withDefaults()
-	m, err := ufsclust.New(w.RC, w.options(1, ufsclust.WithFaultPlan(plan))...)
+	m, err := w.boot(1, ufsclust.WithFaultPlan(plan))
 	if err != nil {
 		return nil, err
 	}
@@ -170,9 +150,9 @@ func RunToCrash(w Workload, plan fault.Plan) (*CrashState, error) {
 		Crashed: m.Fault.Crashed(),
 	}
 	if m.Vol != nil {
-		st.VolImages = m.Vol.Snapshot()
+		st.Images = m.Vol.Snapshot()
 	} else {
-		st.Image = m.Disk.Snapshot()
+		st.Images = []*disk.Image{m.Disk.Snapshot()}
 	}
 	if st.Crashed {
 		st.Cut = m.Fault.CrashTime()
@@ -229,11 +209,7 @@ type Report struct {
 // alongside the verdict (nil on a journaled boot, which has no repair).
 func Recover(w Workload, st *CrashState) (*Report, *ufs.RepairReport, error) {
 	w = w.withDefaults()
-	boot := ufsclust.WithRecovery(st.Image)
-	if w.Volume != nil {
-		boot = ufsclust.WithRecovery(st.VolImages...)
-	}
-	m, err := ufsclust.New(w.RC, w.options(2, boot)...)
+	m, err := w.boot(2, ufsclust.WithRecovery(st.Images...))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -436,9 +412,7 @@ func RunDegradedMember(w Workload, member int) (*MemberReport, error) {
 		},
 		Kind: fault.MediaHard,
 	}}}
-	m, err := ufsclust.New(w.RC, w.options(3,
-		ufsclust.WithVolumeImages(base.VolImages),
-		ufsclust.WithFaultPlan(plan))...)
+	m, err := w.boot(3, ufsclust.WithImage(base.Images...), ufsclust.WithFaultPlan(plan))
 	if err != nil {
 		return nil, err
 	}
@@ -510,11 +484,11 @@ func (sr *SweepResult) Format() string {
 	}
 	var sb strings.Builder
 	tag := ""
-	if sr.Workload.Journal != nil {
+	if sr.Workload.Journaled() {
 		tag = ", journaled"
 	}
 	fmt.Fprintf(&sb, "%d cuts over %v (%s, %d MB, fsync every %d bytes%s)\n",
-		len(sr.Reports), sr.Total, sr.Workload.RC.Name, sr.Workload.FileMB, sr.Workload.FsyncEvery, tag)
+		len(sr.Reports), sr.Total, sr.Workload.Run.Name, sr.Workload.FileMB, sr.Workload.FsyncEvery, tag)
 	for _, o := range []Outcome{OutcomeFull, OutcomeTornTail, OutcomeAbsent, OutcomeLostData, OutcomeCorrupt, OutcomeDirty} {
 		if counts[o] > 0 {
 			fmt.Fprintf(&sb, "  %-10s %4d\n", o, counts[o])

@@ -16,6 +16,12 @@ import (
 
 var updateFaultEvents = flag.Bool("update-fault-events", false, "rewrite the golden fault-event JSONL stream")
 
+// runA is the machine every test workload runs on: run A at the given
+// seed, journaled when a mode is named.
+func runA(seed int64, journal string) ufsclust.Scenario {
+	return ufsclust.Scenario{Run: ufsclust.RunA(), Seed: seed, Journal: journal}
+}
+
 func TestPatternByteNeverZero(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for off := int64(0); off < 1<<16; off++ {
@@ -43,7 +49,7 @@ func TestCrashPointProperty(t *testing.T) {
 		{seed: 7, fsyncEvery: 256 << 10},
 		{seed: 11, fsyncEvery: 0}, // only the final fsync: watermark stays 0
 	} {
-		w := Workload{RC: ufsclust.RunA(), FileMB: 2, FsyncEvery: tc.fsyncEvery, Seed: tc.seed}
+		w := Workload{Scenario: runA(tc.seed, ""), FileMB: 2, FsyncEvery: tc.fsyncEvery}
 		sr, err := Sweep(w, 10, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +83,7 @@ func TestSweepWriteCellAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50-cut 16 MB sweep in -short mode")
 	}
-	w := Workload{RC: ufsclust.RunA(), FileMB: 16, FsyncEvery: 1 << 20, Seed: 42}
+	w := Workload{Scenario: runA(42, ""), FileMB: 16, FsyncEvery: 1 << 20}
 	sr, err := Sweep(w, 50, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +98,7 @@ func TestRecoverFlagsLostAcknowledgedData(t *testing.T) {
 	// Corrupt the frozen image behind the harness's back: zero a
 	// sector inside the acknowledged prefix. Recover must say
 	// LOST-DATA, proving the verifier can actually fail.
-	w := Workload{RC: ufsclust.RunA(), FileMB: 1, FsyncEvery: 256 << 10, Seed: 3}
+	w := Workload{Scenario: runA(3, ""), FileMB: 1, FsyncEvery: 256 << 10}
 	st, err := RunToCrash(w, fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +109,7 @@ func TestRecoverFlagsLostAcknowledgedData(t *testing.T) {
 	// Find a sector holding acknowledged data and wipe it. The file's
 	// bytes are pattern (never zero), so scan the image for a sector
 	// matching the start of the pattern.
-	m, err := ufsclust.New(w.RC, ufsclust.WithImage(st.Image))
+	m, err := ufsclust.New(w.Run, ufsclust.WithImage(st.Images...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestRecoverFlagsLostAcknowledgedData(t *testing.T) {
 		t.Fatal("could not locate the file's first sector in the image")
 	}
 	m.Disk.WriteImage(found, make([]byte, 512))
-	st.Image = m.Disk.Snapshot()
+	st.Images[0] = m.Disk.Snapshot()
 	m.Close()
 
 	rep, _, err := Recover(w, st)
@@ -223,7 +229,7 @@ func TestFaultEventsDeterministicGolden(t *testing.T) {
 
 func TestFormatListsViolations(t *testing.T) {
 	sr := &SweepResult{
-		Workload: Workload{RC: ufsclust.RunA(), FileMB: 2}.withDefaults(),
+		Workload: Workload{Scenario: runA(0, ""), FileMB: 2}.withDefaults(),
 		Total:    sim.Second,
 		Reports: []Report{
 			{Outcome: OutcomeTornTail, Cut: sim.Millisecond},
@@ -243,7 +249,7 @@ func TestFormatListsViolations(t *testing.T) {
 }
 
 func ExampleSweep() {
-	w := Workload{RC: ufsclust.RunA(), FileMB: 1, FsyncEvery: 128 << 10, Seed: 1}
+	w := Workload{Scenario: runA(1, ""), FileMB: 1, FsyncEvery: 128 << 10}
 	sr, err := Sweep(w, 4, 1)
 	if err != nil {
 		fmt.Println(err)

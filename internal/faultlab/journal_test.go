@@ -3,13 +3,11 @@ package faultlab
 import (
 	"testing"
 
-	"ufsclust"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/ufs"
 	"ufsclust/internal/vol"
-	"ufsclust/internal/wal"
 )
 
 // TestJournaledCrashPointProperty is the journaled twin of the core
@@ -18,15 +16,13 @@ import (
 // acknowledged prefix intact — for both log write layouts.
 func TestJournaledCrashPointProperty(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  wal.Config
+		name, journal string
 	}{
-		{"per-record", wal.Config{}},
-		{"clustered", wal.Config{Clustered: true}},
+		{"per-record", "wal"},
+		{"clustered", "wal-clustered"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			w := Workload{RC: ufsclust.RunA(), FileMB: 2, FsyncEvery: 256 << 10, Seed: 7, Journal: &cfg}
+			w := Workload{Scenario: runA(7, tc.journal), FileMB: 2, FsyncEvery: 256 << 10}
 			sr, err := Sweep(w, 10, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -54,7 +50,7 @@ func TestJournaledSweepWriteCellAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50-cut 16 MB journaled sweep in -short mode")
 	}
-	w := Workload{RC: ufsclust.RunA(), FileMB: 16, FsyncEvery: 1 << 20, Seed: 42, Journal: &wal.Config{}}
+	w := Workload{Scenario: runA(42, "wal"), FileMB: 16, FsyncEvery: 1 << 20}
 	sr, err := Sweep(w, 50, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +105,7 @@ func TestJournaledRecoveryCostBounded(t *testing.T) {
 		t.Skip("16 MB recovery-cost comparison in -short mode")
 	}
 	recoverAt := func(fileMB int) *Report {
-		w := Workload{RC: ufsclust.RunA(), FileMB: fileMB, FsyncEvery: 1 << 20, Seed: 42, Journal: &wal.Config{}}
+		w := Workload{Scenario: runA(42, "wal"), FileMB: fileMB, FsyncEvery: 1 << 20}
 		st := crashMidRun(t, w)
 		rep, _, err := Recover(w, st)
 		if err != nil {
@@ -135,12 +131,12 @@ func TestJournaledRecoveryCostBounded(t *testing.T) {
 
 	// The same 16 MB crash without a journal recovers by full-image
 	// repair; count its reads through a wrapped device.
-	wu := Workload{RC: ufsclust.RunA(), FileMB: 16, FsyncEvery: 1 << 20, Seed: 42}
+	wu := Workload{Scenario: runA(42, ""), FileMB: 16, FsyncEvery: 1 << 20}
 	st := crashMidRun(t, wu)
 	s := sim.New(1)
 	defer s.Close()
 	d := disk.New(s, "sd0", disk.DefaultParams())
-	d.Restore(st.Image)
+	d.Restore(st.Images[0])
 	cd := &countingDev{Device: d}
 	if _, err := ufs.Repair(cd); err != nil {
 		t.Fatal(err)
@@ -158,7 +154,7 @@ func TestJournaledRecoveryCostBounded(t *testing.T) {
 // bound.
 func TestJournaledDegradedMirrorSweep(t *testing.T) {
 	w := volWorkload(vol.Config{Level: vol.RAID1, Members: 2, Degraded: []int{1}})
-	w.Journal = &wal.Config{}
+	w.Journal = "wal"
 	cuts := 10
 	if !testing.Short() {
 		cuts = 50

@@ -15,13 +15,9 @@ func volWorkload(cfg vol.Config) Workload {
 	p := disk.DefaultParams()
 	p.Geom = disk.UniformGeometry(200, 8, 64, 3600)
 	cfg.Member = &p
-	return Workload{
-		RC:         ufsclust.RunA(),
-		FileMB:     2,
-		FsyncEvery: 256 << 10,
-		Seed:       19,
-		Volume:     &cfg,
-	}
+	w := Workload{Scenario: runA(19, ""), FileMB: 2, FsyncEvery: 256 << 10}
+	w.Volume = &cfg
+	return w
 }
 
 // TestDegradedMemberMirrorSurvives is the spindle-loss acceptance test
@@ -84,7 +80,7 @@ func TestDegradedFromBootRAID5SequentialWrite(t *testing.T) {
 		if rep.Outcome != OutcomeFull {
 			t.Errorf("member %d: outcome %s (%s), want %s", member, rep.Outcome, rep.Detail, OutcomeFull)
 		}
-		m, err := ufsclust.New(w.RC, w.options(3, ufsclust.WithVolumeImages(st.VolImages))...)
+		m, err := w.boot(3, ufsclust.WithImage(st.Images...))
 		if err != nil {
 			t.Fatalf("member %d: %v", member, err)
 		}

@@ -16,7 +16,7 @@ func runEventStream(t *testing.T) []byte {
 	t.Helper()
 	var ew bytes.Buffer
 	prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew}
-	if _, _, err := RunMeasured(ufsclust.RunA(), FSW, prm); err != nil {
+	if _, _, err := RunMeasured(ufsclust.Scenario{Run: ufsclust.RunA()}, FSW, prm); err != nil {
 		t.Fatal(err)
 	}
 	return ew.Bytes()

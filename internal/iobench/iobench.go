@@ -13,13 +13,9 @@ import (
 	"strings"
 
 	"ufsclust"
-	"ufsclust/internal/prefetch"
 	"ufsclust/internal/runner"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
-	"ufsclust/internal/vec"
-	"ufsclust/internal/vol"
-	"ufsclust/internal/wal"
 )
 
 // Kind is one IObench I/O type.
@@ -70,49 +66,14 @@ const MixedPhases = 4
 // shape that baits an eager prefetcher into issuing a full cluster.
 const MixedBurstBlocks = 2
 
-// PolicyFactory maps a command-line policy name to a Params.Policy
-// factory: "fixed" is nil (the run configuration's default), "adaptive"
-// builds a fresh default-tuned adaptive policy per machine, and "off"
-// disables read-ahead. The second result is false for unknown names.
-func PolicyFactory(name string) (func() prefetch.Policy, bool) {
-	switch strings.ToLower(name) {
-	case "fixed", "":
-		return nil, true
-	case "adaptive":
-		return func() prefetch.Policy { return prefetch.NewAdaptive(prefetch.AdaptiveConfig{}) }, true
-	case "off":
-		return func() prefetch.Policy { return prefetch.Off() }, true
-	}
-	return nil, false
-}
-
-// VecFactory maps a command-line vec-strategy name to a Params.Vec
-// factory: "auto" is nil (the engine's density-threshold default), and
-// "naive"/"sieve"/"list" force one method for every multi-element
-// vector. The second result is false for unknown names.
-func VecFactory(name string) (func() vec.Strategy, bool) {
-	switch strings.ToLower(name) {
-	case "auto", "":
-		return nil, true
-	case "naive":
-		return func() vec.Strategy { return vec.UseNaive() }, true
-	case "sieve":
-		return func() vec.Strategy { return vec.UseSieve() }, true
-	case "list":
-		return func() vec.Strategy { return vec.UseList() }, true
-	}
-	return nil, false
-}
-
-// Params sizes a benchmark run. The defaults are the paper's hardware
-// constraints: a 16 MB file (twice physical memory) moved 8 KB at a
-// time.
+// Params sizes a benchmark run; the machine it runs on is the
+// ufsclust.Scenario passed beside it. The defaults are the paper's
+// hardware constraints: a 16 MB file (twice physical memory) moved 8 KB
+// at a time.
 type Params struct {
-	FileMB    int   // file size; default 16
-	IOSize    int   // bytes per read/write call; default 8192
-	RandomOps int   // operations in random phases; default file/IOSize
-	Seed      int64 // workload RNG seed
-	MemBytes  int64 // machine memory; default 8 MB
+	FileMB    int // file size; default 16
+	IOSize    int // bytes per read/write call; default 8192
+	RandomOps int // operations in random phases; default file/IOSize
 
 	// TraceW, when non-nil, receives the machine's scheduler trace
 	// (sim.Sim.TraceW). Only meaningful for a single Run: feeding one
@@ -124,24 +85,6 @@ type Params struct {
 	// produce byte-identical streams. Single Run only, like TraceW.
 	EventW io.Writer
 
-	// Policy, when non-nil, is called once per machine to build that
-	// machine's read-ahead policy (see ufsclust.WithReadAhead). It is a
-	// factory rather than an instance because policies carry per-file
-	// detector state that must not be shared across machines. nil keeps
-	// the run configuration's default (the paper's fixed one-cluster
-	// read-ahead).
-	Policy func() prefetch.Policy
-
-	// Volume, when non-nil, runs the benchmark on a composed volume
-	// (ufsclust.WithVolume) instead of the single sd0 — the -volmatrix
-	// sweep's cell configuration.
-	Volume *vol.Config
-
-	// Journal, when non-nil, runs the benchmark on a journaled machine
-	// (ufsclust.WithJournal) — the -jmatrix sweep's cell configuration
-	// for measuring the log's steady-state write amplification.
-	Journal *wal.Config
-
 	// Record and Stride shape the FSTR cell: each vector element reads
 	// Record bytes, element starts are Stride bytes apart. Defaults:
 	// Record = IOSize, Stride = 4*Record. Ignored by other kinds.
@@ -151,12 +94,6 @@ type Params struct {
 	// VecBatch is the number of elements per Readv call in FSTR;
 	// default 32.
 	VecBatch int
-
-	// Vec, when non-nil, is called once per machine to build that
-	// machine's Readv/Writev strategy (see ufsclust.WithVecStrategy).
-	// nil keeps the engine's density-threshold auto pick. A factory for
-	// symmetry with Policy, though today's strategies are stateless.
-	Vec func() vec.Strategy
 
 	// VecSingle, when set, routes every scalar Read/Write of the
 	// measured phase through a single-element Readv/Writev instead.
@@ -206,10 +143,11 @@ func (r Result) RateKBs() float64 {
 	return float64(r.Bytes) / 1024 / r.Elapsed.Seconds()
 }
 
-// Run executes one I/O type under one run configuration on a fresh
-// machine and returns the measured cell.
-func Run(rc ufsclust.RunConfig, kind Kind, prm Params) (Result, error) {
-	res, _, err := RunMeasured(rc, kind, prm)
+// Run executes one I/O type on a fresh machine of the given scenario
+// and returns the measured cell. The machine's seed is sc.Seed+1, which
+// also seeds the workload's random offsets.
+func Run(sc ufsclust.Scenario, kind Kind, prm Params) (Result, error) {
+	res, _, err := RunMeasured(sc, kind, prm)
 	return res, err
 }
 
@@ -218,32 +156,17 @@ func Run(rc ufsclust.RunConfig, kind Kind, prm Params) (Result, error) {
 // (preallocation, cache purge) excluded. Result stays a comparable
 // value for the determinism gates; callers who want disk seek
 // histograms or driver queue depths read them from the snapshot.
-func RunMeasured(rc ufsclust.RunConfig, kind Kind, prm Params) (Result, telemetry.Snapshot, error) {
+func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry.Snapshot, error) {
 	prm = prm.withDefaults()
-	opts := []ufsclust.Option{
-		ufsclust.WithSeed(prm.Seed + 1),
-		ufsclust.WithMemBytes(prm.MemBytes),
-	}
-	if prm.Policy != nil {
-		opts = append(opts, ufsclust.WithReadAhead(prm.Policy()))
-	}
-	if prm.Volume != nil {
-		opts = append(opts, ufsclust.WithVolume(*prm.Volume))
-	}
-	if prm.Journal != nil {
-		opts = append(opts, ufsclust.WithJournal(*prm.Journal))
-	}
-	if prm.Vec != nil {
-		opts = append(opts, ufsclust.WithVecStrategy(prm.Vec()))
-	}
-	m, err := ufsclust.New(rc, opts...)
+	sc.Seed++
+	m, err := sc.New()
 	if err != nil {
 		return Result{}, telemetry.Snapshot{}, err
 	}
 	defer m.Close()
 	m.Sim.TraceW = prm.TraceW
 	size := int64(prm.FileMB) << 20
-	res := Result{Run: rc.Name, Kind: kind}
+	res := Result{Run: sc.Run.Name, Kind: kind}
 	var snap telemetry.Snapshot
 
 	var runErr error
@@ -426,34 +349,36 @@ type Table struct {
 	Order []string
 }
 
-// RunAll executes every (run, kind) pair.
-func RunAll(runs []ufsclust.RunConfig, kinds []Kind, prm Params) (*Table, error) {
-	return RunAllParallel(runs, kinds, prm, 1)
+// RunAll executes every (run, kind) pair on sc's machine shape, sc.Run
+// replaced by each of runs in turn.
+func RunAll(sc ufsclust.Scenario, runs []ufsclust.RunConfig, kinds []Kind, prm Params) (*Table, error) {
+	return RunAllParallel(sc, runs, kinds, prm, 1)
 }
 
-// RunAllParallel executes every (run, kind) pair across workers host
-// goroutines (0 means GOMAXPROCS, 1 means serial). Each cell is an
-// independent machine seeded only by its Params, so the resulting table
-// — and anything formatted from it — is byte-identical to the serial
-// table no matter how many workers ran it.
-func RunAllParallel(runs []ufsclust.RunConfig, kinds []Kind, prm Params, workers int) (*Table, error) {
+// RunAllParallel is RunAll across workers host goroutines (0 means
+// GOMAXPROCS, 1 means serial). Each cell is an independent machine
+// seeded only by its Scenario, so the resulting table — and anything
+// formatted from it — is byte-identical to the serial table no matter
+// how many workers ran it.
+func RunAllParallel(sc ufsclust.Scenario, runs []ufsclust.RunConfig, kinds []Kind, prm Params, workers int) (*Table, error) {
 	if (prm.TraceW != nil || prm.EventW != nil) && workers != 1 {
 		return nil, fmt.Errorf("iobench: TraceW/EventW require serial execution (workers=1)")
 	}
 	type job struct {
-		rc   ufsclust.RunConfig
+		sc   ufsclust.Scenario
 		kind Kind
 	}
 	var jobs []job
 	for _, rc := range runs {
+		sc.Run = rc
 		for _, k := range kinds {
-			jobs = append(jobs, job{rc, k})
+			jobs = append(jobs, job{sc, k})
 		}
 	}
 	cells, err := runner.Map(len(jobs), runner.Options{Workers: workers}, func(i int) (Result, error) {
-		res, err := Run(jobs[i].rc, jobs[i].kind, prm)
+		res, err := Run(jobs[i].sc, jobs[i].kind, prm)
 		if err != nil {
-			return Result{}, fmt.Errorf("run %s %s: %w", jobs[i].rc.Name, jobs[i].kind, err)
+			return Result{}, fmt.Errorf("run %s %s: %w", jobs[i].sc.Run.Name, jobs[i].kind, err)
 		}
 		return res, nil
 	})
@@ -466,7 +391,7 @@ func RunAllParallel(runs []ufsclust.RunConfig, kinds []Kind, prm Params, workers
 		t.Cells[rc.Name] = make(map[Kind]Result)
 	}
 	for i, res := range cells {
-		t.Cells[jobs[i].rc.Name][jobs[i].kind] = res
+		t.Cells[jobs[i].sc.Run.Name][jobs[i].kind] = res
 	}
 	return t, nil
 }

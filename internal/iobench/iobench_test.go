@@ -11,7 +11,7 @@ import (
 // smallParams keeps unit tests quick; the full 16 MB paper configuration
 // runs in the benchmark harness (bench_test.go, cmd/iobench).
 func smallParams() Params {
-	return Params{FileMB: 8, RandomOps: 192, MemBytes: 8 << 20}
+	return Params{FileMB: 8, RandomOps: 192}
 }
 
 func TestKindsOrder(t *testing.T) {
@@ -32,7 +32,7 @@ func TestParamsDefaults(t *testing.T) {
 }
 
 func TestRunProducesPositiveRate(t *testing.T) {
-	res, err := Run(ufsclust.RunA(), FSR, smallParams())
+	res, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSR, smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestSequentialClusteringWins(t *testing.T) {
 	// improved about a factor of two."
 	prm := smallParams()
 	for _, kind := range []Kind{FSR, FSU, FSW} {
-		a, err := Run(ufsclust.RunA(), kind, prm)
+		a, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, kind, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Run(ufsclust.RunD(), kind, prm)
+		d, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, kind, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestRandomReadsUnaffected(t *testing.T) {
 	// Figure 11: FRR ratios are ~1.04-1.05 — clustering neither helps
 	// nor hurts random reads.
 	prm := smallParams()
-	a, err := Run(ufsclust.RunA(), FRR, prm)
+	a, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FRR, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(ufsclust.RunD(), FRR, prm)
+	d, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, FRR, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestRandomUpdateFairnessCost(t *testing.T) {
 	// less of disksort's deep-queue advantage than the 1991 hardware.
 	prm := smallParams()
 	prm.RandomOps = 512
-	a, err := Run(ufsclust.RunA(), FRU, prm)
+	a, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FRU, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(ufsclust.RunD(), FRU, prm)
+	d, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, FRU, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestAbsoluteRatesPlausible(t *testing.T) {
 	// media rate is ~1.9 MB/s, so run A sequential must land between
 	// 1.0 and 1.92 MB/s and legacy runs near half of it.
 	prm := smallParams()
-	a, _ := Run(ufsclust.RunA(), FSR, prm)
+	a, _ := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSR, prm)
 	if r := a.RateKBs(); r < 1100 || r > 1966 {
 		t.Errorf("A FSR = %.0f KB/s, outside [1100, 1966]", r)
 	}
-	d, _ := Run(ufsclust.RunD(), FSR, prm)
+	d, _ := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, FSR, prm)
 	if r := d.RateKBs(); r < 600 || r > 1050 {
 		t.Errorf("D FSR = %.0f KB/s, outside [600, 1050]", r)
 	}
@@ -122,7 +122,7 @@ func TestAbsoluteRatesPlausible(t *testing.T) {
 func TestWriteLimitStallsOnlyLimitedRuns(t *testing.T) {
 	prm := smallParams()
 	// Run A has the 240KB limit; stalls expected on sequential write.
-	resA, err := Run(ufsclust.RunA(), FSW, prm)
+	resA, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSW, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestTableFormatting(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	prm := smallParams()
-	r1, err := Run(ufsclust.RunB(), FSR, prm)
+	r1, err := Run(ufsclust.Scenario{Run: ufsclust.RunB()}, FSR, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(ufsclust.RunB(), FSR, prm)
+	r2, err := Run(ufsclust.Scenario{Run: ufsclust.RunB()}, FSR, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,24 +169,31 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // TestParallelTableMatchesSerial pins the parallel sweep contract at the
 // table level: the run×kind matrix computed on many host workers renders
 // byte-identically to the serial one.
+//
+// The adaptive row is the one with state to leak: its policy keeps
+// per-file detectors keyed by inode number, and every cell's file is
+// the same inode. A policy instance shared between cells would show up
+// here as a differing table, and under -race as a data race.
 func TestParallelTableMatchesSerial(t *testing.T) {
 	runs := []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunD()}
 	prm := Params{FileMB: 1, RandomOps: 16}
-	serial, err := RunAll(runs, Kinds(), prm)
-	if err != nil {
-		t.Fatal(err)
+	for _, sc := range []ufsclust.Scenario{{}, {ReadAhead: "adaptive"}} {
+		serial, err := RunAll(sc, runs, Kinds(), prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := RunAllParallel(sc, runs, Kinds(), prm, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, p := serial.FormatRates(Kinds()), par.FormatRates(Kinds()); s != p {
+			t.Fatalf("parallel table differs from serial\n--- serial ---\n%s--- parallel ---\n%s", s, p)
+		}
+		if s, p := serial.FormatRatios(Kinds()), par.FormatRatios(Kinds()); s != p {
+			t.Fatalf("parallel ratios differ from serial\n--- serial ---\n%s--- parallel ---\n%s", s, p)
+		}
 	}
-	par, err := RunAllParallel(runs, Kinds(), prm, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, p := serial.FormatRates(Kinds()), par.FormatRates(Kinds()); s != p {
-		t.Fatalf("parallel table differs from serial\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-	}
-	if s, p := serial.FormatRatios(Kinds()), par.FormatRatios(Kinds()); s != p {
-		t.Fatalf("parallel ratios differ from serial\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-	}
-	if _, err := RunAllParallel(runs, Kinds(), Params{FileMB: 1, RandomOps: 16, TraceW: os.Stderr}, 2); err == nil {
+	if _, err := RunAllParallel(ufsclust.Scenario{}, runs, Kinds(), Params{FileMB: 1, RandomOps: 16, TraceW: os.Stderr}, 2); err == nil {
 		t.Fatal("RunAllParallel accepted a TraceW with workers > 1; traces would interleave")
 	}
 }

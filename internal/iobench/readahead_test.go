@@ -7,17 +7,16 @@ import (
 	"testing"
 
 	"ufsclust"
-	"ufsclust/internal/prefetch"
 )
 
-// runKindStream runs one 1 MB run-A cell with the given policy factory
-// (nil = the run configuration's default fixed read-ahead) and returns
-// the measured phase's JSONL event stream.
-func runKindStream(t *testing.T, kind Kind, pol func() prefetch.Policy) []byte {
+// runKindStream runs one 1 MB run-A cell under the named read-ahead
+// policy ("" = the run configuration's default fixed read-ahead) and
+// returns the measured phase's JSONL event stream.
+func runKindStream(t *testing.T, kind Kind, ra string) []byte {
 	t.Helper()
 	var ew bytes.Buffer
-	prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew, Policy: pol}
-	if _, _, err := RunMeasured(ufsclust.RunA(), kind, prm); err != nil {
+	prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew}
+	if _, _, err := RunMeasured(ufsclust.Scenario{Run: ufsclust.RunA(), ReadAhead: ra}, kind, prm); err != nil {
 		t.Fatal(err)
 	}
 	return ew.Bytes()
@@ -57,17 +56,16 @@ func checkGolden(t *testing.T, got []byte, name string) {
 // nextrio read-ahead — the "default behavior unchanged" half of the
 // read-ahead policy contract.
 func TestFixedPolicyGoldens(t *testing.T) {
-	checkGolden(t, runKindStream(t, FSR, nil), "events_fsr_runA.golden")
-	checkGolden(t, runKindStream(t, FRR, nil), "events_frr_runA.golden")
+	checkGolden(t, runKindStream(t, FSR, ""), "events_fsr_runA.golden")
+	checkGolden(t, runKindStream(t, FRR, ""), "events_frr_runA.golden")
 }
 
 // TestAdaptiveEventStreamDeterministic is the replay contract for the
 // adaptive policy: same seed, same byte stream — including the
 // ra_window events only this policy emits.
 func TestAdaptiveEventStreamDeterministic(t *testing.T) {
-	adaptive := func() prefetch.Policy { return prefetch.NewAdaptive(prefetch.AdaptiveConfig{}) }
-	a := runKindStream(t, FMX, adaptive)
-	b := runKindStream(t, FMX, adaptive)
+	a := runKindStream(t, FMX, "adaptive")
+	b := runKindStream(t, FMX, "adaptive")
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed adaptive event streams differ (%d vs %d bytes)", len(a), len(b))
 	}
@@ -80,10 +78,10 @@ func TestAdaptiveEventStreamDeterministic(t *testing.T) {
 // pressureCell runs one cell under memory pressure (file twice physical
 // memory, like the paper's 16 MB / 8 MB setup but scaled down) and
 // returns the rate plus the read-ahead hit/waste counters.
-func pressureCell(t *testing.T, kind Kind, ops int, pol func() prefetch.Policy) (rate float64, hits, waste int64) {
+func pressureCell(t *testing.T, kind Kind, ops int, ra string) (rate float64, hits, waste int64) {
 	t.Helper()
-	prm := Params{FileMB: 2, RandomOps: ops, MemBytes: 1 << 20, Policy: pol}
-	res, snap, err := RunMeasured(ufsclust.RunA(), kind, prm)
+	sc := ufsclust.Scenario{Run: ufsclust.RunA(), MemBytes: 1 << 20, ReadAhead: ra}
+	res, snap, err := RunMeasured(sc, kind, Params{FileMB: 2, RandomOps: ops})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +102,16 @@ func pressureCell(t *testing.T, kind Kind, ops int, pol func() prefetch.Policy) 
 //     cost a cluster of dead prefetch — while the adaptive detector
 //     refuses to issue without two confirmed sequential accesses.
 func TestAdaptiveBeatsFixedOnMixed(t *testing.T) {
-	adaptive := func() prefetch.Policy { return prefetch.NewAdaptive(prefetch.AdaptiveConfig{}) }
-	off := func() prefetch.Policy { return prefetch.Off() }
+	const fixed, adaptive, off = "fixed", "adaptive", "off"
 
-	fixedSeq, _, _ := pressureCell(t, FSR, 0, nil)
+	fixedSeq, _, _ := pressureCell(t, FSR, 0, fixed)
 	adptSeq, _, _ := pressureCell(t, FSR, 0, adaptive)
 	t.Logf("FSR rate KB/s: fixed=%.0f adaptive=%.0f", fixedSeq, adptSeq)
 	if adptSeq < fixedSeq*0.98 {
 		t.Errorf("adaptive FSR rate %.1f KB/s below 98%% of fixed %.1f KB/s", adptSeq, fixedSeq)
 	}
 
-	fixedMix, fixedHits, _ := pressureCell(t, FMX, 16, nil)
+	fixedMix, fixedHits, _ := pressureCell(t, FMX, 16, fixed)
 	adptMix, adptHits, _ := pressureCell(t, FMX, 16, adaptive)
 	offMix, _, _ := pressureCell(t, FMX, 16, off)
 	t.Logf("FMX rate KB/s: fixed=%.0f adaptive=%.0f off=%.0f (hits fixed=%d adaptive=%d)",
@@ -126,7 +123,7 @@ func TestAdaptiveBeatsFixedOnMixed(t *testing.T) {
 		t.Errorf("adaptive FMX rate %.1f not above off %.1f", adptMix, offMix)
 	}
 
-	_, _, fixedWaste := pressureCell(t, FRR, 512, nil)
+	_, _, fixedWaste := pressureCell(t, FRR, 512, fixed)
 	_, _, adptWaste := pressureCell(t, FRR, 512, adaptive)
 	t.Logf("FRR waste blocks: fixed=%d adaptive=%d", fixedWaste, adptWaste)
 	if fixedWaste == 0 {

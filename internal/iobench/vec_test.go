@@ -13,7 +13,7 @@ func runVecSingleStream(t *testing.T, kind Kind) []byte {
 	t.Helper()
 	var ew bytes.Buffer
 	prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew, VecSingle: true}
-	if _, _, err := RunMeasured(ufsclust.RunA(), kind, prm); err != nil {
+	if _, _, err := RunMeasured(ufsclust.Scenario{Run: ufsclust.RunA()}, kind, prm); err != nil {
 		t.Fatal(err)
 	}
 	return ew.Bytes()
@@ -41,13 +41,7 @@ func TestStridedCell(t *testing.T) {
 		want += int64(prm.Record)
 	}
 	for _, name := range []string{"auto", "naive", "sieve", "list"} {
-		fac, ok := VecFactory(name)
-		if !ok {
-			t.Fatalf("VecFactory(%q) unknown", name)
-		}
-		p := prm
-		p.Vec = fac
-		res, snap, err := RunMeasured(ufsclust.RunA(), FSTR, p)
+		res, snap, err := RunMeasured(ufsclust.Scenario{Run: ufsclust.RunA(), Vec: name}, FSTR, prm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -68,11 +62,5 @@ func TestStridedCell(t *testing.T) {
 		if snap.Get("core.vec_calls") == 0 {
 			t.Errorf("%s: no vectored calls counted", name)
 		}
-	}
-}
-
-func TestVecFactoryUnknown(t *testing.T) {
-	if _, ok := VecFactory("bogus"); ok {
-		t.Fatal("VecFactory accepted an unknown name")
 	}
 }

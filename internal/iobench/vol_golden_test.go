@@ -24,14 +24,9 @@ import (
 // belong to the bare-disk tests, and this test only ever consumes them.
 func TestVolumePassthroughMatchesGoldens(t *testing.T) {
 	var tw, ew bytes.Buffer
-	prm := Params{
-		FileMB:    1,
-		RandomOps: 16,
-		TraceW:    &tw,
-		EventW:    &ew,
-		Volume:    &vol.Config{Level: vol.Concat, Members: 1},
-	}
-	if _, _, err := RunMeasured(ufsclust.RunA(), FSW, prm); err != nil {
+	prm := Params{FileMB: 1, RandomOps: 16, TraceW: &tw, EventW: &ew}
+	sc := ufsclust.Scenario{Run: ufsclust.RunA(), Volume: &vol.Config{Level: vol.Concat, Members: 1}}
+	if _, _, err := RunMeasured(sc, FSW, prm); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -75,8 +70,8 @@ func TestVolumePassthroughMatchesGoldens(t *testing.T) {
 	} {
 		vc.Member = &member
 		var ew bytes.Buffer
-		prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew, Volume: &vc}
-		if _, _, err := RunMeasured(ufsclust.RunA(), FSW, prm); err != nil {
+		prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew}
+		if _, _, err := RunMeasured(ufsclust.Scenario{Run: ufsclust.RunA(), Volume: &vc}, FSW, prm); err != nil {
 			t.Fatal(err)
 		}
 		checkGolden(t, ew.Bytes(), fmt.Sprintf("events_fsw_runA_%sx%d.golden", vc.Level, vc.Members))

@@ -62,7 +62,7 @@ func TestJournaledMachineEndToEnd(t *testing.T) {
 // the pinned metrics manifest and every pre-journal golden stream
 // depend on this.
 func TestDefaultMachineHasNoJournal(t *testing.T) {
-	m, err := NewMachineForRun(RunA())
+	m, err := New(RunA())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,26 +118,21 @@ func WithFaultPlan(pl fault.Plan) Option {
 	return func(o *Options) { o.Fault = pl }
 }
 
-// WithImage boots the machine from a platter snapshot (disk.Disk's
-// Snapshot) instead of running mkfs. The snapshot is deep-copied; the
-// donor machine is not shared.
-func WithImage(img *disk.Image) Option {
-	return func(o *Options) { o.Image = img }
+// WithImage boots the machine from platter snapshots instead of running
+// mkfs: one image for the bare sd0 (disk.Disk's Snapshot), one per
+// member in member order for a volume machine (vol.Volume.Snapshot).
+// The snapshots are deep-copied; the donor machine is not shared. New
+// fails if the count is not the machine's member count or an image is
+// nil.
+func WithImage(imgs ...*disk.Image) Option {
+	return func(o *Options) { o.Images, o.Recover = imgs, false }
 }
 
-// WithRecovery boots from platter snapshots and runs ufs.Repair before
-// mounting — the reboot-and-fsck path after a power cut. One image
-// restores a bare-disk machine (disk.Disk's Snapshot); several restore
-// a volume machine's members in member order (vol.Volume.Snapshot).
-// The repair's report lands in Machine.RepairLog.
+// WithRecovery is WithImage plus recovery before mounting — the
+// reboot-and-fsck path after a power cut. An unjournaled image is
+// repaired by ufs.Repair and the report lands in Machine.RepairLog.
 func WithRecovery(imgs ...*disk.Image) Option {
-	return func(o *Options) {
-		o.RepairImage = true
-		o.VolImages = imgs
-		if len(imgs) == 1 {
-			o.Image = imgs[0]
-		}
-	}
+	return func(o *Options) { o.Images, o.Recover = imgs, true }
 }
 
 // WithJournal reserves an on-disk log region at mkfs time and mounts
@@ -160,15 +155,6 @@ func WithJournal(cfg wal.Config) Option {
 	return func(o *Options) { o.Journal = &cfg }
 }
 
-// WithCrashRecovery boots from a platter snapshot and runs ufs.Repair
-// before mounting.
-//
-// Deprecated: use WithRecovery(img) — one variadic option now covers
-// bare-disk and volume machines.
-func WithCrashRecovery(img *disk.Image) Option {
-	return WithRecovery(img)
-}
-
 // WithVolume composes the machine's storage from several member drives
 // instead of the single sd0 — a concat, stripe set, mirror, or RAID-5
 // array (see internal/vol). The file system sees one synthetic drive of
@@ -181,22 +167,6 @@ func WithCrashRecovery(img *disk.Image) Option {
 // Options.Disk, if also set, becomes the member drive template.
 func WithVolume(cfg vol.Config) Option {
 	return func(o *Options) { o.Volume = &cfg }
-}
-
-// WithVolumeImages boots a volume machine from member platter
-// snapshots (vol.Volume.Snapshot) instead of running mkfs; the slice
-// must have one image per member, in member order.
-func WithVolumeImages(imgs []*disk.Image) Option {
-	return func(o *Options) { o.VolImages = imgs }
-}
-
-// WithVolumeCrashRecovery boots a volume machine from member snapshots
-// and runs ufs.Repair before mounting.
-//
-// Deprecated: use WithRecovery(imgs...) — one variadic option now
-// covers bare-disk and volume machines.
-func WithVolumeCrashRecovery(imgs []*disk.Image) Option {
-	return WithRecovery(imgs...)
 }
 
 // New assembles a machine for one of the paper's run configurations,

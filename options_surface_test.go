@@ -24,8 +24,8 @@ func TestPublicOptionsSurface(t *testing.T) {
 		"Seed", "MIPS", "MemBytes",
 		"Disk", "Driver", "Mkfs", "Mount", "Engine",
 		"EventJSONL", "Fault",
-		"Image", "RepairImage",
-		"Volume", "VolImages",
+		"Images", "Recover",
+		"Volume",
 		"Journal",
 	}
 	typ := reflect.TypeOf(Options{})
@@ -57,12 +57,9 @@ func TestOptionConstructorsCompose(t *testing.T) {
 		WithVecStrategy(vec.Auto(0)),
 		WithTelemetry(io.Discard),
 		WithFaultPlan(fault.Plan{}),
-		WithImage(nil),
+		WithImage(),
 		WithRecovery(),
-		WithCrashRecovery(nil),       // deprecated shim, still present
 		WithVolume(vol.Config{}),
-		WithVolumeImages(nil),
-		WithVolumeCrashRecovery(nil), // deprecated shim, still present
 		WithJournal(wal.Config{}),
 	}
 	var o Options

@@ -1,6 +1,9 @@
 package ufsclust
 
 import (
+	"fmt"
+	"strings"
+
 	"ufsclust/internal/core"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/ufs"
@@ -46,6 +49,17 @@ func RunD() RunConfig {
 // Runs returns all four configurations in paper order.
 func Runs() []RunConfig { return []RunConfig{RunA(), RunB(), RunC(), RunD()} }
 
+// RunByName returns the paper's run with the given letter, in either
+// case — the -run / -runs flag lookup of every command.
+func RunByName(name string) (RunConfig, error) {
+	for _, rc := range Runs() {
+		if strings.EqualFold(rc.Name, strings.TrimSpace(name)) {
+			return rc, nil
+		}
+	}
+	return RunConfig{}, fmt.Errorf("unknown run %q", name)
+}
+
 // Options converts a run configuration into machine options. Extra
 // tweaks (memory size, seed) can be applied to the result.
 func (rc RunConfig) Options() Options {
@@ -72,10 +86,4 @@ func (rc RunConfig) Options() Options {
 		o.Mount.WriteLimit = WriteLimitBytes
 	}
 	return o
-}
-
-// NewMachineForRun assembles a machine for one of the paper's runs.
-// It is New(rc) with no options; kept for existing callers.
-func NewMachineForRun(rc RunConfig) (*Machine, error) {
-	return New(rc)
 }

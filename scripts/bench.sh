@@ -6,19 +6,10 @@
 # scaling, the telemetry bus's zero-subscriber Emit overhead, and the
 # adaptive read-ahead policy's decision cost), writing the report to
 # BENCH_sim.json at the repo root. Then builds cmd/iobench and writes
-# the read-ahead policy comparison matrix (policy x {FSR, FRR, FMX}
-# under memory pressure, simulated throughput and prefetch hit/waste
-# counters), the volume matrix (cluster size x RAID level x stripe
-# width, with the parity-path counters), the vectored-I/O matrix
-# (FSTR stride x Readv strategy, with the vec counters and the
-# sieve/list crossover), and the metadata-journal matrix (journal mode
-# x {FSW, FSR}, with the wal commit/checkpoint counters) to
-# BENCH_iobench.json.
-#
-# If a BENCH_sim.json already exists, its recorded baseline (the
-# pre-fast-path kernel, measured interleaved against the new one when
-# this harness was introduced) is carried forward so the old-vs-new
-# speedup columns stay anchored to the same reference across runs.
+# its comparison matrix (read-ahead policy, volume level x stripe,
+# Readv strategy x stride, journal mode — see cmd/iobench/matrix.go) to
+# BENCH_iobench.json; those numbers are virtual, so the refresh is a
+# no-op unless behaviour changed (TestMatrixMatchesCommitted).
 #
 # Usage: scripts/bench.sh [extra simbench flags]
 #   e.g. scripts/bench.sh -reps 12
@@ -32,17 +23,10 @@ trap 'rm -rf "$tmp"' EXIT
 echo "==> go build ./cmd/simbench"
 go build -o "$tmp/simbench" ./cmd/simbench
 
-baseline=""
-if [ -f BENCH_sim.json ]; then
-    baseline="-baseline BENCH_sim.json"
-    # simbench reads the baseline before the output file is replaced,
-    # but write to a temp path anyway so an interrupted run cannot
-    # leave a truncated report behind.
-fi
-
 echo "==> simbench"
-# shellcheck disable=SC2086 # $baseline is intentionally word-split
-"$tmp/simbench" $baseline -o "$tmp/BENCH_sim.json" "$@"
+# Written to a temp path first so an interrupted run cannot leave a
+# truncated report behind.
+"$tmp/simbench" -o "$tmp/BENCH_sim.json" "$@"
 
 mv "$tmp/BENCH_sim.json" BENCH_sim.json
 echo "bench: wrote BENCH_sim.json"
@@ -50,7 +34,7 @@ echo "bench: wrote BENCH_sim.json"
 echo "==> go build ./cmd/iobench"
 go build -o "$tmp/iobench" ./cmd/iobench
 
-echo "==> iobench -ramatrix -volmatrix -vecmatrix -jmatrix"
-"$tmp/iobench" -ramatrix "$tmp/BENCH_iobench.json" -volmatrix "$tmp/BENCH_iobench.json" -vecmatrix "$tmp/BENCH_iobench.json" -jmatrix "$tmp/BENCH_iobench.json"
+echo "==> iobench -matrix"
+"$tmp/iobench" -matrix "$tmp/BENCH_iobench.json"
 mv "$tmp/BENCH_iobench.json" BENCH_iobench.json
 echo "bench: wrote BENCH_iobench.json"

@@ -21,29 +21,16 @@
 #                                          (bench/ is its own module, so
 #                                          the line above cannot see it;
 #                                          also `make benchcheck`)
-#   5. go test -race ./internal/sim/...    the packages that touch host
-#      go test -race ./internal/runner/... goroutines and channels
-#      go test -race ./internal/telemetry/...  (and the bus, whose
-#                                          subscribers run on hot paths)
-#      go test -race ./internal/fault/...  (injector runs inline on the
-#                                          bus, in parallel sweeps)
-#      go test -race ./internal/prefetch/...  (policies are shared across
-#                                          parallel iobench cells only by
-#                                          mistake; the race run proves a
-#                                          per-machine policy never is)
-#      go test -race ./internal/vec/...    (vec strategies run inline in
-#                                          Readv/Writev across parallel
-#                                          sweep cells)
-#      go test -race ./internal/vol/... ./internal/faultlab/...
-#                                          (volume machines run in
-#                                          parallel sweep workers; the
-#                                          race run proves no member or
-#                                          parity state leaks between
-#                                          host goroutines)
-#      go test -race ./internal/wal/...    (journaled machines run in
-#                                          parallel sweep workers; the
-#                                          race run proves log and frame
-#                                          state never crosses machines)
+#   5. go test -race -short $RACE_PKGS    every package whose state could
+#                                          cross host goroutines: the sim
+#                                          kernel and runner, the bus, and
+#                                          whatever runs inside parallel
+#                                          sweep workers (fault injector,
+#                                          read-ahead policies, vec
+#                                          strategies, volumes, journals,
+#                                          the iobench and faultlab
+#                                          sweeps themselves); -short
+#                                          trims only faultlab's sweeps
 #   6. faultlab smoke sweeps               8 crash points over a 2 MB
 #                                          write — on the single drive,
 #                                          on a degraded mirror, and on
@@ -58,6 +45,13 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# A subsystem that keeps state a parallel sweep could share joins this
+# list, once.
+RACE_PKGS="./internal/sim/... ./internal/runner/... ./internal/telemetry/...
+    ./internal/fault/... ./internal/prefetch/... ./internal/vec/...
+    ./internal/vol/... ./internal/wal/... ./internal/iobench/...
+    ./internal/faultlab/..."
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -81,29 +75,10 @@ go test ./...
 echo "==> go -C bench test ."
 go -C bench test .
 
-echo "==> go test -race ./internal/sim/..."
-go test -race ./internal/sim/...
-
-echo "==> go test -race ./internal/runner/..."
-go test -race ./internal/runner/...
-
-echo "==> go test -race ./internal/telemetry/..."
-go test -race ./internal/telemetry/...
-
-echo "==> go test -race ./internal/fault/..."
-go test -race ./internal/fault/...
-
-echo "==> go test -race ./internal/prefetch/..."
-go test -race ./internal/prefetch/...
-
-echo "==> go test -race ./internal/vec/..."
-go test -race ./internal/vec/...
-
-echo "==> go test -race -short ./internal/vol/... ./internal/faultlab/..."
-go test -race -short ./internal/vol/... ./internal/faultlab/...
-
-echo "==> go test -race ./internal/wal/..."
-go test -race ./internal/wal/...
+# shellcheck disable=SC2086 # the list is intentionally word-split
+echo "==> go test -race -short" $RACE_PKGS
+# shellcheck disable=SC2086
+go test -race -short $RACE_PKGS
 
 echo "==> faultlab smoke sweep"
 go build -o "$tmp/faultlab" ./cmd/faultlab

@@ -77,20 +77,20 @@ type Options struct {
 	// the zero value injects nothing. See internal/fault.
 	Fault fault.Plan
 
-	// Image, when non-nil, is a platter snapshot (disk.Disk.Snapshot)
-	// restored instead of running mkfs; the machine mounts the existing
-	// file system. RepairImage additionally runs ufs.Repair on the
-	// image before mounting — the crash-recovery path.
-	Image       *disk.Image
-	RepairImage bool
+	// Images, when non-empty, are platter snapshots restored instead of
+	// running mkfs; the machine mounts the existing file system. There
+	// must be exactly one per member drive, in member order: one
+	// disk.Disk.Snapshot for the bare sd0, vol.Volume.Snapshot for a
+	// volume. Recover additionally recovers the restored image before
+	// mounting — the crash-recovery path — and needs images to recover.
+	Images  []*disk.Image
+	Recover bool
 
 	// Volume, when non-nil, composes the machine's storage from several
 	// member drives (concat, RAID-0/1/5 — see internal/vol) instead of
 	// the single sd0. Options.Disk becomes the member template when
-	// Volume.Member is nil. Image is then ignored; VolImages restores
-	// member snapshots (vol.Volume.Snapshot) instead.
-	Volume    *vol.Config
-	VolImages []*disk.Image
+	// Volume.Member is nil.
+	Volume *vol.Config
 
 	// Journal, when non-nil, reserves an on-disk log region at mkfs
 	// time and mounts the file system with the write-ahead metadata
@@ -133,7 +133,7 @@ type Machine struct {
 	Fault *fault.Injector
 
 	// RepairLog is the crash-recovery report when the machine was
-	// built with RepairImage (WithRecovery) and recovered by full-image
+	// built with Recover (WithRecovery) and recovered by full-image
 	// repair; nil otherwise. Journaled machines recover by log replay
 	// instead — see ReplayLog.
 	RepairLog *ufs.RepairReport
@@ -144,7 +144,7 @@ type Machine struct {
 	WAL *wal.Log
 
 	// ReplayLog is the log-replay report when a journaled machine was
-	// built with RepairImage (WithRecovery): recovery replayed the
+	// built with Recover (WithRecovery): recovery replayed the
 	// journal instead of running ufs.Repair. Nil otherwise.
 	ReplayLog *wal.RecoverReport
 }
@@ -204,18 +204,23 @@ func NewMachine(o Options) (*Machine, error) {
 
 	var repairLog *ufs.RepairReport
 	var replayLog *wal.RecoverReport
-	restored := false
-	if vl != nil && o.VolImages != nil {
-		if err := vl.Restore(o.VolImages); err != nil {
-			return nil, err
+	if len(o.Images) > 0 || o.Recover {
+		// Boot from platters. A count that does not match the device is
+		// refused, never papered over with a fresh mkfs.
+		members := []*disk.Disk{d}
+		if vl != nil {
+			members = vl.Members()
 		}
-		restored = true
-	} else if vl == nil && o.Image != nil {
-		d.Restore(o.Image)
-		restored = true
-	}
-	if restored {
-		if o.RepairImage {
+		if len(o.Images) != len(members) {
+			return nil, fmt.Errorf("boot: %d platter images for %d member drives", len(o.Images), len(members))
+		}
+		for i, img := range o.Images {
+			if img == nil {
+				return nil, fmt.Errorf("boot: platter image %d is nil", i)
+			}
+			members[i].Restore(img)
+		}
+		if o.Recover {
 			// A journaled image recovers by log replay — cost bounded by
 			// the log region size — instead of the full-image sweep. The
 			// restored superblock says which kind it is; an unreadable
@@ -341,4 +346,3 @@ func (m *Machine) Fsck() (*ufs.FsckReport, error) {
 func (m *Machine) Snapshot() telemetry.Snapshot {
 	return m.Tel.Reg.Snapshot(m.Sim.Now())
 }
-

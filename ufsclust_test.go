@@ -58,7 +58,7 @@ func TestRunAOptionsRaiseMaxphys(t *testing.T) {
 
 func TestEndToEndThroughFacade(t *testing.T) {
 	for _, rc := range Runs() {
-		m, err := NewMachineForRun(rc)
+		m, err := New(rc)
 		if err != nil {
 			t.Fatalf("run %s: %v", rc.Name, err)
 		}
@@ -137,7 +137,7 @@ func TestSnapshotDeltaIsolatesMeasuredPhase(t *testing.T) {
 	// Interval measurement is Snapshot-before / Snapshot-after / Delta —
 	// nothing is reset, so back-to-back measurements on one machine
 	// cannot interfere (the reason the ResetStats shim could go).
-	m, err := NewMachineForRun(RunA())
+	m, err := New(RunA())
 	if err != nil {
 		t.Fatal(err)
 	}

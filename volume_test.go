@@ -124,7 +124,7 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 	imgs := m.Vol.Snapshot()
 
 	m2, err := New(RunA(), WithSeed(6), WithDiskParams(volMember()),
-		WithVolume(cfg), WithVolumeImages(imgs))
+		WithVolume(cfg), WithImage(imgs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +147,79 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 	rep, err := m2.Fsck()
 	if err != nil || !rep.Clean() {
 		t.Fatalf("fsck after snapshot boot: %v %v", err, rep.Problems)
+	}
+}
+
+// TestBootImageCountMustMatchMembers pins the one boot-source rule:
+// New boots from platters only when it is handed exactly one non-nil
+// image per member drive, and fails otherwise. Each refused row used to
+// return a machine that had silently run mkfs over the request (or, for
+// the nil images, panicked).
+func TestBootImageCountMustMatchMembers(t *testing.T) {
+	cfg := vol.Config{Level: vol.RAID1, Members: 2}
+	boot := func(opts ...Option) (*Machine, error) {
+		return New(RunA(), append([]Option{WithDiskParams(volMember())}, opts...)...)
+	}
+	donor := func(opts ...Option) *Machine {
+		m, err := boot(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		if err := m.Run(func(p *sim.Proc) {
+			if _, err := m.Engine.Create(p, "/keep"); err != nil {
+				t.Errorf("create: %v", err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m.FS.SyncImage()
+		return m
+	}
+	img := donor().Disk.Snapshot()
+	imgs := donor(WithVolume(cfg)).Vol.Snapshot()
+
+	for _, tc := range []struct {
+		name    string
+		opts    []Option
+		ok      bool
+		recover bool
+	}{
+		{"bare disk, two images to recover", []Option{WithRecovery(img, img)}, false, true},
+		{"recovery without an image", []Option{WithRecovery()}, false, true},
+		{"volume, one image", []Option{WithVolume(cfg), WithImage(img)}, false, false},
+		{"bare disk, member images", []Option{WithImage(imgs...)}, false, false},
+		{"volume, nil images", []Option{WithVolume(cfg), WithImage(nil, nil)}, false, false},
+		{"bare disk, nil image", []Option{WithImage(nil)}, false, false},
+		{"bare disk, one image", []Option{WithImage(img)}, true, false},
+		{"bare disk, one image to recover", []Option{WithRecovery(img)}, true, true},
+		{"volume, member images", []Option{WithVolume(cfg), WithImage(imgs...)}, true, false},
+		{"volume, member images to recover", []Option{WithVolume(cfg), WithRecovery(imgs...)}, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := boot(tc.opts...)
+			if !tc.ok {
+				if err == nil {
+					m.Close()
+					t.Fatal("New accepted a boot source that does not fit the machine")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if got := m.RepairLog != nil; got != tc.recover {
+				t.Errorf("RepairLog present = %v, want %v", got, tc.recover)
+			}
+			if err := m.Run(func(p *sim.Proc) {
+				if _, err := m.Engine.Open(p, "/keep"); err != nil {
+					t.Errorf("the donor's file is absent — the machine ran mkfs instead of booting the image: %v", err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
