@@ -243,7 +243,7 @@ func BenchmarkMusBus(b *testing.B) {
 			var res musbus.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = musbus.Run(rc, musbus.Params{Users: 4, Duration: 60 * sim.Second})
+				res, err = musbus.Run(ufsclust.Scenario{Run: rc}, musbus.Params{Users: 4, Duration: 60 * sim.Second})
 				if err != nil {
 					b.Fatal(err)
 				}

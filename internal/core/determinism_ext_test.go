@@ -49,7 +49,7 @@ func TestIobenchReplayByteIdentical(t *testing.T) {
 
 func TestMusbusReplayByteIdentical(t *testing.T) {
 	replayTwice(t, "musbus", func(tw *bytes.Buffer) (musbus.Result, error) {
-		prm := musbus.Params{Users: 3, Duration: 20 * sim.Second, Seed: 9, TraceW: tw}
-		return musbus.Run(ufsclust.RunA(), prm)
+		prm := musbus.Params{Users: 3, Duration: 20 * sim.Second, TraceW: tw}
+		return musbus.Run(ufsclust.Scenario{Run: ufsclust.RunA(), Seed: 9}, prm)
 	})
 }

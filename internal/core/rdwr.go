@@ -79,15 +79,9 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 		e.charge(p, cpu.Copy, e.Cfg.Costs.CopyPerByte*int64(n))
 		copy(buf[:n], pg.Data[boff:boff+n])
 
-		// Unmap; free-behind triggers here: "if the file is in
-		// sequential read mode, at a large enough offset, and free
-		// memory is close to the low water mark".
-		if e.Cfg.FreeBehind && vn.seq && boff+n == int(sb.Bsize) &&
-			off >= e.Cfg.FreeBehindMin && e.VM.MemoryLow() &&
-			!pg.Dirty() && !pg.Busy() {
-			e.VM.Free(pg, true)
-			e.Stats.FreeBehinds++
-			e.Bus.Emit(telemetry.Event{T: e.Sim.Now(), Kind: telemetry.EvFreeBehind, LBN: pg.Off / int64(sb.Bsize), Blocks: 1})
+		// Unmap; free-behind triggers here.
+		if boff+n == int(sb.Bsize) {
+			e.freeBehind(vn, pg, off)
 		}
 
 		buf = buf[n:]
@@ -95,6 +89,19 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 		total += n
 	}
 	return total, nil
+}
+
+// freeBehind releases pg, the block a read at off has just finished
+// with, when the paper's condition holds: "if the file is in sequential
+// read mode, at a large enough offset, and free memory is close to the
+// low water mark".
+func (e *Engine) freeBehind(vn *Vnode, pg *vm.Page, off int64) {
+	if e.Cfg.FreeBehind && vn.seq && off >= e.Cfg.FreeBehindMin &&
+		e.VM.MemoryLow() && !pg.Dirty() && !pg.Busy() {
+		e.VM.Free(pg, true)
+		e.Stats.FreeBehinds++
+		e.Bus.Emit(telemetry.Event{T: e.Sim.Now(), Kind: telemetry.EvFreeBehind, LBN: pg.Off / int64(e.FS.SB.Bsize), Blocks: 1})
+	}
 }
 
 // segPager adapts the engine's getpage to the VM segment driver: the
@@ -143,12 +150,8 @@ func (f *File) ReadMmap(p *sim.Proc, off int64, length int64) error {
 		if err != nil {
 			return err
 		}
-		if e.Cfg.FreeBehind && vn.seq && boff+int(n) == int(sb.Bsize) &&
-			off >= e.Cfg.FreeBehindMin && e.VM.MemoryLow() &&
-			!pg.Dirty() && !pg.Busy() {
-			e.VM.Free(pg, true)
-			e.Stats.FreeBehinds++
-			e.Bus.Emit(telemetry.Event{T: e.Sim.Now(), Kind: telemetry.EvFreeBehind, LBN: pg.Off / int64(sb.Bsize), Blocks: 1})
+		if boff+int(n) == int(sb.Bsize) {
+			e.freeBehind(vn, pg, off)
 		}
 		off += n
 		length -= n

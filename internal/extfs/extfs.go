@@ -297,20 +297,11 @@ func (f *File) io(p *sim.Proc, pbn int32, buf []byte, write bool) {
 	if fs.CPU != nil {
 		fs.CPU.Use(p, cpu.GetPage, fs.PerIOInstr)
 	}
-	done := false
-	var q sim.WaitQ
-	fs.Drv.Strategy(p, &driver.Buf{
+	fs.Drv.IO(p, &driver.Buf{
 		Blkno: int64(pbn) * (BlockSize / disk.SectorSize),
 		Data:  buf,
 		Write: write,
-		Iodone: func(*driver.Buf) {
-			done = true
-			q.WakeAll()
-		},
 	})
-	for !done {
-		p.Block(&q)
-	}
 	if write {
 		fs.Writes++
 	} else {

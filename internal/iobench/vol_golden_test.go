@@ -59,14 +59,20 @@ func TestVolumePassthroughMatchesGoldens(t *testing.T) {
 	// set, a mirror — replay the event streams they produced before
 	// disk.Device grew its write-unit hint: all three report no unit, so
 	// neither the engine's write clustering nor the allocator may have
-	// moved by one event. These fixtures are this test's own
-	// (-update-events rewrites them, for a deliberate change to a level).
+	// moved by one event. The two RAID-5 streams, healthy and with sd1
+	// dead from boot, were recorded before the parity disciplines moved
+	// behind one row plan (vol/plan.go) and pin its member order: every
+	// sub-request, parity_rmw and degraded_read lands where it did. These
+	// fixtures are this test's own (-update-events rewrites them, for a
+	// deliberate change to a level).
 	member := disk.DefaultParams()
 	member.Geom = disk.UniformGeometry(200, 8, 64, 3600) // 50 MB, so mkfs stays quick
 	for _, vc := range []vol.Config{
 		{Level: vol.Concat, Members: 2},
 		{Level: vol.RAID0, Members: 3},
 		{Level: vol.RAID1, Members: 2},
+		{Level: vol.RAID5, Members: 3},
+		{Level: vol.RAID5, Members: 3, Degraded: []int{1}},
 	} {
 		vc.Member = &member
 		var ew bytes.Buffer
@@ -74,6 +80,10 @@ func TestVolumePassthroughMatchesGoldens(t *testing.T) {
 		if _, _, err := RunMeasured(ufsclust.Scenario{Run: ufsclust.RunA(), Volume: &vc}, FSW, prm); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, ew.Bytes(), fmt.Sprintf("events_fsw_runA_%sx%d.golden", vc.Level, vc.Members))
+		name := fmt.Sprintf("events_fsw_runA_%sx%d", vc.Level, vc.Members)
+		for _, d := range vc.Degraded {
+			name += fmt.Sprintf("_degraded%d", d)
+		}
+		checkGolden(t, ew.Bytes(), name+".golden")
 	}
 }

@@ -16,11 +16,11 @@ import (
 	"ufsclust/internal/telemetry"
 )
 
-// Params sizes a run.
+// Params sizes a run; the machine it runs on is the ufsclust.Scenario
+// passed beside it.
 type Params struct {
 	Users    int      // concurrent simulated users; default 8
 	Duration sim.Time // virtual time to run; default 5 minutes
-	Seed     int64
 
 	// TraceW, when non-nil, receives the machine's scheduler trace
 	// (sim.Sim.TraceW). Only meaningful for a single Run.
@@ -54,23 +54,24 @@ func (r Result) Throughput() float64 {
 	return float64(r.Iterations) / (r.Duration.Seconds() / 60)
 }
 
-// Run executes the workload under one paper configuration.
-func Run(rc ufsclust.RunConfig, prm Params) (Result, error) {
-	res, _, err := RunMeasured(rc, prm)
+// Run executes the workload on the scenario's machine.
+func Run(sc ufsclust.Scenario, prm Params) (Result, error) {
+	res, _, err := RunMeasured(sc, prm)
 	return res, err
 }
 
 // RunMeasured is Run plus a telemetry Snapshot delta spanning the
 // timed interval (machine assembly excluded).
-func RunMeasured(rc ufsclust.RunConfig, prm Params) (Result, telemetry.Snapshot, error) {
+func RunMeasured(sc ufsclust.Scenario, prm Params) (Result, telemetry.Snapshot, error) {
 	prm = prm.withDefaults()
-	m, err := ufsclust.New(rc, ufsclust.WithSeed(prm.Seed+77))
+	sc.Seed += 77
+	m, err := sc.New()
 	if err != nil {
 		return Result{}, telemetry.Snapshot{}, err
 	}
 	defer m.Close()
 	m.Sim.TraceW = prm.TraceW
-	res := Result{Run: rc.Name, Users: prm.Users, Duration: prm.Duration}
+	res := Result{Run: sc.Run.Name, Users: prm.Users, Duration: prm.Duration}
 
 	var setupErr error
 	m.Sim.Spawn("setup", func(p *sim.Proc) {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunCompletesIterations(t *testing.T) {
-	res, err := Run(ufsclust.RunD(), Params{Users: 4, Duration: 60 * sim.Second})
+	res, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, Params{Users: 4, Duration: 60 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +24,11 @@ func TestTimeSharingImprovesOnlySlightly(t *testing.T) {
 	// The paper's negative result: "the time-sharing benchmarks
 	// improved only slightly" because MusBus moves no substantial data.
 	prm := Params{Users: 4, Duration: 120 * sim.Second}
-	a, err := Run(ufsclust.RunA(), prm)
+	a, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(ufsclust.RunD(), prm)
+	d, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestTimeSharingImprovesOnlySlightly(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	prm := Params{Users: 2, Duration: 30 * sim.Second}
-	r1, err := Run(ufsclust.RunB(), prm)
+	r1, err := Run(ufsclust.Scenario{Run: ufsclust.RunB()}, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(ufsclust.RunB(), prm)
+	r2, err := Run(ufsclust.Scenario{Run: ufsclust.RunB()}, prm)
 	if err != nil {
 		t.Fatal(err)
 	}

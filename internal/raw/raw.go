@@ -48,20 +48,11 @@ func (d *Device) xfer(p *sim.Proc, off int64, buf []byte, write bool) (int, erro
 		if d.CPU != nil {
 			d.CPU.Use(p, cpu.Copy, d.CopyPerByte*int64(n))
 		}
-		done := false
-		var q sim.WaitQ
-		d.Drv.Strategy(p, &driver.Buf{
+		d.Drv.IO(p, &driver.Buf{
 			Blkno: off / disk.SectorSize,
 			Data:  buf[:n],
 			Write: write,
-			Iodone: func(*driver.Buf) {
-				done = true
-				q.WakeAll()
-			},
 		})
-		for !done {
-			p.Block(&q)
-		}
 		off += int64(n)
 		buf = buf[n:]
 		total += n

@@ -168,26 +168,13 @@ func (bc *Bcache) Bread(p *sim.Proc, fsbn int32) (*MBuf, error) {
 			return b, nil
 		}
 	}
-	done := false
-	var ioErr error
-	var q sim.WaitQ
-	bc.Drv.Strategy(p, &driver.Buf{
-		Blkno: bc.sb.FsbToDb(b.Fsbn),
-		Data:  b.Data,
-		Iodone: func(db *driver.Buf) {
-			ioErr = db.Err
-			done = true
-			q.WakeAll()
-		},
-	})
-	for !done {
-		// simlint:ignore blockpath -- waiting for this buffer's own read: b must stay locked until its data lands
-		p.Block(&q)
-	}
-	if ioErr != nil {
-		bc.recordErr(ioErr)
+	db := &driver.Buf{Blkno: bc.sb.FsbToDb(b.Fsbn), Data: b.Data}
+	// simlint:ignore blockpath -- waiting for this buffer's own read: b must stay locked until its data lands
+	bc.Drv.IO(p, db)
+	if db.Err != nil {
+		bc.recordErr(db.Err)
 		bc.Brelse(b)
-		return nil, ioErr
+		return nil, db.Err
 	}
 	b.valid = true
 	return b, nil
@@ -279,25 +266,11 @@ func (fs *Fs) metaWrite(p *sim.Proc, b *MBuf) error {
 // iowrite performs the timed write of b. A give-up from the driver is
 // returned and recorded in the sticky error.
 func (bc *Bcache) iowrite(p *sim.Proc, b *MBuf) error {
-	done := false
-	var ioErr error
-	var q sim.WaitQ
-	bc.Drv.Strategy(p, &driver.Buf{
-		Blkno: bc.sb.FsbToDb(b.Fsbn),
-		Data:  b.Data,
-		Write: true,
-		Iodone: func(db *driver.Buf) {
-			ioErr = db.Err
-			done = true
-			q.WakeAll()
-		},
-	})
-	for !done {
-		p.Block(&q)
-	}
+	db := &driver.Buf{Blkno: bc.sb.FsbToDb(b.Fsbn), Data: b.Data, Write: true}
+	bc.Drv.IO(p, db)
 	bc.Writes++
-	bc.recordErr(ioErr)
-	return ioErr
+	bc.recordErr(db.Err)
+	return db.Err
 }
 
 // Flush writes every dirty buffer (sync/unmount path) in ascending

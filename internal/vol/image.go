@@ -7,11 +7,12 @@ import (
 )
 
 // Offline image access: the zero-time path mkfs, fsck, repair, and the
-// crash-recovery harness use. It honors the same addressing, redundancy
-// and degraded-mode semantics as the timed path — an offline metadata
-// write keeps RAID-5 parity and mirrors coherent, and an offline read
+// crash-recovery harness use. It shares the timed path's address
+// mapping and, on RAID-5, its row and reconstruction plans (plan.go) —
+// an offline metadata write keeps parity coherent and an offline read
 // of a dead member's chunk reconstructs it — so a file system checked
 // offline and a file system read through the driver see one device.
+// Nothing here moves Stats or emits an event.
 
 // ReadImage copies logical sectors without consuming simulated time.
 func (v *Volume) ReadImage(sector int64, buf []byte) {
@@ -28,18 +29,19 @@ func (v *Volume) ReadImage(sector int64, buf []byte) {
 		v.members[m].ReadImage(sector, buf)
 	default:
 		for _, p := range v.mapData(sector, n, 0) {
-			dst := buf[p.boff : p.boff+p.n*disk.SectorSize]
-			if v.failed[p.member] {
-				v.reconstructImage(p.member, p.msec, dst)
+			// Only RAID-5 has anything to reconstruct from: a member failed
+			// administratively on a non-redundant level is still read, as
+			// issueRead does.
+			if v.cfg.Level == RAID5 && v.failed[p.member] {
+				v.reconstructImage(p.member, p.msec, p.of(buf))
 			} else {
-				v.members[p.member].ReadImage(p.msec, dst)
+				v.members[p.member].ReadImage(p.msec, p.of(buf))
 			}
 		}
 	}
 }
 
-// WriteImage stores logical sectors without consuming simulated time,
-// maintaining mirrors and parity exactly as the timed path would.
+// WriteImage stores logical sectors without consuming simulated time.
 func (v *Volume) WriteImage(sector int64, data []byte) {
 	if len(data)%disk.SectorSize != 0 {
 		panic("vol: image access not sector aligned") // simlint:invariant -- offline callers use block-multiple buffers
@@ -53,22 +55,28 @@ func (v *Volume) WriteImage(sector int64, data []byte) {
 			}
 		}
 	case RAID5:
-		dpr := int64(len(v.members) - 1)
-		rowSpan := dpr * v.ss
+		rowSpan := int64(len(v.members)-1) * v.ss
 		for row := sector / rowSpan; row <= (sector+n-1)/rowSpan; row++ {
-			lo, hi := row*rowSpan, (row+1)*rowSpan
-			if lo < sector {
-				lo = sector
-			}
-			if hi > sector+n {
-				hi = sector + n
-			}
-			v.writeImageRow(row, lo, hi-lo, sector, data)
+			v.runImage(v.planRow(row, sector, data))
 		}
 	default:
 		for _, p := range v.mapData(sector, n, 0) {
-			v.members[p.member].WriteImage(p.msec, data[p.boff:p.boff+p.n*disk.SectorSize])
+			v.members[p.member].WriteImage(p.msec, p.of(data))
 		}
+	}
+}
+
+// runImage is the offline executor of a plan: the same reads, fold and
+// writes runPlan issues, straight against the members' platters.
+func (v *Volume) runImage(pl plan) {
+	for _, r := range pl.reads {
+		v.members[r.member].ReadImage(r.msec, r.buf)
+	}
+	if pl.fold != nil {
+		pl.fold(pl.reads)
+	}
+	for _, w := range pl.writes {
+		v.members[w.member].WriteImage(w.msec, w.buf)
 	}
 }
 
@@ -82,109 +90,14 @@ func (v *Volume) firstHealthy() int {
 	return -1
 }
 
-// reconstructImage solves the parity equation for a dead member's range
-// [msec, msec+len(dst)/SectorSize) by XOR-folding every survivor.
+// reconstructImage fills dst with the dead member's range starting at
+// msec, reconstructed from the survivors.
 func (v *Volume) reconstructImage(dead int, msec int64, dst []byte) {
-	for i := range dst {
-		dst[i] = 0
+	pl, ok := v.planReconstruct(dead, msec, dst)
+	if !ok {
+		panic("vol: image read with two dead members") // simlint:invariant -- construction caps failures at the level's tolerance
 	}
-	tmp := make([]byte, len(dst))
-	for m := range v.members {
-		if m == dead {
-			continue
-		}
-		if v.failed[m] {
-			panic("vol: image read with two dead members") // simlint:invariant -- construction caps failures at the level's tolerance
-		}
-		v.members[m].ReadImage(msec, tmp)
-		xorInto(dst, tmp)
-	}
-}
-
-// writeImageRow is the offline mirror of writeRow: synchronous, same
-// three disciplines (full stripe, healthy RMW, degraded).
-func (v *Volume) writeImageRow(row, lo, cnt, sector int64, data []byte) {
-	dpr := int64(len(v.members) - 1)
-	rowSpan := dpr * v.ss
-	pm := v.parityMember(row)
-	pieces := v.mapRAID5(lo, cnt, (lo-sector)*disk.SectorSize)
-	cb := v.ss * disk.SectorSize
-	fi := -1
-	for m, f := range v.failed {
-		if f {
-			fi = m
-			break
-		}
-	}
-
-	switch {
-	case fi == pm:
-		for _, p := range pieces {
-			v.members[p.member].WriteImage(p.msec, data[p.boff:p.boff+p.n*disk.SectorSize])
-		}
-
-	case cnt == rowSpan:
-		parity := make([]byte, cb)
-		base := (lo - sector) * disk.SectorSize
-		for d := int64(0); d < dpr; d++ {
-			xorInto(parity, data[base+d*cb:base+(d+1)*cb])
-		}
-		for _, p := range pieces {
-			if p.member == fi {
-				continue
-			}
-			v.members[p.member].WriteImage(p.msec, data[p.boff:p.boff+p.n*disk.SectorSize])
-		}
-		v.members[pm].WriteImage(row*v.ss, parity)
-
-	case fi < 0:
-		uo, un := v.rowUnion(row, pieces)
-		newP := make([]byte, un*disk.SectorSize)
-		v.members[pm].ReadImage(row*v.ss+uo, newP)
-		old := make([]byte, 0, un*disk.SectorSize)
-		for _, p := range pieces {
-			old = old[:p.n*disk.SectorSize]
-			v.members[p.member].ReadImage(p.msec, old)
-			nd := data[p.boff : p.boff+p.n*disk.SectorSize]
-			po := (p.msec - row*v.ss - uo) * disk.SectorSize
-			xorInto(newP[po:], old)
-			xorInto(newP[po:], nd)
-			v.members[p.member].WriteImage(p.msec, nd)
-		}
-		v.members[pm].WriteImage(row*v.ss+uo, newP)
-
-	default:
-		// Dead data member: reconstruct the whole old row, overlay, and
-		// recompute the parity chunk outright.
-		chunks := make([][]byte, len(v.members))
-		for m := range v.members {
-			chunks[m] = make([]byte, cb)
-			if m != fi {
-				v.members[m].ReadImage(row*v.ss, chunks[m])
-			}
-		}
-		for m := range v.members {
-			if m != fi {
-				xorInto(chunks[fi], chunks[m])
-			}
-		}
-		for _, p := range pieces {
-			copy(chunks[p.member][(p.msec-row*v.ss)*disk.SectorSize:], data[p.boff:p.boff+p.n*disk.SectorSize])
-		}
-		parity := make([]byte, cb)
-		for m := range v.members {
-			if m != pm {
-				xorInto(parity, chunks[m])
-			}
-		}
-		for _, p := range pieces {
-			if p.member == fi {
-				continue
-			}
-			v.members[p.member].WriteImage(p.msec, data[p.boff:p.boff+p.n*disk.SectorSize])
-		}
-		v.members[pm].WriteImage(row*v.ss, parity)
-	}
+	v.runImage(pl)
 }
 
 // --- snapshot / restore --------------------------------------------------
@@ -219,8 +132,8 @@ const rebuildSpan = 128
 
 // Rebuild reconstructs member i's entire contents from the survivors —
 // the "replace the drive and resilver" operation — and returns it to
-// service. RAID-1 copies a live mirror side; RAID-5 solves the parity
-// equation per span. Every other member must be healthy.
+// service. RAID-1 copies a live mirror side; RAID-5 reconstructs span
+// by span. Every other member must be healthy.
 func (v *Volume) Rebuild(i int) error {
 	if i < 0 || i >= len(v.members) {
 		return fmt.Errorf("vol: rebuild member %d out of range", i)
@@ -233,39 +146,18 @@ func (v *Volume) Rebuild(i int) error {
 			return fmt.Errorf("vol: rebuild of sd%d with sd%d also dead", i, m)
 		}
 	}
-	switch v.cfg.Level {
-	case RAID1:
-		src := -1
-		for m := range v.members {
-			if m != i && !v.failed[m] {
-				src = m
-				break
-			}
-		}
-		if src < 0 {
-			return fmt.Errorf("vol: no live mirror side to rebuild sd%d from", i)
-		}
-		buf := make([]byte, rebuildSpan*disk.SectorSize)
-		for s := int64(0); s < v.msize; s += rebuildSpan {
+	src := 0 // RAID-1: the lowest other side; every one of them is live
+	if i == 0 {
+		src = 1
+	}
+	buf := make([]byte, rebuildSpan*disk.SectorSize)
+	for s := int64(0); s < v.msize; s += rebuildSpan {
+		if v.cfg.Level == RAID1 {
 			v.members[src].ReadImage(s, buf)
-			v.members[i].WriteImage(s, buf)
+		} else {
+			v.reconstructImage(i, s, buf)
 		}
-	case RAID5:
-		buf := make([]byte, rebuildSpan*disk.SectorSize)
-		tmp := make([]byte, rebuildSpan*disk.SectorSize)
-		for s := int64(0); s < v.msize; s += rebuildSpan {
-			for j := range buf {
-				buf[j] = 0
-			}
-			for m := range v.members {
-				if m == i {
-					continue
-				}
-				v.members[m].ReadImage(s, tmp)
-				xorInto(buf, tmp)
-			}
-			v.members[i].WriteImage(s, buf)
-		}
+		v.members[i].WriteImage(s, buf)
 	}
 	v.failed[i] = false
 	return nil
@@ -277,12 +169,6 @@ func (v *Volume) Rebuild(i int) error {
 // of violating spans and a description of the first. The volume must
 // be fully healthy — a degraded array has nothing to check against.
 func (v *Volume) CheckParity() (int, error) {
-	if !v.redundant() {
-		return 0, fmt.Errorf("vol: %s has no redundancy to check", v.cfg.Level)
-	}
-	if n := v.failedCount(); n > 0 {
-		return 0, fmt.Errorf("vol: parity check on a degraded volume (%d dead members)", n)
-	}
 	return v.checkSpan(0, v.msize)
 }
 
@@ -290,22 +176,11 @@ func (v *Volume) CheckParity() (int, error) {
 // sectors [lsec, lsec+n) — the per-write invariant probe the property
 // battery runs after every acknowledged write.
 func (v *Volume) CheckParityRange(lsec, n int64) (int, error) {
-	if !v.redundant() {
-		return 0, fmt.Errorf("vol: %s has no redundancy to check", v.cfg.Level)
+	if v.cfg.Level != RAID5 {
+		return v.checkSpan(lsec, lsec+n)
 	}
-	if c := v.failedCount(); c > 0 {
-		return 0, fmt.Errorf("vol: parity check on a degraded volume (%d dead members)", c)
-	}
-	var mlo, mhi int64
-	switch v.cfg.Level {
-	case RAID1:
-		mlo, mhi = lsec, lsec+n
-	case RAID5:
-		dpr := int64(len(v.members) - 1)
-		mlo = (lsec / (dpr * v.ss)) * v.ss
-		mhi = ((lsec+n-1)/(dpr*v.ss) + 1) * v.ss
-	}
-	return v.checkSpan(mlo, mhi)
+	rowSpan := int64(len(v.members)-1) * v.ss
+	return v.checkSpan(lsec/rowSpan*v.ss, ((lsec+n-1)/rowSpan+1)*v.ss)
 }
 
 // checkSpan verifies member-local sectors [mlo, mhi). For RAID-1 the
@@ -313,6 +188,12 @@ func (v *Volume) CheckParityRange(lsec, n int64) (int, error) {
 // all members, which must cancel to zero (data ⊕ parity = 0 per row,
 // regardless of where the rotation put the parity chunk).
 func (v *Volume) checkSpan(mlo, mhi int64) (int, error) {
+	if !v.redundant() {
+		return 0, fmt.Errorf("vol: %s has no redundancy to check", v.cfg.Level)
+	}
+	if n := v.failedCount(); n > 0 {
+		return 0, fmt.Errorf("vol: parity check on a degraded volume (%d dead members)", n)
+	}
 	bad := 0
 	var firstErr error
 	note := func(s int64, form string, args ...any) {
@@ -343,9 +224,7 @@ func (v *Volume) checkSpan(mlo, mhi int64) (int, error) {
 				}
 			}
 		case RAID5:
-			for j := range rb {
-				rb[j] = 0
-			}
+			clear(rb)
 			for m := range v.members {
 				v.members[m].ReadImage(s, tb)
 				xorInto(rb, tb)

@@ -1,8 +1,6 @@
 package vol
 
 import (
-	"crypto/subtle"
-
 	"ufsclust/internal/disk"
 	"ufsclust/internal/telemetry"
 )
@@ -16,6 +14,9 @@ type piece struct {
 	boff   int64 // byte offset into the request's Data
 	n      int64 // sectors
 }
+
+// of returns the piece's bytes within the request's data.
+func (p piece) of(data []byte) []byte { return data[p.boff : p.boff+p.n*disk.SectorSize] }
 
 // memRun is a member-contiguous group of pieces issued as one member
 // request — the volume's scatter/gather unit. RAID-0 folds a long
@@ -229,54 +230,33 @@ func (v *Volume) subIO(q *volReq, member int, msec int64, data []byte, write boo
 // --- address mapping -----------------------------------------------------
 
 // mapData translates logical sectors [lsec, lsec+n) into member pieces,
-// in logical order. boff is the byte offset of lsec within the
-// request's Data.
+// in logical order, splitting at every interleave-unit boundary (a
+// whole member for a concat, a stripe unit otherwise). boff is the byte
+// offset of lsec within the request's Data.
 func (v *Volume) mapData(lsec, n, boff int64) []piece {
-	switch v.cfg.Level {
-	case Concat:
-		return v.mapConcat(lsec, n, boff)
-	case RAID0:
-		return v.mapRAID0(lsec, n, boff)
-	case RAID5:
-		return v.mapRAID5(lsec, n, boff)
+	unit, nm := v.ss, int64(len(v.members))
+	if v.cfg.Level == Concat {
+		unit = v.msize
 	}
-	// RAID-1 member addresses equal logical addresses; mirroring is
-	// decided at issue time, not by the mapping.
-	panic("vol: mapData on mirror") // simlint:invariant -- issueRead/issueWrite special-case RAID1
-}
-
-func (v *Volume) mapConcat(lsec, n, boff int64) []piece {
-	var ps []piece
+	ps := make([]piece, 0, (lsec%unit+n+unit-1)/unit)
 	for n > 0 {
-		m := int(lsec / v.msize)
-		o := lsec - v.cum[m]
-		run := v.msize - o
-		if run > n {
-			run = n
+		t, o := lsec/unit, lsec%unit // unit index, offset within it
+		p := piece{boff: boff, n: min(unit-o, n)}
+		switch v.cfg.Level {
+		case Concat:
+			p.member, p.msec = int(t), o
+		case RAID0:
+			p.member, p.msec = int(t%nm), (t/nm)*unit+o
+		case RAID5:
+			row := t / (nm - 1) // one chunk per row is parity
+			p.member, p.msec = v.dataMember(row, int(t%(nm-1))), row*unit+o
+		default:
+			// RAID-1 member addresses equal logical addresses; mirroring
+			// is decided at issue time, not by the mapping.
+			panic("vol: mapData on mirror") // simlint:invariant -- issueRead/issueWrite special-case RAID1
 		}
-		ps = append(ps, piece{member: m, msec: o, boff: boff, n: run})
-		lsec, n, boff = lsec+run, n-run, boff+run*disk.SectorSize
-	}
-	return ps
-}
-
-func (v *Volume) mapRAID0(lsec, n, boff int64) []piece {
-	nm := int64(len(v.members))
-	var ps []piece
-	for n > 0 {
-		t := lsec / v.ss // logical chunk index
-		o := lsec % v.ss
-		run := v.ss - o
-		if run > n {
-			run = n
-		}
-		ps = append(ps, piece{
-			member: int(t % nm),
-			msec:   (t/nm)*v.ss + o,
-			boff:   boff,
-			n:      run,
-		})
-		lsec, n, boff = lsec+run, n-run, boff+run*disk.SectorSize
+		ps = append(ps, p)
+		lsec, n, boff = lsec+p.n, n-p.n, boff+p.n*disk.SectorSize
 	}
 	return ps
 }
@@ -297,28 +277,6 @@ func (v *Volume) dataMember(row int64, d int) int {
 		return d + 1
 	}
 	return d
-}
-
-func (v *Volume) mapRAID5(lsec, n, boff int64) []piece {
-	dpr := int64(len(v.members) - 1) // data chunks per row
-	var ps []piece
-	for n > 0 {
-		t := lsec / v.ss
-		o := lsec % v.ss
-		run := v.ss - o
-		if run > n {
-			run = n
-		}
-		row := t / dpr
-		ps = append(ps, piece{
-			member: v.dataMember(row, int(t%dpr)),
-			msec:   row*v.ss + o,
-			boff:   boff,
-			n:      run,
-		})
-		lsec, n, boff = lsec+run, n-run, boff+run*disk.SectorSize
-	}
-	return ps
 }
 
 // buildRuns folds pieces into member-contiguous runs, preserving the
@@ -349,31 +307,32 @@ func (v *Volume) submitRuns(q *volReq, runs []memRun, write bool) {
 	data := q.r.Data
 	for _, run := range runs {
 		if len(run.pieces) == 1 {
-			p := run.pieces[0]
-			v.subIO(q, run.member, run.msec, data[p.boff:p.boff+p.n*disk.SectorSize], write, nil)
+			v.subIO(q, run.member, run.msec, run.pieces[0].of(data), write, nil)
 			continue
 		}
 		buf := make([]byte, run.n*disk.SectorSize)
 		if write {
 			off := int64(0)
 			for _, p := range run.pieces {
-				copy(buf[off:], data[p.boff:p.boff+p.n*disk.SectorSize])
-				off += p.n * disk.SectorSize
+				off += int64(copy(buf[off:], p.of(data)))
 			}
 			v.subIO(q, run.member, run.msec, buf, true, nil)
 			continue
 		}
 		pieces := run.pieces
 		v.subIO(q, run.member, run.msec, buf, false, func(err error) {
-			if err != nil {
-				return
-			}
-			off := int64(0)
-			for _, p := range pieces {
-				copy(data[p.boff:p.boff+p.n*disk.SectorSize], buf[off:])
-				off += p.n * disk.SectorSize
+			if err == nil {
+				scatter(data, pieces, buf)
 			}
 		})
+	}
+}
+
+// scatter copies a run's member-contiguous bytes out to its pieces'
+// places in the request's data.
+func scatter(data []byte, pieces []piece, buf []byte) {
+	for _, p := range pieces {
+		buf = buf[copy(p.of(data), buf):]
 	}
 }
 
@@ -417,9 +376,7 @@ func (v *Volume) pickMirror() int {
 }
 
 // reconstructRead serves a run addressed to a failed RAID-5 member by
-// reading the same member-local range from every surviving spindle and
-// XOR-folding them into the destination — the missing chunk is the
-// parity equation solved for the dead member.
+// reconstruction (planReconstruct) from every surviving spindle.
 func (v *Volume) reconstructRead(q *volReq, run memRun) {
 	v.Stats.DegradedReads++
 	v.bus.Emit(telemetry.Event{
@@ -430,38 +387,48 @@ func (v *Volume) reconstructRead(q *volReq, run memRun) {
 		Dev:    v.members[run.member].Name(),
 	})
 	rb := make([]byte, run.n*disk.SectorSize)
-	rem := 0
-	for m := range v.members {
-		if m == run.member {
-			continue
-		}
-		if v.failed[m] {
-			// Second dead spindle: the row is unrecoverable.
-			v.fail(q, disk.ErrMedia)
+	pl, ok := v.planReconstruct(run.member, run.msec, rb)
+	if !ok {
+		v.fail(q, disk.ErrMedia)
+		return
+	}
+	solve := pl.fold
+	pl.fold = func(survivors []xfer) {
+		solve(survivors)
+		scatter(q.r.Data, run.pieces, rb)
+	}
+	v.runPlan(q, pl)
+}
+
+// runPlan is the timed executor of a plan: it issues the reads, and
+// from the completion of the last one — which still holds a pending
+// slot on q, so phase two cannot race the request's retirement — folds
+// and issues the writes. A failed read, this one or an earlier one
+// already latched in q.err, abandons phase two.
+func (v *Volume) runPlan(q *volReq, pl plan) {
+	if len(pl.reads) == 0 {
+		v.phaseTwo(q, pl)
+		return
+	}
+	rem := len(pl.reads)
+	hook := func(err error) {
+		if rem--; rem > 0 || err != nil || q.err != nil {
 			return
 		}
-		rem++
+		v.phaseTwo(q, pl)
 	}
-	pieces := run.pieces
-	data := q.r.Data
-	for m := range v.members {
-		if m == run.member {
-			continue
-		}
-		mb := make([]byte, run.n*disk.SectorSize)
-		v.subIO(q, m, run.msec, mb, false, func(err error) {
-			if err == nil {
-				xorInto(rb, mb)
-			}
-			rem--
-			if rem == 0 && q.err == nil {
-				off := int64(0)
-				for _, p := range pieces {
-					copy(data[p.boff:p.boff+p.n*disk.SectorSize], rb[off:])
-					off += p.n * disk.SectorSize
-				}
-			}
-		})
+	for _, r := range pl.reads {
+		v.subIO(q, r.member, r.msec, r.buf, false, hook)
+	}
+}
+
+// phaseTwo folds what phase one read and issues pl's writes.
+func (v *Volume) phaseTwo(q *volReq, pl plan) {
+	if pl.fold != nil {
+		pl.fold(pl.reads)
+	}
+	for _, w := range pl.writes {
+		v.subIO(q, w.member, w.msec, w.buf, true, nil)
 	}
 }
 
@@ -486,213 +453,34 @@ func (v *Volume) issueWrite(q *volReq) {
 			v.fail(q, disk.ErrMedia)
 		}
 	case RAID5:
-		dpr := int64(len(v.members) - 1)
-		rowSpan := dpr * v.ss
-		lsec, n := r.Sector, int64(r.Count)
-		for row := lsec / rowSpan; row <= (lsec+n-1)/rowSpan; row++ {
-			lo, hi := row*rowSpan, (row+1)*rowSpan
-			if lo < lsec {
-				lo = lsec
-			}
-			if hi > lsec+n {
-				hi = lsec + n
-			}
-			v.writeRow(q, row, lo, hi-lo)
+		// The rows a write holds locked (issue) are the rows it writes.
+		for row := q.lockLo; row <= q.lockHi; row++ {
+			v.writeRow(q, row)
 		}
 	}
 }
 
-// writeRow issues the member operations for the part of one RAID-5
-// stripe row covered by [lo, lo+cnt). Three disciplines:
-//
-//   - full row, all members healthy: compute parity from the request
-//     data and write everything in one phase (no reads — the
-//     full-stripe fast path).
-//   - partial row, all members healthy: read-modify-write. Phase one
-//     reads the old data under each written piece and the old parity
-//     under their union; phase two XOR-folds old-data ⊕ new-data into
-//     the parity and writes data plus parity.
-//   - a member is dead: writes to survivors only. A dead parity member
-//     costs nothing extra; a dead data member upgrades a partial write
-//     to a whole-row read so the missing old chunk can be
-//     reconstructed before the new parity is computed.
-func (v *Volume) writeRow(q *volReq, row, lo, cnt int64) {
-	dpr := int64(len(v.members) - 1)
-	rowSpan := dpr * v.ss
-	pm := v.parityMember(row)
-	pieces := v.mapRAID5(lo, cnt, (lo-q.r.Sector)*disk.SectorSize)
-	full := cnt == rowSpan
-	cb := v.ss * disk.SectorSize // chunk bytes
-
-	fi := -1 // failed member, if any (tolerance is 1)
-	for m, f := range v.failed {
-		if f {
-			fi = m
-			break
-		}
-	}
-
-	switch {
-	case fi == pm:
-		// Parity spindle is dead: plain data writes, no redundancy to
-		// maintain.
+// writeRow plans the part of one RAID-5 stripe row q covers (see
+// planRow for the disciplines), accounts for it, and runs the plan.
+func (v *Volume) writeRow(q *volReq, row int64) {
+	pl := v.planRow(row, q.r.Sector, q.r.Data)
+	if pl.dead >= 0 {
 		v.Stats.DegradedWrites++
-		for _, p := range pieces {
-			v.subIO(q, p.member, p.msec, q.r.Data[p.boff:p.boff+p.n*disk.SectorSize], true, nil)
-		}
-
-	case full:
-		// Whole row present in the request: parity is the XOR of the
-		// new data, no reads needed even when a data member is dead.
-		parity := make([]byte, cb)
-		base := (lo - q.r.Sector) * disk.SectorSize
-		for d := int64(0); d < dpr; d++ {
-			xorInto(parity, q.r.Data[base+d*cb:base+(d+1)*cb])
-		}
-		if fi >= 0 {
-			v.Stats.DegradedWrites++
-		} else {
-			v.Stats.FullStripeWrites++
-		}
-		for _, p := range pieces {
-			if p.member == fi {
-				continue // dead data member: its content lives in the parity
-			}
-			v.subIO(q, p.member, p.msec, q.r.Data[p.boff:p.boff+p.n*disk.SectorSize], true, nil)
-		}
-		v.subIO(q, pm, row*v.ss, parity, true, nil)
-
-	case fi < 0:
-		v.rmwRow(q, row, pieces)
-
-	default:
-		v.degradedRMWRow(q, row, pieces, fi)
+	} else if pl.kind == fullStripe {
+		v.Stats.FullStripeWrites++
 	}
-}
-
-// rowUnion returns the within-chunk sector range [uo, uo+un) covered by
-// any piece of the row.
-func (v *Volume) rowUnion(row int64, pieces []piece) (uo, un int64) {
-	lo, hi := v.ss, int64(0)
-	for _, p := range pieces {
-		o := p.msec - row*v.ss
-		if o < lo {
-			lo = o
+	if len(pl.reads) > 0 {
+		v.Stats.ParityRMWRows++
+		ev := telemetry.Event{
+			T:      v.s.Now(),
+			Kind:   telemetry.EvParityRMW,
+			Sector: row * int64(len(v.members)-1) * v.ss,
+			Blocks: int64(pl.npiece),
 		}
-		if o+p.n > hi {
-			hi = o + p.n
+		if pl.dead >= 0 {
+			ev.Dev = v.members[pl.dead].Name()
 		}
+		v.bus.Emit(ev)
 	}
-	return lo, hi - lo
-}
-
-// rmwRow is the healthy partial-row write: read old data and old
-// parity, fold the deltas, write new data and new parity.
-func (v *Volume) rmwRow(q *volReq, row int64, pieces []piece) {
-	v.Stats.ParityRMWRows++
-	v.bus.Emit(telemetry.Event{
-		T:      v.s.Now(),
-		Kind:   telemetry.EvParityRMW,
-		Sector: row * int64(len(v.members)-1) * v.ss,
-		Blocks: int64(len(pieces)),
-	})
-	pm := v.parityMember(row)
-	uo, un := v.rowUnion(row, pieces)
-	oldD := make([][]byte, len(pieces))
-	oldP := make([]byte, un*disk.SectorSize)
-	rem := len(pieces) + 1
-	data := q.r.Data
-
-	phase2 := func(err error) {
-		// Runs inside the final phase-one completion, which still holds
-		// one pending slot on q, so the writes issued here cannot race
-		// the request's retirement.
-		if rem--; rem > 0 || err != nil || q.err != nil {
-			return
-		}
-		newP := oldP
-		for i, p := range pieces {
-			nd := data[p.boff : p.boff+p.n*disk.SectorSize]
-			po := (p.msec - row*v.ss - uo) * disk.SectorSize
-			xorInto(newP[po:], oldD[i])
-			xorInto(newP[po:], nd)
-		}
-		for _, p := range pieces {
-			v.subIO(q, p.member, p.msec, data[p.boff:p.boff+p.n*disk.SectorSize], true, nil)
-		}
-		v.subIO(q, pm, row*v.ss+uo, newP, true, nil)
-	}
-
-	for i, p := range pieces {
-		oldD[i] = make([]byte, p.n*disk.SectorSize)
-		v.subIO(q, p.member, p.msec, oldD[i], false, phase2)
-	}
-	v.subIO(q, pm, row*v.ss+uo, oldP, false, phase2)
-}
-
-// degradedRMWRow writes a partial row while data member fi is dead:
-// read the entire surviving row (data and parity), solve for the dead
-// chunk, overlay the new data, and write survivors plus a freshly
-// computed whole parity chunk.
-func (v *Volume) degradedRMWRow(q *volReq, row int64, pieces []piece, fi int) {
-	v.Stats.DegradedWrites++
-	v.Stats.ParityRMWRows++
-	v.bus.Emit(telemetry.Event{
-		T:      v.s.Now(),
-		Kind:   telemetry.EvParityRMW,
-		Sector: row * int64(len(v.members)-1) * v.ss,
-		Blocks: int64(len(pieces)),
-		Dev:    v.members[fi].Name(),
-	})
-	nm := len(v.members)
-	pm := v.parityMember(row)
-	cb := v.ss * disk.SectorSize
-	old := make([][]byte, nm) // whole old chunk per member, nil for fi
-	rem := nm - 1
-	data := q.r.Data
-
-	phase2 := func(err error) {
-		if rem--; rem > 0 || err != nil || q.err != nil {
-			return
-		}
-		// Reconstruct the dead member's old chunk from the survivors.
-		dead := make([]byte, cb)
-		for m, b := range old {
-			if m != fi {
-				xorInto(dead, b)
-			}
-		}
-		old[fi] = dead
-		// Overlay the new data (the dead member's piece lands only in
-		// this in-memory image — and thereby in the parity).
-		for _, p := range pieces {
-			copy(old[p.member][(p.msec-row*v.ss)*disk.SectorSize:], data[p.boff:p.boff+p.n*disk.SectorSize])
-		}
-		parity := make([]byte, cb)
-		for m, b := range old {
-			if m != pm {
-				xorInto(parity, b)
-			}
-		}
-		for _, p := range pieces {
-			if p.member == fi {
-				continue
-			}
-			v.subIO(q, p.member, p.msec, data[p.boff:p.boff+p.n*disk.SectorSize], true, nil)
-		}
-		v.subIO(q, pm, row*v.ss, parity, true, nil)
-	}
-
-	for m := 0; m < nm; m++ {
-		if m == fi {
-			continue
-		}
-		old[m] = make([]byte, cb)
-		v.subIO(q, m, row*v.ss, old[m], false, phase2)
-	}
-}
-
-// xorInto folds src into dst; len(src) must not exceed len(dst).
-func xorInto(dst, src []byte) {
-	subtle.XORBytes(dst, dst, src)
+	v.runPlan(q, pl)
 }

@@ -129,7 +129,6 @@ type Volume struct {
 	failed  []bool
 	ss      int64 // stripe unit in sectors (striped levels)
 	msize   int64 // per-member capacity in sectors
-	cum     []int64 // concat: cumulative member start sectors, len N+1
 	geom    *disk.Geometry
 	rr      int // RAID-1 read rotor over healthy members
 
@@ -176,7 +175,6 @@ func New(s *sim.Sim, name string, cfg Config) (*Volume, error) {
 		s:       s,
 		failed:  make([]bool, cfg.Members),
 		msize:   mp.Geom.TotalSectors(),
-		cum:     make([]int64, 0, cfg.Members+1),
 		rowBusy: make(map[int64]bool),
 		rowWait: make(map[int64][]*volReq),
 	}
@@ -220,9 +218,7 @@ func New(s *sim.Sim, name string, cfg Config) (*Volume, error) {
 			d.SetEventLabel(d.Name())
 		}
 		v.members = append(v.members, d)
-		v.cum = append(v.cum, int64(i)*v.msize)
 	}
-	v.cum = append(v.cum, int64(cfg.Members)*v.msize)
 
 	if v.passthrough() {
 		v.geom = mp.Geom
@@ -294,7 +290,7 @@ func (v *Volume) Geom() *disk.Geometry { return v.geom }
 func (v *Volume) Channels() int { return len(v.members) }
 
 // WriteUnit is one RAID-5 parity row of data — the only composition
-// whose partial writes read before they write (see writeRow). Every
+// whose partial writes read before they write (see planRow). Every
 // other level reports 0.
 func (v *Volume) WriteUnit() int {
 	if v.cfg.Level != RAID5 {

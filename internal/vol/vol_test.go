@@ -170,6 +170,15 @@ func TestLevelsReadBackWhatWasWritten(t *testing.T) {
 				if bad, first := v.CheckParity(); bad > 0 {
 					t.Fatalf("%s: %d bad spans in final parity check: %v", cfg.Level, bad, first)
 				}
+				return
+			}
+			// A member pulled from a level with no redundancy is still
+			// read by the timed path; the offline path must read the same
+			// platter, not XOR unrelated members together.
+			v.FailMember(0)
+			v.ReadImage(0, img)
+			if !equal(img, shadow) {
+				t.Fatalf("%s: offline read after FailMember(0) fabricates bytes", cfg.Level)
 			}
 		})
 	}
@@ -372,6 +381,68 @@ func TestDegradedWritesAndRebuild(t *testing.T) {
 		t.Fatalf("%d bad spans after rebuild: %v", bad, first)
 	}
 	img := make([]byte, len(shadow))
+	v.ReadImage(0, img)
+	if !equal(img, shadow) {
+		t.Fatal("content diverges from shadow after rebuild")
+	}
+}
+
+// TestOfflinePathIsSilent pins the offline executor's side of the
+// contract: on a degraded RAID-5, WriteImage (parity member dead, full
+// row, and partial row over the dead data member) and ReadImage
+// (reconstructing) run the same plans as the driver path but move no
+// metric — vol.* or the members' disk.* — and emit no event.
+func TestOfflinePathIsSilent(t *testing.T) {
+	cfg := vol.Config{Level: vol.RAID5, Members: 4, StripeKB: 8, Degraded: []int{1}}
+	s, v := newVol(t, 19, cfg)
+	tel := telemetry.New()
+	v.AttachTelemetry(tel)
+	events := 0
+	tel.Bus.Subscribe(func(telemetry.Event) { events++ })
+	total := v.Geom().TotalSectors()
+	shadow := make([]byte, total*disk.SectorSize)
+	fill(shadow, 5)
+	run(t, s, func(p *sim.Proc) {
+		if err := volIO(p, v, 0, shadow, true); err != nil {
+			t.Errorf("fill: %v", err)
+		}
+	})
+	before, seen := tel.Reg.Snapshot(s.Now()), events
+
+	// 48-sector rows; sd1 holds parity in row 2, data elsewhere.
+	for i, w := range []struct{ sec, n int64 }{
+		{2*48 + 5, 20}, // parity member dead
+		{4 * 48, 48},   // full row
+		{10, 30},       // partial row over the dead data member
+		{40, 70},       // three rows, a different discipline each
+	} {
+		buf := make([]byte, w.n*disk.SectorSize)
+		fill(buf, int64(100+i))
+		v.WriteImage(w.sec, buf)
+		copy(shadow[w.sec*disk.SectorSize:], buf)
+	}
+	img := make([]byte, len(shadow))
+	v.ReadImage(0, img)
+	if !equal(img, shadow) {
+		t.Fatal("offline read of the degraded array diverges from shadow")
+	}
+
+	if events != seen {
+		t.Errorf("offline access emitted %d events", events-seen)
+	}
+	for _, e := range tel.Reg.Snapshot(s.Now()).Entries {
+		if was := before.Get(e.Name); e.Value != was {
+			t.Errorf("offline access moved %s: %d -> %d", e.Name, was, e.Value)
+		}
+	}
+	// The parity the offline writes left must be the parity the rebuilt
+	// array checks clean against.
+	if err := v.Rebuild(1); err != nil {
+		t.Fatal(err)
+	}
+	if bad, first := v.CheckParity(); bad > 0 {
+		t.Fatalf("%d bad spans after offline degraded writes and rebuild: %v", bad, first)
+	}
 	v.ReadImage(0, img)
 	if !equal(img, shadow) {
 		t.Fatal("content diverges from shadow after rebuild")

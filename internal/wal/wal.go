@@ -404,29 +404,37 @@ func (l *Log) writeLog(p *sim.Proc, sector int64, img []byte) error {
 		}
 		spans = append(spans, [2]int{off, off + disk.SectorSize})
 	}
-	outstanding := len(spans)
+	bufs := make([]*driver.Buf, len(spans))
+	for i, sp := range spans {
+		bufs[i] = &driver.Buf{Blkno: sector + int64(sp[0]/disk.SectorSize), Data: img[sp[0]:sp[1]], Write: true}
+	}
+	err := l.writeAll(p, bufs)
+	l.recordErr(err)
+	return err
+}
+
+// writeAll queues every buffer, then waits for them all — the transfers
+// overlap in the driver queue — and returns the first error in
+// completion order.
+func (l *Log) writeAll(p *sim.Proc, bufs []*driver.Buf) error {
+	outstanding := len(bufs)
 	var firstErr error
 	var q sim.WaitQ
-	for _, sp := range spans {
-		l.Drv.Strategy(p, &driver.Buf{
-			Blkno: sector + int64(sp[0]/disk.SectorSize),
-			Data:  img[sp[0]:sp[1]],
-			Write: true,
-			Iodone: func(db *driver.Buf) {
-				if firstErr == nil {
-					firstErr = db.Err
-				}
-				outstanding--
-				if outstanding == 0 {
-					q.WakeAll()
-				}
-			},
-		})
+	for _, b := range bufs {
+		b.Iodone = func(db *driver.Buf) {
+			if firstErr == nil {
+				firstErr = db.Err
+			}
+			outstanding--
+			if outstanding == 0 {
+				q.WakeAll()
+			}
+		}
+		l.Drv.Strategy(p, b)
 	}
 	for outstanding > 0 {
 		p.Block(&q)
 	}
-	l.recordErr(firstErr)
 	return firstErr
 }
 
@@ -454,52 +462,21 @@ func (l *Log) checkpoint(p *sim.Proc) error {
 	if len(l.ckpt) == 0 && l.head == 1 {
 		return nil
 	}
-	sectors := detsort.Keys(l.ckpt)
-	outstanding := len(sectors)
-	var firstErr error
-	var q sim.WaitQ
-	for _, sector := range sectors {
-		l.Drv.Strategy(p, &driver.Buf{
-			Blkno: sector,
-			Data:  l.ckpt[sector],
-			Write: true,
-			Iodone: func(db *driver.Buf) {
-				if firstErr == nil {
-					firstErr = db.Err
-				}
-				outstanding--
-				if outstanding == 0 {
-					q.WakeAll()
-				}
-			},
-		})
+	var home []*driver.Buf
+	for _, sector := range detsort.Keys(l.ckpt) {
+		home = append(home, &driver.Buf{Blkno: sector, Data: l.ckpt[sector], Write: true})
 	}
-	for outstanding > 0 {
-		p.Block(&q)
-	}
-	if firstErr != nil {
+	if err := l.writeAll(p, home); err != nil {
 		// The home copies are not all durable; keep the log as is so
 		// recovery can still replay them.
-		l.recordErr(firstErr)
-		return firstErr
+		l.recordErr(err)
+		return err
 	}
-	done := false
-	l.Drv.Strategy(p, &driver.Buf{
-		Blkno: l.base,
-		Data:  logSuperblock(l.epoch + 1),
-		Write: true,
-		Iodone: func(db *driver.Buf) {
-			firstErr = db.Err
-			done = true
-			q.WakeAll()
-		},
-	})
-	for !done {
-		p.Block(&q)
-	}
-	l.recordErr(firstErr)
-	if firstErr != nil {
-		return firstErr
+	sb := &driver.Buf{Blkno: l.base, Data: logSuperblock(l.epoch + 1), Write: true}
+	l.Drv.IO(p, sb)
+	l.recordErr(sb.Err)
+	if sb.Err != nil {
+		return sb.Err
 	}
 	l.epoch++
 	l.head = 1

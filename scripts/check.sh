@@ -32,9 +32,10 @@
 #                                          sweeps themselves); -short
 #                                          trims only faultlab's sweeps
 #   6. faultlab smoke sweeps               8 crash points over a 2 MB
-#                                          write — on the single drive,
-#                                          on a degraded mirror, and on
-#                                          a journaled machine (replay
+#                                          write, once per machine shape
+#                                          in the loop's list (single
+#                                          drive, degraded mirror,
+#                                          journaled with replay
 #                                          recovery); exits nonzero on
 #                                          any crash-consistency
 #                                          violation
@@ -80,15 +81,12 @@ echo "==> go test -race -short" $RACE_PKGS
 # shellcheck disable=SC2086
 go test -race -short $RACE_PKGS
 
-echo "==> faultlab smoke sweep"
 go build -o "$tmp/faultlab" ./cmd/faultlab
-"$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7
-
-echo "==> faultlab smoke sweep (degraded mirror)"
-"$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 -vol raid1 -degraded 1
-
-echo "==> faultlab smoke sweep (journaled, replay recovery)"
-"$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 -journal wal
+for shape in "" "-vol raid1 -degraded 1" "-journal wal"; do
+    echo "==> faultlab smoke sweep $shape"
+    # shellcheck disable=SC2086 # a shape is a list of flags
+    "$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 $shape
+done
 
 echo "==> coverage summary (informational)"
 go test -cover ./internal/vol/ ./internal/core/ ./internal/ufs/ ./internal/disk/ ./internal/driver/ ./internal/faultlab/ 2>/dev/null | awk '{printf "    %-28s %s\n", $2, $5}'
