@@ -135,25 +135,6 @@ func BenchmarkFig11Ratios(b *testing.B) {
 	}
 }
 
-// BenchmarkIObenchMatrixParallel runs the full A–D × kinds matrix
-// through the parallel orchestrator (one worker per host CPU). The
-// per-cell results are identical to the serial path — each cell is its
-// own sealed simulation — so this measures pure host-side speedup on
-// the repo's heaviest workload.
-func BenchmarkIObenchMatrixParallel(b *testing.B) {
-	var tab *iobench.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tab, err = iobench.RunAllParallel(ufsclust.Scenario{}, ufsclust.Runs(), iobench.Kinds(), benchParams(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, k := range iobench.Kinds() {
-		b.ReportMetric(tab.Ratio("A", "D", k), "A/D-"+string(k))
-	}
-}
-
 // --- Figure 12: CPU comparison ---------------------------------------------
 
 func BenchmarkFig12CPUCompare(b *testing.B) {
@@ -566,40 +547,6 @@ func BenchmarkRawDisk(b *testing.B) {
 		rate = float64(size) / 1024 / elapsed.Seconds()
 	}
 	b.ReportMetric(rate, "virtKB/s")
-}
-
-// --- Simulator micro-benchmarks (host performance) ----------------------------
-
-func BenchmarkSimContextSwitch(b *testing.B) {
-	s := sim.New(1)
-	s.SpawnDaemon("ticker", func(p *sim.Proc) {
-		for {
-			p.Sleep(sim.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	if err := s.RunUntil(sim.Time(b.N) * sim.Microsecond); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkDiskServiceLoop(b *testing.B) {
-	s := sim.New(1)
-	d := disk.New(s, "d0", disk.DefaultParams())
-	buf := make([]byte, 8192)
-	n := 0
-	s.SpawnDaemon("io", func(p *sim.Proc) {
-		for {
-			d.IO(p, &disk.Request{Sector: int64(n%1000) * 16, Count: 16, Data: buf})
-			n++
-		}
-	})
-	b.ResetTimer()
-	for n < b.N {
-		if err := s.RunUntil(s.Now() + sim.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Further Work features (paper's final section), as ablations --------------

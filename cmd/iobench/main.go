@@ -14,9 +14,9 @@
 // so the output is byte-identical to the serial run.
 //
 // -matrix skips the figures and instead writes the comparison report
-// to the named JSON file: four sections (ramatrix, volmatrix,
-// vecmatrix, jmatrix) of cells in one schema, from one table — see
-// matrix.go for what each section varies and why.
+// to the named JSON file: five sections (ramatrix, volmatrix,
+// vecmatrix, jmatrix, iosize) of cells in one schema, from one table —
+// see matrix.go for what each section varies and why.
 package main
 
 import (
@@ -74,7 +74,11 @@ func main() {
 		return
 	}
 
-	if _, err := sc.Options(); err != nil {
+	_, err := sc.Options()
+	if err == nil && (*fileMB < 0 || *ops < 0) {
+		err = fmt.Errorf("-file %d -ops %d: sizes must not be negative", *fileMB, *ops)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 		os.Exit(2)
 	}
@@ -85,7 +89,9 @@ func main() {
 		os.Exit(1)
 	}
 	if !*ratiosOnly {
-		fmt.Printf("Figure 10: IObench transfer rates in KB/second (%dMB file)\n", *fileMB)
+		// The size printed is the file the sequential read moved, so
+		// -file 0 reports the default it ran with.
+		fmt.Printf("Figure 10: IObench transfer rates in KB/second (%dMB file)\n", tab.Cells[runs[0].Name][iobench.FSR].Bytes>>20)
 		fmt.Print(tab.FormatRates(iobench.Kinds()))
 		fmt.Println()
 	}

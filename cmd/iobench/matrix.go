@@ -109,6 +109,22 @@ func matrixCells() []cell {
 			}
 		}
 	}
+
+	// iosize: bytes per read/write call from 2 KB to 1 MB × {FSW, FSR}
+	// on runs A and B — the request-size sweep of Kukol & Gray, where
+	// the paper's Figure 10 fixes 8 KB. The rate and cpu.system_ns are
+	// their throughput and CPU cost per byte; the push counters show how
+	// many device writes the delayed-write window turned the calls into.
+	for _, rc := range []ufsclust.RunConfig{runA, runB} {
+		for _, kb := range []int{2, 8, 32, 128, 512, 1024} {
+			for _, kind := range writeRead {
+				cells = append(cells, cell{"iosize",
+					ufsclust.Scenario{Run: rc},
+					kind, iobench.Params{FileMB: 8, IOSize: kb << 10},
+					[]string{"cpu.system_ns", "core.pushes", "core.write_ios"}})
+			}
+		}
+	}
 	return cells
 }
 
@@ -120,6 +136,7 @@ type cellJSON struct {
 	Run       string           `json:"run"`
 	Kind      iobench.Kind     `json:"kind"`
 	FileMB    int              `json:"file_mb"`
+	IOKB      int              `json:"io_kb,omitempty"`
 	MemMB     int64            `json:"mem_mb,omitempty"`
 	RandomOps int              `json:"random_ops,omitempty"`
 	ReadAhead string           `json:"ra,omitempty"`
@@ -147,7 +164,7 @@ func matrixJSON(workers int) ([]byte, error) {
 			return cellJSON{}, fmt.Errorf("%s cell %d (%s %s): %w", c.section, i, c.sc.Run.Name, c.kind, err)
 		}
 		j := cellJSON{
-			Run: c.sc.Run.Name, Kind: c.kind, FileMB: c.prm.FileMB,
+			Run: c.sc.Run.Name, Kind: c.kind, FileMB: c.prm.FileMB, IOKB: c.prm.IOSize >> 10,
 			MemMB: c.sc.MemBytes >> 20, RandomOps: c.prm.RandomOps,
 			ReadAhead: c.sc.ReadAhead, Vec: c.sc.Vec,
 			RecordKB: c.prm.Record >> 10, StrideKB: c.prm.Stride >> 10,

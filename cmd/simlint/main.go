@@ -38,7 +38,6 @@ func main() {
 
 func run() int {
 	rule := flag.String("rule", "", "comma-separated analyzer names to run (default: all)")
-	rulesAlias := flag.String("rules", "", "alias for -rule (kept for compatibility)")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	flag.Usage = func() {
@@ -57,14 +56,10 @@ func run() int {
 		return 0
 	}
 
-	spec := *rule
-	if spec == "" {
-		spec = *rulesAlias
-	}
 	selected := analysis.Analyzers
-	if spec != "" {
+	if *rule != "" {
 		selected = nil
-		for _, name := range strings.Split(spec, ",") {
+		for _, name := range strings.Split(*rule, ",") {
 			name = strings.TrimSpace(name)
 			a := analysis.FindAnalyzer(name)
 			if a == nil {

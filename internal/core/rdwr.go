@@ -224,11 +224,10 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 				allocSize = endInBlock
 			}
 		}
-		fsbn, err := e.FS.BmapAlloc(p, vn.IP, lbn, allocSize)
+		_, err := e.FS.BmapAlloc(p, vn.IP, lbn, allocSize)
 		if err != nil {
 			return total, err
 		}
-		_ = fsbn
 
 		e.charge(p, cpu.Syscall, e.Cfg.Costs.MapBlock)
 		e.charge(p, cpu.Fault, e.Cfg.Costs.Fault)

@@ -223,41 +223,74 @@ func (d *Disk) WriteUnit() int { return 0 }
 // and replays the pre-volume golden streams byte-for-byte.
 func (d *Disk) SetEventLabel(label string) { d.label = label }
 
+// counters is the disk.* counter set, declared once. A bare drive
+// registers each as disk.<name> over its own Stats; a volume registers
+// the same names summed over its members, and the member rows once more
+// per spindle under the volume's own prefix.
+var counters = []struct {
+	name   string
+	get    func(*Stats) int64
+	member bool
+}{
+	{"reads", func(st *Stats) int64 { return st.Reads }, true},
+	{"writes", func(st *Stats) int64 { return st.Writes }, true},
+	{"sectors_read", func(st *Stats) int64 { return st.SectorsRead }, true},
+	{"sectors_written", func(st *Stats) int64 { return st.SectorsWritten }, true},
+	{"seeks", func(st *Stats) int64 { return st.SeekCount }, true},
+	{"seek_time_ns", func(st *Stats) int64 { return int64(st.SeekTime) }, false},
+	{"rot_wait_ns", func(st *Stats) int64 { return int64(st.RotWait) }, false},
+	{"xfer_time_ns", func(st *Stats) int64 { return int64(st.XferTime) }, false},
+	{"bus_time_ns", func(st *Stats) int64 { return int64(st.BusTime) }, false},
+	{"buf_hits", func(st *Stats) int64 { return st.BufHits }, false},
+	{"buf_misses", func(st *Stats) int64 { return st.BufMisses }, false},
+	{"busy_time_ns", func(st *Stats) int64 { return int64(st.BusyTime) }, true},
+	{"queue_wait_ns", func(st *Stats) int64 { return int64(st.QueueWait) }, true},
+	{"media_errors", func(st *Stats) int64 { return st.MediaErrors }, true},
+}
+
 // AttachTelemetry registers the drive's counters and latency
 // histograms and connects it to the event bus. Call once, at machine
 // construction, before any I/O.
 func (d *Disk) AttachTelemetry(tel *telemetry.Telemetry) {
-	d.bus = tel.Bus
-	r := tel.Reg
-	r.Counter("disk.reads", func() int64 { return d.Stats.Reads })
-	r.Counter("disk.writes", func() int64 { return d.Stats.Writes })
-	r.Counter("disk.sectors_read", func() int64 { return d.Stats.SectorsRead })
-	r.Counter("disk.sectors_written", func() int64 { return d.Stats.SectorsWritten })
-	r.Counter("disk.seeks", func() int64 { return d.Stats.SeekCount })
-	r.Counter("disk.seek_time_ns", func() int64 { return int64(d.Stats.SeekTime) })
-	r.Counter("disk.rot_wait_ns", func() int64 { return int64(d.Stats.RotWait) })
-	r.Counter("disk.xfer_time_ns", func() int64 { return int64(d.Stats.XferTime) })
-	r.Counter("disk.bus_time_ns", func() int64 { return int64(d.Stats.BusTime) })
-	r.Counter("disk.buf_hits", func() int64 { return d.Stats.BufHits })
-	r.Counter("disk.buf_misses", func() int64 { return d.Stats.BufMisses })
-	r.Counter("disk.busy_time_ns", func() int64 { return int64(d.Stats.BusyTime) })
-	r.Counter("disk.queue_wait_ns", func() int64 { return int64(d.Stats.QueueWait) })
-	r.Counter("disk.media_errors", func() int64 { return d.Stats.MediaErrors })
-	r.Gauge("disk.queue_len", func() int64 { return int64(len(d.q)) })
-	d.seekH = r.Hist(telemetry.NewHistogram("disk.seek_ns", telemetry.UnitNs, telemetry.TimeBounds()))
-	d.rotH = r.Hist(telemetry.NewHistogram("disk.rotate_ns", telemetry.UnitNs, telemetry.TimeBounds()))
-	d.xferH = r.Hist(telemetry.NewHistogram("disk.transfer_ns", telemetry.UnitNs, telemetry.TimeBounds()))
-	d.svcH = r.Hist(telemetry.NewHistogram("disk.service_ns", telemetry.UnitNs, telemetry.TimeBounds()))
+	AttachMemberTelemetry(tel, "", []*Disk{d})
 }
 
-// AttachMemberTelemetry connects a volume member to the machine's event
-// bus and to a shared set of latency histograms (one set per volume
-// under the standard disk.* names, aggregating all spindles). The
-// volume registers the member's counters itself, under per-member
-// names; the member only emits and observes.
-func (d *Disk) AttachMemberTelemetry(bus *telemetry.Bus, seekH, rotH, xferH, svcH *telemetry.Histogram) {
-	d.bus = bus
-	d.seekH, d.rotH, d.xferH, d.svcH = seekH, rotH, xferH, svcH
+// AttachMemberTelemetry is AttachTelemetry for the spindles of one
+// volume: the standard disk.* counters, queue-length gauge and latency
+// histograms aggregate all members, so consumers read a volume machine
+// like a bare one, and each member's own rows appear once more as
+// prefix+<member name>.<counter> (an empty prefix registers none).
+func AttachMemberTelemetry(tel *telemetry.Telemetry, prefix string, members []*Disk) {
+	r := tel.Reg
+	sum := func(get func(*Disk) int64) func() int64 {
+		return func() int64 {
+			var n int64
+			for _, d := range members {
+				n += get(d)
+			}
+			return n
+		}
+	}
+	for _, c := range counters {
+		r.Counter("disk."+c.name, sum(func(d *Disk) int64 { return c.get(&d.Stats) }))
+	}
+	r.Gauge("disk.queue_len", sum(func(d *Disk) int64 { return int64(len(d.q)) }))
+	seekH := r.Hist(telemetry.NewHistogram("disk.seek_ns", telemetry.UnitNs, telemetry.TimeBounds()))
+	rotH := r.Hist(telemetry.NewHistogram("disk.rotate_ns", telemetry.UnitNs, telemetry.TimeBounds()))
+	xferH := r.Hist(telemetry.NewHistogram("disk.transfer_ns", telemetry.UnitNs, telemetry.TimeBounds()))
+	svcH := r.Hist(telemetry.NewHistogram("disk.service_ns", telemetry.UnitNs, telemetry.TimeBounds()))
+	for _, d := range members {
+		d.bus = tel.Bus
+		d.seekH, d.rotH, d.xferH, d.svcH = seekH, rotH, xferH, svcH
+		if prefix == "" {
+			continue
+		}
+		for _, c := range counters {
+			if c.member {
+				r.Counter(prefix+d.name+"."+c.name, func() int64 { return c.get(&d.Stats) })
+			}
+		}
+	}
 }
 
 // AttachFaults connects a fault injector: the drive consults it after
@@ -302,10 +335,6 @@ func (d *Disk) freezeTorn(cut sim.Time) {
 
 // Geom returns the drive geometry.
 func (d *Disk) Geom() *Geometry { return d.P.Geom }
-
-// QueueLen returns the number of requests waiting (not including one in
-// service).
-func (d *Disk) QueueLen() int { return len(d.q) }
 
 // Submit hands a request to the drive. Safe from process or scheduler
 // context. Completion is reported through r.Done.

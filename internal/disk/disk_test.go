@@ -519,3 +519,26 @@ func TestPropertyServiceTimeBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkServiceLoop is the host cost of one 8 KB request through
+// Submit, the service process (seek, rotate, transfer) and completion.
+func BenchmarkServiceLoop(b *testing.B) {
+	s := sim.New(1)
+	defer s.Close()
+	d := New(s, "d0", DefaultParams())
+	buf := make([]byte, 8192)
+	n := 0
+	s.SpawnDaemon("io", func(p *sim.Proc) {
+		for {
+			d.IO(p, &Request{Sector: int64(n%1000) * 16, Count: 16, Data: buf})
+			n++
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n < b.N {
+		if err := s.RunUntil(s.Now() + sim.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

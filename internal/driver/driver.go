@@ -199,9 +199,6 @@ func New(s *sim.Sim, d disk.Device, cpuModel *cpu.Model, cfg Config) *Driver {
 // File system clustering sizes its clusters to fit.
 func (dr *Driver) MaxPhys() int { return dr.Cfg.MaxPhys }
 
-// QueueLen returns the number of queued (not yet issued) requests.
-func (dr *Driver) QueueLen() int { return len(dr.queue) }
-
 // Strategy accepts a request, queues it, and starts the drive if idle.
 // It does not block: completion is delivered through b.Iodone. The
 // caller must be a simulation process (CPU is charged to it) or, with a

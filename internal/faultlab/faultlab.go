@@ -42,8 +42,13 @@ type Workload struct {
 }
 
 // boot assembles one machine of this workload (seedOff keeps the
-// builder, crash, and recovery machines on distinct seeds).
+// builder, crash, and recovery machines on distinct seeds). Every entry
+// point boots before it does anything else, so this is where a
+// negative size is refused.
 func (w Workload) boot(seedOff int64, extra ...ufsclust.Option) (*ufsclust.Machine, error) {
+	if w.FileMB < 0 || w.IOSize < 0 || w.FsyncEvery < 0 {
+		return nil, fmt.Errorf("negative size (file %d MB, I/O %d, fsync every %d)", w.FileMB, w.IOSize, w.FsyncEvery)
+	}
 	sc := w.Scenario
 	sc.Seed += seedOff
 	return sc.New(extra...)

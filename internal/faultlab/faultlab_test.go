@@ -248,6 +248,17 @@ func TestFormatListsViolations(t *testing.T) {
 	}
 }
 
+// TestNegativeSizesAreAnError: `faultlab -file -1` used to sweep an
+// empty workload and report every cut "absent".
+func TestNegativeSizesAreAnError(t *testing.T) {
+	for _, w := range []Workload{{FileMB: -1}, {IOSize: -1}, {FsyncEvery: -1}} {
+		w.Scenario = runA(1, "")
+		if sr, err := Sweep(w, 2, 1); err == nil {
+			t.Errorf("file %d MB, I/O %d, fsync %d: swept %d cuts", w.FileMB, w.IOSize, w.FsyncEvery, len(sr.Reports))
+		}
+	}
+}
+
 func ExampleSweep() {
 	w := Workload{Scenario: runA(1, ""), FileMB: 1, FsyncEvery: 128 << 10}
 	sr, err := Sweep(w, 4, 1)

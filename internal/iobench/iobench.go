@@ -9,7 +9,6 @@ package iobench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"ufsclust"
@@ -157,6 +156,10 @@ func Run(sc ufsclust.Scenario, kind Kind, prm Params) (Result, error) {
 // value for the determinism gates; callers who want disk seek
 // histograms or driver queue depths read them from the snapshot.
 func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry.Snapshot, error) {
+	if prm.FileMB < 0 || prm.IOSize < 0 || prm.RandomOps < 0 || prm.Record < 0 || prm.Stride < 0 || prm.VecBatch < 0 {
+		return Result{}, telemetry.Snapshot{}, fmt.Errorf("iobench: negative size (file %d MB, I/O %d, ops %d, record %d, stride %d, batch %d)",
+			prm.FileMB, prm.IOSize, prm.RandomOps, prm.Record, prm.Stride, prm.VecBatch)
+	}
 	prm = prm.withDefaults()
 	sc.Seed++
 	m, err := sc.New()
@@ -179,16 +182,10 @@ func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry
 
 		// Setup: all kinds except FSW need a preallocated file.
 		var f *ufsclust.File
-		if kind == FSW {
-			f, runErr = m.Engine.Create(p, "/iobench")
-			if runErr != nil {
-				return
-			}
-		} else {
-			f, runErr = m.Engine.Create(p, "/iobench")
-			if runErr != nil {
-				return
-			}
+		if f, runErr = m.Engine.Create(p, "/iobench"); runErr != nil {
+			return
+		}
+		if kind != FSW {
 			for off := int64(0); off < size; off += int64(prm.IOSize) {
 				if _, runErr = f.Write(p, off, chunk); runErr != nil {
 					return
@@ -450,14 +447,4 @@ func (t *Table) Ratio(runA, runB string, k Kind) float64 {
 		return 0
 	}
 	return t.Cells[runA][k].RateKBs() / b
-}
-
-// SortedKinds returns kinds in canonical order for deterministic output.
-func SortedKinds(m map[Kind]Result) []Kind {
-	var out []Kind
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -197,3 +197,13 @@ func TestParallelTableMatchesSerial(t *testing.T) {
 		t.Fatal("RunAllParallel accepted a TraceW with workers > 1; traces would interleave")
 	}
 }
+
+// TestNegativeSizesAreAnError: a negative size used to run an empty loop
+// and report a table of zeros (or, for FSTR, panic in make).
+func TestNegativeSizesAreAnError(t *testing.T) {
+	for _, prm := range []Params{{FileMB: -1}, {IOSize: -8192}, {RandomOps: -1}, {Record: -1}, {Stride: -1}, {VecBatch: -1}} {
+		if res, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSTR, prm); err == nil {
+			t.Errorf("%+v: ran and measured %+v", prm, res)
+		}
+	}
+}

@@ -194,3 +194,41 @@ func TestAdaptiveDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// hotTrigger is the adaptive policy's decision path as every clustered
+// getpage that reaches the trigger point pays it: 64 files whose
+// detectors already exist, four sequential confirmations to one
+// non-sequential trigger, a collapse every 1024 calls, live Limits.
+func hotTrigger(a *Adaptive, i int) {
+	ino := int32(i & 63)
+	if i&1023 == 1023 {
+		a.Random(ino)
+		return
+	}
+	a.Trigger(ino, i%5 != 0, Limits{ClusterBlocks: 15, BlockBytes: 8192, FreePages: 4096, WriteHeadroom: 1 << 20})
+}
+
+func BenchmarkAdaptiveTrigger(b *testing.B) {
+	a := NewAdaptive(AdaptiveConfig{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hotTrigger(a, i)
+	}
+}
+
+// TestTriggerKnownInodeAllocatesNothing gates the benchmark's
+// allocation count: a detector is allocated once, when a file is first
+// seen, and every later decision on that inode is heap-free.
+func TestTriggerKnownInodeAllocatesNothing(t *testing.T) {
+	a := NewAdaptive(AdaptiveConfig{})
+	i := 0
+	step := func() {
+		for end := i + 1024; i < end; i++ {
+			hotTrigger(a, i)
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("Trigger on known inodes allocates %v per 1024 calls, want 0", n)
+	}
+}

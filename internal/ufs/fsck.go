@@ -192,6 +192,13 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 			r.addf("dir ino %d: size %d not a block multiple", ino, di.Size)
 		}
 		nblocks := di.Size / int64(sb.Bsize)
+		// The walk below addresses direct and single-indirect blocks
+		// only; a size beyond them is corruption, reported once rather
+		// than as one hole per block the size claims.
+		if reach := NDADDR + nindir; nblocks > reach {
+			r.addf("dir ino %d: impossible size %d", ino, di.Size)
+			nblocks = reach
+		}
 		sawDot, sawDotDot := false, false
 		for lbn := int64(0); lbn < nblocks; lbn++ {
 			var fsbn int32

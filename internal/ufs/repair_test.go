@@ -2,6 +2,7 @@ package ufs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -336,5 +337,32 @@ func TestRepairIsIdempotent(t *testing.T) {
 	}
 	if len(second.Fixes) != 0 {
 		t.Fatalf("second repair applied fixes: %v", second.Fixes)
+	}
+}
+
+// TestFsckBoundedOnImpossibleDirSize: pass 2 used to walk di.Size/Bsize
+// blocks and report one hole per absent block, so a corrupt root size
+// produced a million problem lines (1<<33) or exhausted memory (1<<62).
+// The walk is clamped to the blocks a directory can address and the
+// size is reported once.
+func TestFsckBoundedOnImpossibleDirSize(t *testing.T) {
+	for _, size := range []int64{1 << 33, 1 << 62} {
+		r := newRig(t, MkfsOpts{})
+		r.fs.SyncImage()
+		di := r.readDinode(RootIno)
+		di.Size = size
+		r.writeDinode(RootIno, di)
+
+		rep, err := Fsck(r.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach := int(NDADDR + r.sb.NindirPerBlock())
+		if n := len(rep.Problems); n == 0 || n > reach+8 {
+			t.Fatalf("size %d: %d problems, want between 1 and the %d blocks a directory can address", size, n, reach)
+		}
+		if want := fmt.Sprintf("dir ino %d: impossible size %d", RootIno, size); !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
+			t.Errorf("size %d: no %q among %d problems", size, want, len(rep.Problems))
+		}
 	}
 }

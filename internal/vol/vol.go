@@ -362,54 +362,7 @@ func (v *Volume) AttachTelemetry(tel *telemetry.Telemetry) {
 		// standard disk.* names itself, exactly like a bare machine.
 		v.members[0].AttachTelemetry(tel)
 	} else {
-		r := tel.Reg
-		agg := func(get func(st *disk.Stats) int64) func() int64 {
-			return func() int64 {
-				var sum int64
-				for _, d := range v.members {
-					sum += get(&d.Stats)
-				}
-				return sum
-			}
-		}
-		r.Counter("disk.reads", agg(func(st *disk.Stats) int64 { return st.Reads }))
-		r.Counter("disk.writes", agg(func(st *disk.Stats) int64 { return st.Writes }))
-		r.Counter("disk.sectors_read", agg(func(st *disk.Stats) int64 { return st.SectorsRead }))
-		r.Counter("disk.sectors_written", agg(func(st *disk.Stats) int64 { return st.SectorsWritten }))
-		r.Counter("disk.seeks", agg(func(st *disk.Stats) int64 { return st.SeekCount }))
-		r.Counter("disk.seek_time_ns", agg(func(st *disk.Stats) int64 { return int64(st.SeekTime) }))
-		r.Counter("disk.rot_wait_ns", agg(func(st *disk.Stats) int64 { return int64(st.RotWait) }))
-		r.Counter("disk.xfer_time_ns", agg(func(st *disk.Stats) int64 { return int64(st.XferTime) }))
-		r.Counter("disk.bus_time_ns", agg(func(st *disk.Stats) int64 { return int64(st.BusTime) }))
-		r.Counter("disk.buf_hits", agg(func(st *disk.Stats) int64 { return st.BufHits }))
-		r.Counter("disk.buf_misses", agg(func(st *disk.Stats) int64 { return st.BufMisses }))
-		r.Counter("disk.busy_time_ns", agg(func(st *disk.Stats) int64 { return int64(st.BusyTime) }))
-		r.Counter("disk.queue_wait_ns", agg(func(st *disk.Stats) int64 { return int64(st.QueueWait) }))
-		r.Counter("disk.media_errors", agg(func(st *disk.Stats) int64 { return st.MediaErrors }))
-		r.Gauge("disk.queue_len", func() int64 {
-			var sum int64
-			for _, d := range v.members {
-				sum += int64(d.QueueLen())
-			}
-			return sum
-		})
-		seekH := r.Hist(telemetry.NewHistogram("disk.seek_ns", telemetry.UnitNs, telemetry.TimeBounds()))
-		rotH := r.Hist(telemetry.NewHistogram("disk.rotate_ns", telemetry.UnitNs, telemetry.TimeBounds()))
-		xferH := r.Hist(telemetry.NewHistogram("disk.transfer_ns", telemetry.UnitNs, telemetry.TimeBounds()))
-		svcH := r.Hist(telemetry.NewHistogram("disk.service_ns", telemetry.UnitNs, telemetry.TimeBounds()))
-		for _, d := range v.members {
-			d.AttachMemberTelemetry(tel.Bus, seekH, rotH, xferH, svcH)
-			md := d
-			prefix := "vol." + d.Name() + "."
-			r.Counter(prefix+"reads", func() int64 { return md.Stats.Reads })
-			r.Counter(prefix+"writes", func() int64 { return md.Stats.Writes })
-			r.Counter(prefix+"sectors_read", func() int64 { return md.Stats.SectorsRead })
-			r.Counter(prefix+"sectors_written", func() int64 { return md.Stats.SectorsWritten })
-			r.Counter(prefix+"seeks", func() int64 { return md.Stats.SeekCount })
-			r.Counter(prefix+"busy_time_ns", func() int64 { return int64(md.Stats.BusyTime) })
-			r.Counter(prefix+"queue_wait_ns", func() int64 { return int64(md.Stats.QueueWait) })
-			r.Counter(prefix+"media_errors", func() int64 { return md.Stats.MediaErrors })
-		}
+		disk.AttachMemberTelemetry(tel, "vol.", v.members)
 	}
 	r := tel.Reg
 	r.Counter("vol.sub_requests", func() int64 { return v.Stats.SubRequests })

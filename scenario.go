@@ -53,8 +53,11 @@ func (sc Scenario) Journaled() bool {
 // Options translates the scenario into machine options. Read-ahead
 // policies carry per-file detector state, so every call builds fresh
 // policy and strategy instances: two machines never share one. An
-// unknown mode name is an error.
+// unknown mode name or an impossible memory size is an error.
 func (sc Scenario) Options() ([]Option, error) {
+	if err := checkMem(sc.MemBytes); err != nil {
+		return nil, err
+	}
 	opts := []Option{WithSeed(sc.Seed), WithMemBytes(sc.MemBytes)}
 	switch strings.ToLower(sc.ReadAhead) {
 	case "", "fixed": // the run configuration's one-cluster read-ahead

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ufsclust/internal/driver"
 	"ufsclust/internal/vol"
 )
 
@@ -20,10 +21,12 @@ func parseScenario(args ...string) (Scenario, error) {
 	return sc, fs.Parse(args)
 }
 
-// TestScenarioRejectsUnknownNames: a misspelt mode or level never
-// reaches a machine. The three mode names are refused by Options; the
-// volume level is resolved while the flags parse, so it is refused
-// there.
+// TestScenarioRejectsUnknownNames: a misspelt mode or level, or a shape
+// the builder cannot assemble, never reaches a machine. The three mode
+// names and the memory size are refused by Options; the volume level is
+// resolved while the flags parse, so it is refused there; New refuses
+// the same shapes arriving as options, where vm.New and driver.New used
+// to panic.
 func TestScenarioRejectsUnknownNames(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -34,7 +37,9 @@ func TestScenarioRejectsUnknownNames(t *testing.T) {
 		{[]string{"-journal", "bogus"}, false},
 		{[]string{"-vol", "bogus"}, false},
 		{[]string{"-members", "3", "-vol", "raid6"}, false},
+		{[]string{"-mem", "-1"}, false},
 		{nil, true},
+		{[]string{"-mem", "0"}, true},
 		{[]string{"-ra", "adaptive", "-vec", "sieve", "-journal", "wal-clustered", "-vol", "mirror"}, true},
 		{[]string{"-ra", "off", "-vec", "list", "-journal", "wal"}, true},
 		{[]string{"-ra", "fixed", "-vec", "naive", "-journal", "off"}, true},
@@ -47,9 +52,20 @@ func TestScenarioRejectsUnknownNames(t *testing.T) {
 			t.Errorf("%v: err = %v, want ok = %v", tc.args, err, tc.ok)
 		}
 	}
-	for _, sc := range []Scenario{{ReadAhead: "bogus"}, {Vec: "bogus"}, {Journal: "bogus"}} {
+	for _, sc := range []Scenario{{ReadAhead: "bogus"}, {Vec: "bogus"}, {Journal: "bogus"}, {MemBytes: 8192}} {
 		if _, err := sc.Options(); err == nil {
 			t.Errorf("%+v: Options accepted an unknown name", sc)
+		}
+	}
+	for name, opt := range map[string]Option{
+		"one page of memory": WithMemBytes(8192),
+		"negative memory":    WithMemBytes(-1 << 20),
+		"unaligned MaxPhys":  WithDriverConfig(driver.Config{MaxPhys: 1000}),
+		"negative MaxPhys":   WithDriverConfig(driver.Config{MaxPhys: -512}),
+	} {
+		if m, err := New(RunA(), opt); err == nil {
+			m.Close()
+			t.Errorf("%s: New built a machine", name)
 		}
 	}
 }

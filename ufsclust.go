@@ -149,8 +149,23 @@ type Machine struct {
 	ReplayLog *wal.RecoverReport
 }
 
+// checkMem refuses a memory size too small to build a page cache from;
+// 0 selects the paper's 8 MB.
+func checkMem(bytes int64) error {
+	if bytes != 0 && bytes < 8*vm.PageSize {
+		return fmt.Errorf("memory: %d bytes is less than 8 pages", bytes)
+	}
+	return nil
+}
+
 // NewMachine builds a machine, formats its disk, and mounts it.
 func NewMachine(o Options) (*Machine, error) {
+	if err := checkMem(o.MemBytes); err != nil {
+		return nil, err
+	}
+	if o.Driver != nil && (o.Driver.MaxPhys < 0 || o.Driver.MaxPhys%disk.SectorSize != 0) {
+		return nil, fmt.Errorf("driver: MaxPhys %d is not a sector multiple", o.Driver.MaxPhys)
+	}
 	if o.MIPS == 0 {
 		o.MIPS = 12
 	}
