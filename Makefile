@@ -3,7 +3,7 @@
 # `make check` is the extended tier-1 gate (build + vet + simlint +
 # tests + race over internal/...); see scripts/check.sh and ROADMAP.md.
 
-.PHONY: all build test lint race check bench benchcheck cover loc
+.PHONY: all build test lint race check fuzz bench benchcheck cover loc
 
 all: check
 
@@ -23,6 +23,14 @@ race:
 
 check:
 	scripts/check.sh
+
+# fuzz gives each fuzz target 30 s of new inputs (their seed corpora run
+# in every `go test`). It is not part of `make check`. Shrinking every
+# coverage-expanding input is capped at 5 s so the half minute goes to
+# searching.
+fuzz:
+	go test ./internal/ufs -run '^$$' -fuzz '^FuzzPtrPath$$' -fuzztime 30s -fuzzminimizetime 5s
+	go test ./internal/ufs -run '^$$' -fuzz '^FuzzFsckRepair$$' -fuzztime 30s -fuzzminimizetime 5s
 
 # bench regenerates BENCH_iobench.json, the committed matrix of virtual
 # rates and counters that TestMatrixMatchesCommitted compares byte for

@@ -63,26 +63,19 @@ type Config struct {
 	Costs Costs
 }
 
-// ConfigA..ConfigD return the code-path halves of the paper's Figure 9
-// runs. (The matching mkfs tunings are: A rotdelay 0 maxcontig 15; B-D
-// rotdelay 4ms maxcontig 1. The write limit is a mount option.)
+// ConfigA and ConfigD return the code-path halves of the paper's Figure
+// 9 runs A and D. (The matching mkfs tunings are: A rotdelay 0 maxcontig
+// 15; D rotdelay 4ms maxcontig 1. The write limit is a mount option, and
+// runs B and C are D plus heuristics the root package's RunB/RunC turn
+// on.)
 func ConfigA() Config {
 	return Config{Clustered: true, ReadAhead: true, FreeBehind: true, Costs: DefaultCosts()}
 }
 
-// ConfigB is the legacy SunOS 4.1 code plus the free-behind and
-// write-limit heuristics.
-func ConfigB() Config {
-	return Config{Clustered: false, ReadAhead: true, FreeBehind: true, Costs: DefaultCosts()}
-}
-
-// ConfigC is the legacy code plus only the write limit (set at mount).
-func ConfigC() Config {
+// ConfigD approximates stock SunOS 4.1.
+func ConfigD() Config {
 	return Config{Clustered: false, ReadAhead: true, FreeBehind: false, Costs: DefaultCosts()}
 }
-
-// ConfigD approximates stock SunOS 4.1.
-func ConfigD() Config { return ConfigC() }
 
 // Stats counts engine events.
 type Stats struct {

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"ufsclust"
+	"ufsclust/internal/core"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
 )
@@ -89,43 +90,34 @@ func cpuReport(d telemetry.Snapshot) string {
 
 // MmapRead runs the Figure 12 measurement for one configuration.
 func MmapRead(rc ufsclust.RunConfig, fileMB int) (Result, error) {
-	m, err := ufsclust.New(rc)
-	if err != nil {
-		return Result{}, err
-	}
-	defer m.Close()
-	size := int64(fileMB) << 20
-	res := Result{Label: rc.Name, FileMB: fileMB}
-	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Create(p, "/mmapbench")
-		if err != nil {
-			return
-		}
-		chunk := make([]byte, 64<<10)
-		for off := int64(0); off < size; off += int64(len(chunk)) {
-			f.Write(p, off, chunk)
-		}
-		f.Purge(p)
-		pre := m.Snapshot()
-		t0 := p.Now()
-		f.ReadMmap(p, 0, size)
-		res.Elapsed = p.Now() - t0
-		delta := m.Snapshot().Delta(pre)
-		res.CPUTime = sim.Time(delta.Get("cpu.system_ns"))
-		res.Report = cpuReport(delta)
+	return measure(rc, fileMB, "/mmapbench", func(p *sim.Proc, f *core.File, size int64) error {
+		return f.ReadMmap(p, 0, size)
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	res.RateKBs = float64(size) / 1024 / res.Elapsed.Seconds()
-	res.CPUShare = float64(res.CPUTime) / float64(res.Elapsed)
-	return res, nil
 }
 
 // ReadWithCopy runs the sequential read through the normal read(2) path
 // (copies included) and reports CPU share — the intro's "half of a
 // 12MIPS CPU" observation for the legacy system.
 func ReadWithCopy(rc ufsclust.RunConfig, fileMB int) (Result, error) {
+	return measure(rc, fileMB, "/readbench", func(p *sim.Proc, f *core.File, size int64) error {
+		buf := make([]byte, 8192)
+		for off := int64(0); off < size; off += 8192 {
+			if _, err := f.Read(p, off, buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// measure boots rc, writes a fileMB file at path, purges it from
+// memory, and accounts the CPU and time read takes to get it back. The
+// first I/O error ends the run and is returned: a rate over bytes that
+// were never written is not a measurement.
+func measure(rc ufsclust.RunConfig, fileMB int, path string, read func(p *sim.Proc, f *core.File, size int64) error) (Result, error) {
+	if fileMB <= 0 {
+		return Result{}, fmt.Errorf("cpubench: file size %d MB, want > 0", fileMB)
+	}
 	m, err := ufsclust.New(rc)
 	if err != nil {
 		return Result{}, err
@@ -133,29 +125,38 @@ func ReadWithCopy(rc ufsclust.RunConfig, fileMB int) (Result, error) {
 	defer m.Close()
 	size := int64(fileMB) << 20
 	res := Result{Label: rc.Name, FileMB: fileMB}
-	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Create(p, "/readbench")
+	run := func(p *sim.Proc) error {
+		f, err := m.Engine.Create(p, path)
 		if err != nil {
-			return
+			return err
 		}
 		chunk := make([]byte, 64<<10)
 		for off := int64(0); off < size; off += int64(len(chunk)) {
-			f.Write(p, off, chunk)
+			if _, err := f.Write(p, off, chunk); err != nil {
+				return err
+			}
 		}
-		f.Purge(p)
+		if err := f.Purge(p); err != nil {
+			return err
+		}
 		pre := m.Snapshot()
 		t0 := p.Now()
-		buf := make([]byte, 8192)
-		for off := int64(0); off < size; off += 8192 {
-			f.Read(p, off, buf)
+		if err := read(p, f, size); err != nil {
+			return err
 		}
 		res.Elapsed = p.Now() - t0
 		delta := m.Snapshot().Delta(pre)
 		res.CPUTime = sim.Time(delta.Get("cpu.system_ns"))
 		res.Report = cpuReport(delta)
-	})
+		return nil
+	}
+	var ioErr error
+	err = m.Run(func(p *sim.Proc) { ioErr = run(p) })
+	if err == nil {
+		err = ioErr
+	}
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("cpubench: %s, %d MB: %w", rc.Name, fileMB, err)
 	}
 	res.RateKBs = float64(size) / 1024 / res.Elapsed.Seconds()
 	res.CPUShare = float64(res.CPUTime) / float64(res.Elapsed)

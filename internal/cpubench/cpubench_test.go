@@ -79,3 +79,28 @@ func TestReportHasBreakdown(t *testing.T) {
 		t.Errorf("mmap read charged copy time:\n%s", res.Report)
 	}
 }
+
+// TestCPUBenchReportsFullDisk: a file the 400 MB drive cannot hold must
+// come back as the write's error, not as a rate over bytes that were
+// never written.
+func TestCPUBenchReportsFullDisk(t *testing.T) {
+	for name, run := range map[string]func(ufsclust.RunConfig, int) (Result, error){
+		"ReadWithCopy": ReadWithCopy, "MmapRead": MmapRead,
+	} {
+		res, err := run(ufsclust.RunD(), 450)
+		if err == nil {
+			t.Errorf("%s: 450 MB on a 400 MB drive measured %.0f KB/s, want an error", name, res.RateKBs)
+		}
+	}
+}
+
+func TestCPUBenchRejectsNegativeSize(t *testing.T) {
+	for _, mb := range []int{-1, 0} {
+		if _, err := ReadWithCopy(ufsclust.RunD(), mb); err == nil {
+			t.Errorf("ReadWithCopy(%d MB): no error", mb)
+		}
+		if _, _, err := Figure12(mb); err == nil {
+			t.Errorf("Figure12(%d MB): no error", mb)
+		}
+	}
+}

@@ -148,11 +148,6 @@ type Stats struct {
 	MediaErrors                 int64 // transfers failed by the fault plan
 }
 
-// BytesMoved returns total bytes transferred in either direction.
-func (st *Stats) BytesMoved() int64 {
-	return (st.SectorsRead + st.SectorsWritten) * SectorSize
-}
-
 // Disk is a simulated drive. Submit requests with Submit; a dedicated
 // simulation process services them one at a time.
 type Disk struct {

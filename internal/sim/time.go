@@ -33,9 +33,6 @@ const (
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Milliseconds returns the time as a floating-point number of milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
-
 // String formats the time with an adaptive unit, e.g. "4.2ms" or "1.61s".
 func (t Time) String() string {
 	switch {

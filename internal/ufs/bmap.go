@@ -1,8 +1,6 @@
 package ufs
 
 import (
-	"fmt"
-
 	"ufsclust/internal/cpu"
 	"ufsclust/internal/sim"
 )
@@ -20,8 +18,9 @@ const bmapInstr = 1100 // CPU instructions per bmap translation
 // through the metadata cache and cost simulated I/O time, which is why
 // the paper's Further Work wants a bmap cache.
 func (fs *Fs) Bmap(p *sim.Proc, ip *Inode, lbn int64) (int32, int, error) {
-	if lbn < 0 || lbn >= fs.SB.MaxFileBlocks() {
-		return 0, 0, fmt.Errorf("ufs: lbn %d out of range", lbn)
+	pp, err := fs.SB.ptrPath(lbn)
+	if err != nil {
+		return 0, 0, err
 	}
 	// The Further Work bmap cache: serve from the inode's last
 	// translation run without touching pointer blocks.
@@ -34,7 +33,7 @@ func (fs *Fs) Bmap(p *sim.Proc, ip *Inode, lbn int64) (int32, int, error) {
 	}
 	fs.chargeCPU(p, cpu.Bmap, bmapInstr)
 	fs.BmapCalls++
-	fsbn, run, err := fs.bmapSlow(p, ip, lbn)
+	fsbn, run, err := fs.bmapSlow(p, ip, lbn, pp)
 	if err == nil && fs.BmapCache && fsbn != 0 {
 		ip.bmapCache.valid = true
 		ip.bmapCache.lbn = lbn
@@ -44,101 +43,74 @@ func (fs *Fs) Bmap(p *sim.Proc, ip *Inode, lbn int64) (int32, int, error) {
 	return fsbn, run, err
 }
 
-// bmapSlow walks the block pointers.
-func (fs *Fs) bmapSlow(p *sim.Proc, ip *Inode, lbn int64) (int32, int, error) {
-	maxc := int(fs.SB.Maxcontig)
-	if maxc < 1 {
-		maxc = 1
+// bmapSlow descends to the table of data-block addresses that holds
+// lbn's entry — the dinode's direct array, or the last pointer block on
+// the path — and measures the run there. The table travels as a byte
+// slice (nil = the direct array) and nothing here defers or closes over
+// the locked buffer: this runs on every getpage and must not allocate.
+func (fs *Fs) bmapSlow(p *sim.Proc, ip *Inode, lbn int64, pp ptrPath) (int32, int, error) {
+	if pp.depth == 0 {
+		addr, run := fs.runAt(ip, nil, int64(pp.root), lbn)
+		return addr, run, nil
 	}
-	// Never report a run past the end of the file.
-	lastLbn := (ip.D.Size + int64(fs.SB.Bsize) - 1) / int64(fs.SB.Bsize)
-	limitRun := func(run int) int {
-		if max := int(lastLbn - lbn); run > max && max >= 1 {
-			run = max
-		}
-		if run < 1 {
-			run = 1
-		}
-		if run > maxc {
-			run = maxc
-		}
-		return run
+	b, err := fs.lastIndir(p, ip, pp)
+	if b == nil {
+		return 0, 1, err // a hole high in the tree, unless err
 	}
+	addr, run := fs.runAt(ip, b.Data, pp.idx[pp.depth-1], lbn)
+	fs.BC.Brelse(b)
+	return addr, run, nil
+}
 
-	if lbn < NDADDR {
-		addr := ip.D.DB[lbn]
-		if addr == 0 {
-			return 0, 1, nil
-		}
-		run := 1
-		for int64(run)+lbn < NDADDR && run < maxc {
-			if ip.D.DB[lbn+int64(run)] != addr+int32(run)*fs.SB.Frag {
-				break
-			}
-			run++
-		}
-		return addr, limitRun(run), nil
-	}
-
-	nindir := fs.SB.NindirPerBlock()
-	rel := lbn - NDADDR
-	if rel < nindir {
-		if ip.D.IB[0] == 0 {
-			return 0, 1, nil
-		}
-		b, err := fs.BC.Bread(p, ip.D.IB[0])
-		if err != nil {
-			return 0, 0, err
-		}
-		defer fs.BC.Brelse(b)
-		addr := getIndir(b.Data, rel)
-		if addr == 0 {
-			return 0, 1, nil
-		}
-		run := 1
-		for int64(run)+rel < nindir && run < maxc {
-			if getIndir(b.Data, rel+int64(run)) != addr+int32(run)*fs.SB.Frag {
-				break
-			}
-			run++
-		}
-		return addr, limitRun(run), nil
-	}
-
-	rel -= nindir
-	if rel >= nindir*nindir {
-		return 0, 0, fmt.Errorf("ufs: lbn %d beyond double-indirect range", lbn)
-	}
-	if ip.D.IB[1] == 0 {
-		return 0, 1, nil
-	}
-	b1, err := fs.BC.Bread(p, ip.D.IB[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	l1 := getIndir(b1.Data, rel/nindir)
-	fs.BC.Brelse(b1)
-	if l1 == 0 {
-		return 0, 1, nil
-	}
-	b2, err := fs.BC.Bread(p, l1)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer fs.BC.Brelse(b2)
-	idx := rel % nindir
-	addr := getIndir(b2.Data, idx)
+// runAt returns the address in entry at of table and the length of the
+// contiguous run of blocks starting there: at most maxcontig, never
+// into the next table, never past the end of the file. A hole is
+// address 0 with length 1.
+func (fs *Fs) runAt(ip *Inode, table []byte, at, lbn int64) (int32, int) {
+	addr := ip.dataAddr(table, at)
 	if addr == 0 {
-		return 0, 1, nil
+		return 0, 1
+	}
+	n := int64(len(ip.D.DB))
+	if table != nil {
+		n = int64(len(table) / 4)
 	}
 	run := 1
-	for int64(run)+idx < nindir && run < maxc {
-		if getIndir(b2.Data, idx+int64(run)) != addr+int32(run)*fs.SB.Frag {
-			break
-		}
+	for at+int64(run) < n && run < int(fs.SB.Maxcontig) &&
+		ip.dataAddr(table, at+int64(run)) == addr+int32(run)*fs.SB.Frag {
 		run++
 	}
-	return addr, limitRun(run), nil
+	lastLbn := (ip.D.Size + int64(fs.SB.Bsize) - 1) / int64(fs.SB.Bsize)
+	if max := int(lastLbn - lbn); run > max && max >= 1 {
+		run = max
+	}
+	return addr, run
+}
+
+// dataAddr returns entry i of a table of data-block addresses: the
+// last pointer block on a path, or, when table is nil, ip's direct
+// array.
+func (ip *Inode) dataAddr(table []byte, i int64) int32 {
+	if table == nil {
+		return ip.D.DB[i]
+	}
+	return getIndir(table, i)
+}
+
+// lastIndir follows pp (depth >= 1) from ip down to the pointer block
+// holding the data block's own address and returns it locked. It
+// returns nil when a pointer on the way is zero: the block is a hole.
+func (fs *Fs) lastIndir(p *sim.Proc, ip *Inode, pp ptrPath) (*MBuf, error) {
+	addr := ip.D.IB[pp.root]
+	for lvl := 0; addr != 0; lvl++ {
+		b, err := fs.BC.Bread(p, addr)
+		if err != nil || lvl == pp.depth-1 {
+			return b, err
+		}
+		addr = getIndir(b.Data, pp.idx[lvl])
+		fs.BC.Brelse(b)
+	}
+	return nil, nil
 }
 
 func getIndir(data []byte, i int64) int32 {
@@ -155,17 +127,16 @@ func putIndir(data []byte, i int64, v int32) {
 	data[off+3] = byte(v >> 24)
 }
 
-// prevAddr returns the fragment address of lbn-1 if it is allocated and
-// cheaply reachable (same pointer block), else 0.
+// prevAddr returns the fragment address of lbn-1 if it is allocated,
+// else 0.
 func (fs *Fs) prevAddr(p *sim.Proc, ip *Inode, lbn int64) int32 {
 	if lbn == 0 {
 		return 0
 	}
-	prev := lbn - 1
-	if prev < NDADDR {
-		return ip.D.DB[prev]
+	if pp, _ := fs.SB.ptrPath(lbn - 1); pp.depth == 0 {
+		return ip.D.DB[pp.root]
 	}
-	fsbn, _, err := fs.Bmap(p, ip, prev)
+	fsbn, _, err := fs.Bmap(p, ip, lbn-1)
 	if err != nil {
 		return 0
 	}
@@ -184,106 +155,83 @@ func (fs *Fs) BmapAlloc(p *sim.Proc, ip *Inode, lbn int64, size int) (int32, err
 	if size <= 0 || size > int(fs.SB.Bsize) {
 		panic("ufs: BmapAlloc size out of range") // simlint:invariant -- write path sizes requests from the superblock
 	}
-	needFrags := (int32(size) + fs.SB.Fsize - 1) / fs.SB.Fsize
-	if lbn >= NDADDR {
-		needFrags = fs.SB.Frag // fragments live only in the direct range
+	pp, err := fs.SB.ptrPath(lbn)
+	if err != nil {
+		return 0, err
+	}
+	if pp.depth == 0 {
+		return fs.allocDirect(p, ip, lbn, fs.SB.BlkFrags(lbn*int64(fs.SB.Bsize)+int64(size), lbn))
 	}
 
-	if lbn < NDADDR {
-		old := ip.D.DB[lbn]
-		if old != 0 {
-			oldFrags := int32(fs.SB.BlkSize(ip.D.Size, lbn)) / fs.SB.Fsize
-			if oldFrags == 0 {
-				oldFrags = needFrags // size not yet set; treat as exact
+	// Indirect ranges: walk the pointer chain, growing it where it ends.
+	ib, err := fs.ensureIndir(p, ip, &ip.D.IB[pp.root])
+	if err != nil {
+		return 0, err
+	}
+	for lvl := 0; lvl < pp.depth-1; lvl++ {
+		b, err := fs.BC.Bread(p, ib)
+		if err != nil {
+			return 0, err
+		}
+		next := getIndir(b.Data, pp.idx[lvl])
+		fs.BC.Brelse(b)
+		if next == 0 {
+			// Allocate with the parent buffer released: allocMetaBlock
+			// acquires cylinder-group buffers, and holding b across that
+			// would pin a locked buffer over an unrelated wait. Re-reading
+			// to install the pointer is a cache hit — b was just released,
+			// so it cannot have been the eviction victim — and the inode
+			// lock keeps the slot ours in between.
+			if next, err = fs.allocMetaBlock(p, ip); err != nil {
+				return 0, err
 			}
-			if needFrags <= oldFrags {
-				return old, nil
+			if b, err = fs.BC.Bread(p, ib); err != nil {
+				return 0, err
 			}
-			// Grow the tail: extend in place, or move it.
-			if oldFrags < fs.SB.Frag {
-				ok, err := fs.ExtendFrags(p, ip, old, oldFrags, needFrags)
-				if err == nil && ok {
-					return old, nil
-				}
-				var fsbn int32
-				pref := fs.BlkPref(ip, lbn, fs.prevAddr(p, ip, lbn))
-				if needFrags == fs.SB.Frag {
-					fsbn, err = fs.AllocBlock(p, ip, pref)
-				} else {
-					fsbn, err = fs.AllocFrags(p, ip, pref, needFrags)
-				}
-				if err != nil {
-					return 0, err
-				}
-				if ferr := fs.FreeFrags(p, old, oldFrags); ferr != nil {
-					return 0, ferr
-				}
-				ip.D.Blocks -= oldFrags
-				ip.D.DB[lbn] = fsbn
-				ip.MarkDirty()
-				return fsbn, nil
-			}
+			putIndir(b.Data, pp.idx[lvl], next)
+			fs.BC.Bdwrite(b)
+		}
+		ib = next
+	}
+	return fs.allocInIndir(p, ip, ib, pp.idx[pp.depth-1], lbn)
+}
+
+// allocDirect backs direct block lbn with needFrags fragments: a fresh
+// allocation, or a tail grown in place or moved.
+func (fs *Fs) allocDirect(p *sim.Proc, ip *Inode, lbn int64, needFrags int32) (int32, error) {
+	old := ip.D.DB[lbn]
+	// A block the size does not reach yet counts as whole, so it is
+	// never "grown".
+	oldFrags := fs.SB.BlkFrags(ip.D.Size, lbn)
+	if old != 0 && needFrags <= oldFrags {
+		return old, nil
+	}
+	if old != 0 {
+		// Grow the tail: extend in place, or move it.
+		if ok, err := fs.ExtendFrags(p, ip, old, oldFrags, needFrags); err == nil && ok {
 			return old, nil
 		}
-		pref := fs.BlkPref(ip, lbn, fs.prevAddr(p, ip, lbn))
-		var fsbn int32
-		var err error
-		if needFrags == fs.SB.Frag {
-			fsbn, err = fs.AllocBlock(p, ip, pref)
-		} else {
-			fsbn, err = fs.AllocFrags(p, ip, pref, needFrags)
-		}
-		if err != nil {
-			return 0, err
-		}
-		ip.D.DB[lbn] = fsbn
-		ip.MarkDirty()
-		return fsbn, nil
 	}
-
-	// Indirect ranges: walk/grow the pointer chain.
-	nindir := fs.SB.NindirPerBlock()
-	rel := lbn - NDADDR
-	if rel < nindir {
-		ib, err := fs.ensureIndir(p, ip, &ip.D.IB[0])
-		if err != nil {
-			return 0, err
-		}
-		return fs.allocInIndir(p, ip, ib, rel, lbn)
+	pref := fs.BlkPref(ip, lbn, fs.prevAddr(p, ip, lbn))
+	var fsbn int32
+	var err error
+	if needFrags == fs.SB.Frag {
+		fsbn, err = fs.AllocBlock(p, ip, pref)
+	} else {
+		fsbn, err = fs.AllocFrags(p, ip, pref, needFrags)
 	}
-	rel -= nindir
-	if rel >= nindir*nindir {
-		return 0, fmt.Errorf("ufs: lbn %d beyond double-indirect range", lbn)
-	}
-	ib1, err := fs.ensureIndir(p, ip, &ip.D.IB[1])
 	if err != nil {
 		return 0, err
 	}
-	// Level-1 entry points to a level-2 indirect block.
-	b1, err := fs.BC.Bread(p, ib1)
-	if err != nil {
-		return 0, err
-	}
-	l2 := getIndir(b1.Data, rel/nindir)
-	fs.BC.Brelse(b1)
-	if l2 == 0 {
-		// Allocate with the level-1 buffer released: allocMetaBlock
-		// acquires cylinder-group buffers, and holding b1 across that
-		// would pin a locked buffer over an unrelated wait. Re-reading
-		// to install the pointer is a cache hit — b1 was just released,
-		// so it cannot have been the eviction victim — and the inode
-		// lock keeps the slot ours in between.
-		l2, err = fs.allocMetaBlock(p, ip)
-		if err != nil {
+	if old != 0 {
+		if err := fs.FreeFrags(p, old, oldFrags); err != nil {
 			return 0, err
 		}
-		if b1, err = fs.BC.Bread(p, ib1); err != nil {
-			return 0, err
-		}
-		putIndir(b1.Data, rel/nindir, l2)
-		fs.BC.Bdwrite(b1)
+		ip.D.Blocks -= oldFrags
 	}
-	return fs.allocInIndir(p, ip, l2, rel%nindir, lbn)
+	ip.D.DB[lbn] = fsbn
+	ip.MarkDirty()
+	return fsbn, nil
 }
 
 // ensureIndir allocates (zeroed) the indirect block *slot if missing and

@@ -288,14 +288,7 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 		if fsbn == 0 {
 			continue
 		}
-		// Fragments exist only in the direct range; indirect-range
-		// blocks are always whole even when the size ends mid-block.
-		frags := fs.SB.Frag
-		if lbn < NDADDR {
-			if f := int32(fs.SB.BlkSize(ip.D.Size, lbn)) / fs.SB.Fsize; f > 0 {
-				frags = f
-			}
-		}
+		frags := fs.SB.BlkFrags(ip.D.Size, lbn)
 		if err := fs.FreeFrags(p, fsbn, frags); err != nil {
 			return err
 		}
@@ -304,59 +297,35 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 			return err
 		}
 	}
-	// Free indirect blocks that became empty.
-	nindir := fs.SB.NindirPerBlock()
-	if newBlocks <= NDADDR && ip.D.IB[0] != 0 {
-		if err := fs.FreeFrags(p, ip.D.IB[0], fs.SB.Frag); err != nil {
-			return err
+	// Free the pointer trees the new size no longer reaches into.
+	for k := range ip.D.IB {
+		if ip.D.IB[k] == 0 || newBlocks > fs.SB.indirBase(k) {
+			continue
 		}
-		ip.D.Blocks -= fs.SB.Frag
-		ip.D.IB[0] = 0
-	}
-	if newBlocks <= NDADDR+nindir && ip.D.IB[1] != 0 {
-		// Copy the level-2 pointers out and release the level-1 buffer
-		// before freeing anything: FreeFrags reads cylinder-group
-		// blocks through the cache, and holding b across that sweep
-		// would pin a locked buffer over unrelated waits. The frees
-		// run in the same order as before, so the I/O trace is
-		// unchanged.
-		b, err := fs.BC.Bread(p, ip.D.IB[1])
-		if err != nil {
-			return err
-		}
-		l2s := make([]int32, 0, nindir)
-		for i := int64(0); i < nindir; i++ {
-			if l2 := getIndir(b.Data, i); l2 != 0 {
-				l2s = append(l2s, l2)
-			}
-		}
-		fs.BC.Brelse(b)
-		for _, l2 := range l2s {
-			if err := fs.FreeFrags(p, l2, fs.SB.Frag); err != nil {
+		err := fs.eachIndir(p, ip.D.IB[k], k+1, func(ib int32) error {
+			if err := fs.FreeFrags(p, ib, fs.SB.Frag); err != nil {
 				return err
 			}
 			ip.D.Blocks -= fs.SB.Frag
-		}
-		if err := fs.FreeFrags(p, ip.D.IB[1], fs.SB.Frag); err != nil {
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		ip.D.Blocks -= fs.SB.Frag
-		ip.D.IB[1] = 0
+		ip.D.IB[k] = 0
 	}
 	// Shrink the new tail block to fragments where the direct range
 	// allows it, as FFS truncate does; otherwise di_blocks and the
-	// bitmaps disagree with the new size.
+	// bitmaps disagree with the new size. Only a direct block can hold
+	// fewer fragments than a block, so a shrink implies a DB slot.
 	if size%int64(fs.SB.Bsize) != 0 {
 		lastLbn := size / int64(fs.SB.Bsize)
-		if lastLbn < NDADDR && ip.D.DB[lastLbn] != 0 {
-			oldFrags := int32(fs.SB.BlkSize(ip.D.Size, lastLbn)) / fs.SB.Fsize
-			newFrags := int32(fs.SB.BlkSize(size, lastLbn)) / fs.SB.Fsize
-			if newFrags < oldFrags {
-				if err := fs.FreeFrags(p, ip.D.DB[lastLbn]+newFrags, oldFrags-newFrags); err != nil {
-					return err
-				}
-				ip.D.Blocks -= oldFrags - newFrags
+		oldFrags, newFrags := fs.SB.BlkFrags(ip.D.Size, lastLbn), fs.SB.BlkFrags(size, lastLbn)
+		if newFrags < oldFrags && ip.D.DB[lastLbn] != 0 {
+			if err := fs.FreeFrags(p, ip.D.DB[lastLbn]+newFrags, oldFrags-newFrags); err != nil {
+				return err
 			}
+			ip.D.Blocks -= oldFrags - newFrags
 		}
 	}
 	ip.D.Size = size
@@ -364,47 +333,52 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 	return nil
 }
 
-// clearBlockPtr zeroes the pointer to logical block lbn.
-func (fs *Fs) clearBlockPtr(p *sim.Proc, ip *Inode, lbn int64) error {
-	if lbn < NDADDR {
-		ip.D.DB[lbn] = 0
-		ip.MarkDirty()
-		return nil
-	}
-	nindir := fs.SB.NindirPerBlock()
-	rel := lbn - NDADDR
-	if rel < nindir {
-		if ip.D.IB[0] == 0 {
-			return nil
-		}
-		b, err := fs.BC.Bread(p, ip.D.IB[0])
+// eachIndir calls fn on every pointer block of the tree rooted at ib,
+// children before their parent; height is the tree's pointer levels
+// (1 = ib's entries are data blocks, which fn never sees). A block's
+// entries are copied out and its buffer released before fn runs on any
+// of them: fn sleeps on other buffers (FreeFrags reads cylinder-group
+// blocks, FlushBlock waits for the device), and holding this one across
+// that would pin a locked buffer over unrelated waits.
+func (fs *Fs) eachIndir(p *sim.Proc, ib int32, height int, fn func(ib int32) error) error {
+	if height > 1 {
+		b, err := fs.BC.Bread(p, ib)
 		if err != nil {
 			return err
 		}
-		putIndir(b.Data, rel, 0)
+		var kids []int32
+		for i := int64(0); i < fs.SB.NindirPerBlock(); i++ {
+			if kid := getIndir(b.Data, i); kid != 0 {
+				kids = append(kids, kid)
+			}
+		}
+		fs.BC.Brelse(b)
+		for _, kid := range kids {
+			if err := fs.eachIndir(p, kid, height-1, fn); err != nil {
+				return err
+			}
+		}
+	}
+	return fn(ib)
+}
+
+// clearBlockPtr zeroes the pointer to logical block lbn.
+func (fs *Fs) clearBlockPtr(p *sim.Proc, ip *Inode, lbn int64) error {
+	pp, err := fs.SB.ptrPath(lbn)
+	if err != nil {
+		return err
+	}
+	if pp.depth == 0 {
+		ip.D.DB[pp.root] = 0
+		ip.MarkDirty()
+		return nil
+	}
+	b, err := fs.lastIndir(p, ip, pp)
+	if b != nil {
+		putIndir(b.Data, pp.idx[pp.depth-1], 0)
 		fs.BC.Bdwrite(b)
-		return nil
 	}
-	rel -= nindir
-	if ip.D.IB[1] == 0 {
-		return nil
-	}
-	b1, err := fs.BC.Bread(p, ip.D.IB[1])
-	if err != nil {
-		return err
-	}
-	l2 := getIndir(b1.Data, rel/nindir)
-	fs.BC.Brelse(b1)
-	if l2 == 0 {
-		return nil
-	}
-	b2, err := fs.BC.Bread(p, l2)
-	if err != nil {
-		return err
-	}
-	putIndir(b2.Data, rel%nindir, 0)
-	fs.BC.Bdwrite(b2)
-	return nil
+	return err
 }
 
 // MaxFastLink is the longest symlink target stored directly in the

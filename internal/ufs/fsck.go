@@ -23,6 +23,48 @@ func (r *FsckReport) addf(format string, args ...any) {
 	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
 }
 
+// image is an offline file system image as Fsck and Repair read it.
+// Block addresses found on the image are untrusted: readBlk refuses
+// one outside the file system instead of handing it to the device, so
+// no walker can follow a wild pointer off the platters.
+type image struct {
+	d  disk.Device
+	sb *Superblock
+}
+
+// readBlk returns the block at fragment address fsbn, or nil when any
+// of it lies outside the file system.
+func (im image) readBlk(fsbn int32) []byte {
+	if !im.sb.inRange(fsbn, im.sb.Frag) {
+		return nil
+	}
+	buf := make([]byte, im.sb.Bsize)
+	im.d.ReadImage(im.sb.FsbToDb(fsbn), buf)
+	return buf
+}
+
+// blockAt returns the address the image holds for logical block lbn of
+// di: 0 for a hole, or when a pointer block on the way is missing or
+// unreadable.
+func (im image) blockAt(di *Dinode, lbn int64) int32 {
+	pp, err := im.sb.ptrPath(lbn)
+	if err != nil {
+		return 0
+	}
+	if pp.depth == 0 {
+		return di.DB[pp.root]
+	}
+	addr := di.IB[pp.root]
+	for lvl := 0; lvl < pp.depth && addr != 0; lvl++ {
+		blk := im.readBlk(addr)
+		if blk == nil {
+			return 0
+		}
+		addr = getIndir(blk, pp.idx[lvl])
+	}
+	return addr
+}
+
 // Fsck checks the file system on d's image: superblock sanity, inode
 // block accounting, duplicate and out-of-range block references,
 // directory structure and link counts, bitmap consistency, and summary
@@ -51,19 +93,16 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 		markMeta(sb.CgBase(cgx), sb.MetaFrags(), "group metadata")
 	}
 
-	readBlk := func(fsbn int32) []byte {
-		buf := make([]byte, sb.Bsize)
-		d.ReadImage(sb.FsbToDb(fsbn), buf)
-		return buf
-	}
+	im := image{d, sb}
+	readBlk := im.readBlk
 
 	// claim marks a data fragment used by an inode.
 	claim := func(ino int32, fsbn, n int32) {
+		if !sb.inRange(fsbn, n) {
+			r.addf("ino %d: fragments %d+%d out of range", ino, fsbn, n)
+			return
+		}
 		for i := fsbn; i < fsbn+n; i++ {
-			if i < 0 || i >= sb.Size {
-				r.addf("ino %d: fragment %d out of range", ino, i)
-				return
-			}
 			switch shadow[i] {
 			case 0:
 				shadow[i] = 2
@@ -116,53 +155,38 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 
 		nblocks := (di.Size + int64(sb.Bsize) - 1) / int64(sb.Bsize)
 		var frags int32
-		countData := func(lbn int64, fsbn int32) {
-			n := sb.Frag
-			if lbn < NDADDR {
-				if f := int32(sb.BlkSize(di.Size, lbn)) / sb.Fsize; f > 0 {
-					n = f
+		// walk claims the block at fsbn — height pointer levels above
+		// the data, mapping lbn onward — and then everything under it.
+		// A pointer block at an address claim reported out of range is
+		// not read: readBlk refuses it.
+		var walk func(fsbn int32, height int, lbn int64)
+		walk = func(fsbn int32, height int, lbn int64) {
+			if fsbn == 0 {
+				return
+			}
+			if height == 0 {
+				if lbn >= nblocks {
+					r.addf("ino %d: block %d beyond size %d", ino, lbn, di.Size)
 				}
+				n := sb.BlkFrags(di.Size, lbn)
+				claim(ino, fsbn, n)
+				frags += n
+				return
 			}
-			claim(ino, fsbn, n)
-			frags += n
-		}
-		for lbn := int64(0); lbn < NDADDR && lbn < nblocks; lbn++ {
-			if di.DB[lbn] != 0 {
-				countData(lbn, di.DB[lbn])
-			}
-		}
-		if di.IB[0] != 0 {
-			claim(ino, di.IB[0], sb.Frag)
+			claim(ino, fsbn, sb.Frag)
 			frags += sb.Frag
-			ib := readBlk(di.IB[0])
-			for i := int64(0); i < nindir && NDADDR+i < nblocks; i++ {
-				if a := getIndir(ib, i); a != 0 {
-					countData(NDADDR+i, a)
+			if blk := readBlk(fsbn); blk != nil {
+				span := sb.indirSpan(height)
+				for i := int64(0); i < nindir; i++ {
+					walk(getIndir(blk, i), height-1, lbn+i*span)
 				}
 			}
 		}
-		if di.IB[1] != 0 {
-			claim(ino, di.IB[1], sb.Frag)
-			frags += sb.Frag
-			ib1 := readBlk(di.IB[1])
-			for i := int64(0); i < nindir; i++ {
-				l2 := getIndir(ib1, i)
-				if l2 == 0 {
-					continue
-				}
-				claim(ino, l2, sb.Frag)
-				frags += sb.Frag
-				ib2 := readBlk(l2)
-				for j := int64(0); j < nindir; j++ {
-					lbn := NDADDR + nindir + i*nindir + j
-					if a := getIndir(ib2, j); a != 0 {
-						if lbn >= nblocks {
-							r.addf("ino %d: block %d beyond size %d", ino, lbn, di.Size)
-						}
-						countData(lbn, a)
-					}
-				}
-			}
+		for lbn, fsbn := range di.DB {
+			walk(fsbn, 0, int64(lbn))
+		}
+		for k, fsbn := range di.IB {
+			walk(fsbn, k+1, sb.indirBase(k))
 		}
 		if frags != di.Blocks {
 			r.addf("ino %d: holds %d fragments but di_blocks says %d", ino, frags, di.Blocks)
@@ -192,26 +216,25 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 			r.addf("dir ino %d: size %d not a block multiple", ino, di.Size)
 		}
 		nblocks := di.Size / int64(sb.Bsize)
-		// The walk below addresses direct and single-indirect blocks
-		// only; a size beyond them is corruption, reported once rather
+		// This repository keeps directories out of the double-indirect
+		// range; a size beyond that is corruption, reported once rather
 		// than as one hole per block the size claims.
-		if reach := NDADDR + nindir; nblocks > reach {
+		if reach := sb.indirBase(1); nblocks > reach {
 			r.addf("dir ino %d: impossible size %d", ino, di.Size)
 			nblocks = reach
 		}
 		sawDot, sawDotDot := false, false
 		for lbn := int64(0); lbn < nblocks; lbn++ {
-			var fsbn int32
-			if lbn < NDADDR {
-				fsbn = di.DB[lbn]
-			} else if di.IB[0] != 0 && lbn-NDADDR < nindir {
-				fsbn = getIndir(readBlk(di.IB[0]), lbn-NDADDR)
-			}
+			fsbn := im.blockAt(&di, lbn)
 			if fsbn == 0 {
 				r.addf("dir ino %d: hole at block %d", ino, lbn)
 				continue
 			}
-			ents, err := parseDirents(readBlk(fsbn))
+			blk := readBlk(fsbn)
+			if blk == nil {
+				continue // pass 1 reported the address
+			}
+			ents, err := parseDirents(blk)
 			if err != nil {
 				r.addf("dir ino %d block %d: %v", ino, lbn, err)
 				continue

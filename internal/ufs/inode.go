@@ -286,30 +286,12 @@ func (fs *Fs) SyncInode(p *sim.Proc, ip *Inode) error {
 		fs.J.Begin(p)
 		return fs.J.End(p)
 	}
-	if ib := ip.D.IB[1]; ib != 0 {
-		b, err := fs.BC.Bread(p, ib)
+	for k := len(ip.D.IB) - 1; k >= 0; k-- {
+		if ip.D.IB[k] == 0 {
+			continue
+		}
+		err := fs.eachIndir(p, ip.D.IB[k], k+1, func(ib int32) error { return fs.BC.FlushBlock(p, ib) })
 		if err != nil {
-			return err
-		}
-		nindir := fs.SB.NindirPerBlock()
-		var l2s []int32
-		for i := int64(0); i < nindir; i++ {
-			if l2 := getIndir(b.Data, i); l2 != 0 {
-				l2s = append(l2s, l2)
-			}
-		}
-		fs.BC.Brelse(b)
-		for _, l2 := range l2s {
-			if err := fs.BC.FlushBlock(p, l2); err != nil {
-				return err
-			}
-		}
-		if err := fs.BC.FlushBlock(p, ib); err != nil {
-			return err
-		}
-	}
-	if ib := ip.D.IB[0]; ib != 0 {
-		if err := fs.BC.FlushBlock(p, ib); err != nil {
 			return err
 		}
 	}
@@ -376,9 +358,3 @@ func (fs *Fs) chargeCPU(p *sim.Proc, c cpu.Category, instr int64) {
 		fs.CPU.Use(p, c, instr)
 	}
 }
-
-// Driver returns the underlying driver (for raw access in benchmarks).
-func (fs *Fs) Driver() *driver.Driver { return fs.Drv }
-
-// CsumForTest exposes the in-core free-block summary for diagnostics.
-func (fs *Fs) CsumForTest() []int32 { return fs.csum }

@@ -114,9 +114,6 @@ type Superblock struct {
 // SBSize is the marshaled superblock size budget (one fragment).
 const SBSize = 1024
 
-// FragsPerBlock returns Frag as int.
-func (sb *Superblock) FragsPerBlock() int { return int(sb.Frag) }
-
 // InodesPerBlock returns how many dinodes fit one block.
 func (sb *Superblock) InodesPerBlock() int { return int(sb.Bsize) / DinodeSize }
 
@@ -197,10 +194,7 @@ func (sb *Superblock) BlkSize(size int64, lbn int64) int {
 func (sb *Superblock) NindirPerBlock() int64 { return int64(sb.Bsize) / 4 }
 
 // MaxFileBlocks returns the largest addressable logical block count.
-func (sb *Superblock) MaxFileBlocks() int64 {
-	n := sb.NindirPerBlock()
-	return NDADDR + n + n*n
-}
+func (sb *Superblock) MaxFileBlocks() int64 { return sb.indirBase(NIADDR) }
 
 // Marshal encodes the superblock into a fragment-sized buffer.
 func (sb *Superblock) Marshal() []byte {

@@ -36,8 +36,7 @@ func (r *RepairReport) fixf(format string, args ...any) {
 
 // repairer carries the working state of one Repair run.
 type repairer struct {
-	d      disk.Device
-	sb     *Superblock
+	image
 	r      *RepairReport
 	dinode []Dinode // indexed by ino; cleared entries are the zero value
 	owner  []int32  // fragment -> claiming ino; 0 free, -1 metadata
@@ -60,7 +59,7 @@ func Repair(d disk.Device) (*RepairReport, error) {
 		}
 		rep.fixf("superblock: primary unreadable, restored from a backup copy")
 	}
-	rp := &repairer{d: d, sb: sb, r: rep}
+	rp := &repairer{image: image{d, sb}, r: rep}
 
 	rp.loadInodes()
 	rp.sanitizeInodes()
@@ -99,12 +98,6 @@ func findAltSuperblock(d disk.Device) (*Superblock, error) {
 		return sb, nil
 	}
 	return nil, fmt.Errorf("ufs: no superblock copy found in %d fragments", totalFrags)
-}
-
-func (rp *repairer) readBlk(fsbn int32) []byte {
-	buf := make([]byte, rp.sb.Bsize)
-	rp.d.ReadImage(rp.sb.FsbToDb(fsbn), buf)
-	return buf
 }
 
 func (rp *repairer) writeBlk(fsbn int32, data []byte) {
@@ -170,7 +163,7 @@ func (rp *repairer) sanitizeInodes() {
 // rangeOK reports whether [fsbn, fsbn+n) lies entirely in some group's
 // data area.
 func (rp *repairer) rangeOK(fsbn, n int32) bool {
-	if fsbn <= 0 || fsbn+n > rp.sb.Size {
+	if fsbn == 0 || !rp.sb.inRange(fsbn, n) {
 		return false
 	}
 	for i := fsbn; i < fsbn+n; i++ {
@@ -212,27 +205,62 @@ func (rp *repairer) newOwnerMap() []int32 {
 	return owner
 }
 
-// dataFrags returns how many fragments logical block lbn of a file of
-// the given size occupies.
-func (rp *repairer) dataFrags(size, lbn int64) int32 {
-	n := rp.sb.Frag
-	if lbn < NDADDR {
-		if f := int32(rp.sb.BlkSize(size, lbn)) / rp.sb.Fsize; f > 0 {
-			n = f
-		}
+// sweep walks di's pointer tree top-down, parents before children.
+// check is asked about every nonzero pointer — fsbn, sitting height
+// pointer levels above the data and mapping lbn onward — and answers
+// whether it stays; a refused pointer is zeroed with everything under
+// it unvisited, and the pointer block that held it is rewritten. hole,
+// when not nil, hears the first lbn behind every zero pointer.
+func (rp *repairer) sweep(di *Dinode, check func(height int, lbn int64, fsbn int32) bool, hole func(lbn int64)) {
+	for lbn := range di.DB {
+		rp.sweepPtr(&di.DB[lbn], 0, int64(lbn), check, hole)
 	}
-	return n
+	for k := range di.IB {
+		rp.sweepPtr(&di.IB[k], k+1, rp.sb.indirBase(k), check, hole)
+	}
 }
 
-// fixPointers walks every surviving inode's block pointers in ascending
-// inode order, zeroing the ones that are out of range, point into
-// metadata, duplicate an earlier claim, or lie beyond the file size.
-// Directories additionally may not contain holes: a directory is
+// sweepPtr is sweep below one pointer; it reports whether it changed it.
+func (rp *repairer) sweepPtr(ptr *int32, height int, lbn int64, check func(int, int64, int32) bool, hole func(int64)) bool {
+	if *ptr == 0 {
+		if hole != nil {
+			hole(lbn)
+		}
+		return false
+	}
+	if !check(height, lbn, *ptr) {
+		*ptr = 0
+		return true
+	}
+	if height == 0 {
+		return false
+	}
+	blk := rp.readBlk(*ptr)
+	if blk == nil { // check let an unreadable address through
+		*ptr = 0
+		return true
+	}
+	changed, span := false, rp.sb.indirSpan(height)
+	for i := int64(0); i < rp.sb.NindirPerBlock(); i++ {
+		if a := getIndir(blk, i); rp.sweepPtr(&a, height-1, lbn+i*span, check, hole) {
+			putIndir(blk, i, a)
+			changed = true
+		}
+	}
+	if changed {
+		rp.writeBlk(*ptr, blk)
+	}
+	return false
+}
+
+// fixPointers sweeps every surviving inode's block pointers in
+// ascending inode order, zeroing the ones that are out of range, point
+// into metadata, duplicate an earlier claim, or lie beyond the file
+// size. Directories additionally may not contain holes: a directory is
 // truncated at its first missing block, and cleared outright if that
 // block is block 0.
 func (rp *repairer) fixPointers() {
 	sb := rp.sb
-	nindir := sb.NindirPerBlock()
 	rp.owner = rp.newOwnerMap()
 	for inoInt := range rp.dinode {
 		ino := int32(inoInt)
@@ -242,148 +270,39 @@ func (rp *repairer) fixPointers() {
 		}
 		nblocks := (di.Size + int64(sb.Bsize) - 1) / int64(sb.Bsize)
 		dirHole := int64(-1)
-
-		// checkData validates and claims the data block at lbn; on any
-		// problem it zeroes *pp and notes a directory hole.
-		checkData := func(lbn int64, pp *int32) {
-			fsbn := *pp
-			if fsbn == 0 {
-				if di.IsDir() && lbn < nblocks && (dirHole < 0 || lbn < dirHole) {
-					dirHole = lbn
-				}
-				return
+		hole := func(lbn int64) {
+			if di.IsDir() && lbn < nblocks && (dirHole < 0 || lbn < dirHole) {
+				dirHole = lbn
+			}
+		}
+		rp.sweep(di, func(height int, lbn int64, fsbn int32) bool {
+			what, frags := "indirect", sb.Frag
+			if height == 0 {
+				what, frags = "block", sb.BlkFrags(di.Size, lbn)
 			}
 			if lbn >= nblocks {
-				rp.r.fixf("ino %d: zeroed block pointer %d beyond size %d", ino, lbn, di.Size)
-				*pp = 0
-				return
+				rp.r.fixf("ino %d: zeroed %s pointer at lbn %d beyond size %d", ino, what, lbn, di.Size)
+				return false
 			}
-			if !rp.claim(ino, fsbn, rp.dataFrags(di.Size, lbn)) {
-				rp.r.fixf("ino %d: zeroed bad or duplicate block pointer at lbn %d (fsbn %d)", ino, lbn, fsbn)
-				*pp = 0
-				if di.IsDir() && (dirHole < 0 || lbn < dirHole) {
-					dirHole = lbn
-				}
+			if !rp.claim(ino, fsbn, frags) {
+				rp.r.fixf("ino %d: zeroed bad or duplicate %s pointer at lbn %d (fsbn %d)", ino, what, lbn, fsbn)
+				hole(lbn)
+				return false
 			}
-		}
+			return true
+		}, hole)
 
-		for lbn := int64(0); lbn < NDADDR; lbn++ {
-			checkData(lbn, &di.DB[lbn])
-		}
-		if di.IB[0] != 0 {
-			if nblocks <= NDADDR || !rp.claim(ino, di.IB[0], sb.Frag) {
-				rp.r.fixf("ino %d: zeroed bad indirect pointer IB[0] (fsbn %d)", ino, di.IB[0])
-				di.IB[0] = 0
-			} else {
-				ib := rp.readBlk(di.IB[0])
-				changed := false
-				for i := int64(0); i < nindir; i++ {
-					a := getIndir(ib, i)
-					if a == 0 && di.IsDir() && NDADDR+i < nblocks && (dirHole < 0 || NDADDR+i < dirHole) {
-						dirHole = NDADDR + i
-					}
-					if a == 0 {
-						continue
-					}
-					p := a
-					checkData(NDADDR+i, &p)
-					if p != a {
-						putIndir(ib, i, p)
-						changed = true
-					}
-				}
-				if changed {
-					rp.writeBlk(di.IB[0], ib)
-				}
-			}
-		}
-		if di.IB[1] != 0 {
-			if nblocks <= NDADDR+nindir || !rp.claim(ino, di.IB[1], sb.Frag) {
-				rp.r.fixf("ino %d: zeroed bad indirect pointer IB[1] (fsbn %d)", ino, di.IB[1])
-				di.IB[1] = 0
-			} else {
-				ib1 := rp.readBlk(di.IB[1])
-				l1changed := false
-				for i := int64(0); i < nindir; i++ {
-					l2 := getIndir(ib1, i)
-					if l2 == 0 {
-						continue
-					}
-					if NDADDR+nindir+i*nindir >= nblocks || !rp.claim(ino, l2, sb.Frag) {
-						rp.r.fixf("ino %d: zeroed bad second-level indirect pointer (fsbn %d)", ino, l2)
-						putIndir(ib1, i, 0)
-						l1changed = true
-						continue
-					}
-					ib2 := rp.readBlk(l2)
-					l2changed := false
-					for j := int64(0); j < nindir; j++ {
-						a := getIndir(ib2, j)
-						if a == 0 {
-							continue
-						}
-						p := a
-						checkData(NDADDR+nindir+i*nindir+j, &p)
-						if p != a {
-							putIndir(ib2, j, p)
-							l2changed = true
-						}
-					}
-					if l2changed {
-						rp.writeBlk(l2, ib2)
-					}
-				}
-				if l1changed {
-					rp.writeBlk(di.IB[1], ib1)
-				}
-			}
-		}
-
-		if di.IsDir() && dirHole >= 0 {
-			if dirHole == 0 {
-				rp.clear(ino, "directory lost its first block")
-				continue
-			}
+		if dirHole == 0 {
+			rp.clear(ino, "directory lost its first block")
+		} else if dirHole > 0 {
 			rp.r.fixf("ino %d: directory has a hole at block %d, truncated from %d to %d bytes",
 				ino, dirHole, di.Size, dirHole*int64(sb.Bsize))
 			di.Size = dirHole * int64(sb.Bsize)
-			// Pointers past the hole (already claimed above) become
-			// beyond-size; the final claim sweep in rebuildMaps drops
-			// them, so just zero them here.
-			rp.zeroFrom(di, dirHole)
+			// Pointers past the hole are now beyond the size; zero them
+			// (the final claim sweep in rebuildMaps releases what they
+			// claimed above).
+			rp.sweep(di, func(_ int, lbn int64, _ int32) bool { return lbn < dirHole }, nil)
 		}
-	}
-}
-
-// zeroFrom zeroes every block pointer of di at logical block >= from.
-func (rp *repairer) zeroFrom(di *Dinode, from int64) {
-	sb := rp.sb
-	nindir := sb.NindirPerBlock()
-	for lbn := from; lbn < NDADDR; lbn++ {
-		di.DB[lbn] = 0
-	}
-	if di.IB[0] != 0 {
-		if from <= NDADDR {
-			di.IB[0] = 0
-		} else {
-			ib := rp.readBlk(di.IB[0])
-			changed := false
-			for i := from - NDADDR; i < nindir; i++ {
-				if getIndir(ib, i) != 0 {
-					putIndir(ib, i, 0)
-					changed = true
-				}
-			}
-			if changed {
-				rp.writeBlk(di.IB[0], ib)
-			}
-		}
-	}
-	if di.IB[1] != 0 && from <= NDADDR+nindir {
-		// Directories never grow into double-indirect range in this
-		// repository's workloads; a hole before that range just drops
-		// the whole subtree.
-		di.IB[1] = 0
 	}
 }
 
@@ -435,19 +354,6 @@ func (rp *repairer) findFreeBlock() int32 {
 				return base + f
 			}
 		}
-	}
-	return 0
-}
-
-// dirBlockFsbn returns the fragment address of directory block lbn, or
-// 0 (repair keeps directories within direct + single-indirect range,
-// like Fsck).
-func (rp *repairer) dirBlockFsbn(di *Dinode, lbn int64) int32 {
-	if lbn < NDADDR {
-		return di.DB[lbn]
-	}
-	if di.IB[0] != 0 && lbn-NDADDR < rp.sb.NindirPerBlock() {
-		return getIndir(rp.readBlk(di.IB[0]), lbn-NDADDR)
 	}
 	return 0
 }
@@ -510,7 +416,7 @@ func (rp *repairer) walkDirectories() {
 		nblocks := di.Size / int64(sb.Bsize)
 		var children []frame
 		for lbn := int64(0); lbn < nblocks; lbn++ {
-			fsbn := rp.dirBlockFsbn(di, lbn)
+			fsbn := rp.blockAt(di, lbn)
 			if fsbn == 0 {
 				continue // fixPointers already truncated holes; defensive
 			}
@@ -617,7 +523,6 @@ func (rp *repairer) walkDirectories() {
 // piece of metadata — inode blocks included — is written back.
 func (rp *repairer) rebuildMaps() {
 	sb := rp.sb
-	nindir := sb.NindirPerBlock()
 	rp.owner = rp.newOwnerMap()
 	for inoInt := range rp.dinode {
 		ino := int32(inoInt)
@@ -626,43 +531,17 @@ func (rp *repairer) rebuildMaps() {
 			continue
 		}
 		var frags int32
-		take := func(lbn int64, fsbn int32) {
-			n := rp.dataFrags(di.Size, lbn)
-			if rp.claim(ino, fsbn, n) {
-				frags += n
+		rp.sweep(di, func(height int, lbn int64, fsbn int32) bool {
+			n := sb.Frag
+			if height == 0 {
+				n = sb.BlkFrags(di.Size, lbn)
 			}
-		}
-		for lbn := int64(0); lbn < NDADDR; lbn++ {
-			if di.DB[lbn] != 0 {
-				take(lbn, di.DB[lbn])
+			if !rp.claim(ino, fsbn, n) {
+				return false
 			}
-		}
-		if di.IB[0] != 0 && rp.claim(ino, di.IB[0], sb.Frag) {
-			frags += sb.Frag
-			ib := rp.readBlk(di.IB[0])
-			for i := int64(0); i < nindir; i++ {
-				if a := getIndir(ib, i); a != 0 {
-					take(NDADDR+i, a)
-				}
-			}
-		}
-		if di.IB[1] != 0 && rp.claim(ino, di.IB[1], sb.Frag) {
-			frags += sb.Frag
-			ib1 := rp.readBlk(di.IB[1])
-			for i := int64(0); i < nindir; i++ {
-				l2 := getIndir(ib1, i)
-				if l2 == 0 || !rp.claim(ino, l2, sb.Frag) {
-					continue
-				}
-				frags += sb.Frag
-				ib2 := rp.readBlk(l2)
-				for j := int64(0); j < nindir; j++ {
-					if a := getIndir(ib2, j); a != 0 {
-						take(NDADDR+nindir+i*nindir+j, a)
-					}
-				}
-			}
-		}
+			frags += n
+			return true
+		}, nil)
 		if di.Blocks != frags {
 			rp.r.fixf("ino %d: di_blocks %d, holds %d fragments", ino, di.Blocks, frags)
 			di.Blocks = frags

@@ -7,12 +7,13 @@ import (
 	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/sim"
+	"ufsclust/internal/vol"
 )
 
-// testRig assembles a small disk + driver + mounted fs.
+// testRig assembles a small device + driver + mounted fs.
 type testRig struct {
 	s  *sim.Sim
-	d  *disk.Disk
+	d  disk.Device
 	dr *driver.Driver
 	fs *Fs
 	sb *Superblock
@@ -21,15 +22,29 @@ type testRig struct {
 // smallDisk is ~25 MB so tests run fast: 96 cyls x 8 heads x 64 spt.
 func smallGeom() *disk.Geometry { return disk.UniformGeometry(96, 8, 64, 3600) }
 
-func newRig(t *testing.T, opts MkfsOpts) *testRig {
+func newRig(t *testing.T, opts MkfsOpts) *testRig { return newRigOn(t, nil, opts) }
+
+// newRigOn builds the rig on a volume of small drives; a nil vc means
+// one bare drive.
+func newRigOn(t *testing.T, vc *vol.Config, opts MkfsOpts) *testRig {
 	t.Helper()
 	s := sim.New(1)
 	t.Cleanup(s.Close)
 	p := disk.DefaultParams()
 	p.Geom = smallGeom()
-	d := disk.New(s, "d0", p)
-	sb, err := Mkfs(d, opts)
-	if err != nil {
+	var d disk.Device
+	if vc == nil {
+		d = disk.New(s, "d0", p)
+	} else {
+		cfg := *vc
+		cfg.Member = &p
+		v, err := vol.New(s, "vol0", cfg)
+		if err != nil {
+			t.Fatalf("vol: %v", err)
+		}
+		d = v
+	}
+	if _, err := Mkfs(d, opts); err != nil {
 		t.Fatalf("mkfs: %v", err)
 	}
 	dr := driver.New(s, d, nil, driver.DefaultConfig())
@@ -37,7 +52,6 @@ func newRig(t *testing.T, opts MkfsOpts) *testRig {
 	if err != nil {
 		t.Fatalf("mount: %v", err)
 	}
-	_ = sb
 	// Share the mounted superblock so tests observe live accounting.
 	return &testRig{s: s, d: d, dr: dr, fs: fs, sb: fs.SB}
 }

@@ -110,9 +110,3 @@ func (as *AddressSpace) Touch(p *sim.Proc, addr int64) (*Page, error) {
 	seg.translations[pageAddr] = pg
 	return pg, nil
 }
-
-// InvalidateTranslations drops all MMU translations of a segment (e.g.
-// after an unmap elsewhere or a truncation).
-func (s *Seg) InvalidateTranslations() {
-	s.translations = make(map[int64]*Page)
-}

@@ -303,10 +303,6 @@ func (v *Volume) WriteUnit() int {
 // submit to members directly while the volume is live.
 func (v *Volume) Members() []*disk.Disk { return v.members }
 
-// StripeSectors returns the stripe unit in sectors (0 for concat and
-// RAID-1).
-func (v *Volume) StripeSectors() int64 { return v.ss }
-
 // Failed returns the indices of failed members, in order.
 func (v *Volume) Failed() []int {
 	var out []int

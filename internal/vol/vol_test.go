@@ -76,11 +76,11 @@ func TestConfigValidation(t *testing.T) {
 	s := sim.New(1)
 	t.Cleanup(s.Close)
 	bad := []vol.Config{
-		{Level: vol.RAID5, Members: 2, Member: member()},                    // too few
-		{Level: vol.RAID0, Members: 1, Member: member()},                    // too few
-		{Level: vol.RAID0, Members: 2, StripeKB: 3, Member: member()},       // stripe does not divide capacity
-		{Level: vol.RAID0, Members: 2, Degraded: []int{0}, Member: member()}, // no redundancy to degrade
-		{Level: vol.RAID1, Members: 2, Degraded: []int{5}, Member: member()}, // member out of range
+		{Level: vol.RAID5, Members: 2, Member: member()},                        // too few
+		{Level: vol.RAID0, Members: 1, Member: member()},                        // too few
+		{Level: vol.RAID0, Members: 2, StripeKB: 3, Member: member()},           // stripe does not divide capacity
+		{Level: vol.RAID0, Members: 2, Degraded: []int{0}, Member: member()},    // no redundancy to degrade
+		{Level: vol.RAID1, Members: 2, Degraded: []int{5}, Member: member()},    // member out of range
 		{Level: vol.RAID5, Members: 3, Degraded: []int{0, 1}, Member: member()}, // beyond tolerance
 	}
 	for i, cfg := range bad {

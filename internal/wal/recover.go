@@ -12,9 +12,9 @@ import (
 // log region size, however large the image is, because recovery only
 // ever reads log sectors.
 type RecoverReport struct {
-	Txns     int   // transactions replayed
-	Blocks   int   // metadata blocks written home
-	TornTail bool  // scanning stopped at a torn (partially written) transaction
+	Txns     int    // transactions replayed
+	Blocks   int    // metadata blocks written home
+	TornTail bool   // scanning stopped at a torn (partially written) transaction
 	Epoch    uint64 // log epoch that was replayed
 
 	SectorsRead    int64 // log sectors read during the scan

@@ -3,12 +3,10 @@ package ufsclust
 import (
 	"io"
 
-	"ufsclust/internal/core"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/prefetch"
-	"ufsclust/internal/ufs"
 	"ufsclust/internal/vec"
 	"ufsclust/internal/vol"
 	"ufsclust/internal/wal"
@@ -21,11 +19,6 @@ type Option func(*Options)
 // WithSeed sets the simulation's RNG seed.
 func WithSeed(seed int64) Option {
 	return func(o *Options) { o.Seed = seed }
-}
-
-// WithMIPS sets the CPU speed in million instructions per second.
-func WithMIPS(mips float64) Option {
-	return func(o *Options) { o.MIPS = mips }
 }
 
 // WithMemBytes sets physical memory (0 keeps the paper's 8 MB).
@@ -41,21 +34,6 @@ func WithDiskParams(p disk.Params) Option {
 // WithDriverConfig replaces the driver configuration.
 func WithDriverConfig(c driver.Config) Option {
 	return func(o *Options) { o.Driver = &c }
-}
-
-// WithMkfs replaces the mkfs tuning.
-func WithMkfs(mk ufs.MkfsOpts) Option {
-	return func(o *Options) { o.Mkfs = mk }
-}
-
-// WithMount replaces the mount options.
-func WithMount(mo ufs.MountOpts) Option {
-	return func(o *Options) { o.Mount = mo }
-}
-
-// WithEngine replaces the engine configuration.
-func WithEngine(c core.Config) Option {
-	return func(o *Options) { o.Engine = c }
 }
 
 // WithWriteLimit sets the per-file cap on queued write bytes

@@ -5,12 +5,10 @@ import (
 	"reflect"
 	"testing"
 
-	"ufsclust/internal/core"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/prefetch"
-	"ufsclust/internal/ufs"
 	"ufsclust/internal/vec"
 	"ufsclust/internal/vol"
 	"ufsclust/internal/wal"
@@ -44,13 +42,9 @@ func TestPublicOptionsSurface(t *testing.T) {
 func TestOptionConstructorsCompose(t *testing.T) {
 	opts := []Option{
 		WithSeed(7),
-		WithMIPS(12),
 		WithMemBytes(8 << 20),
 		WithDiskParams(disk.DefaultParams()),
 		WithDriverConfig(driver.DefaultConfig()),
-		WithMkfs(ufs.MkfsOpts{}),
-		WithMount(ufs.MountOpts{}),
-		WithEngine(core.Config{}),
 		WithWriteLimit(0),
 		WithFreeBehind(false),
 		WithReadAhead(prefetch.NewFixed()),

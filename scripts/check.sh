@@ -4,6 +4,8 @@
 # Runs, in order:
 #   1. go build ./...                      everything compiles
 #   2. go vet ./...                        stock vet findings
+#      gofmt -l .                          formatting: any file listed
+#                                          fails the gate
 #   3. simlint ./...                       determinism & simulation-hygiene
 #                                          rules (internal/analysis), the
 #                                          interprocedural simflow rules
@@ -54,6 +56,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> simlint ./..."
 go build -o "$tmp/simlint" ./cmd/simlint
