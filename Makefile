@@ -31,6 +31,7 @@ check:
 fuzz:
 	go test ./internal/ufs -run '^$$' -fuzz '^FuzzPtrPath$$' -fuzztime 30s -fuzzminimizetime 5s
 	go test ./internal/ufs -run '^$$' -fuzz '^FuzzFsckRepair$$' -fuzztime 30s -fuzzminimizetime 5s
+	go test ./internal/wal -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 30s -fuzzminimizetime 5s
 
 # bench regenerates BENCH_iobench.json, the committed matrix of virtual
 # rates and counters that TestMatrixMatchesCommitted compares byte for

@@ -314,15 +314,3 @@ func (bc *Bcache) FlushBlock(p *sim.Proc, fsbn int32) error {
 	bc.Brelse(b)
 	return err
 }
-
-// FlushImage spills every dirty buffer straight to the image with no
-// simulated time: the offline path used before fsck in tests.
-func (bc *Bcache) FlushImage() {
-	for _, fsbn := range detsort.Keys(bc.bufs) {
-		b := bc.bufs[fsbn]
-		if b.dirty {
-			bc.Drv.Disk.WriteImage(bc.sb.FsbToDb(b.Fsbn), b.Data)
-			b.dirty = false
-		}
-	}
-}

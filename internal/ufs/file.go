@@ -86,19 +86,12 @@ func (fs *Fs) lookupParent(p *sim.Proc, path string) (*Inode, string, error) {
 	return dip, comps[len(comps)-1], nil
 }
 
-// Create makes a new regular file and returns its inode (referenced).
-// Like every top-level namespace operation it runs inside a journal
-// transaction frame when a journal is attached: the synchronous
-// metadata writes below degrade to delayed ones and the closing jEnd
-// commits them all with one sequential log write.
-func (fs *Fs) Create(p *sim.Proc, path string) (*Inode, error) {
-	fs.jBegin(p)
-	ip, err := fs.create(p, path)
-	fs.jEnd(p, &err)
-	return ip, err
-}
-
-func (fs *Fs) create(p *sim.Proc, path string) (*Inode, error) {
+// newNode is what Create, Mkdir and Symlink share: resolve the parent,
+// refuse an existing name, allocate an inode, let fill build the dinode
+// (and whatever blocks it needs), enter the name, and write the new
+// inode. It returns the inode referenced; on any failure after the
+// allocation the reference is dropped.
+func (fs *Fs) newNode(p *sim.Proc, path string, isDir bool, fill func(p *sim.Proc, dip, ip *Inode) error) (*Inode, error) {
 	dip, name, err := fs.lookupParent(p, path)
 	if err != nil {
 		return nil, err
@@ -109,7 +102,7 @@ func (fs *Fs) create(p *sim.Proc, path string) (*Inode, error) {
 	} else if err != ErrNotFound {
 		return nil, err
 	}
-	ino, err := fs.IAlloc(p, dip, false)
+	ino, err := fs.IAlloc(p, dip, isDir)
 	if err != nil {
 		return nil, err
 	}
@@ -117,85 +110,76 @@ func (fs *Fs) create(p *sim.Proc, path string) (*Inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	ip.D = Dinode{Mode: ModeReg | 0o644, Nlink: 1}
-	ip.MarkDirty()
-	if err := fs.DirEnter(p, dip, name, ino); err != nil {
-		fs.Iput(p, ip)
-		return nil, err
+	if err = fill(p, dip, ip); err == nil {
+		ip.MarkDirty()
+		err = fs.DirEnter(p, dip, name, ino)
 	}
-	// UFS writes the new inode synchronously so the name never points
-	// at garbage after a crash — one of the ordering costs B_ORDER
-	// would remove.
-	if err := fs.IUpdate(p, ip, true); err != nil {
+	if err == nil {
+		if isDir {
+			dip.D.Nlink++ // the child's ".."
+			dip.MarkDirty()
+		}
+		// UFS writes the new inode synchronously so the name never points
+		// at garbage after a crash — one of the ordering costs B_ORDER
+		// would remove.
+		err = fs.IUpdate(p, ip, true)
+	}
+	if err != nil {
 		fs.Iput(p, ip)
 		return nil, err
 	}
 	return ip, nil
 }
 
-// Mkdir creates a directory.
-func (fs *Fs) Mkdir(p *sim.Proc, path string) (*Inode, error) {
-	fs.jBegin(p)
-	ip, err := fs.mkdir(p, path)
-	fs.jEnd(p, &err)
+// Create makes a new regular file and returns its inode (referenced).
+// Like every top-level namespace operation it runs inside a journal
+// transaction frame when a journal is attached: the synchronous
+// metadata writes below degrade to delayed ones and the closing frame
+// commits them all with one sequential log write.
+func (fs *Fs) Create(p *sim.Proc, path string) (ip *Inode, err error) {
+	err = fs.journaled(p, func() (err error) {
+		ip, err = fs.newNode(p, path, false, func(_ *sim.Proc, _, ip *Inode) error {
+			ip.D = Dinode{Mode: ModeReg | 0o644, Nlink: 1}
+			return nil
+		})
+		return err
+	})
 	return ip, err
 }
 
-func (fs *Fs) mkdir(p *sim.Proc, path string) (*Inode, error) {
-	dip, name, err := fs.lookupParent(p, path)
-	if err != nil {
-		return nil, err
-	}
-	defer fs.Iput(p, dip)
-	if _, err := fs.DirLookup(p, dip, name); err == nil {
-		return nil, ErrExists
-	} else if err != ErrNotFound {
-		return nil, err
-	}
-	ino, err := fs.IAlloc(p, dip, true)
-	if err != nil {
-		return nil, err
-	}
-	ip, err := fs.Iget(p, ino)
-	if err != nil {
-		return nil, err
-	}
+// Mkdir creates a directory.
+func (fs *Fs) Mkdir(p *sim.Proc, path string) (ip *Inode, err error) {
+	err = fs.journaled(p, func() (err error) {
+		ip, err = fs.newNode(p, path, true, fs.emptyDir)
+		return err
+	})
+	return ip, err
+}
+
+// emptyDir is Mkdir's fill: a directory of one block holding "." and
+// "..".
+func (fs *Fs) emptyDir(p *sim.Proc, dip, ip *Inode) error {
 	ip.D = Dinode{Mode: ModeDir | 0o755, Nlink: 2}
 	fsbn, err := fs.BmapAlloc(p, ip, 0, int(fs.SB.Bsize))
 	if err != nil {
-		fs.Iput(p, ip)
-		return nil, err
+		return err
 	}
 	b := fs.BC.getblk(p, fsbn)
 	for i := range b.Data {
 		b.Data[i] = 0
 	}
 	b.valid = true
-	n := putDirent(b.Data, ino, ".")
+	n := putDirent(b.Data, ip.Ino, ".")
 	putDirentLast(b.Data[n:], dip.Ino, "..", int(fs.SB.Bsize)-n)
 	fs.BC.Bdwrite(b)
 	ip.D.Size = int64(fs.SB.Bsize)
-	ip.MarkDirty()
-	if err := fs.DirEnter(p, dip, name, ino); err != nil {
-		fs.Iput(p, ip)
-		return nil, err
-	}
-	dip.D.Nlink++ // the child's ".."
-	dip.MarkDirty()
-	if err := fs.IUpdate(p, ip, true); err != nil {
-		fs.Iput(p, ip)
-		return nil, err
-	}
-	return ip, nil
+	return nil
 }
 
 // Remove unlinks a file or empty directory and frees its storage when
 // the link count reaches zero.
 func (fs *Fs) Remove(p *sim.Proc, path string) error {
-	fs.jBegin(p)
-	err := fs.remove(p, path)
-	fs.jEnd(p, &err)
-	return err
+	return fs.journaled(p, func() error { return fs.remove(p, path) })
 }
 
 func (fs *Fs) remove(p *sim.Proc, path string) error {
@@ -260,10 +244,7 @@ func (fs *Fs) remove(p *sim.Proc, path string) error {
 // blocks past the new end. Growing just updates the length: UFS files
 // are sparse by default.
 func (fs *Fs) Truncate(p *sim.Proc, ip *Inode, size int64) error {
-	fs.jBegin(p)
-	err := fs.truncate(p, ip, size)
-	fs.jEnd(p, &err)
-	return err
+	return fs.journaled(p, func() error { return fs.truncate(p, ip, size) })
 }
 
 func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
@@ -392,55 +373,31 @@ const MaxFastLink = (NDADDR + NIADDR) * 4
 // up to MaxFastLink bytes live in the inode itself (a "fast symlink");
 // longer targets are unsupported in this reproduction.
 func (fs *Fs) Symlink(p *sim.Proc, path, target string) error {
-	fs.jBegin(p)
-	err := fs.symlink(p, path, target)
-	fs.jEnd(p, &err)
-	return err
-}
-
-func (fs *Fs) symlink(p *sim.Proc, path, target string) error {
-	if len(target) == 0 || len(target) > MaxFastLink {
-		return fmt.Errorf("ufs: symlink target length %d unsupported (max %d)", len(target), MaxFastLink)
-	}
-	dip, name, err := fs.lookupParent(p, path)
-	if err != nil {
+	return fs.journaled(p, func() error {
+		if len(target) == 0 || len(target) > MaxFastLink {
+			return fmt.Errorf("ufs: symlink target length %d unsupported (max %d)", len(target), MaxFastLink)
+		}
+		ip, err := fs.newNode(p, path, false, func(_ *sim.Proc, _, ip *Inode) error {
+			ip.D = Dinode{Mode: ModeLink | 0o777, Nlink: 1, Size: int64(len(target))}
+			// Pack the target into the pointer area.
+			var raw [MaxFastLink]byte
+			copy(raw[:], target)
+			for i := 0; i < NDADDR; i++ {
+				ip.D.DB[i] = int32(uint32(raw[i*4]) | uint32(raw[i*4+1])<<8 |
+					uint32(raw[i*4+2])<<16 | uint32(raw[i*4+3])<<24)
+			}
+			for i := 0; i < NIADDR; i++ {
+				o := (NDADDR + i) * 4
+				ip.D.IB[i] = int32(uint32(raw[o]) | uint32(raw[o+1])<<8 |
+					uint32(raw[o+2])<<16 | uint32(raw[o+3])<<24)
+			}
+			return nil
+		})
+		if err == nil {
+			fs.Iput(p, ip)
+		}
 		return err
-	}
-	defer fs.Iput(p, dip)
-	if _, err := fs.DirLookup(p, dip, name); err == nil {
-		return ErrExists
-	} else if err != ErrNotFound {
-		return err
-	}
-	ino, err := fs.IAlloc(p, dip, false)
-	if err != nil {
-		return err
-	}
-	ip, err := fs.Iget(p, ino)
-	if err != nil {
-		return err
-	}
-	ip.D = Dinode{Mode: ModeLink | 0o777, Nlink: 1, Size: int64(len(target))}
-	// Pack the target into the pointer area.
-	var raw [MaxFastLink]byte
-	copy(raw[:], target)
-	for i := 0; i < NDADDR; i++ {
-		ip.D.DB[i] = int32(uint32(raw[i*4]) | uint32(raw[i*4+1])<<8 |
-			uint32(raw[i*4+2])<<16 | uint32(raw[i*4+3])<<24)
-	}
-	for i := 0; i < NIADDR; i++ {
-		o := (NDADDR + i) * 4
-		ip.D.IB[i] = int32(uint32(raw[o]) | uint32(raw[o+1])<<8 |
-			uint32(raw[o+2])<<16 | uint32(raw[o+3])<<24)
-	}
-	ip.MarkDirty()
-	if err := fs.DirEnter(p, dip, name, ino); err != nil {
-		fs.Iput(p, ip)
-		return err
-	}
-	err = fs.IUpdate(p, ip, true)
-	fs.Iput(p, ip)
-	return err
+	})
 }
 
 // Readlink returns a symlink's target, served entirely from the inode —
@@ -465,10 +422,7 @@ func (fs *Fs) Readlink(ip *Inode) (string, error) {
 // Rename moves oldPath to newPath (files or empty-target semantics: an
 // existing regular file at newPath is replaced).
 func (fs *Fs) Rename(p *sim.Proc, oldPath, newPath string) error {
-	fs.jBegin(p)
-	err := fs.rename(p, oldPath, newPath)
-	fs.jEnd(p, &err)
-	return err
+	return fs.journaled(p, func() error { return fs.rename(p, oldPath, newPath) })
 }
 
 func (fs *Fs) rename(p *sim.Proc, oldPath, newPath string) error {

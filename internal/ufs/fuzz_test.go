@@ -68,10 +68,13 @@ func FuzzPtrPath(f *testing.F) {
 	})
 }
 
-// FuzzFsckRepair overlays fuzz bytes on one inode block and one pointer
-// block of a small image that has files in all three pointer ranges and
-// a two-level directory. Whatever the image then says, Fsck returns,
-// Repair returns, and Fsck passes what Repair left — never a panic.
+// FuzzFsckRepair overlays fuzz bytes on one inode block, one pointer
+// block and the primary superblock of a small image that has files in
+// all three pointer ranges and a two-level directory. Whatever the image
+// then says, Fsck and Repair each return a report or an error — never a
+// panic — and while the superblock is left alone neither errs and Fsck
+// passes what Repair left. (Behind a superblock that fits the device but
+// describes some other file system, Repair repairs that one.)
 func FuzzFsckRepair(f *testing.F) {
 	s := sim.New(1)
 	f.Cleanup(s.Close)
@@ -97,6 +100,9 @@ func FuzzFsckRepair(f *testing.F) {
 	seed := d.Snapshot()
 	// Byte offsets of Size, DB and IB within a marshaled dinode.
 	const offSize, offDB, offIB = 12, 44, 44 + NDADDR*4
+	// Byte offsets of Size, Ncg, Fpg and Ipg within a marshaled superblock.
+	const sbSize, sbNcg, sbFpg, sbIpg = 16, 24, 28, 32
+	le32 := func(v int32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
 
 	for _, seed := range []struct {
 		inoOff   int
@@ -104,6 +110,8 @@ func FuzzFsckRepair(f *testing.F) {
 		which    uint8
 		ptrOff   uint16
 		ptrBytes []byte
+		sbOff    uint16
+		sbBytes  []byte
 	}{
 		{}, // the image as built
 		// root size 2^63-1
@@ -120,27 +128,40 @@ func FuzzFsckRepair(f *testing.F) {
 		{inoOff: sb.InoBlockOff(dir) + offDB, inoBytes: []byte{0, 0, 0, 0}, which: 2, ptrOff: 8188, ptrBytes: []byte{1, 2, 3, 4, 5, 6}},
 		// /d claims 16 MB: holes, then no IB[0] at all
 		{inoOff: sb.InoBlockOff(dir) + offSize, inoBytes: []byte{0, 0, 0, 1, 0, 0, 0, 0}},
+		// the primary superblock lies: a group too many, a negative size,
+		// a gigabyte of inodes, no magic at all
+		{sbOff: sbNcg, sbBytes: le32(sb.Ncg + 1)},
+		{sbOff: sbSize, sbBytes: le32(-5)},
+		{sbOff: sbIpg, sbBytes: le32(1 << 20)},
+		{sbBytes: []byte{0, 0, 0, 0}},
+		// it fits the device but is some other file system: one group
+		// spanning both, then twice the inodes in each
+		{sbOff: sbNcg, sbBytes: append(le32(1), le32(sb.Size)...)},
+		{sbOff: sbIpg, sbBytes: le32(2 * sb.Ipg), which: 3, ptrBytes: []byte{0, 0, 0, 0, 0xff, 0xff}},
+		{sbOff: sbFpg, sbBytes: le32(sb.Fpg / 2)},
 	} {
-		f.Add(uint16(seed.inoOff), seed.inoBytes, seed.which, seed.ptrOff, seed.ptrBytes)
+		f.Add(uint16(seed.inoOff), seed.inoBytes, seed.which, seed.ptrOff, seed.ptrBytes, seed.sbOff, seed.sbBytes)
 	}
 
-	f.Fuzz(func(t *testing.T, inoOff uint16, inoBytes []byte, which uint8, ptrOff uint16, ptrBytes []byte) {
+	f.Fuzz(func(t *testing.T, inoOff uint16, inoBytes []byte, which uint8, ptrOff uint16, ptrBytes []byte, sbOff uint16, sbBytes []byte) {
 		d.Restore(seed)
-		overlay := func(fsbn int32, off uint16, data []byte) {
-			blk := make([]byte, sb.Bsize)
+		overlay := func(fsbn int32, size int, off uint16, data []byte) {
+			blk := make([]byte, size)
 			d.ReadImage(sb.FsbToDb(fsbn), blk)
 			copy(blk[int(off)%len(blk):], data)
 			d.WriteImage(sb.FsbToDb(fsbn), blk)
 		}
-		overlay(sb.InoToFsba(RootIno), inoOff, inoBytes)
-		overlay(targets[int(which)%len(targets)], ptrOff, ptrBytes)
+		overlay(sb.InoToFsba(RootIno), int(sb.Bsize), inoOff, inoBytes)
+		overlay(targets[int(which)%len(targets)], int(sb.Bsize), ptrOff, ptrBytes)
+		overlay(sb.CgSBlock(0), SBSize, sbOff, sbBytes)
 
-		if _, err := Fsck(d); err != nil {
-			t.Fatalf("fsck: %v", err)
+		_, ferr := Fsck(d)
+		rr, rerr := Repair(d)
+		if len(sbBytes) > 0 {
+			return
 		}
-		rr, err := Repair(d)
-		if err != nil {
-			t.Fatalf("repair: %v", err)
+		if ferr != nil || rerr != nil {
+			t.Fatalf("fsck: %v, repair: %v", ferr, rerr)
 		}
 		if !rr.Clean() {
 			t.Fatalf("not clean after repair:\nfixes: %q\nproblems: %q", rr.Fixes, rr.Check.Problems)

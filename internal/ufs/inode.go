@@ -85,10 +85,11 @@ func Mount(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, opts MountOpts) 
 	// Load the per-group summary (mount-time work, untimed like the
 	// superblock read).
 	fs.csum = make([]int32, sb.Ncg)
-	blk := make([]byte, sb.Bsize)
+	im := image{drv.Disk, sb}
+	// The header and its two bitmaps, not the whole header block.
+	need := (int32(cgHdrSize) + (sb.Ipg+7)/8 + (sb.Fpg+7)/8 + sb.Fsize - 1) / sb.Fsize
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		readFrags(drv.Disk, sb, sb.CgHeader(cgx), blk)
-		cg, err := UnmarshalCG(sb, blk)
+		cg, err := UnmarshalCG(sb, im.read(sb.CgHeader(cgx), need))
 		if err != nil {
 			return nil, fmt.Errorf("mount: cg %d: %w", cgx, err)
 		}
@@ -319,29 +320,31 @@ func (fs *Fs) SyncImage() {
 		// any newer in-memory state, and the log comes back empty.
 		fs.J.CheckpointImage()
 	}
+	im := image{fs.Drv.Disk, fs.SB}
 	for _, ino := range detsort.Keys(fs.itable) {
 		ip := fs.itable[ino]
-		b := make([]byte, fs.SB.Bsize)
-		fsba := fs.SB.InoToFsba(ip.Ino)
+		fsba, off := fs.SB.InoToFsba(ip.Ino), fs.SB.InoBlockOff(ip.Ino)
 		// Merge through the buffer cache if the block is cached there.
 		if mb, ok := fs.BC.bufs[fs.BC.align(fsba)]; ok && mb.valid {
-			copy(b, mb.Data)
-			ip.D.MarshalInto(b[fs.SB.InoBlockOff(ip.Ino) : fs.SB.InoBlockOff(ip.Ino)+DinodeSize])
-			copy(mb.Data, b)
+			ip.D.MarshalInto(mb.Data[off:])
 			mb.dirty = true
 		} else {
-			readFrags(fs.Drv.Disk, fs.SB, fsba, b)
-			ip.D.MarshalInto(b[fs.SB.InoBlockOff(ip.Ino) : fs.SB.InoBlockOff(ip.Ino)+DinodeSize])
-			writeFrags(fs.Drv.Disk, fs.SB, fsba, b)
+			b := im.read(fsba, fs.SB.Frag)
+			ip.D.MarshalInto(b[off:])
+			im.write(fsba, b)
 		}
 		ip.dirty = false
 	}
-	fs.BC.FlushImage()
-	for _, cgx := range detsort.Keys(fs.cgs) {
-		cg := fs.cgs[cgx]
-		writeFrags(fs.Drv.Disk, fs.SB, fs.SB.CgHeader(cg.Cgx), cg.Marshal(fs.SB))
+	for _, fsbn := range detsort.Keys(fs.BC.bufs) {
+		if b := fs.BC.bufs[fsbn]; b.dirty {
+			im.write(b.Fsbn, b.Data)
+			b.dirty = false
+		}
 	}
-	writeFrags(fs.Drv.Disk, fs.SB, sbFragOffset, fs.SB.Marshal())
+	for _, cgx := range detsort.Keys(fs.cgs) {
+		im.write(fs.SB.CgHeader(cgx), fs.cgs[cgx].Marshal(fs.SB))
+	}
+	im.write(sbFragOffset, fs.SB.Marshal())
 }
 
 // sbBlockImage renders the superblock into a block-sized buffer (its

@@ -40,22 +40,20 @@ func (fs *Fs) AttachJournal(j MetaJournal) {
 	fs.BC.journal = j
 }
 
-// jBegin opens a transaction frame if a journal is attached.
-func (fs *Fs) jBegin(p *sim.Proc) {
-	if fs.J != nil {
-		fs.J.Begin(p)
-	}
-}
-
-// jEnd closes the frame, folding a commit error into *errp if the
-// operation itself succeeded.
-func (fs *Fs) jEnd(p *sim.Proc, errp *error) {
+// journaled runs op inside a transaction frame if a journal is
+// attached, folding a commit error into the result if op itself
+// succeeded. op does not outlive the call, so a caller's closure stays
+// on its stack.
+func (fs *Fs) journaled(p *sim.Proc, op func() error) error {
 	if fs.J == nil {
-		return
+		return op()
 	}
-	if err := fs.J.End(p); err != nil && *errp == nil {
-		*errp = err
+	fs.J.Begin(p)
+	err := op()
+	if cerr := fs.J.End(p); err == nil {
+		err = cerr
 	}
+	return err
 }
 
 // StageCommit is the journal's flush callback: it captures everything

@@ -57,15 +57,8 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 	if o.Bsize%o.Fsize != 0 || o.Bsize/o.Fsize > 8 {
 		return nil, fmt.Errorf("ufs: bad bsize/fsize %d/%d", o.Bsize, o.Fsize)
 	}
-	if o.Fsize != 1024 {
-		// The superblock lives at the fixed byte offset 8 KB == fragment
-		// 8; this implementation pins the FFS default fragment size.
-		return nil, fmt.Errorf("ufs: unsupported fsize %d (must be 1024)", o.Fsize)
-	}
 	g := d.Geom()
-	nsect := g.Zones[0].SPT
-	ntrak := g.Heads
-	spc := nsect * ntrak
+	spc := g.Zones[0].SPT * g.Heads
 
 	sb := &Superblock{
 		FsMagic:   Magic,
@@ -76,8 +69,8 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 		Minfree:   int32(o.Minfree),
 		Rotdelay:  int32(o.Rotdelay),
 		Maxcontig: int32(o.Maxcontig),
-		Nsect:     int32(nsect),
-		Ntrak:     int32(ntrak),
+		Nsect:     int32(g.Zones[0].SPT),
+		Ntrak:     int32(g.Heads),
 		Spc:       int32(spc),
 		Rps:       int32(g.RPM / 60),
 	}
@@ -99,8 +92,9 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 		sb.LogStart = sb.Size
 		sb.LogFrags = int32(logFrags)
 	}
-	if sb.MetaFrags() >= sb.Fpg {
-		return nil, fmt.Errorf("ufs: group metadata (%d frags) exceeds group size (%d)", sb.MetaFrags(), sb.Fpg)
+	// What the readers would refuse, Mkfs does not write.
+	if err := sb.fits(d); err != nil {
+		return nil, err
 	}
 	sb.Dsize = sb.Ncg * (sb.Fpg - sb.MetaFrags())
 	if o.Maxbpg == 0 {
@@ -108,82 +102,26 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 	}
 	sb.Maxbpg = int32(o.Maxbpg)
 
-	// Build each cylinder group: everything free except metadata.
-	dataBlocksPerGroup := (sb.Fpg - sb.MetaFrags()) / sb.Frag
+	// Everything is free except the metadata, the reserved inodes, and
+	// the root directory: inode RootIno, holding group 0's first data
+	// block.
+	im := image{d, sb}
+	root, rootBlk := rootDir(sb, sb.CgDmin(0))
+	im.write(root.DB[0], rootBlk)
+	iblk := im.read(sb.InoToFsba(RootIno), sb.Frag)
+	root.MarshalInto(iblk[sb.InoBlockOff(RootIno):])
+	im.write(sb.InoToFsba(RootIno), iblk)
+	owner := make([]int32, sb.MetaFrags()+sb.Frag)
+	for f := sb.MetaFrags(); int(f) < len(owner); f++ {
+		owner[f] = RootIno
+	}
+	inodes := []Dinode{RootIno: root}
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		cg := NewCG(sb, cgx)
-		cg.Ndblk = sb.Fpg - sb.MetaFrags()
-		cg.Nifree = sb.Ipg
-		cg.Nbfree = dataBlocksPerGroup
-		for f := sb.MetaFrags(); f < sb.Fpg; f++ {
-			setBit(cg.Blksfree, f)
-		}
-		if cgx == 0 {
-			// Reserve inodes 0 and 1, allocate 2 for the root
-			// directory, and give it the group's first data block.
-			setBit(cg.Inosused, 0)
-			setBit(cg.Inosused, 1)
-			setBit(cg.Inosused, RootIno)
-			cg.Nifree -= 3
-			rootFsbn := sb.CgDmin(0)
-			for i := int32(0); i < sb.Frag; i++ {
-				clrBit(cg.Blksfree, sb.MetaFrags()+i)
-			}
-			cg.Nbfree--
-			cg.Ndir = 1
-
-			// Root directory data: "." and "..".
-			blk := make([]byte, sb.Bsize)
-			n := putDirent(blk, RootIno, ".")
-			putDirentLast(blk[n:], RootIno, "..", int(sb.Bsize)-n)
-			writeFrags(d, sb, rootFsbn, blk)
-
-			// Root dinode.
-			var di Dinode
-			di.Mode = ModeDir | 0o755
-			di.Nlink = 2
-			di.Size = int64(sb.Bsize)
-			di.DB[0] = rootFsbn
-			di.Blocks = sb.Frag
-			iblk := make([]byte, sb.Bsize)
-			readFrags(d, sb, sb.InoToFsba(RootIno), iblk)
-			di.MarshalInto(iblk[sb.InoBlockOff(RootIno):])
-			writeFrags(d, sb, sb.InoToFsba(RootIno), iblk)
-
-			sb.CsNdir = 1
-		}
-		sb.CsNbfree += cg.Nbfree
-		sb.CsNifree += cg.Nifree
-		writeFrags(d, sb, sb.CgHeader(cgx), cg.Marshal(sb))
+		im.write(sb.CgHeader(cgx), buildCG(sb, cgx, owner, inodes).Marshal(sb))
+		owner, inodes = nil, nil // the other groups hold nothing yet
 	}
 
 	sb.Clean = 1
-	// Primary superblock plus a copy in every group's reserve area.
-	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		writeFrags(d, sb, sb.CgSBlock(cgx), sb.Marshal())
-	}
+	im.writeSuperblocks()
 	return sb, nil
-}
-
-// writeFrags writes fragment-aligned data straight to the image.
-func writeFrags(d disk.Device, sb *Superblock, fsbn int32, data []byte) {
-	if len(data)%int(sb.Fsize) != 0 {
-		panic("ufs: unaligned metadata write") // simlint:invariant -- layout computes block-aligned addresses
-	}
-	d.WriteImage(sb.FsbToDb(fsbn), data)
-}
-
-// readFrags reads fragment-aligned data straight from the image.
-func readFrags(d disk.Device, sb *Superblock, fsbn int32, data []byte) {
-	if len(data)%int(sb.Fsize) != 0 {
-		panic("ufs: unaligned metadata read") // simlint:invariant -- layout computes block-aligned addresses
-	}
-	d.ReadImage(sb.FsbToDb(fsbn), data)
-}
-
-// ReadSuperblock loads and validates the primary superblock from d.
-func ReadSuperblock(d disk.Device) (*Superblock, error) {
-	buf := make([]byte, SBSize)
-	d.ReadImage(int64(sbFragOffset*SBSize)/disk.SectorSize, buf)
-	return UnmarshalSuperblock(buf)
 }

@@ -42,8 +42,6 @@ type repairer struct {
 	owner  []int32  // fragment -> claiming ino; 0 free, -1 metadata
 }
 
-const metaOwner = int32(-1)
-
 // Repair fixes the file system on d's image in place and returns what
 // it did. It fails only when no superblock can be recovered; every
 // other inconsistency is repaired, destructively if necessary (an
@@ -53,6 +51,8 @@ func Repair(d disk.Device) (*RepairReport, error) {
 	rep := &RepairReport{}
 	sb, err := ReadSuperblock(d)
 	if err != nil {
+		// Undecodable or lying about the device: either way not to be
+		// believed, and a backup copy has to pass the same test.
 		sb, err = findAltSuperblock(d)
 		if err != nil {
 			return nil, fmt.Errorf("ufs: repair: no usable superblock: %w", err)
@@ -61,58 +61,15 @@ func Repair(d disk.Device) (*RepairReport, error) {
 	}
 	rp := &repairer{image: image{d, sb}, r: rep}
 
-	rp.loadInodes()
+	rp.dinode = rp.dinodes()
 	rp.sanitizeInodes()
 	rp.fixPointers()
 	rp.ensureRoot()
 	rp.walkDirectories()
 	rp.rebuildMaps()
 
-	check, err := Fsck(d)
-	if err != nil {
-		return rep, err
-	}
-	rep.Check = check
-	return rep, nil
-}
-
-// findAltSuperblock scans the image for a backup superblock copy when
-// the primary is gone. Copies live at fragment CgSBlock(cg) of every
-// group; the scan accepts the first candidate that decodes, fits the
-// disk, and sits where its own geometry says a copy belongs.
-func findAltSuperblock(d disk.Device) (*Superblock, error) {
-	totalFrags := d.Geom().TotalBytes() / SBSize
-	buf := make([]byte, SBSize)
-	for f := int64(0); f < totalFrags; f++ {
-		d.ReadImage(f*SBSize/disk.SectorSize, buf)
-		sb, err := UnmarshalSuperblock(buf)
-		if err != nil {
-			continue
-		}
-		if int64(sb.Size)*int64(sb.Fsize) > d.Geom().TotalBytes() {
-			continue
-		}
-		if sb.Fpg <= 0 || f < sbFragOffset || (f-sbFragOffset)%int64(sb.Fpg) != 0 {
-			continue
-		}
-		return sb, nil
-	}
-	return nil, fmt.Errorf("ufs: no superblock copy found in %d fragments", totalFrags)
-}
-
-func (rp *repairer) writeBlk(fsbn int32, data []byte) {
-	rp.d.WriteImage(rp.sb.FsbToDb(fsbn), data)
-}
-
-// loadInodes reads every dinode into memory; all fixes operate on this
-// copy and rebuildMaps writes every inode block back.
-func (rp *repairer) loadInodes() {
-	sb := rp.sb
-	rp.dinode = make([]Dinode, sb.Ncg*sb.Ipg)
-	for ino := int32(0); ino < sb.Ncg*sb.Ipg; ino++ {
-		blk := rp.readBlk(sb.InoToFsba(ino))
-		rp.dinode[ino] = UnmarshalDinode(blk[sb.InoBlockOff(ino) : sb.InoBlockOff(ino)+DinodeSize])
-	}
+	rep.Check, err = Fsck(d)
+	return rep, err
 }
 
 // clear wipes an inode (and logs why).
@@ -160,25 +117,11 @@ func (rp *repairer) sanitizeInodes() {
 	}
 }
 
-// rangeOK reports whether [fsbn, fsbn+n) lies entirely in some group's
-// data area.
-func (rp *repairer) rangeOK(fsbn, n int32) bool {
-	if fsbn == 0 || !rp.sb.inRange(fsbn, n) {
-		return false
-	}
-	for i := fsbn; i < fsbn+n; i++ {
-		if i%rp.sb.Fpg < rp.sb.MetaFrags() {
-			return false
-		}
-	}
-	return true
-}
-
 // claim records ino as the owner of [fsbn, fsbn+n); it fails without
-// side effects if any fragment is out of range, metadata, or already
-// owned.
+// side effects if any fragment is out of range or already owned — as
+// every metadata fragment is, by -1.
 func (rp *repairer) claim(ino, fsbn, n int32) bool {
-	if !rp.rangeOK(fsbn, n) {
+	if !rp.sb.inRange(fsbn, n) {
 		return false
 	}
 	for i := fsbn; i < fsbn+n; i++ {
@@ -197,117 +140,77 @@ func (rp *repairer) newOwnerMap() []int32 {
 	sb := rp.sb
 	owner := make([]int32, sb.Size)
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		base := sb.CgBase(cgx)
-		for i := int32(0); i < sb.MetaFrags(); i++ {
-			owner[base+i] = metaOwner
+		for f := sb.CgBase(cgx); f < sb.CgDmin(cgx); f++ {
+			owner[f] = -1
 		}
 	}
 	return owner
 }
 
-// sweep walks di's pointer tree top-down, parents before children.
-// check is asked about every nonzero pointer — fsbn, sitting height
-// pointer levels above the data and mapping lbn onward — and answers
-// whether it stays; a refused pointer is zeroed with everything under
-// it unvisited, and the pointer block that held it is rewritten. hole,
-// when not nil, hears the first lbn behind every zero pointer.
-func (rp *repairer) sweep(di *Dinode, check func(height int, lbn int64, fsbn int32) bool, hole func(lbn int64)) {
-	for lbn := range di.DB {
-		rp.sweepPtr(&di.DB[lbn], 0, int64(lbn), check, hole)
+// claimTree walks ino's pointer tree, claiming every block it names.
+// It is the walk that changes what it visits: a pointer that lies
+// beyond the file size, or whose fragments are out of range, metadata
+// or already claimed (so a duplicate goes to the earlier claimant), is
+// logged and zeroed, nothing under it is visited, and the pointer block
+// that held it is rewritten. It returns the fragments claimed and the
+// first block a directory turned out to be missing (-1: none).
+func (rp *repairer) claimTree(ino int32) (frags int32, dirHole int64) {
+	sb, di := rp.sb, &rp.dinode[ino]
+	nblocks := (di.Size + int64(sb.Bsize) - 1) / int64(sb.Bsize)
+	dirHole = -1
+	hole := func(lbn int64) {
+		if di.IsDir() && lbn < nblocks && (dirHole < 0 || lbn < dirHole) {
+			dirHole = lbn
+		}
 	}
-	for k := range di.IB {
-		rp.sweepPtr(&di.IB[k], k+1, rp.sb.indirBase(k), check, hole)
-	}
-}
-
-// sweepPtr is sweep below one pointer; it reports whether it changed it.
-func (rp *repairer) sweepPtr(ptr *int32, height int, lbn int64, check func(int, int64, int32) bool, hole func(int64)) bool {
-	if *ptr == 0 {
-		if hole != nil {
+	rp.walk(di, visitor{hole: hole, fix: rp.write, check: func(height int, lbn int64, fsbn int32) bool {
+		what, n := "indirect", sb.Frag
+		if height == 0 {
+			what, n = "block", sb.BlkFrags(di.Size, lbn)
+		}
+		if lbn >= nblocks {
+			rp.r.fixf("ino %d: zeroed %s pointer at lbn %d beyond size %d", ino, what, lbn, di.Size)
+			return false
+		}
+		if !rp.claim(ino, fsbn, n) {
+			rp.r.fixf("ino %d: zeroed bad or duplicate %s pointer at lbn %d (fsbn %d)", ino, what, lbn, fsbn)
 			hole(lbn)
+			return false
 		}
-		return false
-	}
-	if !check(height, lbn, *ptr) {
-		*ptr = 0
+		frags += n
 		return true
-	}
-	if height == 0 {
-		return false
-	}
-	blk := rp.readBlk(*ptr)
-	if blk == nil { // check let an unreadable address through
-		*ptr = 0
-		return true
-	}
-	changed, span := false, rp.sb.indirSpan(height)
-	for i := int64(0); i < rp.sb.NindirPerBlock(); i++ {
-		if a := getIndir(blk, i); rp.sweepPtr(&a, height-1, lbn+i*span, check, hole) {
-			putIndir(blk, i, a)
-			changed = true
-		}
-	}
-	if changed {
-		rp.writeBlk(*ptr, blk)
-	}
-	return false
+	}})
+	return frags, dirHole
 }
 
-// fixPointers sweeps every surviving inode's block pointers in
-// ascending inode order, zeroing the ones that are out of range, point
-// into metadata, duplicate an earlier claim, or lie beyond the file
-// size. Directories additionally may not contain holes: a directory is
-// truncated at its first missing block, and cleared outright if that
-// block is block 0.
+// fixPointers runs claimTree over every surviving inode in ascending
+// inode order. Directories additionally may not contain holes, at any
+// height of the tree: a directory is truncated at its first missing
+// block, and cleared outright if that block is block 0.
 func (rp *repairer) fixPointers() {
-	sb := rp.sb
 	rp.owner = rp.newOwnerMap()
-	for inoInt := range rp.dinode {
-		ino := int32(inoInt)
-		di := &rp.dinode[ino]
+	for i := range rp.dinode {
+		ino, di := int32(i), &rp.dinode[i]
 		if !di.Allocated() || di.Mode&ModeFmt == ModeLink {
 			continue
 		}
-		nblocks := (di.Size + int64(sb.Bsize) - 1) / int64(sb.Bsize)
-		dirHole := int64(-1)
-		hole := func(lbn int64) {
-			if di.IsDir() && lbn < nblocks && (dirHole < 0 || lbn < dirHole) {
-				dirHole = lbn
-			}
-		}
-		rp.sweep(di, func(height int, lbn int64, fsbn int32) bool {
-			what, frags := "indirect", sb.Frag
-			if height == 0 {
-				what, frags = "block", sb.BlkFrags(di.Size, lbn)
-			}
-			if lbn >= nblocks {
-				rp.r.fixf("ino %d: zeroed %s pointer at lbn %d beyond size %d", ino, what, lbn, di.Size)
-				return false
-			}
-			if !rp.claim(ino, fsbn, frags) {
-				rp.r.fixf("ino %d: zeroed bad or duplicate %s pointer at lbn %d (fsbn %d)", ino, what, lbn, fsbn)
-				hole(lbn)
-				return false
-			}
-			return true
-		}, hole)
-
-		if dirHole == 0 {
+		if _, dirHole := rp.claimTree(ino); dirHole == 0 {
 			rp.clear(ino, "directory lost its first block")
 		} else if dirHole > 0 {
-			rp.r.fixf("ino %d: directory has a hole at block %d, truncated from %d to %d bytes",
-				ino, dirHole, di.Size, dirHole*int64(sb.Bsize))
-			di.Size = dirHole * int64(sb.Bsize)
+			size := dirHole * int64(rp.sb.Bsize)
+			rp.r.fixf("ino %d: directory has a hole at block %d, truncated from %d to %d bytes", ino, dirHole, di.Size, size)
+			di.Size = size
 			// Pointers past the hole are now beyond the size; zero them
-			// (the final claim sweep in rebuildMaps releases what they
-			// claimed above).
-			rp.sweep(di, func(_ int, lbn int64, _ int32) bool { return lbn < dirHole }, nil)
+			// (the claim sweep in rebuildMaps releases what they claimed
+			// above).
+			rp.walk(di, visitor{fix: rp.write, check: func(_ int, lbn int64, _ int32) bool { return lbn < dirHole }})
 		}
 	}
 }
 
 // ensureRoot guarantees a usable root directory, rebuilding an empty
-// one from a free block when the original is gone. Everything that hung
+// one in the first free block (aligned relative to its group's base,
+// like the allocator's) when the original is gone. Everything that hung
 // off a lost root becomes unreachable and is cleared by the walk.
 func (rp *repairer) ensureRoot() {
 	sb := rp.sb
@@ -315,47 +218,20 @@ func (rp *repairer) ensureRoot() {
 	if di.IsDir() && di.DB[0] != 0 {
 		return
 	}
-	fsbn := rp.findFreeBlock()
-	if fsbn == 0 {
-		// A full disk with no root is unrecoverable space-wise; leave
-		// the problem for the final Fsck to report.
-		rp.r.fixf("root inode unusable and no free block to rebuild it")
-		return
-	}
-	rp.owner[fsbn] = RootIno
-	for i := int32(1); i < sb.Frag; i++ {
-		rp.owner[fsbn+i] = RootIno
-	}
-	blk := make([]byte, sb.Bsize)
-	n := putDirent(blk, RootIno, ".")
-	putDirentLast(blk[n:], RootIno, "..", int(sb.Bsize)-n)
-	rp.writeBlk(fsbn, blk)
-	*di = Dinode{Mode: ModeDir | 0o755, Nlink: 2, Size: int64(sb.Bsize), Blocks: sb.Frag}
-	di.DB[0] = fsbn
-	rp.r.fixf("root directory rebuilt empty at fsbn %d", fsbn)
-}
-
-// findFreeBlock returns the first group-relative block-aligned run of
-// Frag unclaimed data fragments, or 0. (Block alignment is relative to
-// the group base, matching the allocator and fsck.)
-func (rp *repairer) findFreeBlock() int32 {
-	sb := rp.sb
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		base := sb.CgBase(cgx)
-		for f := sb.MetaFrags(); f+sb.Frag <= sb.Fpg; f += sb.Frag {
-			free := true
-			for i := int32(0); i < sb.Frag; i++ {
-				if rp.owner[base+f+i] != 0 {
-					free = false
-					break
-				}
-			}
-			if free {
-				return base + f
+		for fsbn := sb.CgDmin(cgx); fsbn+sb.Frag <= sb.CgBase(cgx+1); fsbn += sb.Frag {
+			if rp.claim(RootIno, fsbn, sb.Frag) {
+				var blk []byte
+				*di, blk = rootDir(sb, fsbn)
+				rp.write(fsbn, blk)
+				rp.r.fixf("root directory rebuilt empty at fsbn %d", fsbn)
+				return
 			}
 		}
 	}
-	return 0
+	// A full disk with no root is unrecoverable space-wise; leave the
+	// problem for the final Fsck to report.
+	rp.r.fixf("root inode unusable and no free block to rebuild it")
 }
 
 // buildDirBlock packs entries into one directory block, the last record
@@ -396,31 +272,24 @@ func (rp *repairer) walkDirectories() {
 		return // ensureRoot already logged the hopeless case
 	}
 	links := make([]int16, len(rp.dinode))
-	visited := make([]bool, len(rp.dinode))
-	// claimed marks a directory already referenced by a kept entry; a
-	// second name for it (hard-linked directory) is dropped at sight,
-	// before the child is ever popped from the walk stack.
-	claimed := make([]bool, len(rp.dinode))
-	claimed[RootIno] = true
+	// reached marks a directory referenced by a kept entry, which puts
+	// it on the walk stack once; a second name for it (hard-linked
+	// directory) is dropped at sight.
+	reached := make([]bool, len(rp.dinode))
+	reached[RootIno] = true
 
 	type frame struct{ ino, parent int32 }
 	stack := []frame{{RootIno, RootIno}}
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[fr.ino] {
-			continue
-		}
-		visited[fr.ino] = true
 		di := &rp.dinode[fr.ino]
-		nblocks := di.Size / int64(sb.Bsize)
 		var children []frame
-		for lbn := int64(0); lbn < nblocks; lbn++ {
-			fsbn := rp.blockAt(di, lbn)
+		for lbn, fsbn := range rp.dataBlocks(di, di.Size/int64(sb.Bsize)) {
 			if fsbn == 0 {
 				continue // fixPointers already truncated holes; defensive
 			}
-			raw := rp.readBlk(fsbn)
+			raw := rp.read(fsbn, sb.Frag)
 			ents, err := parseDirents(raw)
 			rebuilt := false
 			if err != nil {
@@ -452,12 +321,12 @@ func (rp *repairer) walkDirectories() {
 						continue
 					}
 					if rp.dinode[e.Ino].IsDir() {
-						if claimed[e.Ino] {
+						if reached[e.Ino] {
 							rp.r.fixf("ino %d: dropped duplicate directory link %q -> %d", fr.ino, e.Name, e.Ino)
 							rebuilt = true
 							continue
 						}
-						claimed[e.Ino] = true
+						reached[e.Ino] = true
 						children = append(children, frame{e.Ino, fr.ino})
 					}
 				}
@@ -473,10 +342,9 @@ func (rp *repairer) walkDirectories() {
 				}
 				keep = append([]Dirent{{Ino: fr.ino, Name: "."}, {Ino: fr.parent, Name: ".."}}, rest...)
 				rebuilt = true
-				sawDot, sawDotDot = true, true
 			}
 			if rebuilt {
-				rp.writeBlk(fsbn, rp.buildDirBlock(keep))
+				rp.write(fsbn, rp.buildDirBlock(keep))
 			}
 			for _, e := range keep {
 				switch e.Name {
@@ -502,7 +370,7 @@ func (rp *repairer) walkDirectories() {
 		if !di.Allocated() || ino < RootIno {
 			continue
 		}
-		if di.IsDir() && !visited[ino] {
+		if di.IsDir() && !reached[ino] {
 			rp.clear(ino, "unreachable directory")
 			continue
 		}
@@ -524,90 +392,29 @@ func (rp *repairer) walkDirectories() {
 func (rp *repairer) rebuildMaps() {
 	sb := rp.sb
 	rp.owner = rp.newOwnerMap()
-	for inoInt := range rp.dinode {
-		ino := int32(inoInt)
-		di := &rp.dinode[ino]
+	for i := range rp.dinode {
+		ino, di := int32(i), &rp.dinode[i]
 		if !di.Allocated() || di.Mode&ModeFmt == ModeLink {
 			continue
 		}
-		var frags int32
-		rp.sweep(di, func(height int, lbn int64, fsbn int32) bool {
-			n := sb.Frag
-			if height == 0 {
-				n = sb.BlkFrags(di.Size, lbn)
-			}
-			if !rp.claim(ino, fsbn, n) {
-				return false
-			}
-			frags += n
-			return true
-		}, nil)
-		if di.Blocks != frags {
+		// Everything claimTree could refuse, fixPointers already has.
+		if frags, _ := rp.claimTree(ino); di.Blocks != frags {
 			rp.r.fixf("ino %d: di_blocks %d, holds %d fragments", ino, di.Blocks, frags)
 			di.Blocks = frags
 		}
 	}
 
-	// Write every inode block back.
-	ipb := int32(sb.InodesPerBlock())
-	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		for blk := int32(0); blk < sb.InodeBlocks(); blk++ {
-			buf := make([]byte, sb.Bsize)
-			for k := int32(0); k < ipb; k++ {
-				ino := cgx*sb.Ipg + blk*ipb + k
-				if ino < int32(len(rp.dinode)) {
-					rp.dinode[ino].MarshalInto(buf[k*DinodeSize:])
-				}
-			}
-			rp.writeBlk(sb.CgIblock(cgx)+blk*sb.Frag, buf)
-		}
-	}
+	rp.writeDinodes(rp.dinode)
 
-	// Rebuild every cylinder group from the claims and inode table.
+	// Rebuild every cylinder group from the claims and the inode table.
 	sb.CsNdir, sb.CsNbfree, sb.CsNifree, sb.CsNffree = 0, 0, 0, 0
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		cg := NewCG(sb, cgx)
-		cg.Ndblk = sb.Fpg - sb.MetaFrags()
-		base := sb.CgBase(cgx)
-		for f := int32(sb.MetaFrags()); f < sb.Fpg; f++ {
-			if rp.owner[base+f] == 0 {
-				setBit(cg.Blksfree, f)
-			}
-		}
-		for f := int32(0); f+sb.Frag <= sb.Fpg; f += sb.Frag {
-			if cg.BlockFree(f, sb.Frag) {
-				cg.Nbfree++
-			} else {
-				for i := int32(0); i < sb.Frag; i++ {
-					if cg.FragFree(f + i) {
-						cg.Nffree++
-					}
-				}
-			}
-		}
-		for i := int32(0); i < sb.Ipg; i++ {
-			ino := cgx*sb.Ipg + i
-			di := &rp.dinode[ino]
-			if di.Allocated() || ino < RootIno {
-				setBit(cg.Inosused, i)
-				if di.IsDir() {
-					cg.Ndir++
-				}
-			} else {
-				cg.Nifree++
-			}
-		}
-		sb.CsNdir += cg.Ndir
-		sb.CsNbfree += cg.Nbfree
-		sb.CsNifree += cg.Nifree
-		sb.CsNffree += cg.Nffree
-		rp.writeBlk(sb.CgHeader(cgx), cg.Marshal(sb))
+		cg := buildCG(sb, cgx, rp.owner[sb.CgBase(cgx):sb.CgBase(cgx+1)], rp.dinode[cgx*sb.Ipg:(cgx+1)*sb.Ipg])
+		rp.write(sb.CgHeader(cgx), cg.Marshal(sb))
 	}
 
 	// Fresh superblock everywhere, marked clean.
 	sb.Clean = 1
 	sb.Fmod = 0
-	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		rp.d.WriteImage(sb.FsbToDb(sb.CgSBlock(cgx)), sb.Marshal())
-	}
+	rp.writeSuperblocks()
 }

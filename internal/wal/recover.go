@@ -102,9 +102,11 @@ scan:
 			}
 			for i := dsec * addrsPerDesc; i < n && i < (dsec+1)*addrsPerDesc; i++ {
 				addr := int64(binary.LittleEndian.Uint64(s[descHdrBytes+(i-dsec*addrsPerDesc)*8:]))
-				if addr < 0 || addr+blockSectors > base {
+				if addr < 0 || addr > base-blockSectors {
 					// A committed record only addresses metadata below
-					// the log region; anything else is corruption.
+					// the log region; anything else is corruption. (No
+					// sum: an address near the top of int64 would wrap
+					// into range.)
 					rep.TornTail = true
 					break scan
 				}

@@ -27,7 +27,7 @@ type walRig struct {
 	l  *Log
 }
 
-func newWalRig(t *testing.T, logBlocks int, cfg Config) *walRig {
+func newWalRig(t testing.TB, logBlocks int, cfg Config) *walRig {
 	t.Helper()
 	s := sim.New(1)
 	t.Cleanup(s.Close)
@@ -43,7 +43,7 @@ func newWalRig(t *testing.T, logBlocks int, cfg Config) *walRig {
 	return &walRig{s: s, d: d, dr: dr, l: l}
 }
 
-func (r *walRig) run(t *testing.T, fn func(p *sim.Proc)) {
+func (r *walRig) run(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	r.s.Spawn("test", fn)
 	if err := r.s.Run(); err != nil {
@@ -53,7 +53,7 @@ func (r *walRig) run(t *testing.T, fn func(p *sim.Proc)) {
 
 // commit stages the given (sector, fill) pairs in one transaction, in
 // sector order so the log layout is identical run to run.
-func (r *walRig) commit(t *testing.T, blocks map[int64]byte) {
+func (r *walRig) commit(t testing.TB, blocks map[int64]byte) {
 	t.Helper()
 	r.run(t, func(p *sim.Proc) {
 		r.l.Begin(p)

@@ -43,6 +43,8 @@
 #                                          any crash-consistency
 #                                          violation
 #
+# Each step prints the seconds it took and the last line the total.
+#
 # Usage: scripts/check.sh  (from anywhere inside the repo)
 set -eu
 
@@ -51,41 +53,40 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "==> go build ./..."
-go build ./...
+# step TITLE CMD... runs CMD and prints the seconds it took, so the
+# budget ROADMAP.md quotes for the gate is a number the gate prints.
+start=$(date +%s)
+step() {
+    echo "==> $1"
+    shift
+    t0=$(date +%s)
+    "$@"
+    echo "    $(($(date +%s) - t0)) s"
+}
 
-echo "==> go vet ./..."
-go vet ./...
+gofmt_clean() {
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt: these files need formatting:" >&2
+        echo "$unformatted" >&2
+        return 1
+    fi
+}
 
-echo "==> gofmt -l ."
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-    echo "gofmt: these files need formatting:" >&2
-    echo "$unformatted" >&2
-    exit 1
-fi
-
-echo "==> simlint ./..."
+step "go build ./..." go build ./...
+step "go vet ./..." go vet ./...
+step "gofmt -l ." gofmt_clean
 go build -o "$tmp/simlint" ./cmd/simlint
-"$tmp/simlint" ./...
-
-echo "==> simlint self-run (internal/analysis/...)"
-"$tmp/simlint" internal/analysis/...
-
-echo "==> go test ./..."
-go test ./...
-
-echo "==> go -C bench test ."
-go -C bench test .
-
-echo "==> go test -race -short ./internal/..."
-go test -race -short ./internal/...
+step "simlint ./..." "$tmp/simlint" ./...
+step "simlint self-run (internal/analysis/...)" "$tmp/simlint" internal/analysis/...
+step "go test ./..." go test ./...
+step "go -C bench test ." go -C bench test .
+step "go test -race -short ./internal/..." go test -race -short ./internal/...
 
 go build -o "$tmp/faultlab" ./cmd/faultlab
 for shape in "" "-vol raid1 -degraded 1" "-journal wal"; do
-    echo "==> faultlab smoke sweep $shape"
     # shellcheck disable=SC2086 # a shape is a list of flags
-    "$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 $shape
+    step "faultlab smoke sweep $shape" "$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 $shape
 done
 
-echo "check: all gates passed"
+echo "check: all gates passed in $(($(date +%s) - start)) s"
