@@ -35,13 +35,16 @@ fuzz:
 
 # bench regenerates BENCH_iobench.json, the committed matrix of virtual
 # rates and counters that TestMatrixMatchesCommitted compares byte for
-# byte; a diff after running it is a behaviour change to explain. Host
-# costs are not committed anywhere: the kernel's are benchmarks beside
-# the code (go test -bench . -benchmem ./internal/sim ./internal/telemetry
+# byte, then rewrites EXPERIMENTS.md's generated paper tables from its
+# paper section (the blocks TestPaperTablesMatchCommitted compares); a
+# diff after running it is a behaviour change to explain. Host costs are
+# not committed anywhere: the kernel's are benchmarks beside the code
+# (go test -bench . -benchmem ./internal/sim ./internal/telemetry
 # ./internal/prefetch) with their allocation counts asserted by tests,
 # the full stack's are what bench/ measures.
 bench:
 	go run ./cmd/iobench -matrix BENCH_iobench.json
+	go test ./cmd/iobench -count=1 -run '^TestPaperTablesMatchCommitted$$' -update-tables
 
 # benchcheck runs the schema test of the repository's benchmark (bench/
 # is a module of its own, so `go test ./...` never sees it): every

@@ -1,9 +1,11 @@
-// Benchmarks regenerating every table and figure in the paper's
-// evaluation, plus the ablations its design discussion implies. Each
-// benchmark measures the host cost of the simulation (the usual Go
-// numbers) and reports the paper's own metric — virtual-time transfer
-// rates, CPU seconds, extent sizes — via b.ReportMetric, so
-// `go test -bench=.` prints the reproduction next to the benchmark.
+// Benchmarks for the paper's access-pattern and placement figures and
+// the ablations its design discussion implies. Each benchmark measures
+// the host cost of the simulation (the usual Go numbers) and reports
+// the experiment's own metric — virtual-time transfer rates, CPU time —
+// via b.ReportMetric, so `go test -bench=.` prints the reproduction next
+// to the benchmark. The paper's evaluation tables themselves (Figures
+// 10-12, the intro claim, the allocator extents, MusBus) are gated
+// cells of BENCH_iobench.json, not benchmarks.
 package ufsclust_test
 
 import (
@@ -12,26 +14,16 @@ import (
 
 	"ufsclust"
 
-	"ufsclust/internal/alloclab"
 	"ufsclust/internal/core"
-	"ufsclust/internal/cpubench"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/extfs"
-	"ufsclust/internal/iobench"
-	"ufsclust/internal/musbus"
 	"ufsclust/internal/raw"
 	"ufsclust/internal/runner"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/trace"
 	"ufsclust/internal/ufs"
 )
-
-// benchParams keeps host time manageable; cmd/iobench runs the full
-// paper-sized configuration.
-func benchParams() iobench.Params {
-	return iobench.Params{FileMB: 8, RandomOps: 256}
-}
 
 // --- Figures 3, 6, 7: access patterns ------------------------------------
 
@@ -98,140 +90,6 @@ func BenchmarkFig04InterleavedPlacement(b *testing.B) {
 func BenchmarkFig05ContiguousPlacement(b *testing.B) {
 	gap := benchPlacement(b, 0)
 	b.ReportMetric(float64(gap), "gap-blocks")
-}
-
-// --- Figures 9/10/11: IObench ---------------------------------------------
-
-func BenchmarkFig10IObench(b *testing.B) {
-	for _, rc := range ufsclust.Runs() {
-		for _, kind := range iobench.Kinds() {
-			rc, kind := rc, kind
-			b.Run(fmt.Sprintf("%s/%s", rc.Name, kind), func(b *testing.B) {
-				var res iobench.Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = iobench.Run(ufsclust.Scenario{Run: rc}, kind, benchParams())
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(res.RateKBs(), "virtKB/s")
-			})
-		}
-	}
-}
-
-func BenchmarkFig11Ratios(b *testing.B) {
-	var tab *iobench.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tab, err = iobench.RunAll(ufsclust.Scenario{}, []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunD()}, iobench.Kinds(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, k := range iobench.Kinds() {
-		b.ReportMetric(tab.Ratio("A", "D", k), "A/D-"+string(k))
-	}
-}
-
-// --- Figure 12: CPU comparison ---------------------------------------------
-
-func BenchmarkFig12CPUCompare(b *testing.B) {
-	var newRes, oldRes cpubench.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		newRes, oldRes, err = cpubench.Figure12(16)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(newRes.CPUTime.Seconds(), "new-cpu-s")
-	b.ReportMetric(oldRes.CPUTime.Seconds(), "old-cpu-s")
-	b.ReportMetric(float64(newRes.CPUTime)/float64(oldRes.CPUTime), "new/old")
-}
-
-// BenchmarkIntroHalfCPU reproduces the sizing claim that motivated the
-// work: half a 12 MIPS CPU for half of a ~1.5 MB/s disk.
-func BenchmarkIntroHalfCPU(b *testing.B) {
-	var res cpubench.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = cpubench.ReadWithCopy(ufsclust.RunD(), 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.RateKBs, "virtKB/s")
-	b.ReportMetric(res.CPUShare*100, "cpu%")
-}
-
-// --- In-text: allocator contiguity -----------------------------------------
-
-func BenchmarkAllocatorExtentsBestCase(b *testing.B) {
-	var avg int64
-	for i := 0; i < b.N; i++ {
-		m, err := ufsclust.New(ufsclust.RunA())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		err = m.Run(func(p *sim.Proc) {
-			rep, err := alloclab.BestCase(p, m.FS, 13<<20)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			avg = rep.AvgExtent()
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(avg)/1024, "avg-extent-KB")
-}
-
-func BenchmarkAllocatorExtentsWorstCase(b *testing.B) {
-	var avg int64
-	for i := 0; i < b.N; i++ {
-		m, err := ufsclust.New(ufsclust.RunA())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		err = m.Run(func(p *sim.Proc) {
-			rep, err := alloclab.WorstCase(p, m.FS, 16<<20,
-				alloclab.AgeOpts{TargetFull: 0.85, Churn: 2})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			avg = rep.AvgExtent()
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(avg)/1024, "avg-extent-KB")
-}
-
-// --- In-text: MusBus ---------------------------------------------------------
-
-func BenchmarkMusBus(b *testing.B) {
-	for _, rc := range []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunD()} {
-		rc := rc
-		b.Run(rc.Name, func(b *testing.B) {
-			var res musbus.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = musbus.Run(ufsclust.Scenario{Run: rc}, musbus.Params{Users: 4, Duration: 60 * sim.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Throughput(), "iter/virtmin")
-		})
-	}
 }
 
 // --- In-text: the write-limit sizing argument -------------------------------

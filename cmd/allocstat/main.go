@@ -2,8 +2,11 @@
 // experiment: the average extent size the FFS allocator achieves for a
 // large file on an empty file system (best case, paper: 1.5 MB average
 // in a 13 MB file) and on a heavily fragmented, mostly-full one (worst
-// case, paper: 62 KB average in a 16 MB file). With -layout it prints
-// the placement patterns of Figures 4 and 5 instead.
+// case, paper: 62 KB average in a 16 MB file), printed through
+// iobench.RenderPaper, the formatter of EXPERIMENTS.md's generated
+// allocator table. With -sweep it varies the aged file system's
+// fullness instead, and with -layout it prints the placement patterns
+// of Figures 4 and 5.
 package main
 
 import (
@@ -13,6 +16,7 @@ import (
 
 	"ufsclust"
 	"ufsclust/internal/alloclab"
+	"ufsclust/internal/iobench"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/ufs"
 )
@@ -24,7 +28,7 @@ func main() {
 	churn := flag.Int("churn", 3, "delete/refill churn cycles")
 	layout := flag.Bool("layout", false, "print Figures 4/5 block placement instead")
 	sweep := flag.Bool("sweep", false, "sweep worst-case contiguity across fill fractions instead")
-	parallel := flag.Int("parallel", 0, "host workers for -sweep (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "host workers (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *layout {
@@ -36,62 +40,40 @@ func main() {
 		return
 	}
 
-	best := measure(func(p *sim.Proc, fs *ufs.Fs) (*alloclab.Report, error) {
-		return alloclab.BestCase(p, fs, int64(*bestMB)<<20)
-	})
-	fmt.Printf("best case (empty fs):        %s\n", best)
-	fmt.Println("  paper: average extent 1.5MB in a 13MB file")
-
-	worst := measure(func(p *sim.Proc, fs *ufs.Fs) (*alloclab.Report, error) {
-		return alloclab.WorstCase(p, fs, int64(*worstMB)<<20,
-			alloclab.AgeOpts{TargetFull: *full, Churn: *churn})
-	})
-	fmt.Printf("worst case (aged, %.0f%% full): %s\n", *full*100, worst)
-	fmt.Println("  paper: average extent 62KB in a 16MB file")
-}
-
-func measure(fn func(p *sim.Proc, fs *ufs.Fs) (*alloclab.Report, error)) *alloclab.Report {
-	m, err := ufsclust.New(ufsclust.RunA())
+	sc := ufsclust.Scenario{Run: ufsclust.RunA()}
+	rows, err := iobench.MeasureAll([]iobench.Cell{
+		{Scenario: sc, Alloc: &alloclab.Case{FileBytes: int64(*bestMB) << 20}},
+		{Scenario: sc, Alloc: &alloclab.Case{FileBytes: int64(*worstMB) << 20, Age: alloclab.AgeOpts{TargetFull: *full, Churn: *churn}}},
+	}, *parallel)
 	if err != nil {
 		fatal(err)
 	}
-	defer m.Close()
-	var rep *alloclab.Report
-	err = m.Run(func(p *sim.Proc) {
-		var ferr error
-		rep, ferr = fn(p, m.FS)
-		if ferr != nil {
-			fatal(ferr)
-		}
-	})
+	tab, err := iobench.RenderPaper("alloc", rows)
 	if err != nil {
 		fatal(err)
 	}
-	return rep
+	fmt.Print(tab)
 }
 
 // printSweep runs the aging sweep: worst-case contiguity as a function
 // of how full the aged file system is, each point an independent
-// machine, in parallel across host workers.
+// machine, in parallel across host workers. It stops at 85 %: 90 % is
+// the minfree ceiling, where the aged file system has no room left for
+// the file.
 func printSweep(fileBytes int64, churn, workers int) {
-	fills := []float64{0.5, 0.6, 0.7, 0.8, 0.85, 0.9}
-	points := make([]alloclab.SweepPoint, len(fills))
+	fills := []float64{0.5, 0.6, 0.7, 0.8, 0.85}
+	cases := make([]alloclab.Case, len(fills))
 	for i, f := range fills {
-		points[i] = alloclab.SweepPoint{
-			FileBytes: fileBytes,
-			Age:       alloclab.AgeOpts{TargetFull: f, Churn: churn},
-		}
+		cases[i] = alloclab.Case{FileBytes: fileBytes, Age: alloclab.AgeOpts{TargetFull: f, Churn: churn}}
 	}
-	results, err := alloclab.SweepWorstCase(ufsclust.RunA(), points, workers)
+	reports, err := alloclab.SweepWorstCase(ufsclust.Scenario{Run: ufsclust.RunA()}, cases, workers)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("worst-case contiguity vs fill fraction (%dMB file, churn %d)\n", fileBytes>>20, churn)
 	fmt.Printf("%8s %12s %12s %8s\n", "full", "avg extent", "max extent", "extents")
-	for _, r := range results {
-		fmt.Printf("%7.0f%% %11dK %11dK %8d\n",
-			r.Point.Age.TargetFull*100,
-			r.Report.AvgExtent()>>10, r.Report.MaxExtent()>>10, len(r.Report.Extents))
+	for i, r := range reports {
+		fmt.Printf("%7.0f%% %11dK %11dK %8d\n", fills[i]*100, r.AvgExtent()>>10, r.MaxExtent()>>10, len(r.Extents))
 	}
 	fmt.Println("  paper: average extent 62KB in a 16MB file on the aged /home partition")
 }

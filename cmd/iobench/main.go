@@ -9,14 +9,18 @@
 //	        [-vol LEVEL] [-members N] [-stripe KB] [-degraded I,J]
 //	iobench -matrix BENCH_iobench.json
 //
+// The tables print through iobench.RenderPaper, the formatter
+// EXPERIMENTS.md's generated Figure 10 and 11 tables come from, the
+// paper's rows beside the measured ones.
+//
 // -parallel runs the (run, kind) matrix on N host workers (0 means
 // GOMAXPROCS). Every cell is an independent deterministic simulation,
 // so the output is byte-identical to the serial run.
 //
 // -matrix skips the figures and instead writes the comparison report
-// to the named JSON file: five sections (ramatrix, volmatrix,
-// vecmatrix, jmatrix, iosize) of cells in one schema, from one table —
-// see matrix.go for what each section varies and why.
+// to the named JSON file: six sections (ramatrix, volmatrix, vecmatrix,
+// jmatrix, iosize, paper) of cells in one schema, from one table — see
+// matrix.go for what each section varies and why.
 package main
 
 import (
@@ -82,19 +86,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 		os.Exit(2)
 	}
-	prm := iobench.Params{FileMB: *fileMB, RandomOps: *ops}
-	tab, err := iobench.RunAllParallel(sc, runs, iobench.Kinds(), prm, *parallel)
+	var cells []iobench.Cell
+	for _, sc.Run = range runs {
+		for _, kind := range iobench.Kinds() {
+			cells = append(cells, iobench.Cell{Scenario: sc, Kind: kind, Params: iobench.Params{FileMB: *fileMB, RandomOps: *ops}})
+		}
+	}
+	rows, err := iobench.MeasureAll(cells, *parallel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 		os.Exit(1)
 	}
 	if !*ratiosOnly {
-		// The size printed is the file the sequential read moved, so
-		// -file 0 reports the default it ran with.
-		fmt.Printf("Figure 10: IObench transfer rates in KB/second (%dMB file)\n", tab.Cells[runs[0].Name][iobench.FSR].Bytes>>20)
-		fmt.Print(tab.FormatRates(iobench.Kinds()))
-		fmt.Println()
+		printTable("Figure 10: IObench transfer rates in KB/second", "fig10", rows)
 	}
-	fmt.Println("Figure 11: IObench transfer rate ratios")
-	fmt.Print(tab.FormatRatios(iobench.Kinds()))
+	if len(runs) > 1 {
+		printTable("Figure 11: IObench transfer rate ratios", "fig11", rows)
+	}
+}
+
+func printTable(title, name string, rows []iobench.Row) {
+	tab, err := iobench.RenderPaper(name, rows)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("%s\n\n%s\n", title, tab)
 }

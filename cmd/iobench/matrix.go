@@ -2,24 +2,25 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"ufsclust"
+	"ufsclust/internal/alloclab"
 	"ufsclust/internal/iobench"
-	"ufsclust/internal/runner"
+	"ufsclust/internal/musbus"
 	"ufsclust/internal/vol"
 )
 
-// cell is one row of the matrix table: a machine shape, an I/O type,
-// the workload sizing, and the telemetry counters published beside the
-// transfer rate. Every comparison the report carries is a run of cells
-// that differ in one or two Scenario or Params fields.
+// cell is one row of the matrix table: the section it is published in
+// and the measurement. Every comparison the report carries is a run of
+// cells that differ in one or two Scenario or Params fields.
 type cell struct {
-	section  string
-	sc       ufsclust.Scenario
-	kind     iobench.Kind
-	prm      iobench.Params
-	counters []string
+	section string
+	iobench.Cell
+}
+
+// ioCell is the common IObench cell.
+func ioCell(section string, sc ufsclust.Scenario, kind iobench.Kind, prm iobench.Params, counters ...string) cell {
+	return cell{section, iobench.Cell{Scenario: sc, Kind: kind, Params: prm, Counters: counters}}
 }
 
 // matrixCells is the whole report, in the order it is written.
@@ -37,10 +38,10 @@ func matrixCells() []cell {
 		ops  int
 	}{{iobench.FSR, 0}, {iobench.FRR, 512}, {iobench.FMX, 16}} {
 		for _, ra := range []string{"fixed", "adaptive", "off"} {
-			cells = append(cells, cell{"ramatrix",
+			cells = append(cells, ioCell("ramatrix",
 				ufsclust.Scenario{Run: runA, MemBytes: 1 << 20, ReadAhead: ra},
 				w.kind, iobench.Params{FileMB: 2, RandomOps: w.ops},
-				[]string{"core.ra_hits", "vm.ra_waste"}})
+				"core.ra_hits", "vm.ra_waste"))
 		}
 	}
 
@@ -64,10 +65,10 @@ func matrixCells() []cell {
 				cfg := sh.cfg
 				cfg.StripeKB = stripe
 				for _, kind := range writeRead {
-					cells = append(cells, cell{"volmatrix",
+					cells = append(cells, ioCell("volmatrix",
 						ufsclust.Scenario{Run: rc, Volume: &cfg},
 						kind, iobench.Params{FileMB: 2},
-						[]string{"vol.sub_requests", "vol.full_stripe_writes", "vol.parity_rmw_rows"}})
+						"vol.sub_requests", "vol.full_stripe_writes", "vol.parity_rmw_rows"))
 				}
 			}
 		}
@@ -86,10 +87,10 @@ func matrixCells() []cell {
 	// everywhere.
 	for _, strideKB := range []int{2, 4, 8, 16, 32, 64} {
 		for _, strategy := range []string{"naive", "sieve", "list", "auto"} {
-			cells = append(cells, cell{"vecmatrix",
+			cells = append(cells, ioCell("vecmatrix",
 				ufsclust.Scenario{Run: runA, Vec: strategy},
 				iobench.FSTR, iobench.Params{FileMB: 8, Record: 2 << 10, Stride: strideKB << 10},
-				[]string{"core.vec_runs", "core.vec_coalesced", "core.sieve_waste", "driver.vec_queued"}})
+				"core.vec_runs", "core.vec_coalesced", "core.sieve_waste", "driver.vec_queued"))
 		}
 	}
 
@@ -102,10 +103,10 @@ func matrixCells() []cell {
 	for _, rc := range []ufsclust.RunConfig{runA, runB} {
 		for _, mode := range []string{"off", "wal", "wal-clustered"} {
 			for _, kind := range writeRead {
-				cells = append(cells, cell{"jmatrix",
+				cells = append(cells, ioCell("jmatrix",
 					ufsclust.Scenario{Run: rc, Journal: mode},
 					kind, iobench.Params{FileMB: 8},
-					[]string{"wal.commits", "wal.commit_sectors", "wal.checkpoints", "wal.checkpoint_blocks", "fs.journal_meta_writes"}})
+					"wal.commits", "wal.commit_sectors", "wal.checkpoints", "wal.checkpoint_blocks", "fs.journal_meta_writes"))
 			}
 		}
 	}
@@ -118,73 +119,60 @@ func matrixCells() []cell {
 	for _, rc := range []ufsclust.RunConfig{runA, runB} {
 		for _, kb := range []int{2, 8, 32, 128, 512, 1024} {
 			for _, kind := range writeRead {
-				cells = append(cells, cell{"iosize",
+				cells = append(cells, ioCell("iosize",
 					ufsclust.Scenario{Run: rc},
 					kind, iobench.Params{FileMB: 8, IOSize: kb << 10},
-					[]string{"cpu.system_ns", "core.pushes", "core.write_ios"}})
+					"cpu.system_ns", "core.pushes", "core.write_ios"))
 			}
 		}
+	}
+
+	// paper: every number of the paper's evaluation that EXPERIMENTS.md
+	// prints, at the paper's sizes and the commands' defaults — Figure 10
+	// (and so Figure 11 and the introduction's "half a 12 MIPS CPU for
+	// half the disk", which is run D's FSR cell), Figure 12's mmap read,
+	// the allocator's best and worst case, and MusBus on every run. The
+	// tables in EXPERIMENTS.md are rendered from these cells alone.
+	for _, rc := range ufsclust.Runs() {
+		for _, kind := range iobench.Kinds() {
+			cells = append(cells, ioCell("paper", ufsclust.Scenario{Run: rc}, kind, iobench.Params{FileMB: 16},
+				"cpu.system_ns", "core.write_stalls"))
+		}
+	}
+	for _, rc := range []ufsclust.RunConfig{runA, ufsclust.RunD()} {
+		cells = append(cells, ioCell("paper", ufsclust.Scenario{Run: rc}, iobench.FSM, iobench.Params{FileMB: 16},
+			"cpu.system_ns", "cpu.copy.ns", "cpu.fault.ns", "cpu.getpage.ns"))
+	}
+	for _, c := range []alloclab.Case{
+		{FileBytes: 13 << 20},
+		{FileBytes: 16 << 20, Age: alloclab.AgeOpts{TargetFull: 0.85, Churn: 3}},
+	} {
+		cells = append(cells, cell{"paper", iobench.Cell{Scenario: ufsclust.Scenario{Run: runA}, Alloc: &c}})
+	}
+	for _, rc := range ufsclust.Runs() {
+		cells = append(cells, cell{"paper", iobench.Cell{Scenario: ufsclust.Scenario{Run: rc},
+			MusBus: &musbus.Params{}, Counters: []string{"cpu.system_ns"}}})
 	}
 	return cells
 }
 
-// cellJSON is the one schema every section's cells are written in: the
-// Scenario and Params fields the cell sets (the rest are at their
-// defaults and omitted), the measured rate, and the cell's counters
-// under their telemetry names.
-type cellJSON struct {
-	Run       string           `json:"run"`
-	Kind      iobench.Kind     `json:"kind"`
-	FileMB    int              `json:"file_mb"`
-	IOKB      int              `json:"io_kb,omitempty"`
-	MemMB     int64            `json:"mem_mb,omitempty"`
-	RandomOps int              `json:"random_ops,omitempty"`
-	ReadAhead string           `json:"ra,omitempty"`
-	Vec       string           `json:"vec,omitempty"`
-	RecordKB  int              `json:"record_kb,omitempty"`
-	StrideKB  int              `json:"stride_kb,omitempty"`
-	Journal   string           `json:"journal,omitempty"`
-	Vol       string           `json:"vol,omitempty"`
-	Members   int              `json:"members,omitempty"`
-	StripeKB  int              `json:"stripe_kb,omitempty"`
-	RateKBs   float64          `json:"rate_kbs"`
-	Counters  map[string]int64 `json:"counters"`
-}
-
-// matrixJSON runs every cell of the table on workers host goroutines
-// and renders the report: {section: [cell, ...]}. Each cell is an
-// independent deterministic simulation, so the bytes do not depend on
+// matrixJSON measures every cell of the table on workers host
+// goroutines and renders the report: {section: [row, ...]}. Each cell is
+// an independent deterministic simulation, so the bytes do not depend on
 // workers.
 func matrixJSON(workers int) ([]byte, error) {
 	cells := matrixCells()
-	out, err := runner.Map(len(cells), runner.Options{Workers: workers}, func(i int) (cellJSON, error) {
-		c := cells[i]
-		res, snap, err := iobench.RunMeasured(c.sc, c.kind, c.prm)
-		if err != nil {
-			return cellJSON{}, fmt.Errorf("%s cell %d (%s %s): %w", c.section, i, c.sc.Run.Name, c.kind, err)
-		}
-		j := cellJSON{
-			Run: c.sc.Run.Name, Kind: c.kind, FileMB: c.prm.FileMB, IOKB: c.prm.IOSize >> 10,
-			MemMB: c.sc.MemBytes >> 20, RandomOps: c.prm.RandomOps,
-			ReadAhead: c.sc.ReadAhead, Vec: c.sc.Vec,
-			RecordKB: c.prm.Record >> 10, StrideKB: c.prm.Stride >> 10,
-			Journal: c.sc.Journal,
-			RateKBs: res.RateKBs(), Counters: make(map[string]int64, len(c.counters)),
-		}
-		if v := c.sc.Volume; v != nil {
-			j.Vol, j.Members, j.StripeKB = v.Level.String(), v.Members, v.StripeKB
-		}
-		for _, name := range c.counters {
-			j.Counters[name] = snap.Get(name)
-		}
-		return j, nil
-	})
+	measure := make([]iobench.Cell, len(cells))
+	for i, c := range cells {
+		measure[i] = c.Cell
+	}
+	rows, err := iobench.MeasureAll(measure, workers)
 	if err != nil {
 		return nil, err
 	}
-	report := map[string][]cellJSON{}
-	for i, j := range out {
-		report[cells[i].section] = append(report[cells[i].section], j)
+	report := map[string][]iobench.Row{}
+	for i, row := range rows {
+		report[cells[i].section] = append(report[cells[i].section], row)
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	return append(buf, '\n'), err

@@ -1,7 +1,9 @@
 // Command musbus runs the time-sharing workload under each paper
 // configuration, reproducing the negative result: "the time-sharing
 // benchmarks improved only slightly" because interactive work moves at
-// most one block per transfer.
+// most one block per transfer. The table prints through
+// iobench.RenderPaper, the formatter of EXPERIMENTS.md's generated
+// MusBus table.
 //
 //	musbus [-users N] [-minutes N]
 //	       [-seed N] [-mem MB] [-ra policy] [-vec strategy] [-journal mode]
@@ -17,6 +19,7 @@ import (
 	"os"
 
 	"ufsclust"
+	"ufsclust/internal/iobench"
 	"ufsclust/internal/musbus"
 	"ufsclust/internal/sim"
 )
@@ -33,15 +36,18 @@ func main() {
 	}
 
 	prm := musbus.Params{Users: *users, Duration: sim.Time(*minutes) * 60 * sim.Second}
-	fmt.Printf("MusBus-like time-sharing mix: %d users, %d virtual minutes\n", *users, *minutes)
-	fmt.Printf("%-4s %12s %10s\n", "run", "iter/minute", "cpu")
+	var cells []iobench.Cell
 	for _, sc.Run = range ufsclust.Runs() {
-		res, err := musbus.Run(sc, prm)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "musbus: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-4s %12.1f %10v\n", res.Run, res.Throughput(), res.CPUTime)
+		cells = append(cells, iobench.Cell{Scenario: sc, MusBus: &prm, Counters: []string{"cpu.system_ns"}})
 	}
-	fmt.Println("(paper: \"the time-sharing benchmarks improved only slightly\")")
+	rows, err := iobench.MeasureAll(cells, 0)
+	var tab string
+	if err == nil {
+		tab, err = iobench.RenderPaper("musbus", rows)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "musbus: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("MusBus-like time-sharing mix\n\n%s", tab)
 }

@@ -28,7 +28,7 @@ func main() {
 	var sc ufsclust.Scenario
 	sc.RegisterFlags(flag.CommandLine)
 	runName := flag.String("run", "A", "run configuration (A, B, C, D)")
-	kindFlag := flag.String("kind", "FSR", "I/O type (FSR, FSU, FSW, FRR, FRU, FMX, FSTR)")
+	kindFlag := flag.String("kind", "FSR", "I/O type (FSR, FSU, FSW, FRR, FRU, FMX, FSTR, FSM)")
 	record := flag.Int("record", 0, "FSTR record size in bytes (default the I/O size)")
 	stride := flag.Int("stride", 0, "FSTR stride in bytes (default 4x record)")
 	fileMB := flag.Int("file", 16, "benchmark file size in MB")

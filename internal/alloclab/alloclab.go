@@ -109,6 +109,9 @@ func allocFile(p *sim.Proc, fs *ufs.Fs, name string, size int64) (*ufs.Inode, er
 // BestCase writes one file of fileBytes onto an empty file system and
 // reports its extents.
 func BestCase(p *sim.Proc, fs *ufs.Fs, fileBytes int64) (*Report, error) {
+	if fileBytes <= 0 {
+		return nil, fmt.Errorf("alloclab: file size %d bytes, want > 0", fileBytes)
+	}
 	ip, err := allocFile(p, fs, "/bestcase", fileBytes)
 	if err != nil {
 		return nil, err
@@ -118,9 +121,23 @@ func BestCase(p *sim.Proc, fs *ufs.Fs, fileBytes int64) (*Report, error) {
 
 // AgeOpts controls the fragmentation aging pass.
 type AgeOpts struct {
-	TargetFull float64 // stop filling at this fraction of data space (e.g. 0.85)
-	Churn      int     // delete/recreate cycles after the fill
-	MeanFileKB int     // mean size of the filler files
+	TargetFull float64 // delete down to this fraction of data space, in (0, 1) (the paper: 0.85)
+	Churn      int     // delete/recreate cycles after the fill, >= 0
+	MeanFileKB int     // mean size of the filler files; 0 means 48
+}
+
+// check refuses options that would age nothing measurable: a target
+// outside (0, 1), negative churn, or filler files too small to draw.
+func (o AgeOpts) check() error {
+	switch {
+	case !(o.TargetFull > 0 && o.TargetFull < 1):
+		return fmt.Errorf("alloclab: aging target %v full, want a fraction in (0, 1)", o.TargetFull)
+	case o.Churn < 0:
+		return fmt.Errorf("alloclab: churn %d, want >= 0", o.Churn)
+	case o.MeanFileKB != 0 && o.MeanFileKB < 3:
+		return fmt.Errorf("alloclab: filler files of %d KB, want >= 3", o.MeanFileKB)
+	}
+	return nil
 }
 
 // Age fills the file system nearly to the minfree ceiling with many
@@ -130,12 +147,9 @@ type AgeOpts struct {
 // a contiguous tail. This matches the paper's "heavily fragmented /home
 // partition": a file system that has lived at high occupancy with
 // ongoing deletions.
-func Age(p *sim.Proc, fs *ufs.Fs, o AgeOpts) (int, error) {
-	if o.TargetFull == 0 {
-		o.TargetFull = 0.85
-	}
-	if o.Churn == 0 {
-		o.Churn = 3
+func Age(p *sim.Proc, fs *ufs.Fs, o AgeOpts) error {
+	if err := o.check(); err != nil {
+		return err
 	}
 	if o.MeanFileKB == 0 {
 		o.MeanFileKB = 48
@@ -155,7 +169,7 @@ func Age(p *sim.Proc, fs *ufs.Fs, o AgeOpts) (int, error) {
 	for i := range dirs {
 		dirs[i] = fmt.Sprintf("/aged%d", i)
 		if _, err := fs.Mkdir(p, dirs[i]); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	fileSize := func() int64 {
@@ -187,15 +201,14 @@ func Age(p *sim.Proc, fs *ufs.Fs, o AgeOpts) (int, error) {
 		}
 	}
 	if err := fill(); err != nil {
-		return 0, err
+		return err
 	}
-	created := len(names)
 	for c := 0; c < o.Churn; c++ {
 		// Delete ~40% at random, then refill to the ceiling.
 		for i := 0; i < len(names); i++ {
 			if rng.Intn(10) < 4 {
 				if err := fs.Remove(p, names[i]); err != nil {
-					return 0, err
+					return err
 				}
 				names[i] = names[len(names)-1]
 				names = names[:len(names)-1]
@@ -203,32 +216,36 @@ func Age(p *sim.Proc, fs *ufs.Fs, o AgeOpts) (int, error) {
 			}
 		}
 		if err := fill(); err != nil {
-			return 0, err
+			return err
 		}
-		created = len(names)
 	}
 	// Finally, delete at random down to the target occupancy: the free
 	// space is now scattered holes across every group.
 	for full() > o.TargetFull && len(names) > 0 {
 		i := rng.Intn(len(names))
 		if err := fs.Remove(p, names[i]); err != nil {
-			return 0, err
+			return err
 		}
 		names[i] = names[len(names)-1]
 		names = names[:len(names)-1]
 	}
-	return created, nil
+	return nil
 }
 
 // WorstCase ages the file system, then allocates a large file in the
-// remaining space and reports its extents.
+// remaining space and reports its extents. An aged file system that
+// cannot hold the whole file is an error: the extents of the part that
+// fit are not the measurement.
 func WorstCase(p *sim.Proc, fs *ufs.Fs, fileBytes int64, age AgeOpts) (*Report, error) {
-	if _, err := Age(p, fs, age); err != nil {
+	if fileBytes <= 0 {
+		return nil, fmt.Errorf("alloclab: file size %d bytes, want > 0", fileBytes)
+	}
+	if err := Age(p, fs, age); err != nil {
 		return nil, err
 	}
 	ip, err := allocFile(p, fs, "/worstcase", fileBytes)
-	if err != nil && err != ufs.ErrNoSpace {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("alloclab: no room for the file after aging to %v full: %w", age.TargetFull, err)
 	}
 	return MeasureFile(p, fs, ip)
 }

@@ -99,7 +99,7 @@ func TestWorstCaseSmallExtentsButUsable(t *testing.T) {
 func TestAgedFsStillConsistent(t *testing.T) {
 	s, fs, d := newFs(t, 96)
 	s.Spawn("lab", func(p *sim.Proc) {
-		if _, err := Age(p, fs, AgeOpts{TargetFull: 0.7, Churn: 2}); err != nil {
+		if err := Age(p, fs, AgeOpts{TargetFull: 0.7, Churn: 2}); err != nil {
 			t.Errorf("age: %v", err)
 		}
 	})
@@ -147,29 +147,65 @@ func TestMeasureFileCountsTailFragments(t *testing.T) {
 }
 
 // TestSweepDeterministicAcrossWorkers pins the sweep contract: the
-// parallel aging sweep produces exactly the serial results, point for
-// point, because every point is an independent machine.
+// parallel aging sweep produces exactly the serial results, case for
+// case, because every case is an independent machine.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	points := []SweepPoint{
+	cases := []Case{
 		{FileBytes: 2 << 20, Age: AgeOpts{TargetFull: 0.6, Churn: 1}},
 		{FileBytes: 2 << 20, Age: AgeOpts{TargetFull: 0.8, Churn: 1}},
 	}
-	serial, err := SweepWorstCase(ufsclust.RunA(), points, 1)
+	sc := ufsclust.Scenario{Run: ufsclust.RunA()}
+	serial, err := SweepWorstCase(sc, cases, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SweepWorstCase(ufsclust.RunA(), points, 4)
+	parallel, err := SweepWorstCase(sc, cases, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {
-		if !reflect.DeepEqual(serial[i].Report.Extents, parallel[i].Report.Extents) {
-			t.Fatalf("point %d: serial extents %v != parallel extents %v",
-				i, serial[i].Report.Extents, parallel[i].Report.Extents)
+		if !reflect.DeepEqual(serial[i].Extents, parallel[i].Extents) {
+			t.Fatalf("case %d: serial extents %v != parallel extents %v",
+				i, serial[i].Extents, parallel[i].Extents)
 		}
 	}
-	if serial[0].Report.AvgExtent() <= serial[1].Report.AvgExtent() {
+	if serial[0].AvgExtent() <= serial[1].AvgExtent() {
 		t.Logf("note: avg extent did not shrink with fill (%d vs %d) — small config",
-			serial[0].Report.AvgExtent(), serial[1].Report.AvgExtent())
+			serial[0].AvgExtent(), serial[1].AvgExtent())
+	}
+}
+
+// TestAllocLabRefusesNonMeasurements: a file size that is not positive,
+// an aging target outside (0, 1), negative churn, and an aged file
+// system with no room left for the file used to come back as a report —
+// 0 extents in a 0 MB file, or the extents of whatever part of the file
+// fit — instead of an error.
+func TestAllocLabRefusesNonMeasurements(t *testing.T) {
+	sc := ufsclust.Scenario{Run: ufsclust.RunA()}
+	for _, c := range []Case{
+		{FileBytes: 0},
+		{FileBytes: -1 << 20},
+		{FileBytes: 0, Age: AgeOpts{TargetFull: 0.85, Churn: 3}},
+		{FileBytes: 16 << 20, Age: AgeOpts{TargetFull: -1, Churn: 3}},
+		{FileBytes: 16 << 20, Age: AgeOpts{TargetFull: 1, Churn: 3}},
+		{FileBytes: 16 << 20, Age: AgeOpts{TargetFull: 0.85, Churn: -2}},
+		{FileBytes: 16 << 20, Age: AgeOpts{TargetFull: 0.85, MeanFileKB: 2}},
+	} {
+		if rep, err := Measure(sc, c); err == nil {
+			t.Errorf("%+v: measured %s, want an error", c, rep)
+		}
+	}
+	// 90 % is the minfree ceiling: the aged file system has no room for
+	// the file. A small disk keeps the aging cheap.
+	for _, full := range []float64{0.9, 0.95} {
+		s, fs, _ := newFs(t, 96)
+		s.Spawn("lab", func(p *sim.Proc) {
+			if rep, err := WorstCase(p, fs, 4<<20, AgeOpts{TargetFull: full, Churn: 1}); err == nil {
+				t.Errorf("%.0f%% full: measured %s, want an error", full*100, rep)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

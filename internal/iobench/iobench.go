@@ -9,10 +9,8 @@ package iobench
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"ufsclust"
-	"ufsclust/internal/runner"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
 )
@@ -47,14 +45,22 @@ const (
 	// with each vec strategy reproduces the sieve/list crossover of
 	// Ching et al.'s noncontiguous-I/O study.
 	FSTR Kind = "FSTR" // strided vectored read
+
+	// FSM is Figure 12's workload: the whole file read sequentially
+	// through the mmap interface (File.ReadMmap), which faults the pages
+	// in without copying them out. "The IObench CPU times are dominated
+	// by the copy time"; without the copy the file system's own CPU
+	// shows.
+	FSM Kind = "FSM" // sequential mmap read
 )
 
 // Kinds returns the paper's column order.
 func Kinds() []Kind { return []Kind{FSR, FSU, FSW, FRR, FRU} }
 
-// AllKinds returns every supported I/O type: the paper's five plus the
-// mixed read cell and the strided vectored-read cell.
-func AllKinds() []Kind { return []Kind{FSR, FSU, FSW, FRR, FRU, FMX, FSTR} }
+// AllKinds returns every supported I/O type: the paper's five, the
+// mixed read cell, the strided vectored-read cell and Figure 12's mmap
+// read.
+func AllKinds() []Kind { return []Kind{FSR, FSU, FSW, FRR, FRU, FMX, FSTR, FSM} }
 
 // MixedPhases is the number of sequential/random phase pairs in an FMX
 // run.
@@ -223,6 +229,11 @@ func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry
 				}
 			}
 			res.Bytes = size
+		case FSM:
+			if runErr = f.ReadMmap(p, 0, size); runErr != nil {
+				return
+			}
+			res.Bytes = size
 		case FSU, FSW:
 			for off := int64(0); off < size; off += int64(prm.IOSize) {
 				if _, runErr = write(off, chunk); runErr != nil {
@@ -338,113 +349,4 @@ func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry
 		return Result{}, telemetry.Snapshot{}, runErr
 	}
 	return res, snap, nil
-}
-
-// Table is a full Figure 10: rows are runs, columns I/O types.
-type Table struct {
-	Cells map[string]map[Kind]Result
-	Order []string
-}
-
-// RunAll executes every (run, kind) pair on sc's machine shape, sc.Run
-// replaced by each of runs in turn.
-func RunAll(sc ufsclust.Scenario, runs []ufsclust.RunConfig, kinds []Kind, prm Params) (*Table, error) {
-	return RunAllParallel(sc, runs, kinds, prm, 1)
-}
-
-// RunAllParallel is RunAll across workers host goroutines (0 means
-// GOMAXPROCS, 1 means serial). Each cell is an independent machine
-// seeded only by its Scenario, so the resulting table — and anything
-// formatted from it — is byte-identical to the serial table no matter
-// how many workers ran it.
-func RunAllParallel(sc ufsclust.Scenario, runs []ufsclust.RunConfig, kinds []Kind, prm Params, workers int) (*Table, error) {
-	if (prm.TraceW != nil || prm.EventW != nil) && workers != 1 {
-		return nil, fmt.Errorf("iobench: TraceW/EventW require serial execution (workers=1)")
-	}
-	type job struct {
-		sc   ufsclust.Scenario
-		kind Kind
-	}
-	var jobs []job
-	for _, rc := range runs {
-		sc.Run = rc
-		for _, k := range kinds {
-			jobs = append(jobs, job{sc, k})
-		}
-	}
-	cells, err := runner.Map(len(jobs), runner.Options{Workers: workers}, func(i int) (Result, error) {
-		res, err := Run(jobs[i].sc, jobs[i].kind, prm)
-		if err != nil {
-			return Result{}, fmt.Errorf("run %s %s: %w", jobs[i].sc.Run.Name, jobs[i].kind, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Cells: make(map[string]map[Kind]Result)}
-	for _, rc := range runs {
-		t.Order = append(t.Order, rc.Name)
-		t.Cells[rc.Name] = make(map[Kind]Result)
-	}
-	for i, res := range cells {
-		t.Cells[jobs[i].sc.Run.Name][jobs[i].kind] = res
-	}
-	return t, nil
-}
-
-// FormatRates renders the Figure 10 table (KB/second).
-func (t *Table) FormatRates(kinds []Kind) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-4s", "")
-	for _, k := range kinds {
-		fmt.Fprintf(&sb, "%8s", k)
-	}
-	sb.WriteByte('\n')
-	for _, run := range t.Order {
-		fmt.Fprintf(&sb, "%-4s", run)
-		for _, k := range kinds {
-			fmt.Fprintf(&sb, "%8.0f", t.Cells[run][k].RateKBs())
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// FormatRatios renders the Figure 11 table (other runs relative to the
-// first run in Order, typically A/B, A/C, A/D).
-func (t *Table) FormatRatios(kinds []Kind) string {
-	if len(t.Order) < 2 {
-		return ""
-	}
-	base := t.Order[0]
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-6s", "")
-	for _, k := range kinds {
-		fmt.Fprintf(&sb, "%8s", k)
-	}
-	sb.WriteByte('\n')
-	for _, run := range t.Order[1:] {
-		fmt.Fprintf(&sb, "%s/%-4s", base, run)
-		for _, k := range kinds {
-			b := t.Cells[run][k].RateKBs()
-			a := t.Cells[base][k].RateKBs()
-			r := 0.0
-			if b > 0 {
-				r = a / b
-			}
-			fmt.Fprintf(&sb, "%8.2f", r)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Ratio returns rate(runA)/rate(runB) for a kind.
-func (t *Table) Ratio(runA, runB string, k Kind) float64 {
-	b := t.Cells[runB][k].RateKBs()
-	if b == 0 {
-		return 0
-	}
-	return t.Cells[runA][k].RateKBs() / b
 }

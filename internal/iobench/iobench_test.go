@@ -9,7 +9,7 @@ import (
 )
 
 // smallParams keeps unit tests quick; the full 16 MB paper configuration
-// runs in the benchmark harness (bench_test.go, cmd/iobench).
+// is the paper section of cmd/iobench's matrix.
 func smallParams() Params {
 	return Params{FileMB: 8, RandomOps: 192}
 }
@@ -44,109 +44,45 @@ func TestRunProducesPositiveRate(t *testing.T) {
 	}
 }
 
-func TestSequentialClusteringWins(t *testing.T) {
-	// The paper's headline: "Predictably, the sequential I/O rates
-	// improved about a factor of two."
-	prm := smallParams()
-	for _, kind := range []Kind{FSR, FSU, FSW} {
-		a, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, kind, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, kind, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := a.RateKBs() / d.RateKBs()
-		if ratio < 1.4 || ratio > 2.6 {
-			t.Errorf("%s A/D = %.2f, want ~1.7-2.2 (A=%.0f D=%.0f KB/s)",
-				kind, ratio, a.RateKBs(), d.RateKBs())
-		}
-	}
-}
-
-func TestRandomReadsUnaffected(t *testing.T) {
-	// Figure 11: FRR ratios are ~1.04-1.05 — clustering neither helps
-	// nor hurts random reads.
-	prm := smallParams()
-	a, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FRR, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, FRR, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := a.RateKBs() / d.RateKBs()
-	if ratio < 0.85 || ratio > 1.25 {
-		t.Errorf("FRR A/D = %.2f, want ~1.0", ratio)
-	}
-}
-
-func TestRandomUpdateFairnessCost(t *testing.T) {
-	// Figure 11's one sub-1.0 cell: FRU A/D = 0.83 — the write limit
-	// trades random-update throughput for fairness. We reproduce the
-	// direction (A <= D within noise), though our seek model recovers
-	// less of disksort's deep-queue advantage than the 1991 hardware.
-	prm := smallParams()
-	prm.RandomOps = 512
-	a, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FRU, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, FRU, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := a.RateKBs() / d.RateKBs()
-	if ratio > 1.05 {
-		t.Errorf("FRU A/D = %.2f, want <= ~1.0 (the fairness tradeoff)", ratio)
-	}
-}
-
-func TestAbsoluteRatesPlausible(t *testing.T) {
-	// Sanity-band the absolute KB/s against the hardware model:
-	// media rate is ~1.9 MB/s, so run A sequential must land between
-	// 1.0 and 1.92 MB/s and legacy runs near half of it.
-	prm := smallParams()
-	a, _ := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSR, prm)
-	if r := a.RateKBs(); r < 1100 || r > 1966 {
-		t.Errorf("A FSR = %.0f KB/s, outside [1100, 1966]", r)
-	}
-	d, _ := Run(ufsclust.Scenario{Run: ufsclust.RunD()}, FSR, prm)
-	if r := d.RateKBs(); r < 600 || r > 1050 {
-		t.Errorf("D FSR = %.0f KB/s, outside [600, 1050]", r)
-	}
-}
-
-func TestWriteLimitStallsOnlyLimitedRuns(t *testing.T) {
-	prm := smallParams()
-	// Run A has the 240KB limit; stalls expected on sequential write.
-	resA, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSW, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resA
-}
-
+// TestTableFormatting renders Figures 10 and 11 from two synthetic runs:
+// the measured rows beside the paper's, and Figure 11's ratios derived
+// from the rates for both.
 func TestTableFormatting(t *testing.T) {
-	tab := &Table{
-		Cells: map[string]map[Kind]Result{
-			"A": {FSR: {Run: "A", Kind: FSR, Bytes: 1 << 20, Elapsed: 1e9}},
-			"D": {FSR: {Run: "D", Kind: FSR, Bytes: 1 << 20, Elapsed: 2e9}},
-		},
-		Order: []string{"A", "D"},
+	var rows []Row
+	for _, run := range []struct {
+		name string
+		rate float64
+	}{{"A", 1024}, {"D", 512}} {
+		for _, k := range Kinds() {
+			rows = append(rows, Row{Run: run.name, Kind: k, FileMB: 1, RateKBs: run.rate})
+		}
 	}
-	rates := tab.FormatRates([]Kind{FSR})
-	if !strings.Contains(rates, "1024") || !strings.Contains(rates, "512") {
-		t.Errorf("rates table wrong:\n%s", rates)
+	rates, err := RenderPaper("fig10", rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ratios := tab.FormatRatios([]Kind{FSR})
-	if !strings.Contains(ratios, "2.00") {
-		t.Errorf("ratios table wrong:\n%s", ratios)
+	for _, want := range []string{"1 MB file", "| paper A | 1610 |", "| **measured A** | **1024** |", "| **measured D** | **512** |"} {
+		if !strings.Contains(rates, want) {
+			t.Errorf("rates table lacks %q:\n%s", want, rates)
+		}
 	}
-	if tab.Ratio("A", "D", FSR) != 2.0 {
-		t.Errorf("Ratio = %v", tab.Ratio("A", "D", FSR))
+	ratios, err := RenderPaper("fig11", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"| paper A/D | 2.15 |", "| **measured A/D** | **2.00** |"} {
+		if !strings.Contains(ratios, want) {
+			t.Errorf("ratios table lacks %q:\n%s", want, ratios)
+		}
+	}
+	if _, err := RenderPaper("fig11", rows[:len(Kinds())]); err == nil {
+		t.Error("Figure 11 rendered from one run")
+	}
+	if _, err := RenderPaper("fig10", rows[1:]); err == nil {
+		t.Error("Figure 10 rendered with a column missing")
+	}
+	if _, err := RenderPaper("fig12", rows); err == nil {
+		t.Error("Figure 12 rendered without FSM rows")
 	}
 }
 
@@ -167,7 +103,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestParallelTableMatchesSerial pins the parallel sweep contract at the
-// table level: the run×kind matrix computed on many host workers renders
+// table level: the run×kind matrix measured on many host workers renders
 // byte-identically to the serial one.
 //
 // The adaptive row is the one with state to leak: its policy keeps
@@ -175,35 +111,58 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // the same inode. A policy instance shared between cells would show up
 // here as a differing table, and under -race as a data race.
 func TestParallelTableMatchesSerial(t *testing.T) {
-	runs := []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunD()}
 	prm := Params{FileMB: 1, RandomOps: 16}
-	for _, sc := range []ufsclust.Scenario{{}, {ReadAhead: "adaptive"}} {
-		serial, err := RunAll(sc, runs, Kinds(), prm)
-		if err != nil {
-			t.Fatal(err)
+	for _, ra := range []string{"", "adaptive"} {
+		var cells []Cell
+		for _, rc := range []ufsclust.RunConfig{ufsclust.RunA(), ufsclust.RunD()} {
+			for _, k := range Kinds() {
+				cells = append(cells, Cell{Scenario: ufsclust.Scenario{Run: rc, ReadAhead: ra}, Kind: k, Params: prm})
+			}
 		}
-		par, err := RunAllParallel(sc, runs, Kinds(), prm, 4)
-		if err != nil {
-			t.Fatal(err)
+		var tables [2]string
+		for i, workers := range []int{1, 4} {
+			rows, err := MeasureAll(cells, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"fig10", "fig11"} {
+				tab, err := RenderPaper(name, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables[i] += tab
+			}
 		}
-		if s, p := serial.FormatRates(Kinds()), par.FormatRates(Kinds()); s != p {
-			t.Fatalf("parallel table differs from serial\n--- serial ---\n%s--- parallel ---\n%s", s, p)
-		}
-		if s, p := serial.FormatRatios(Kinds()), par.FormatRatios(Kinds()); s != p {
-			t.Fatalf("parallel ratios differ from serial\n--- serial ---\n%s--- parallel ---\n%s", s, p)
+		if tables[0] != tables[1] {
+			t.Fatalf("parallel tables differ from serial\n--- serial ---\n%s--- parallel ---\n%s", tables[0], tables[1])
 		}
 	}
-	if _, err := RunAllParallel(ufsclust.Scenario{}, runs, Kinds(), Params{FileMB: 1, RandomOps: 16, TraceW: os.Stderr}, 2); err == nil {
-		t.Fatal("RunAllParallel accepted a TraceW with workers > 1; traces would interleave")
+	traced := []Cell{{Scenario: ufsclust.Scenario{Run: ufsclust.RunA()}, Kind: FSR, Params: Params{FileMB: 1, TraceW: os.Stderr}}}
+	if _, err := MeasureAll(traced, 2); err == nil {
+		t.Fatal("MeasureAll accepted a TraceW with workers > 1; traces would interleave")
 	}
 }
 
 // TestNegativeSizesAreAnError: a negative size used to run an empty loop
-// and report a table of zeros (or, for FSTR, panic in make).
+// and report a table of zeros (or, for FSTR, panic in make), and a file
+// the 400 MB drive cannot hold must come back as the setup write's
+// error, not as a rate over bytes that were never written.
 func TestNegativeSizesAreAnError(t *testing.T) {
-	for _, prm := range []Params{{FileMB: -1}, {IOSize: -8192}, {RandomOps: -1}, {Record: -1}, {Stride: -1}, {VecBatch: -1}} {
-		if res, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSTR, prm); err == nil {
-			t.Errorf("%+v: ran and measured %+v", prm, res)
-		}
+	for _, c := range []struct {
+		name string
+		kind Kind
+		prm  Params
+	}{
+		{"FSTR_negative_file", FSTR, Params{FileMB: -1}}, {"FSTR_negative_io", FSTR, Params{IOSize: -8192}},
+		{"FSTR_negative_ops", FSTR, Params{RandomOps: -1}}, {"FSTR_negative_record", FSTR, Params{Record: -1}},
+		{"FSTR_negative_stride", FSTR, Params{Stride: -1}}, {"FSTR_negative_batch", FSTR, Params{VecBatch: -1}},
+		{"FSM_negative_file", FSM, Params{FileMB: -1}}, {"FSR_negative_file", FSR, Params{FileMB: -1}},
+		{"FSM_full_disk", FSM, Params{FileMB: 450}}, {"FSR_full_disk", FSR, Params{FileMB: 450}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if res, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, c.kind, c.prm); err == nil {
+				t.Errorf("%s %+v: ran and measured %+v", c.kind, c.prm, res)
+			}
+		})
 	}
 }

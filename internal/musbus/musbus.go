@@ -63,6 +63,9 @@ func Run(sc ufsclust.Scenario, prm Params) (Result, error) {
 // RunMeasured is Run plus a telemetry Snapshot delta spanning the
 // timed interval (machine assembly excluded).
 func RunMeasured(sc ufsclust.Scenario, prm Params) (Result, telemetry.Snapshot, error) {
+	if prm.Users < 0 || prm.Duration < 0 {
+		return Result{}, telemetry.Snapshot{}, fmt.Errorf("musbus: %d users for %v, want neither negative", prm.Users, prm.Duration)
+	}
 	prm = prm.withDefaults()
 	sc.Seed += 77
 	m, err := sc.New()

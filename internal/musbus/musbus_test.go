@@ -39,6 +39,16 @@ func TestTimeSharingImprovesOnlySlightly(t *testing.T) {
 	}
 }
 
+// TestNegativeSizesAreAnError: a negative user count used to run an
+// idle machine and report zero iterations as a measurement.
+func TestNegativeSizesAreAnError(t *testing.T) {
+	for _, prm := range []Params{{Users: -1}, {Duration: -sim.Second}} {
+		if res, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, prm); err == nil {
+			t.Errorf("%+v: ran and measured %+v", prm, res)
+		}
+	}
+}
+
 func TestDeterministic(t *testing.T) {
 	prm := Params{Users: 2, Duration: 30 * sim.Second}
 	r1, err := Run(ufsclust.Scenario{Run: ufsclust.RunB()}, prm)

@@ -108,53 +108,54 @@ func lbnList(lbn int64, n int) string {
 	return strings.Join(parts, ",")
 }
 
-// machine builds a small machine with the given tuning.
-func machine(rotdelayMs, maxcontig int, clustered bool) (*ufsclust.Machine, error) {
-	opts := ufsclust.Options{
-		Mkfs: ufs.MkfsOpts{Rotdelay: rotdelayMs, Maxcontig: maxcontig},
-	}
-	opts.Engine.Clustered = clustered
-	opts.Engine.ReadAhead = true
-	return ufsclust.NewMachine(opts)
-}
-
-// readFigure runs a sequential read of npages and records per-page
-// events. nextrio selects which predictor is reported.
-func readFigure(title string, rotdelayMs, maxcontig, npages int, clustered bool) (*Figure, error) {
-	m, err := machine(rotdelayMs, maxcontig, clustered)
+// figure traces npages calls of one block each on a small machine of
+// the given tuning: a sequential read of a file written and purged
+// first, or with write a sequential write that allocates as it goes.
+// For every call it records the events the figures show — a lie bare,
+// the rest with the blocks they move — and the predictor fig.PredLabel
+// names, after the call.
+func figure(fig *Figure, rotdelayMs, maxcontig, npages int, clustered, write bool) (*Figure, error) {
+	opts := ufsclust.Options{Mkfs: ufs.MkfsOpts{Rotdelay: rotdelayMs, Maxcontig: maxcontig}}
+	opts.Engine.Clustered, opts.Engine.ReadAhead = clustered, true
+	m, err := ufsclust.NewMachine(opts)
 	if err != nil {
 		return nil, err
 	}
 	defer m.Close()
-	fig := &Figure{Title: title, PredLabel: "nextr"}
-	if clustered {
-		fig.PredLabel = "nextrio"
-	}
 	err = m.Run(func(p *sim.Proc) {
 		f, err := m.Engine.Create(p, "/trace")
 		if err != nil {
 			return
 		}
-		f.Write(p, 0, make([]byte, (npages+3*maxcontig+2)*8192))
-		f.Purge(p)
-
+		if !write {
+			f.Write(p, 0, make([]byte, (npages+3*maxcontig+2)*8192))
+			f.Purge(p)
+		}
 		var cur *PageEvents
 		m.Tel.Bus.Subscribe(func(ev telemetry.Event) {
 			name := actionName(ev.Kind)
 			if cur == nil || name == "" {
 				return
 			}
-			cur.Actions = append(cur.Actions, fmt.Sprintf("%s %s", name, lbnList(ev.LBN, int(ev.Blocks))))
+			if ev.Kind != telemetry.EvWriteLie {
+				name += " " + lbnList(ev.LBN, int(ev.Blocks))
+			}
+			cur.Actions = append(cur.Actions, name)
 		})
 		buf := make([]byte, 8192)
 		for i := 0; i < npages; i++ {
 			pe := PageEvents{Page: int64(i)}
 			cur = &pe
-			f.Read(p, int64(i)*8192, buf)
-			if clustered {
-				pe.Pred = f.Inode().Nextrio
+			if write {
+				f.Write(p, int64(i)*8192, buf)
 			} else {
+				f.Read(p, int64(i)*8192, buf)
+			}
+			switch fig.PredLabel {
+			case "nextr":
 				pe.Pred = f.Inode().Nextr
+			case "nextrio":
+				pe.Pred = f.Inode().Nextrio
 			}
 			fig.Pages = append(fig.Pages, pe)
 		}
@@ -168,54 +169,18 @@ func readFigure(title string, rotdelayMs, maxcontig, npages int, clustered bool)
 
 // Figure3 reproduces the legacy one-block read-ahead table.
 func Figure3() (*Figure, error) {
-	return readFigure("Figure 3: access pattern showing read ahead (legacy UFS)",
-		4, 1, 3, false)
+	return figure(&Figure{Title: "Figure 3: access pattern showing read ahead (legacy UFS)", PredLabel: "nextr"},
+		4, 1, 3, false, false)
 }
 
 // Figure6 reproduces the clustered-read table with maxcontig = 3.
 func Figure6() (*Figure, error) {
-	return readFigure("Figure 6: clustered reads when maxcontig = 3",
-		0, 3, 7, true)
+	return figure(&Figure{Title: "Figure 6: clustered reads when maxcontig = 3", PredLabel: "nextrio"},
+		0, 3, 7, true, false)
 }
 
 // Figure7 reproduces the clustered-write ("lie/push") table with
 // maxcontig = 3.
 func Figure7() (*Figure, error) {
-	m, err := machine(0, 3, true)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	fig := &Figure{Title: "Figure 7: clustered writes with maxcontig = 3"}
-	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Create(p, "/trace")
-		if err != nil {
-			return
-		}
-		var cur *PageEvents
-		m.Tel.Bus.Subscribe(func(ev telemetry.Event) {
-			name := actionName(ev.Kind)
-			if cur == nil || name == "" {
-				return
-			}
-			s := name
-			if ev.Kind == telemetry.EvClusterPush {
-				s = fmt.Sprintf("push %s", lbnList(ev.LBN, int(ev.Blocks)))
-			}
-			cur.Actions = append(cur.Actions, s)
-		})
-		buf := make([]byte, 8192)
-		for i := 0; i < 6; i++ {
-			pe := PageEvents{Page: int64(i)}
-			cur = &pe
-			f.Write(p, int64(i)*8192, buf)
-			fig.Pages = append(fig.Pages, pe)
-		}
-		cur = nil
-		f.Fsync(p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
+	return figure(&Figure{Title: "Figure 7: clustered writes with maxcontig = 3"}, 0, 3, 6, true, true)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,83 +16,66 @@ func render(t *testing.T, f *Figure, err error) string {
 	return sb.String()
 }
 
+// matches requires a figure's every page — its full action list and
+// the predictor after the call — to equal the paper's figure, written
+// out below as a literal table.
+func matches(t *testing.T, f *Figure, err error, want []PageEvents) {
+	t.Helper()
+	out := render(t, f, err)
+	t.Logf("\n%s", out)
+	if !reflect.DeepEqual(f.Pages, want) {
+		t.Errorf("figure differs from the paper's:\n got %+v\nwant %+v", f.Pages, want)
+	}
+}
+
+// The three tables are exact, so they also imply the engine counters the
+// same patterns were once checked by: every synchronous read emits one
+// "sync" action and every pushed cluster one "push" (one write I/O); a
+// read-ahead emits "async" unless its whole span is already cached, and
+// in these figures each read-ahead reaches past everything read so far;
+// a demand page with no "sync" action was a cache hit.
+
+// TestFigure3MatchesPaper: legacy read-ahead, one block at a time. Three
+// faults make one synchronous read and three read-aheads, pages 1 and 2
+// are cache hits, and nextr ends at 3.
 func TestFigure3MatchesPaper(t *testing.T) {
 	f, err := Figure3()
-	out := render(t, f, err)
-	t.Logf("\n%s", out)
-	// Paper: page 0 -> sync read page 0, async read page 1, nextr=1;
-	// page 1 -> async read 2, nextr=2; page 2 -> async read 3.
-	if len(f.Pages) != 3 {
-		t.Fatalf("pages = %d", len(f.Pages))
-	}
-	p0 := strings.Join(f.Pages[0].Actions, " ")
-	if !strings.Contains(p0, "sync 0") || !strings.Contains(p0, "async 1") {
-		t.Errorf("page 0 actions = %v", f.Pages[0].Actions)
-	}
-	if f.Pages[0].Pred != 1 || f.Pages[1].Pred != 2 || f.Pages[2].Pred != 3 {
-		t.Errorf("nextr sequence = %d,%d,%d, want 1,2,3",
-			f.Pages[0].Pred, f.Pages[1].Pred, f.Pages[2].Pred)
-	}
-	p1 := strings.Join(f.Pages[1].Actions, " ")
-	if !strings.Contains(p1, "async 2") || strings.HasPrefix(p1, "sync") {
-		t.Errorf("page 1 actions = %v", f.Pages[1].Actions)
-	}
+	matches(t, f, err, []PageEvents{
+		{Page: 0, Actions: []string{"sync 0", "async 1"}, Pred: 1},
+		{Page: 1, Actions: []string{"async 2"}, Pred: 2},
+		{Page: 2, Actions: []string{"async 3"}, Pred: 3},
+	})
 }
 
+// TestFigure6MatchesPaper: clustered reads, maxcontig = 3. One
+// synchronous cluster read, then a read-ahead cluster whenever the
+// reader reaches the start of the last one: nextrio 6, 9, 12.
 func TestFigure6MatchesPaper(t *testing.T) {
 	f, err := Figure6()
-	out := render(t, f, err)
-	t.Logf("\n%s", out)
-	if len(f.Pages) != 7 {
-		t.Fatalf("pages = %d", len(f.Pages))
-	}
-	p0 := strings.Join(f.Pages[0].Actions, " ")
-	if !strings.Contains(p0, "sync 0,1,2") || !strings.Contains(p0, "async 3,4,5") {
-		t.Errorf("page 0 actions = %v", f.Pages[0].Actions)
-	}
-	if f.Pages[0].Pred != 6 {
-		t.Errorf("page 0 nextrio = %d, want 6", f.Pages[0].Pred)
-	}
-	// Pages 1, 2 do nothing.
-	if len(f.Pages[1].Actions) != 0 || len(f.Pages[2].Actions) != 0 {
-		t.Errorf("pages 1-2 acted: %v %v", f.Pages[1].Actions, f.Pages[2].Actions)
-	}
-	// Page 3 prefetches 6,7,8.
-	p3 := strings.Join(f.Pages[3].Actions, " ")
-	if !strings.Contains(p3, "async 6,7,8") || f.Pages[3].Pred != 9 {
-		t.Errorf("page 3 = %v nextrio=%d", f.Pages[3].Actions, f.Pages[3].Pred)
-	}
-	// Page 6 prefetches 9,10,11.
-	p6 := strings.Join(f.Pages[6].Actions, " ")
-	if !strings.Contains(p6, "async 9,10,11") || f.Pages[6].Pred != 12 {
-		t.Errorf("page 6 = %v nextrio=%d", f.Pages[6].Actions, f.Pages[6].Pred)
-	}
+	matches(t, f, err, []PageEvents{
+		{Page: 0, Actions: []string{"sync 0,1,2", "async 3,4,5"}, Pred: 6},
+		{Page: 1, Pred: 6},
+		{Page: 2, Pred: 6},
+		{Page: 3, Actions: []string{"async 6,7,8"}, Pred: 9},
+		{Page: 4, Pred: 9},
+		{Page: 5, Pred: 9},
+		{Page: 6, Actions: []string{"async 9,10,11"}, Pred: 12},
+	})
 }
 
+// TestFigure7MatchesPaper: clustered writes, maxcontig = 3. Every write
+// lies (six lies), and the third and sixth push a full cluster: write
+// I/Os 0, 0, 1, 1, 1, 2 after each page.
 func TestFigure7MatchesPaper(t *testing.T) {
 	f, err := Figure7()
-	out := render(t, f, err)
-	t.Logf("\n%s", out)
-	if len(f.Pages) != 6 {
-		t.Fatalf("pages = %d", len(f.Pages))
-	}
-	// Paper: lie, lie, push 0,1,2, lie, lie, push 3,4,5.
-	wantPush := map[int]string{2: "push 0,1,2", 5: "push 3,4,5"}
-	for i, p := range f.Pages {
-		joined := strings.Join(p.Actions, " ")
-		if want, ok := wantPush[i]; ok {
-			if !strings.Contains(joined, want) {
-				t.Errorf("page %d = %v, want %q", i, p.Actions, want)
-			}
-		} else {
-			if strings.Contains(joined, "push") {
-				t.Errorf("page %d unexpectedly pushed: %v", i, p.Actions)
-			}
-			if !strings.Contains(joined, "lie") {
-				t.Errorf("page %d did not lie: %v", i, p.Actions)
-			}
-		}
-	}
+	matches(t, f, err, []PageEvents{
+		{Page: 0, Actions: []string{"lie"}},
+		{Page: 1, Actions: []string{"lie"}},
+		{Page: 2, Actions: []string{"lie", "push 0,1,2"}},
+		{Page: 3, Actions: []string{"lie"}},
+		{Page: 4, Actions: []string{"lie"}},
+		{Page: 5, Actions: []string{"lie", "push 3,4,5"}},
+	})
 }
 
 func TestRenderLayout(t *testing.T) {
