@@ -40,6 +40,10 @@ func main() {
 	if sc.Run, err = ufsclust.RunByName(*runName); err == nil {
 		_, err = sc.Options()
 	}
+	if err == nil && *fileMB <= 0 {
+		// The report names the file size, so it must be the one measured.
+		err = fmt.Errorf("-file %d: the file size must be positive", *fileMB)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simstat: %v\n", err)
 		os.Exit(2)

@@ -39,7 +39,7 @@ func newRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64) *rig 
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := vm.New(s, cm, vm.Config{MemBytes: 8 << 20})
+	v := vm.New(s, cm, 8<<20)
 	eng := NewEngine(s, cm, v, fs, cfg)
 	return &rig{s: s, d: d, dr: dr, fs: fs, v: v, eng: eng}
 }
@@ -586,6 +586,41 @@ func TestReadMmapSkipsCopyCost(t *testing.T) {
 		}
 		if bk[cpu.Fault].Count != 128 {
 			t.Errorf("mmap read faulted %d times, want 128", bk[cpu.Fault].Count)
+		}
+	})
+}
+
+// TestReadWriteChargeOneMapPerBlock: a read(2) or write(2) of N blocks
+// is one syscall entry plus N kernel-window map/unmap charges, and the
+// map cost lands in the map category, not the syscall one.
+func TestReadWriteChargeOneMapPerBlock(t *testing.T) {
+	const blocks = 16
+	mk, cfg := clusteredOpts()
+	r := newRig(t, mk, cfg, 0)
+	r.run(t, func(p *sim.Proc) {
+		f, _ := r.eng.Create(p, "/f")
+		buf := make([]byte, blocks*8192)
+		for _, op := range []struct {
+			name string
+			do   func() (int, error)
+		}{
+			{"write", func() (int, error) { return f.Write(p, 0, buf) }},
+			{"read", func() (int, error) { return f.Read(p, 0, buf) }},
+		} {
+			r.eng.CPU.Reset()
+			if _, err := op.do(); err != nil {
+				t.Errorf("%s: %v", op.name, err)
+				return
+			}
+			bk := r.eng.CPU.Buckets()
+			if m := bk[cpu.MapUnmap]; m.Count != blocks || m.Instr != blocks*cpu.MapBlockInstr {
+				t.Errorf("%s of %d blocks: %d map charges (%d instructions), want %d (%d)",
+					op.name, blocks, m.Count, m.Instr, blocks, blocks*cpu.MapBlockInstr)
+			}
+			if s := bk[cpu.Syscall]; s.Count != 1 || s.Instr != cpu.SyscallInstr {
+				t.Errorf("%s: %d syscall charges (%d instructions), want 1 (%d)",
+					op.name, s.Count, s.Instr, cpu.SyscallInstr)
+			}
 		}
 	})
 }

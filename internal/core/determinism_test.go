@@ -109,7 +109,7 @@ func newVolRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64, vc
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := vm.New(s, cm, vm.Config{MemBytes: 8 << 20})
+	v := vm.New(s, cm, 8<<20)
 	eng := NewEngine(s, cm, v, fs, cfg)
 	return &rig{s: s, dr: dr, fs: fs, v: v, eng: eng}, vl
 }

@@ -1,3 +1,13 @@
+// Package core implements the paper's contribution: the UFS data path
+// (rdwr / getpage / putpage) in two selectable forms — the legacy SunOS
+// 4.1 block-at-a-time engine with one-block read-ahead, and the SunOS
+// 4.1.1 clustering engine that transfers maxcontig-sized clusters,
+// delays writes until a cluster accumulates (or sequentiality breaks),
+// frees pages behind large sequential reads, and bounds per-file write
+// queueing with a counting semaphore. The two engines run over the same
+// on-disk format; only this code path differs, exactly as in the paper.
+// Every instruction the path charges comes from internal/cpu's cost
+// table.
 package core
 
 import (
@@ -38,9 +48,6 @@ type Config struct {
 	// FreeBehind releases pages behind large sequential reads when
 	// memory is low, turning LRU into MRU for streaming I/O.
 	FreeBehind bool
-	// FreeBehindMin is the file offset after which free-behind may
-	// engage ("at a large enough offset").
-	FreeBehindMin int64
 
 	// SkipBmapOnHit enables the Further Work "UFS_HOLE" optimization:
 	// when the requested page is already cached and the file has no
@@ -58,9 +65,6 @@ type Config struct {
 	// fragmentation for the many files under 2 KB. In-core only; the
 	// on-disk format is untouched.
 	InodeDataCache bool
-
-	// Costs is the CPU model; zero value means DefaultCosts.
-	Costs Costs
 }
 
 // ConfigA and ConfigD return the code-path halves of the paper's Figure
@@ -69,12 +73,12 @@ type Config struct {
 // runs B and C are D plus heuristics the root package's RunB/RunC turn
 // on.)
 func ConfigA() Config {
-	return Config{Clustered: true, ReadAhead: true, FreeBehind: true, Costs: DefaultCosts()}
+	return Config{Clustered: true, ReadAhead: true, FreeBehind: true}
 }
 
 // ConfigD approximates stock SunOS 4.1.
 func ConfigD() Config {
-	return Config{Clustered: false, ReadAhead: true, FreeBehind: false, Costs: DefaultCosts()}
+	return Config{Clustered: false, ReadAhead: true, FreeBehind: false}
 }
 
 // Stats counts engine events.
@@ -110,6 +114,10 @@ type Stats struct {
 // InodeDataMax is the size cap for the inode data cache ("many files
 // are small, less than 2KB").
 const InodeDataMax = 2048
+
+// freeBehindMin is the file offset after which free-behind may engage
+// ("at a large enough offset").
+const freeBehindMin = 128 << 10
 
 // Engine binds the data path to a mounted file system and VM system.
 type Engine struct {
@@ -172,12 +180,6 @@ func (e *Engine) AttachTelemetry(tel *telemetry.Telemetry) {
 // NewEngine wires up an engine. The cluster size is the superblock's
 // maxcontig capped by the driver's maxphys.
 func NewEngine(s *sim.Sim, cpuModel *cpu.Model, vmSys *vm.VM, fs *ufs.Fs, cfg Config) *Engine {
-	if cfg.Costs == (Costs{}) {
-		cfg.Costs = DefaultCosts()
-	}
-	if cfg.FreeBehindMin == 0 {
-		cfg.FreeBehindMin = 128 << 10
-	}
 	return &Engine{Sim: s, CPU: cpuModel, VM: vmSys, FS: fs, Cfg: cfg, vnodes: make(map[int32]*Vnode)}
 }
 

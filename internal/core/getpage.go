@@ -24,7 +24,7 @@ func (e *Engine) GetPage(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, error) {
 // hint, used only when Config.RandomClustering is on.
 func (e *Engine) GetPageHint(p *sim.Proc, vn *Vnode, off int64, hintBlocks int) (*vm.Page, error) {
 	e.Stats.GetPages++
-	e.charge(p, cpu.GetPage, e.Cfg.Costs.GetPage)
+	e.charge(p, cpu.GetPage, cpu.GetPageInstr)
 	if e.Cfg.Clustered {
 		return e.getpageClustered(p, vn, off, hintBlocks)
 	}
@@ -51,7 +51,7 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 	var pg *vm.Page
 	var cached bool
 	if e.Cfg.SkipBmapOnHit && noHoles(e, vn) {
-		e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		pg, cached = e.VM.Lookup(vn, lbn*int64(sb.Bsize))
 		if cached {
 			e.Stats.BmapSkips++
@@ -64,7 +64,7 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 			vn.recordErr(err)
 			return nil, err
 		}
-		e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		pg, cached = e.VM.Lookup(vn, lbn*int64(sb.Bsize))
 	}
 	if cached {
@@ -82,7 +82,7 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 	if seq && e.Cfg.ReadAhead {
 		nlbn := lbn + 1
 		if nlbn*int64(sb.Bsize) < vn.IP.D.Size {
-			e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+			e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 			if _, ok := e.VM.Lookup(vn, nlbn*int64(sb.Bsize)); !ok {
 				// do another bmap() if necessary.
 				nfsbn, _, err := e.FS.Bmap(p, vn.IP, nlbn)
@@ -110,7 +110,7 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 	// The UFS_HOLE fast path: a cached page in a hole-free file needs
 	// no bmap at all. (Read-ahead decisions still work from nextrio.)
 	if e.Cfg.SkipBmapOnHit && !seq && noHoles(e, vn) {
-		e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		if pg, ok := e.VM.Lookup(vn, lbn*int64(sb.Bsize)); ok {
 			e.Stats.BmapSkips++
 			e.Stats.CacheHits++
@@ -135,7 +135,7 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 		contig = max
 	}
 
-	e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+	e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 	vn.seq = seq
 	pg, cached := e.VM.Lookup(vn, lbn*int64(sb.Bsize))
 	// edge is the first block past what this access is known to cover:
@@ -345,8 +345,8 @@ func (e *Engine) startReadTagged(p *sim.Proc, vn *Vnode, lbn int64, fsbn int32, 
 		// A hole: supply zeros, no backing I/O.
 		e.Stats.ZeroFills++
 		pg := e.VM.Alloc(p, vn, lbn*int64(sb.Bsize))
-		e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
-		e.charge(p, cpu.Copy, e.Cfg.Costs.ZeroPerByte*int64(sb.Bsize))
+		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
+		e.charge(p, cpu.Copy, cpu.ZeroInstrPerByte*int64(sb.Bsize))
 		for i := range pg.Data {
 			pg.Data[i] = 0
 		}

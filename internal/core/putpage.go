@@ -16,7 +16,7 @@ import (
 // or the sequentiality assumption breaks (Figures 7 and 8).
 func (e *Engine) PutPage(p *sim.Proc, vn *Vnode, off int64) {
 	e.Stats.PutPages++
-	e.charge(p, cpu.PutPage, e.Cfg.Costs.PutPage)
+	e.charge(p, cpu.PutPage, cpu.PutPageInstr)
 	if !e.Cfg.Clustered {
 		e.push(p, vn, off, int64(e.FS.SB.Bsize), true, 0)
 		return
@@ -73,7 +73,7 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool, row
 	end := (off + length + bsize - 1) / bsize
 	for lbn < end {
 		// Find the next dirty, unlocked, cached page.
-		e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		pg, ok := e.VM.Lookup(vn, lbn*bsize)
 		if !ok || !pg.Dirty() || pg.Busy() {
 			lbn++

@@ -23,7 +23,7 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 	if err := vn.Err(); err != nil {
 		return 0, err
 	}
-	e.charge(p, cpu.Syscall, e.Cfg.Costs.Syscall)
+	e.charge(p, cpu.Syscall, cpu.SyscallInstr)
 
 	// Further Work, "data in the inode": serve small files from the
 	// in-core inode copy, skipping the map/fault/page machinery.
@@ -45,7 +45,7 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 			return 0, nil
 		}
 		n := copy(buf, vn.inodeData[off:])
-		e.charge(p, cpu.Copy, e.Cfg.Costs.CopyPerByte*int64(n))
+		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
 		return n, nil
 	}
 
@@ -62,8 +62,8 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 
 		// Map the block; the first touch faults. The request's total
 		// remaining span travels down as the random-clustering hint.
-		e.charge(p, cpu.Syscall, e.Cfg.Costs.MapBlock)
-		e.charge(p, cpu.Fault, e.Cfg.Costs.Fault)
+		e.charge(p, cpu.MapUnmap, cpu.MapBlockInstr)
+		e.charge(p, cpu.Fault, cpu.FaultInstr)
 		hint := (boff + len(buf) + int(sb.Bsize) - 1) / int(sb.Bsize)
 		pg, err := e.GetPageHint(p, vn, off-int64(boff), hint)
 		if err != nil {
@@ -76,7 +76,7 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 		}
 		pg.Touch()
 
-		e.charge(p, cpu.Copy, e.Cfg.Costs.CopyPerByte*int64(n))
+		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
 		copy(buf[:n], pg.Data[boff:boff+n])
 
 		// Unmap; free-behind triggers here.
@@ -96,7 +96,7 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 // read mode, at a large enough offset, and free memory is close to the
 // low water mark".
 func (e *Engine) freeBehind(vn *Vnode, pg *vm.Page, off int64) {
-	if e.Cfg.FreeBehind && vn.seq && off >= e.Cfg.FreeBehindMin &&
+	if e.Cfg.FreeBehind && vn.seq && off >= freeBehindMin &&
 		e.VM.MemoryLow() && !pg.Dirty() && !pg.Busy() {
 		e.VM.Free(pg, true)
 		e.Stats.FreeBehinds++
@@ -111,7 +111,7 @@ type segPager struct{ e *Engine }
 // Fault implements vm.SegPager.
 func (sp segPager) Fault(p *sim.Proc, obj vm.Object, off int64) (*vm.Page, error) {
 	vn := obj.(*Vnode)
-	sp.e.charge(p, cpu.Fault, sp.e.Cfg.Costs.Fault)
+	sp.e.charge(p, cpu.Fault, cpu.FaultInstr)
 	return sp.e.GetPage(p, vn, off)
 }
 
@@ -171,7 +171,7 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 	if err := vn.Err(); err != nil {
 		return 0, err
 	}
-	e.charge(p, cpu.Syscall, e.Cfg.Costs.Syscall)
+	e.charge(p, cpu.Syscall, cpu.SyscallInstr)
 	vn.inodeData = nil // writes invalidate the inode data cache
 
 	// FFS keeps fragments only in a file's last block: extending the
@@ -183,7 +183,7 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 		tail := sb.BlkSize(oldSize, lastLbn)
 		if lastLbn < ufs.NDADDR && tail < int(sb.Bsize) &&
 			off+int64(len(data)) > (lastLbn+1)*int64(sb.Bsize) {
-			e.charge(p, cpu.Fault, e.Cfg.Costs.Fault)
+			e.charge(p, cpu.Fault, cpu.FaultInstr)
 			pg, err := e.GetPage(p, vn, lastLbn*int64(sb.Bsize))
 			if err != nil {
 				return 0, err
@@ -229,14 +229,14 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 			return total, err
 		}
 
-		e.charge(p, cpu.Syscall, e.Cfg.Costs.MapBlock)
-		e.charge(p, cpu.Fault, e.Cfg.Costs.Fault)
+		e.charge(p, cpu.MapUnmap, cpu.MapBlockInstr)
+		e.charge(p, cpu.Fault, cpu.FaultInstr)
 
 		// Partial overwrite of existing data needs the old contents;
 		// a full-block write (or a write wholly beyond the old EOF)
 		// does not.
 		page, cached := e.VM.Lookup(vn, blockStart)
-		e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		needOld := (boff != 0 || n != int(sb.Bsize)) && blockStart < vn.IP.D.Size
 		if cached {
 			page.WaitUnbusy(p)
@@ -257,7 +257,7 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 			page.Unbusy()
 		}
 
-		e.charge(p, cpu.Copy, e.Cfg.Costs.CopyPerByte*int64(n))
+		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
 		copy(page.Data[boff:boff+n], data[:n])
 		page.SetDirty()
 		page.Touch()

@@ -80,7 +80,7 @@ func (f *File) Readv(p *sim.Proc, v []vec.Ext, buf []byte) (int, error) {
 	if err := vn.Err(); err != nil {
 		return 0, err
 	}
-	e.charge(p, cpu.Syscall, e.Cfg.Costs.Syscall)
+	e.charge(p, cpu.Syscall, cpu.SyscallInstr)
 	nm, err := vec.Normalize(v)
 	if err != nil {
 		return 0, err
@@ -116,7 +116,7 @@ func (f *File) Writev(p *sim.Proc, v []vec.Ext, data []byte) (int, error) {
 	if err := vn.Err(); err != nil {
 		return 0, err
 	}
-	e.charge(p, cpu.Syscall, e.Cfg.Costs.Syscall)
+	e.charge(p, cpu.Syscall, cpu.SyscallInstr)
 	nm, err := vec.Normalize(v)
 	if err != nil {
 		return 0, err
@@ -202,7 +202,7 @@ func (f *File) readvSieve(p *sim.Proc, v []vec.Ext, segs []int64, buf []byte, n 
 			continue
 		}
 		nn := min(el.Len, lim-el.Off)
-		e.charge(p, cpu.Copy, e.Cfg.Costs.CopyPerByte*nn)
+		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*nn)
 		copy(buf[segs[i]:segs[i]+nn], env[el.Off-n.Lo:el.Off-n.Lo+nn])
 		total += int(nn)
 	}
@@ -236,7 +236,7 @@ func (f *File) readvList(p *sim.Proc, v []vec.Ext, segs []int64, buf []byte, n v
 			continue
 		}
 		for lbn < end {
-			e.charge(p, cpu.Syscall, e.Cfg.Costs.MapBlock)
+			e.charge(p, cpu.MapUnmap, cpu.MapBlockInstr)
 			fsbn, contig, err := e.FS.Bmap(p, vn.IP, lbn)
 			if err != nil {
 				vn.recordErr(err)
@@ -280,7 +280,7 @@ func (f *File) readvList(p *sim.Proc, v []vec.Ext, segs []int64, buf []byte, n v
 			off := el.Off + done
 			boff := off % bs
 			nn := min(bs-boff, avail-done)
-			e.charge(p, cpu.PageCache, e.Cfg.Costs.PageLookup)
+			e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 			pg, ok := e.VM.Lookup(vn, off-boff)
 			if !ok {
 				var err error
@@ -294,7 +294,7 @@ func (f *File) readvList(p *sim.Proc, v []vec.Ext, segs []int64, buf []byte, n v
 				return total, err
 			}
 			pg.Touch()
-			e.charge(p, cpu.Copy, e.Cfg.Costs.CopyPerByte*nn)
+			e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*nn)
 			copy(seg[done:done+nn], pg.Data[boff:boff+nn])
 			done += nn
 			total += int(nn)
@@ -347,7 +347,7 @@ func (f *File) writevSieve(p *sim.Proc, v []vec.Ext, segs []int64, data []byte, 
 		if el.Len == 0 {
 			continue
 		}
-		e.charge(p, cpu.Copy, e.Cfg.Costs.CopyPerByte*el.Len)
+		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*el.Len)
 		copy(env[el.Off-n.Lo:], data[segs[i]:segs[i]+el.Len])
 	}
 	if _, err := f.Write(p, n.Lo, env); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ufsclust/internal/sim"
@@ -176,6 +177,35 @@ func TestReadvValidation(t *testing.T) {
 			t.Error("short writev buffer accepted")
 		}
 	})
+}
+
+// TestVecOverflowingElementIsAnError: an element whose end does not fit
+// an int64 used to wrap the envelope negative and panic in make under
+// data sieving. Every strategy must refuse it, reading and writing.
+func TestVecOverflowingElementIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    []vec.Ext
+	}{
+		{"end", []vec.Ext{{Off: 0, Len: 8}, {Off: math.MaxInt64 - 4, Len: 8}}},
+		{"payload", []vec.Ext{{Off: 0, Len: math.MaxInt64}, {Off: 0, Len: math.MaxInt64}}},
+	} {
+		v := tc.v
+		for _, st := range vecStrategies {
+			t.Run(st.name+"/"+tc.name, func(t *testing.T) {
+				r := newVecRig(t, st.s)
+				r.run(t, func(p *sim.Proc) {
+					f, _ := vecFill(t, r, p, 16384)
+					if n, err := f.Readv(p, v, make([]byte, 16)); err == nil {
+						t.Errorf("readv %v = %d bytes, no error", v, n)
+					}
+					if n, err := f.Writev(p, v, make([]byte, 16)); err == nil {
+						t.Errorf("writev %v = %d bytes, no error", v, n)
+					}
+				})
+			})
+		}
+	}
 }
 
 func TestWritevEdgeCases(t *testing.T) {

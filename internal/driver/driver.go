@@ -19,12 +19,12 @@ import (
 // DefaultMaxPhys is the classic 56 KB transfer limit.
 const DefaultMaxPhys = 56 * 1024
 
-// Retry defaults: a failed transfer is retried up to DefaultMaxRetries
-// times, the first after DefaultRetryBackoff and each subsequent one
-// after double the previous delay.
+// Retry policy: a failed transfer is retried up to DefaultMaxRetries
+// times, the first after RetryBackoff and each subsequent one after
+// double the previous delay (classic exponential backoff).
 const (
-	DefaultMaxRetries   = 3
-	DefaultRetryBackoff = 5 * sim.Millisecond
+	DefaultMaxRetries = 3
+	RetryBackoff      = 5 * sim.Millisecond
 )
 
 // DevError is the typed error delivered through Buf.Err when the
@@ -113,25 +113,14 @@ type Config struct {
 	// the driver gives up and delivers a *DevError. 0 means
 	// DefaultMaxRetries; negative disables retries entirely.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry; it doubles on
-	// each subsequent attempt (classic exponential backoff). 0 means
-	// DefaultRetryBackoff.
-	RetryBackoff sim.Time
-	// Costs are charged per operation when a CPU model is attached.
-	StrategyInstr  int64 // per Strategy call (queue insert + sort)
-	InterruptInstr int64 // per completion interrupt
 }
 
-// DefaultConfig returns a sorting, non-coalescing driver with
-// representative instruction costs.
+// DefaultConfig returns a sorting, non-coalescing driver.
 func DefaultConfig() Config {
 	return Config{
-		MaxPhys:        DefaultMaxPhys,
-		Sort:           true,
-		MaxRetries:     DefaultMaxRetries,
-		RetryBackoff:   DefaultRetryBackoff,
-		StrategyInstr:  1500,
-		InterruptInstr: 2500,
+		MaxPhys:    DefaultMaxPhys,
+		Sort:       true,
+		MaxRetries: DefaultMaxRetries,
 	}
 }
 
@@ -186,9 +175,6 @@ func New(s *sim.Sim, d disk.Device, cpuModel *cpu.Model, cfg Config) *Driver {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	if cfg.MaxPhys%disk.SectorSize != 0 {
 		panic("driver: MaxPhys not sector aligned") // simlint:invariant -- harness configuration assertion at construction
 	}
@@ -214,7 +200,7 @@ func (dr *Driver) Strategy(p *sim.Proc, b *Buf) {
 		panic("driver: transfer outside device") // simlint:invariant -- fs allocator never hands out blocks past the device
 	}
 	if dr.CPU != nil && p != nil {
-		dr.CPU.Use(p, cpu.Driver, dr.Cfg.StrategyInstr)
+		dr.CPU.Use(p, cpu.Driver, cpu.StrategyInstr)
 	}
 	b.queuedAt = dr.Sim.Now()
 	dr.Stats.Queued++
@@ -382,7 +368,7 @@ func (dr *Driver) start() {
 // iodone callbacks, and start the next request.
 func (dr *Driver) complete(b *Buf, devErr error) {
 	if dr.CPU != nil {
-		dr.CPU.ChargeInterrupt(cpu.Interrupt, dr.Cfg.InterruptInstr)
+		dr.CPU.ChargeInterrupt(cpu.Interrupt, cpu.InterruptInstr)
 	}
 	dr.inflight--
 	if b.Order {
@@ -395,7 +381,7 @@ func (dr *Driver) complete(b *Buf, devErr error) {
 		// backoff delay.
 		b.attempts++
 		dr.Stats.Retries++
-		delay := dr.Cfg.RetryBackoff << (b.attempts - 1)
+		delay := RetryBackoff << (b.attempts - 1)
 		dr.bus.Emit(telemetry.Event{
 			T:      dr.Sim.Now(),
 			Kind:   telemetry.EvIORetry,

@@ -132,7 +132,7 @@ func TestRetryBackoffDoubles(t *testing.T) {
 		t.Fatalf("retry events = %d, want %d", len(delays), DefaultMaxRetries)
 	}
 	for i, d := range delays {
-		if want := DefaultRetryBackoff << i; d != want {
+		if want := RetryBackoff << i; d != want {
 			t.Fatalf("retry %d backoff = %v, want %v (doubling)", i+1, d, want)
 		}
 	}

@@ -64,7 +64,9 @@ type super struct {
 	DataStart   int32 // first allocatable block
 }
 
-// Fs is a mounted extent file system.
+// Fs is a mounted extent file system. It charges the UFS engine's
+// syscall and copy costs from internal/cpu's table, so comparisons
+// isolate the I/O pattern, not bookkeeping.
 type Fs struct {
 	Sim *sim.Sim
 	CPU *cpu.Model // may be nil
@@ -73,12 +75,6 @@ type Fs struct {
 	sb     super
 	inodes [NFiles]inode
 	bitmap []bool // in-core allocation map (1 = used)
-
-	// Costs are charged per operation; they mirror the UFS engine's
-	// costs so comparisons isolate the I/O pattern, not bookkeeping.
-	SyscallInstr int64
-	PerIOInstr   int64
-	CopyPerByte  int64
 
 	// Stats
 	Reads, Writes int64
@@ -108,12 +104,7 @@ func Mkfs(d disk.Device) error {
 
 // Mount loads the file system.
 func Mount(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver) (*Fs, error) {
-	fs := &Fs{
-		Sim: s, CPU: cpuModel, Drv: drv,
-		SyscallInstr: 3000,
-		PerIOInstr:   9000, // fault+getpage-equivalent per extent I/O
-		CopyPerByte:  3,
-	}
+	fs := &Fs{Sim: s, CPU: cpuModel, Drv: drv}
 	blk := make([]byte, BlockSize)
 	drv.Disk.ReadImage(0, blk)
 	if err := binary.Read(bytes.NewReader(blk), binary.LittleEndian, &fs.sb); err != nil {
@@ -295,7 +286,7 @@ func (f *File) mapOffset(off int64, alloc bool) (pbn int32, contig int32, err er
 func (f *File) io(p *sim.Proc, pbn int32, buf []byte, write bool) {
 	fs := f.fs
 	if fs.CPU != nil {
-		fs.CPU.Use(p, cpu.GetPage, fs.PerIOInstr)
+		fs.CPU.Use(p, cpu.GetPage, cpu.ExtentIOInstr)
 	}
 	fs.Drv.IO(p, &driver.Buf{
 		Blkno: int64(pbn) * (BlockSize / disk.SectorSize),
@@ -332,7 +323,7 @@ func (f *File) span(off int64, n int, alloc bool) (pbn int32, bytes int, err err
 func (f *File) Write(p *sim.Proc, off int64, data []byte) error {
 	fs := f.fs
 	if fs.CPU != nil {
-		fs.CPU.Use(p, cpu.Syscall, fs.SyscallInstr)
+		fs.CPU.Use(p, cpu.Syscall, cpu.SyscallInstr)
 	}
 	if off%BlockSize != 0 {
 		return errors.New("extfs: unaligned write")
@@ -353,7 +344,7 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) error {
 		xfer := make([]byte, nb)
 		copy(xfer, chunk)
 		if fs.CPU != nil {
-			fs.CPU.Use(p, cpu.Copy, fs.CopyPerByte*int64(len(chunk)))
+			fs.CPU.Use(p, cpu.Copy, cpu.CopyInstrPerByte*int64(len(chunk)))
 		}
 		f.io(p, pbn, xfer, true)
 		off += int64(len(chunk))
@@ -369,7 +360,7 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) error {
 func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 	fs := f.fs
 	if fs.CPU != nil {
-		fs.CPU.Use(p, cpu.Syscall, fs.SyscallInstr)
+		fs.CPU.Use(p, cpu.Syscall, cpu.SyscallInstr)
 	}
 	size := fs.inodes[f.ino].Size
 	total := 0
@@ -392,7 +383,7 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 		}
 		copy(buf[:n], xfer[boff:boff+n])
 		if fs.CPU != nil {
-			fs.CPU.Use(p, cpu.Copy, fs.CopyPerByte*int64(n))
+			fs.CPU.Use(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
 		}
 		off += int64(n)
 		buf = buf[n:]

@@ -38,8 +38,10 @@ type Workload struct {
 	FileMB     int // file size in MB; default 16 (the paper's IObench file)
 	IOSize     int // bytes per write call; default 8192
 	FsyncEvery int // fsync after every N bytes written; 0 = only a final fsync
-	Path       string
 }
+
+// workloadPath is the file every workload writes.
+const workloadPath = "/faultlab"
 
 // boot assembles one machine of this workload (seedOff keeps the
 // builder, crash, and recovery machines on distinct seeds). Every entry
@@ -60,9 +62,6 @@ func (w Workload) withDefaults() Workload {
 	}
 	if w.IOSize == 0 {
 		w.IOSize = 8192
-	}
-	if w.Path == "" {
-		w.Path = "/faultlab"
 	}
 	return w
 }
@@ -110,7 +109,7 @@ func RunToCrash(w Workload, plan fault.Plan) (*CrashState, error) {
 	acked := int64(-1)
 	var runErr error
 	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Create(p, w.Path)
+		f, err := m.Engine.Create(p, workloadPath)
 		if err != nil {
 			runErr = err
 			return
@@ -251,7 +250,7 @@ func Recover(w Workload, st *CrashState) (*Report, *ufs.RepairReport, error) {
 	var data []byte
 	var openErr, readErr error
 	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Open(p, w.Path)
+		f, err := m.Engine.Open(p, workloadPath)
 		if err != nil {
 			openErr = err
 			return
@@ -427,7 +426,7 @@ func RunDegradedMember(w Workload, member int) (*MemberReport, error) {
 	var data []byte
 	var ioErr error
 	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Open(p, w.Path)
+		f, err := m.Engine.Open(p, workloadPath)
 		if err != nil {
 			ioErr = err
 			return

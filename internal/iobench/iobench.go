@@ -167,6 +167,11 @@ func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry
 			prm.FileMB, prm.IOSize, prm.RandomOps, prm.Record, prm.Stride, prm.VecBatch)
 	}
 	prm = prm.withDefaults()
+	if kind == FSTR && prm.Stride < prm.Record {
+		// Overlapping records would be counted once per element: a rate
+		// over bytes the disk never delivered.
+		return Result{}, telemetry.Snapshot{}, fmt.Errorf("iobench: stride %d is below the record size %d", prm.Stride, prm.Record)
+	}
 	sc.Seed++
 	m, err := sc.New()
 	if err != nil {

@@ -146,7 +146,9 @@ func TestParallelTableMatchesSerial(t *testing.T) {
 // TestNegativeSizesAreAnError: a negative size used to run an empty loop
 // and report a table of zeros (or, for FSTR, panic in make), and a file
 // the 400 MB drive cannot hold must come back as the setup write's
-// error, not as a rate over bytes that were never written.
+// error, not as a rate over bytes that were never written. The same goes
+// for FSTR records that overlap (a stride below the record size), which
+// counted the shared bytes once per element.
 func TestNegativeSizesAreAnError(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -156,6 +158,7 @@ func TestNegativeSizesAreAnError(t *testing.T) {
 		{"FSTR_negative_file", FSTR, Params{FileMB: -1}}, {"FSTR_negative_io", FSTR, Params{IOSize: -8192}},
 		{"FSTR_negative_ops", FSTR, Params{RandomOps: -1}}, {"FSTR_negative_record", FSTR, Params{Record: -1}},
 		{"FSTR_negative_stride", FSTR, Params{Stride: -1}}, {"FSTR_negative_batch", FSTR, Params{VecBatch: -1}},
+		{"FSTR_stride_below_record", FSTR, Params{FileMB: 1, Record: 8192, Stride: 100}},
 		{"FSM_negative_file", FSM, Params{FileMB: -1}}, {"FSR_negative_file", FSR, Params{FileMB: -1}},
 		{"FSM_full_disk", FSM, Params{FileMB: 450}}, {"FSR_full_disk", FSR, Params{FileMB: 450}},
 	} {

@@ -18,18 +18,11 @@ import (
 type Device struct {
 	Drv *driver.Driver
 	CPU *cpu.Model // may be nil
-
-	// SyscallInstr is charged per call: the syscall plus "a few
-	// permission checks".
-	SyscallInstr int64
-	// CopyPerByte is the kernel<->user copy cost (raw I/O still
-	// copies unless the driver maps user pages; we model the copy).
-	CopyPerByte int64
 }
 
 // Open returns a raw device over the driver.
 func Open(drv *driver.Driver, cpuModel *cpu.Model) *Device {
-	return &Device{Drv: drv, CPU: cpuModel, SyscallInstr: 2500, CopyPerByte: 3}
+	return &Device{Drv: drv, CPU: cpuModel}
 }
 
 func (d *Device) xfer(p *sim.Proc, off int64, buf []byte, write bool) (int, error) {
@@ -37,7 +30,7 @@ func (d *Device) xfer(p *sim.Proc, off int64, buf []byte, write bool) (int, erro
 		return 0, errors.New("raw: unaligned transfer")
 	}
 	if d.CPU != nil {
-		d.CPU.Use(p, cpu.Syscall, d.SyscallInstr)
+		d.CPU.Use(p, cpu.Syscall, cpu.RawSyscallInstr)
 	}
 	total := 0
 	for len(buf) > 0 {
@@ -46,7 +39,9 @@ func (d *Device) xfer(p *sim.Proc, off int64, buf []byte, write bool) (int, erro
 			n = mp
 		}
 		if d.CPU != nil {
-			d.CPU.Use(p, cpu.Copy, d.CopyPerByte*int64(n))
+			// Raw I/O still copies unless the driver maps user pages;
+			// the model charges the copy.
+			d.CPU.Use(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
 		}
 		d.Drv.IO(p, &driver.Buf{
 			Blkno: off / disk.SectorSize,

@@ -17,8 +17,6 @@ var ErrNoSpace = errors.New("ufs: file system full")
 // ErrNoInodes is returned when no inode is free.
 var ErrNoInodes = errors.New("ufs: out of inodes")
 
-const allocInstr = 1800 // CPU instructions charged per allocator call
-
 // GapBlocks returns how many blocks the allocator leaves between
 // consecutive logical blocks: the software-maintained rotational delay
 // of figure 4. Zero when rotdelay is zero (figure 5).
@@ -118,7 +116,7 @@ func (fs *Fs) reserveFrags() int64 {
 // of pref's cylinder group, then the other groups round-robin. It
 // returns the fragment address of the block.
 func (fs *Fs) AllocBlock(p *sim.Proc, ip *Inode, pref int32) (int32, error) {
-	fs.chargeCPU(p, cpu.Alloc, allocInstr)
+	fs.chargeCPU(p, cpu.Alloc, cpu.AllocInstr)
 	fs.AllocCalls++
 	if fs.freeFragsTotal()-int64(fs.SB.Frag) < fs.reserveFrags() {
 		return 0, ErrNoSpace
@@ -212,7 +210,7 @@ func (fs *Fs) AllocFrags(p *sim.Proc, ip *Inode, pref int32, nfrags int32) (int3
 	if nfrags <= 0 || nfrags >= fs.SB.Frag {
 		panic("ufs: AllocFrags wants a partial block") // simlint:invariant -- callers pre-round to fragment policy
 	}
-	fs.chargeCPU(p, cpu.Alloc, allocInstr)
+	fs.chargeCPU(p, cpu.Alloc, cpu.AllocInstr)
 	fs.FragAllocs++
 	if fs.freeFragsTotal()-int64(nfrags) < fs.reserveFrags() {
 		return 0, ErrNoSpace
@@ -306,7 +304,7 @@ func (fs *Fs) ExtendFrags(p *sim.Proc, ip *Inode, fsbn int32, oldFrags, newFrags
 	if newFrags <= oldFrags || newFrags > fs.SB.Frag {
 		panic("ufs: bad ExtendFrags request") // simlint:invariant -- write path computes in-range extensions
 	}
-	fs.chargeCPU(p, cpu.Alloc, allocInstr/2)
+	fs.chargeCPU(p, cpu.Alloc, cpu.AllocInstr/2)
 	need := newFrags - oldFrags
 	if fs.freeFragsTotal()-int64(need) < fs.reserveFrags() {
 		return false, ErrNoSpace
@@ -391,7 +389,7 @@ func (fs *Fs) FreeFrags(p *sim.Proc, fsbn int32, nfrags int32) error {
 // IAlloc allocates an inode, preferring the group of the parent
 // directory (spreading directories themselves across groups).
 func (fs *Fs) IAlloc(p *sim.Proc, parent *Inode, isDir bool) (int32, error) {
-	fs.chargeCPU(p, cpu.Alloc, allocInstr)
+	fs.chargeCPU(p, cpu.Alloc, cpu.AllocInstr)
 	if fs.SB.CsNifree == 0 {
 		return 0, ErrNoInodes
 	}

@@ -18,7 +18,7 @@ import (
 // level-2 block into the next), written, translated, fsynced and
 // truncated back through each range. A second small file exercises the
 // fragment rules (tail grow, tail shrink). The machine has a CPU model,
-// so every bmapInstr charge moves the clock, and a 4-buffer metadata
+// so every cpu.BmapInstr charge moves the clock, and a 4-buffer metadata
 // cache, so the order of Bread/Brelse/Bdwrite decides hits, misses and
 // device I/O.
 //

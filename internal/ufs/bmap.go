@@ -5,8 +5,6 @@ import (
 	"ufsclust/internal/sim"
 )
 
-const bmapInstr = 1100 // CPU instructions per bmap translation
-
 // Bmap translates logical block lbn of ip to its fragment address. It
 // also returns the length, in blocks, of the contiguous run starting at
 // lbn — the paper's one interface change: "We modified it to return a
@@ -26,12 +24,12 @@ func (fs *Fs) Bmap(p *sim.Proc, ip *Inode, lbn int64) (int32, int, error) {
 	// translation run without touching pointer blocks.
 	if fs.BmapCache && ip.bmapCache.valid &&
 		lbn >= ip.bmapCache.lbn && lbn < ip.bmapCache.lbn+int64(ip.bmapCache.run) {
-		fs.chargeCPU(p, cpu.Bmap, bmapInstr/8)
+		fs.chargeCPU(p, cpu.Bmap, cpu.BmapInstr/8)
 		fs.BmapCacheHits++
 		off := int32(lbn - ip.bmapCache.lbn)
 		return ip.bmapCache.fsbn + off*fs.SB.Frag, int(ip.bmapCache.run - off), nil
 	}
-	fs.chargeCPU(p, cpu.Bmap, bmapInstr)
+	fs.chargeCPU(p, cpu.Bmap, cpu.BmapInstr)
 	fs.BmapCalls++
 	fsbn, run, err := fs.bmapSlow(p, ip, lbn, pp)
 	if err == nil && fs.BmapCache && fsbn != 0 {
@@ -151,7 +149,7 @@ func (fs *Fs) prevAddr(p *sim.Proc, ip *Inode, lbn int64) int32 {
 // It returns the (possibly new) fragment address.
 func (fs *Fs) BmapAlloc(p *sim.Proc, ip *Inode, lbn int64, size int) (int32, error) {
 	ip.InvalidateBmapCache()
-	fs.chargeCPU(p, cpu.Bmap, bmapInstr)
+	fs.chargeCPU(p, cpu.Bmap, cpu.BmapInstr)
 	if size <= 0 || size > int(fs.SB.Bsize) {
 		panic("ufs: BmapAlloc size out of range") // simlint:invariant -- write path sizes requests from the superblock
 	}

@@ -6,20 +6,25 @@ import (
 	"ufsclust/internal/disk"
 )
 
+// The paper's file system geometry, which every Mkfs lays down: 8 KB
+// blocks, 1 KB fragments, 16 cylinders per group. A file may allocate at
+// most half a group's blocks in one group (maxbpg).
+const (
+	mkfsBsize = 8192
+	mkfsFsize = 1024
+	mkfsCpg   = 16
+)
+
 // MkfsOpts parameterizes file system creation. The zero value gets the
-// paper's defaults: 8 KB blocks, 1 KB fragments, 10% minfree, and the
-// legacy rotdelay=4ms / maxcontig=1 tuning (run D). The clustered
-// configurations retune rotdelay/maxcontig — which, deliberately, does
-// not change the on-disk format.
+// paper's defaults: 10% minfree and the legacy rotdelay=4ms /
+// maxcontig=1 tuning (run D). The clustered configurations retune
+// rotdelay/maxcontig — which, deliberately, does not change the on-disk
+// format.
 type MkfsOpts struct {
-	Bsize     int
-	Fsize     int
-	Cpg       int // cylinders per group
 	Ipg       int // inodes per group (rounded up to a block of inodes)
 	Minfree   int // percent
 	Rotdelay  int // milliseconds between successive blocks
 	Maxcontig int // blocks per cluster when Rotdelay is 0
-	Maxbpg    int // blocks per file per group; default half a group
 
 	// LogBlocks reserves a metadata-journal region of that many blocks
 	// past the last cylinder group (0 = no journal; the image is then
@@ -29,15 +34,6 @@ type MkfsOpts struct {
 }
 
 func (o MkfsOpts) withDefaults() MkfsOpts {
-	if o.Bsize == 0 {
-		o.Bsize = 8192
-	}
-	if o.Fsize == 0 {
-		o.Fsize = 1024
-	}
-	if o.Cpg == 0 {
-		o.Cpg = 16
-	}
 	if o.Ipg == 0 {
 		o.Ipg = 512
 	}
@@ -54,18 +50,15 @@ func (o MkfsOpts) withDefaults() MkfsOpts {
 // simulated time passes) and returns the superblock it wrote.
 func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 	o := opts.withDefaults()
-	if o.Bsize%o.Fsize != 0 || o.Bsize/o.Fsize > 8 {
-		return nil, fmt.Errorf("ufs: bad bsize/fsize %d/%d", o.Bsize, o.Fsize)
-	}
 	g := d.Geom()
 	spc := g.Zones[0].SPT * g.Heads
 
 	sb := &Superblock{
 		FsMagic:   Magic,
-		Bsize:     int32(o.Bsize),
-		Fsize:     int32(o.Fsize),
-		Frag:      int32(o.Bsize / o.Fsize),
-		Cpg:       int32(o.Cpg),
+		Bsize:     mkfsBsize,
+		Fsize:     mkfsFsize,
+		Frag:      mkfsBsize / mkfsFsize,
+		Cpg:       mkfsCpg,
 		Minfree:   int32(o.Minfree),
 		Rotdelay:  int32(o.Rotdelay),
 		Maxcontig: int32(o.Maxcontig),
@@ -74,12 +67,12 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 		Spc:       int32(spc),
 		Rps:       int32(g.RPM / 60),
 	}
-	ipb := int32(o.Bsize / DinodeSize)
+	ipb := int32(mkfsBsize / DinodeSize)
 	sb.Ipg = (int32(o.Ipg) + ipb - 1) / ipb * ipb
 
-	totalFrags := g.TotalBytes() / int64(o.Fsize)
+	totalFrags := g.TotalBytes() / mkfsFsize
 	logFrags := int64(o.LogBlocks) * int64(sb.Frag)
-	sb.Fpg = int32(o.Cpg) * int32(spc) * disk.SectorSize / int32(o.Fsize)
+	sb.Fpg = mkfsCpg * int32(spc) * disk.SectorSize / mkfsFsize
 	sb.Ncg = int32((totalFrags - logFrags) / int64(sb.Fpg))
 	if sb.Ncg < 1 {
 		return nil, fmt.Errorf("ufs: disk too small (%d frags/group, %d total, %d log)", sb.Fpg, totalFrags, logFrags)
@@ -97,10 +90,7 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 		return nil, err
 	}
 	sb.Dsize = sb.Ncg * (sb.Fpg - sb.MetaFrags())
-	if o.Maxbpg == 0 {
-		o.Maxbpg = int(sb.Fpg / sb.Frag / 2)
-	}
-	sb.Maxbpg = int32(o.Maxbpg)
+	sb.Maxbpg = sb.Fpg / sb.Frag / 2
 
 	// Everything is free except the metadata, the reserved inodes, and
 	// the root directory: inode RootIno, holding group 0's first data

@@ -22,6 +22,7 @@ package vec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -83,12 +84,16 @@ func (n Norm) Density() float64 {
 
 // Normalize validates v and computes its merged-run plan. Zero-length
 // elements are legal and produce no run membership; a negative offset
-// or length is an error. The input slice is not modified.
+// or length is an error, and so is an element whose end or a payload
+// whose total does not fit an int64. The input slice is not modified.
 func Normalize(v []Ext) (Norm, error) {
 	var n Norm
 	for i, e := range v {
 		if e.Off < 0 || e.Len < 0 {
 			return Norm{}, fmt.Errorf("vec: element %d has negative offset or length (%d,%d)", i, e.Off, e.Len)
+		}
+		if e.Len > math.MaxInt64-e.Off || e.Len > math.MaxInt64-n.Payload {
+			return Norm{}, fmt.Errorf("vec: element %d (%d,%d) overflows the offset range", i, e.Off, e.Len)
 		}
 		n.Payload += e.Len
 	}

@@ -29,7 +29,7 @@ func (fp *fakePager) Fault(p *sim.Proc, obj Object, off int64) (*Page, error) {
 func TestAddressSpaceFaultChain(t *testing.T) {
 	s := sim.New(1)
 	t.Cleanup(s.Close)
-	v := New(s, nil, Config{MemBytes: 8 << 20})
+	v := New(s, nil, 8<<20)
 	obj := &fakeObj{s: s}
 	fp := &fakePager{v: v}
 	as := NewAddressSpace(v)
@@ -65,7 +65,7 @@ func TestAddressSpaceFaultChain(t *testing.T) {
 func TestAddressSpaceSegmentation(t *testing.T) {
 	s := sim.New(1)
 	t.Cleanup(s.Close)
-	v := New(s, nil, Config{MemBytes: 8 << 20})
+	v := New(s, nil, 8<<20)
 	obj := &fakeObj{s: s}
 	fp := &fakePager{v: v}
 	as := NewAddressSpace(v)
@@ -97,7 +97,7 @@ func TestTranslationDroppedWhenPageRecycled(t *testing.T) {
 	// the next touch must re-fault rather than read the recycled frame.
 	s := sim.New(1)
 	t.Cleanup(s.Close)
-	v := New(s, nil, Config{MemBytes: 8 << 20})
+	v := New(s, nil, 8<<20)
 	obj := &fakeObj{s: s}
 	fp := &fakePager{v: v}
 	as := NewAddressSpace(v)
@@ -132,7 +132,7 @@ func TestTranslationDroppedWhenPageRecycled(t *testing.T) {
 func TestUnmapRemovesSegment(t *testing.T) {
 	s := sim.New(1)
 	t.Cleanup(s.Close)
-	v := New(s, nil, Config{MemBytes: 8 << 20})
+	v := New(s, nil, 8<<20)
 	obj := &fakeObj{s: s}
 	fp := &fakePager{v: v}
 	as := NewAddressSpace(v)

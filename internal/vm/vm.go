@@ -1,7 +1,7 @@
 // Package vm implements the SunOS unified virtual-memory page cache the
 // paper's file system runs against: pages named by <object, offset>, a
 // hashed lookup with reclaim from the free list, and a two-handed-clock
-// pageout daemon with lotsfree/minfree watermarks. The paper's
+// pageout daemon woken below the lotsfree watermark. The paper's
 // "unanticipated problems" — page thrashing on large sequential I/O and
 // the write fairness problem — are emergent behaviours of this component,
 // which is why it is modeled in full rather than stubbed.
@@ -120,38 +120,20 @@ type Stats struct {
 	RAWaste    int64 // read-ahead pages recycled without a demand access
 }
 
-// Config sizes the VM system.
-type Config struct {
-	MemBytes   int64 // physical memory; default 8 MB (the paper's machine)
-	Lotsfree   int   // pageout wakeup threshold, pages; default mem/16
-	Minfree    int   // desperation threshold, pages; default lotsfree/2
-	ScanInstr  int64 // CPU instructions per page examined by the clock
-	Handspread int   // pages between the clock hands; default mem/4
-}
-
-// DefaultConfig matches the paper's 8 MB SparcStation.
-func DefaultConfig() Config {
-	return Config{MemBytes: 8 << 20}
-}
-
 // VM is the virtual memory system.
 type VM struct {
 	Sim *sim.Sim
 	CPU *cpu.Model // may be nil
 
-	pages     []*Page
-	hash      map[key]*Page
-	free      []*Page // FIFO free list; index 0 is next to be reused
-	lotsfree  int
-	minfree   int
-	spread    int
-	scanInstr int64
+	pages    []*Page
+	hash     map[key]*Page
+	free     []*Page // FIFO free list; index 0 is next to be reused
+	lotsfree int     // pageout wakeup threshold: a sixteenth of memory
 
 	hand1, hand2 int
 
 	daemonWake sim.WaitQ
 	memWait    sim.WaitQ
-	daemonBusy bool
 
 	Stats Stats
 
@@ -179,35 +161,18 @@ func (v *VM) AttachTelemetry(tel *telemetry.Telemetry) {
 	r.Gauge("vm.free_pages", func() int64 { return int64(len(v.free)) })
 }
 
-// New builds the page pool and starts the pageout daemon.
-func New(s *sim.Sim, cpuModel *cpu.Model, cfg Config) *VM {
-	if cfg.MemBytes == 0 {
-		cfg.MemBytes = 8 << 20
-	}
-	n := int(cfg.MemBytes / PageSize)
+// New builds a page pool of memBytes of physical memory and starts the
+// pageout daemon.
+func New(s *sim.Sim, cpuModel *cpu.Model, memBytes int64) *VM {
+	n := int(memBytes / PageSize)
 	if n < 8 {
-		panic(fmt.Sprintf("vm: %d bytes is too little memory", cfg.MemBytes)) // simlint:invariant -- harness configuration assertion at construction
-	}
-	if cfg.Lotsfree == 0 {
-		cfg.Lotsfree = n / 16
-	}
-	if cfg.Minfree == 0 {
-		cfg.Minfree = cfg.Lotsfree / 2
-	}
-	if cfg.ScanInstr == 0 {
-		cfg.ScanInstr = 120
-	}
-	if cfg.Handspread == 0 {
-		cfg.Handspread = n / 4
+		panic(fmt.Sprintf("vm: %d bytes is too little memory", memBytes)) // simlint:invariant -- harness configuration assertion at construction
 	}
 	v := &VM{
-		Sim:       s,
-		CPU:       cpuModel,
-		hash:      make(map[key]*Page),
-		lotsfree:  cfg.Lotsfree,
-		minfree:   cfg.Minfree,
-		spread:    cfg.Handspread,
-		scanInstr: cfg.ScanInstr,
+		Sim:      s,
+		CPU:      cpuModel,
+		hash:     make(map[key]*Page),
+		lotsfree: n / 16,
 	}
 	v.daemonWake.Name = "pageout"
 	v.memWait.Name = "memwait"
@@ -218,9 +183,10 @@ func New(s *sim.Sim, cpuModel *cpu.Model, cfg Config) *VM {
 		v.pages[i] = pg
 		v.free = append(v.free, pg)
 	}
-	// The front hand leads the back hand by handspread pages, so a page
-	// has that long to be re-referenced between bit-clear and check.
-	v.hand1 = v.spread % n
+	// The front hand leads the back hand by a quarter of memory (the
+	// handspread), so a page has that long to be re-referenced between
+	// bit-clear and check.
+	v.hand1 = n / 4
 	v.hand2 = 0
 	s.SpawnDaemon("pageout", v.pageoutDaemon)
 	return v
@@ -417,7 +383,7 @@ func (v *VM) pageoutDaemon(p *sim.Proc) {
 			scanned++
 			v.Stats.Scans++
 			if v.CPU != nil {
-				v.CPU.Use(p, cpu.PageDaemon, v.scanInstr)
+				v.CPU.Use(p, cpu.PageDaemon, cpu.ScanInstr)
 			} else {
 				p.Sleep(10 * sim.Microsecond)
 			}

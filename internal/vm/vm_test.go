@@ -30,7 +30,7 @@ func newVM(t *testing.T, memMB int64) (*sim.Sim, *VM, *fakeObj) {
 	t.Helper()
 	s := sim.New(1)
 	t.Cleanup(s.Close)
-	v := New(s, nil, Config{MemBytes: memMB << 20})
+	v := New(s, nil, memMB<<20)
 	return s, v, &fakeObj{s: s}
 }
 
@@ -252,7 +252,7 @@ func TestClockGivesReferencedPagesASecondChance(t *testing.T) {
 	// daemon should steal mostly from the cold half.
 	s := sim.New(1)
 	t.Cleanup(s.Close)
-	v := New(s, nil, Config{MemBytes: 8 << 20})
+	v := New(s, nil, 8<<20)
 	hot := &fakeObj{s: s}
 	cold := &fakeObj{s: s}
 	n := v.TotalPages()

@@ -62,29 +62,18 @@ const (
 	addrsPerDesc = (disk.SectorSize - descHdrBytes) / 8
 )
 
-// DefaultLogBlocks sizes the log region when Config.LogBlocks is zero:
-// 64 file-system blocks = 512 KB, roomy against the handful of blocks
-// a metadata transaction carries.
-const DefaultLogBlocks = 64
+// LogBlocks is the on-disk log region size in file-system blocks,
+// reserved by Mkfs: 64 blocks = 512 KB, roomy against the handful of
+// blocks a metadata transaction carries.
+const LogBlocks = 64
 
 // Config tunes the journal.
 type Config struct {
-	// LogBlocks is the on-disk log region size in file-system blocks,
-	// reserved by Mkfs. Zero picks DefaultLogBlocks.
-	LogBlocks int
 	// Clustered issues each commit as maxphys-sized contiguous
 	// transfers (the paper's write-clustering applied to the log
 	// itself) instead of one transfer per record. Both layouts are
 	// byte-identical on disk; only the request stream differs.
 	Clustered bool
-}
-
-// Blocks returns the configured log size with the default applied.
-func (c Config) Blocks() int {
-	if c.LogBlocks <= 0 {
-		return DefaultLogBlocks
-	}
-	return c.LogBlocks
 }
 
 // checksum is FNV-1a 64 over the given bytes — content protection for

@@ -5,34 +5,52 @@ import (
 	"reflect"
 	"testing"
 
+	"ufsclust/internal/core"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/prefetch"
+	"ufsclust/internal/ufs"
 	"ufsclust/internal/vec"
 	"ufsclust/internal/vol"
 	"ufsclust/internal/wal"
 )
 
-// TestPublicOptionsSurface pins the Options struct field list. Adding,
-// removing, or renaming a field must touch this list deliberately —
-// the functional options, README, and DESIGN.md all follow from it.
+// TestPublicOptionsSurface pins the field lists of Options and of every
+// config struct it carries. Adding, removing, or renaming a field must
+// touch a list here deliberately — the functional options, README, and
+// DESIGN.md all follow from it — the way a new metric has to edit
+// testdata/metrics_manifest.txt. A setting no caller varies is a
+// constant in the package that uses it, not a field.
 func TestPublicOptionsSurface(t *testing.T) {
-	want := []string{
-		"Seed", "MIPS", "MemBytes",
-		"Disk", "Driver", "Mkfs", "Mount", "Engine",
-		"EventJSONL", "Fault",
-		"Images", "Recover",
-		"Volume",
-		"Journal",
-	}
-	typ := reflect.TypeOf(Options{})
-	got := make([]string, 0, typ.NumField())
-	for i := 0; i < typ.NumField(); i++ {
-		got = append(got, typ.Field(i).Name)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Options fields drifted:\ngot:  %v\nwant: %v", got, want)
+	for _, tc := range []struct {
+		v    any
+		want []string
+	}{
+		{Options{}, []string{
+			"Seed", "MemBytes",
+			"Disk", "Driver", "Mkfs", "Mount", "Engine",
+			"EventJSONL", "Fault",
+			"Images", "Recover",
+			"Volume",
+			"Journal",
+		}},
+		{core.Config{}, []string{"Clustered", "ReadAhead", "Prefetch", "Vec", "FreeBehind",
+			"SkipBmapOnHit", "RandomClustering", "InodeDataCache"}},
+		{ufs.MkfsOpts{}, []string{"Ipg", "Minfree", "Rotdelay", "Maxcontig", "LogBlocks"}},
+		{ufs.MountOpts{}, []string{"Nbuf", "WriteLimit", "BmapCache", "OrderedWrites"}},
+		{driver.Config{}, []string{"MaxPhys", "Sort", "Coalesce", "MaxRetries"}},
+		{wal.Config{}, []string{"Clustered"}},
+		{vol.Config{}, []string{"Level", "Members", "StripeKB", "Member", "Degraded"}},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		got := make([]string, 0, typ.NumField())
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v fields drifted:\ngot:  %v\nwant: %v", typ, got, tc.want)
+		}
 	}
 }
 

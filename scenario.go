@@ -3,6 +3,7 @@ package ufsclust
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -110,8 +111,11 @@ func (sc Scenario) New(extra ...Option) (*Machine, error) {
 func (sc *Scenario) RegisterFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&sc.Seed, "seed", sc.Seed, "simulation seed")
 	fs.Func("mem", "physical memory in MB (default the paper's 8)", func(s string) error {
-		mb, err := strconv.Atoi(s)
-		sc.MemBytes = int64(mb) << 20
+		mb, err := strconv.ParseInt(s, 10, 64)
+		if err == nil && (mb > math.MaxInt64>>20 || mb < math.MinInt64>>20) {
+			err = fmt.Errorf("%d MB does not fit in bytes", mb)
+		}
+		sc.MemBytes = mb << 20
 		return err
 	})
 	fs.StringVar(&sc.ReadAhead, "ra", "fixed", "read-ahead policy (fixed, adaptive, off)")

@@ -23,8 +23,9 @@ func parseScenario(args ...string) (Scenario, error) {
 
 // TestScenarioRejectsUnknownNames: a misspelt mode or level, or a shape
 // the builder cannot assemble, never reaches a machine. The three mode
-// names and the memory size are refused by Options; the volume level is
-// resolved while the flags parse, so it is refused there; New refuses
+// names and the memory size are refused by Options; the volume level,
+// and a memory size whose bytes overflow an int64, are resolved while
+// the flags parse, so they are refused there; New refuses
 // the same shapes arriving as options, where vm.New and driver.New used
 // to panic.
 func TestScenarioRejectsUnknownNames(t *testing.T) {
@@ -38,6 +39,7 @@ func TestScenarioRejectsUnknownNames(t *testing.T) {
 		{[]string{"-vol", "bogus"}, false},
 		{[]string{"-members", "3", "-vol", "raid6"}, false},
 		{[]string{"-mem", "-1"}, false},
+		{[]string{"-mem", "17592186044424"}, false}, // (1<<44 + 8) MB wraps to 8 MB
 		{nil, true},
 		{[]string{"-mem", "0"}, true},
 		{[]string{"-ra", "adaptive", "-vec", "sieve", "-journal", "wal-clustered", "-vol", "mirror"}, true},
@@ -126,4 +128,41 @@ func TestScenarioOptionsBuildFreshPolicies(t *testing.T) {
 	if a == b {
 		t.Fatal("two Options() calls share one prefetch.Policy instance")
 	}
+}
+
+// FuzzScenarioFlags: any command line, run through the shared
+// machine-shape flags and then Options, ends in an error or in options
+// that apply cleanly and describe the scenario that was parsed — never a
+// panic.
+func FuzzScenarioFlags(f *testing.F) {
+	for _, args := range []string{
+		"",
+		"-seed 7 -mem 4",
+		"-ra adaptive -vec sieve -journal wal-clustered -vol mirror",
+		"-degraded 1 -stripe 16 -members 4 -vol raid5",
+		"-vol raid6 -members 3",
+		"-mem 17592186044424",
+		"-mem -1 -members -2 -degraded ,",
+		"-vol concat -members 0 -stripe -8 -degraded 9",
+	} {
+		f.Add(args)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		sc, err := parseScenario(strings.Fields(line)...)
+		if err != nil {
+			return
+		}
+		opts, err := sc.Options()
+		if err != nil {
+			return
+		}
+		o := RunA().Options()
+		for _, fn := range opts {
+			fn(&o)
+		}
+		if o.Seed != sc.Seed || o.MemBytes != sc.MemBytes ||
+			(o.Journal != nil) != sc.Journaled() || !reflect.DeepEqual(o.Volume, sc.Volume) {
+			t.Fatalf("%q: options %+v do not describe scenario %+v", line, o, sc)
+		}
+	})
 }

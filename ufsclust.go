@@ -56,10 +56,10 @@ type File = core.File
 type Ext = vec.Ext
 
 // Options configures a simulated machine. Zero values select the
-// paper's hardware: 12 MIPS, 8 MB memory, the 400 MB drive.
+// paper's hardware: 8 MB memory and the 400 MB drive; the CPU is always
+// the paper's 12-MIPS processor (cpu.MIPS).
 type Options struct {
 	Seed     int64
-	MIPS     float64
 	MemBytes int64
 
 	Disk   *disk.Params   // nil = disk.DefaultParams()
@@ -166,14 +166,11 @@ func NewMachine(o Options) (*Machine, error) {
 	if o.Driver != nil && (o.Driver.MaxPhys < 0 || o.Driver.MaxPhys%disk.SectorSize != 0) {
 		return nil, fmt.Errorf("driver: MaxPhys %d is not a sector multiple", o.Driver.MaxPhys)
 	}
-	if o.MIPS == 0 {
-		o.MIPS = 12
-	}
 	if o.MemBytes == 0 {
 		o.MemBytes = 8 << 20
 	}
 	s := sim.New(o.Seed)
-	cm := cpu.New(s, o.MIPS)
+	cm := cpu.New(s, cpu.MIPS)
 	tel := telemetry.New()
 
 	var (
@@ -256,7 +253,7 @@ func NewMachine(o Options) (*Machine, error) {
 		}
 	} else {
 		if o.Journal != nil && o.Mkfs.LogBlocks == 0 {
-			o.Mkfs.LogBlocks = o.Journal.Blocks()
+			o.Mkfs.LogBlocks = wal.LogBlocks
 		}
 		sb, err := ufs.Mkfs(dev, o.Mkfs)
 		if err != nil {
@@ -288,7 +285,7 @@ func NewMachine(o Options) (*Machine, error) {
 		jl.Flush = fs.StageCommit
 		fs.AttachJournal(jl)
 	}
-	v := vm.New(s, cm, vm.Config{MemBytes: o.MemBytes})
+	v := vm.New(s, cm, o.MemBytes)
 	eng := core.NewEngine(s, cm, v, fs, o.Engine)
 	cm.AttachTelemetry(tel)
 	if vl != nil {
