@@ -20,10 +20,11 @@
 // volume serves every byte (then rebuilds), while a stripe set reports
 // the loss.
 //
-// With -journal wal (or wal-clustered) the machine runs a metadata
-// journal and every recovery goes through log replay instead of
-// full-image repair; the report then carries the replay accounting
-// (sectors read against the log-size bound).
+// With -journal wal the machine runs the metadata journal, whose
+// commits log only the sectors that changed, and every recovery goes
+// through log replay instead of full-image repair; the report then
+// carries the replay accounting (sectors read against the log-size
+// bound).
 //
 // Exit status is 1 if any cut produces a crash-consistency violation
 // (lost acknowledged data, corrupt bytes, or a dirty post-repair check).

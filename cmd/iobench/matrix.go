@@ -94,21 +94,30 @@ func matrixCells() []cell {
 		}
 	}
 
-	// jmatrix: journal mode × {FSW, FSR} on runs A and B. FSW is where
-	// the log charges rent — the file grows, so every fsync interval
-	// commits inode and indirect block updates to the log before their
-	// home locations — and FSR is the control: a read-only steady state
-	// stages nothing, so the rate must match the unjournaled machine to
-	// the digit.
+	// jmatrix: journal off against on, for {FSW, FSR} on runs A and B
+	// and for MusBus on run A. FSW is where the log charges rent — the
+	// file grows, so the fsync commits the inode, the indirect blocks
+	// and the bitmaps to the log before their home locations. FSR
+	// stages nothing in its measured phase, but its rate is not the
+	// unjournaled machine's to the digit: the setup write's commit
+	// leaves the drive at another position and draws other command
+	// jitter from the shared random stream, so the read starts from a
+	// different state. MusBus is the metadata workload — creates,
+	// removes and small writes from eight users — where the journal's
+	// commit and checkpoint costs show.
+	walCounters := []string{"wal.commits", "wal.commit_sectors", "wal.checkpoints", "wal.checkpoint_blocks", "fs.journal_meta_writes"}
 	for _, rc := range []ufsclust.RunConfig{runA, runB} {
-		for _, mode := range []string{"off", "wal", "wal-clustered"} {
+		for _, mode := range []string{"off", "wal"} {
 			for _, kind := range writeRead {
 				cells = append(cells, ioCell("jmatrix",
 					ufsclust.Scenario{Run: rc, Journal: mode},
-					kind, iobench.Params{FileMB: 8},
-					"wal.commits", "wal.commit_sectors", "wal.checkpoints", "wal.checkpoint_blocks", "fs.journal_meta_writes"))
+					kind, iobench.Params{FileMB: 8}, walCounters...))
 			}
 		}
+	}
+	for _, mode := range []string{"off", "wal"} {
+		cells = append(cells, cell{"jmatrix", iobench.Cell{Scenario: ufsclust.Scenario{Run: runA, Journal: mode},
+			MusBus: &musbus.Params{}, Counters: walCounters}})
 	}
 
 	// iosize: bytes per read/write call from 2 KB to 1 MB × {FSW, FSR}

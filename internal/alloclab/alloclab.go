@@ -9,6 +9,7 @@ package alloclab
 
 import (
 	"fmt"
+	"math/rand"
 
 	"ufsclust/internal/sim"
 	"ufsclust/internal/ufs"
@@ -128,6 +129,10 @@ type AgeOpts struct {
 // meanFileKB is the mean size of Age's filler files.
 const meanFileKB = 48
 
+// ageSeedSalt separates Age's random stream from Sim.Rand, which has
+// the same seed.
+const ageSeedSalt = 0x6167_6564 // "aged"
+
 // check refuses options that would age nothing measurable: a target
 // outside (0, 1) or negative churn.
 func (o AgeOpts) check() error {
@@ -151,7 +156,10 @@ func Age(p *sim.Proc, fs *ufs.Fs, o AgeOpts) error {
 	if err := o.check(); err != nil {
 		return err
 	}
-	rng := fs.Sim.Rand
+	// A stream of its own, seeded from the machine's: drawn from
+	// Sim.Rand, the aged image would change whenever the number of disk
+	// requests did, since each request draws its command jitter there.
+	rng := rand.New(rand.NewSource(fs.Sim.Seed() ^ ageSeedSalt))
 	var names []string
 	id := 0
 	// Spread the filler files across directories: FFS places new

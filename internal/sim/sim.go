@@ -53,6 +53,7 @@ type Sim struct {
 	// Rand is a deterministic source seeded at construction. Workloads
 	// should draw from it so runs replay exactly.
 	Rand *rand.Rand
+	seed int64
 
 	// TraceW, when non-nil, receives a line per scheduling decision.
 	// Intended for debugging and for the figure-trace tooling.
@@ -65,8 +66,15 @@ func New(seed int64) *Sim {
 	return &Sim{
 		yielded: make(chan struct{}, 1),
 		Rand:    rand.New(rand.NewSource(seed)),
+		seed:    seed,
 	}
 }
+
+// Seed returns the seed the simulator was built with, for a workload
+// that needs a random stream of its own: what it draws from Rand shifts
+// whenever any other consumer of Rand (the disk's command jitter) draws
+// more or less.
+func (s *Sim) Seed() int64 { return s.seed }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }

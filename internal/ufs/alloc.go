@@ -353,12 +353,17 @@ func (fs *Fs) FreeFrags(p *sim.Proc, fsbn int32, nfrags int32) error {
 		panic("ufs: bad FreeFrags count") // simlint:invariant -- callers free what Alloc returned
 	}
 	cgx := fs.SB.DtoCg(fsbn)
+	rel := fsbn - fs.SB.CgBase(cgx)
+	frag := fs.SB.Frag
+	if nfrags == frag && rel%frag == 0 {
+		// A whole block may be an indirect or directory block with a
+		// buffer in the metadata cache; the buffer must not outlive it.
+		fs.BC.Forget(p, fsbn)
+	}
 	cg, err := fs.loadCG(p, cgx)
 	if err != nil {
 		return err
 	}
-	rel := fsbn - fs.SB.CgBase(cgx)
-	frag := fs.SB.Frag
 	for i := int32(0); i < nfrags; i++ {
 		if bitSet(cg.Blksfree, rel+i) {
 			panic("ufs: freeing free fragment") // simlint:invariant -- bitmap corruption assertion

@@ -295,6 +295,30 @@ func (bc *Bcache) Flush(p *sim.Proc) error {
 	return firstErr
 }
 
+// Forget drops the cached buffer of a block the file system has just
+// freed, dirty or not: the block may be handed out for file data next,
+// and a later write of the stale copy would land on top of that data.
+// With a journal attached, the journal drops its images of the block
+// too, so no checkpoint or replay writes it either.
+func (bc *Bcache) Forget(p *sim.Proc, fsbn int32) {
+	key := bc.align(fsbn)
+	for {
+		b, ok := bc.bufs[key]
+		if !ok {
+			break
+		}
+		if !b.busy {
+			b.dirty, b.valid = false, false
+			delete(bc.bufs, key)
+			break
+		}
+		b.waitUnlock(p)
+	}
+	if bc.journal != nil {
+		bc.journal.Drop(bc.sb.FsbToDb(key))
+	}
+}
+
 // FlushBlock synchronously writes the cached block containing fsbn if
 // it is dirty. It is the fsync path for indirect blocks: data and
 // pointer blocks must be durable before the inode that references

@@ -25,6 +25,10 @@ type MetaJournal interface {
 	// image of the block at the given home sector, or nil if the home
 	// copy is current. The buffer cache consults it on every miss.
 	Peek(sector int64) []byte
+	// Drop forgets the block at the given home sector, which the file
+	// system has freed: no later commit, checkpoint or replay may write
+	// it home over whatever the block holds next.
+	Drop(sector int64)
 	// Checkpoint writes every committed block home and resets the log.
 	Checkpoint(p *sim.Proc) error
 	// CheckpointImage is the offline checkpoint (no simulated time),

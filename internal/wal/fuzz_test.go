@@ -31,11 +31,11 @@ func (g *guardDev) WriteImage(sector int64, data []byte) {
 // FuzzRecover feeds Recover an arbitrary log region. With reseal set the
 // harness first re-signs the log superblock and the first transaction —
 // commit record and checksum computed over whatever the input put in
-// the descriptors — so mutated counts and home addresses reach the
-// replay path instead of dying at the checksum. Whatever the region
-// says, Recover returns a report or an error, never panics, writes
-// nothing at or above the log except its superblock sector, and leaves
-// a log whose second recovery replays nothing.
+// the descriptors — so mutated counts, home sectors and run lengths
+// reach the replay path instead of dying at the checksum. Whatever the
+// region says, Recover returns a report or an error, never panics,
+// writes nothing at or above the log except its superblock sector, and
+// leaves a log whose second recovery replays nothing.
 func FuzzRecover(f *testing.F) {
 	const logBlocks = 4
 	const sectors = logBlocks * blockSec
@@ -55,6 +55,7 @@ func FuzzRecover(f *testing.F) {
 		return out
 	}
 	const desc0 = disk.SectorSize // the first descriptor sector
+	const entry0 = desc0 + descHdrBytes
 
 	empty := region()
 	f.Add(empty, false)
@@ -70,14 +71,25 @@ func FuzzRecover(f *testing.F) {
 	// A descriptor chain that runs off the region, and one that just fits
 	// a second descriptor sector the log never wrote.
 	f.Add(patch(three, desc0+24, sectors, 4), true)
-	f.Add(patch(three, desc0+24, addrsPerDesc+1, 4), true)
-	// A home address moved elsewhere below the log (replays), then ones
-	// inside the log region, straddling its start, and wrapping int64.
-	f.Add(patch(three, desc0+descHdrBytes, 1024, 8), true)
-	f.Add(patch(three, desc0+descHdrBytes, testBase+8, 8), true)
-	f.Add(patch(three, desc0+descHdrBytes, testBase-blockSec+1, 8), true)
-	f.Add(patch(three, desc0+descHdrBytes, 1<<63-1, 8), true)
-	f.Add(patch(three, desc0+descHdrBytes, 1<<63, 8), true) // negative
+	f.Add(patch(three, desc0+24, entriesPerDesc+1, 4), true)
+	// A home sector moved elsewhere below the log (replays), then runs
+	// inside the log region, straddling its start, and entries whose
+	// count field is out of range.
+	f.Add(patch(three, entry0, entry(1024, blockSec), 8), true)
+	f.Add(patch(three, entry0, entry(testBase+8, blockSec), 8), true)
+	f.Add(patch(three, entry0, entry(testBase-blockSec+1, blockSec), 8), true)
+	f.Add(patch(three, entry0, 1<<63-1, 8), true)
+	f.Add(patch(three, entry0, 1<<63, 8), true)
+	// Sector counts of 0 and above a block, and a short run that crosses
+	// the log base.
+	f.Add(patch(three, entry0, entry(64, 0), 8), true)
+	f.Add(patch(three, entry0, entry(64, blockSec+1), 8), true)
+	f.Add(patch(three, entry0, entry(testBase-2, 4), 8), true)
+	// A fourth transaction of sub-block records, whole and torn.
+	r.stage(f, map[int64][]byte{64: edit(mkBlock(0x10), 0x77, [2]int{100, 200}, [2]int{5000, 6000})})
+	diffs := region()
+	f.Add(diffs, false)
+	f.Add(append(append([]byte(nil), diffs[:(1+3*(blockSec+2)+2)*disk.SectorSize]...), make([]byte, disk.SectorSize)...), false)
 	blank := r.d.Snapshot()
 
 	f.Fuzz(func(t *testing.T, log []byte, reseal bool) {
@@ -89,15 +101,20 @@ func FuzzRecover(f *testing.F) {
 			binary.LittleEndian.PutUint64(buf[16:], checksum(buf[:16]))
 			first := buf[desc0:]
 			n := int64(binary.LittleEndian.Uint32(first[24:]))
-			nd := (n + addrsPerDesc - 1) / addrsPerDesc
-			if txn := nd + n*blockSec + 1; n > 0 && 1+txn <= sectors {
+			nd := (n + entriesPerDesc - 1) / entriesPerDesc
+			total := int64(0)
+			for i := int64(0); n > 0 && 1+nd+1 <= sectors && i < n; i++ {
+				_, count := unpackEntry(binary.LittleEndian.Uint64(first[(i/entriesPerDesc)*disk.SectorSize+descHdrBytes+(i%entriesPerDesc)*8:]))
+				total += count
+			}
+			if txn := nd + total + 1; n > 0 && 1+txn <= sectors {
 				for d := int64(0); d < nd; d++ {
 					s := first[d*disk.SectorSize:]
 					binary.LittleEndian.PutUint64(s[0:], descMagic)
 					copy(s[8:16], buf[8:16]) // the epoch; this is transaction 0
 					binary.LittleEndian.PutUint64(s[16:], 0)
 					binary.LittleEndian.PutUint32(s[24:], uint32(n))
-					binary.LittleEndian.PutUint32(s[28:], uint32(d*addrsPerDesc))
+					binary.LittleEndian.PutUint32(s[28:], uint32(d*entriesPerDesc))
 				}
 				c := first[(txn-1)*disk.SectorSize:]
 				binary.LittleEndian.PutUint64(c[0:], commitMagic)

@@ -13,7 +13,7 @@ import (
 // ever reads log sectors.
 type RecoverReport struct {
 	Txns     int    // transactions replayed
-	Blocks   int    // metadata blocks written home
+	Records  int    // sector runs written home
 	TornTail bool   // scanning stopped at a torn (partially written) transaction
 	Epoch    uint64 // log epoch that was replayed
 
@@ -28,8 +28,8 @@ func (r *RecoverReport) String() string {
 	if r.TornTail {
 		tail = "torn tail discarded"
 	}
-	return fmt.Sprintf("replayed %d txns (%d blocks), %s; read %d/%d log sectors, wrote %d",
-		r.Txns, r.Blocks, tail, r.SectorsRead, r.LogSectors, r.SectorsWritten)
+	return fmt.Sprintf("replayed %d txns (%d records), %s; read %d/%d log sectors, wrote %d",
+		r.Txns, r.Records, tail, r.SectorsRead, r.LogSectors, r.SectorsWritten)
 }
 
 // Recover replays the journal at [base, base+sectors) over d's image:
@@ -78,9 +78,8 @@ scan:
 			rep.TornTail = true
 			break
 		}
-		nd := (n + addrsPerDesc - 1) / addrsPerDesc
-		txn := int64(nd) + int64(n)*blockSectors + 1
-		if pos+txn > sectors {
+		nd := (n + entriesPerDesc - 1) / entriesPerDesc
+		if pos+int64(nd)+1 > sectors {
 			rep.TornTail = true
 			break
 		}
@@ -89,31 +88,36 @@ scan:
 		if nd > 1 {
 			desc = append(desc, readSectors(pos+1, int64(nd-1))...)
 		}
-		addrs := make([]int64, 0, n)
+		// Each record is a run of sectors inside one block, wholly
+		// below the log region; anything else is corruption.
+		runs := make([][2]int64, 0, n)
+		var total int64
 		for dsec := 0; dsec < nd; dsec++ {
 			s := desc[dsec*disk.SectorSize:]
 			if binary.LittleEndian.Uint64(s[0:]) != descMagic ||
 				binary.LittleEndian.Uint64(s[8:]) != epoch ||
 				binary.LittleEndian.Uint64(s[16:]) != index ||
 				binary.LittleEndian.Uint32(s[24:]) != uint32(n) ||
-				binary.LittleEndian.Uint32(s[28:]) != uint32(dsec*addrsPerDesc) {
+				binary.LittleEndian.Uint32(s[28:]) != uint32(dsec*entriesPerDesc) {
 				rep.TornTail = true
 				break scan
 			}
-			for i := dsec * addrsPerDesc; i < n && i < (dsec+1)*addrsPerDesc; i++ {
-				addr := int64(binary.LittleEndian.Uint64(s[descHdrBytes+(i-dsec*addrsPerDesc)*8:]))
-				if addr < 0 || addr > base-blockSectors {
-					// A committed record only addresses metadata below
-					// the log region; anything else is corruption. (No
-					// sum: an address near the top of int64 would wrap
-					// into range.)
+			for i := dsec * entriesPerDesc; i < n && i < (dsec+1)*entriesPerDesc; i++ {
+				addr, count := unpackEntry(binary.LittleEndian.Uint64(s[descHdrBytes+(i-dsec*entriesPerDesc)*8:]))
+				if count == 0 || count > blockSectors || addr+count > base {
 					rep.TornTail = true
 					break scan
 				}
-				addrs = append(addrs, addr)
+				runs = append(runs, [2]int64{addr, count})
+				total += count
 			}
 		}
-		data := readSectors(pos+int64(nd), int64(n)*blockSectors)
+		txn := int64(nd) + total + 1
+		if pos+txn > sectors {
+			rep.TornTail = true
+			break
+		}
+		data := readSectors(pos+int64(nd), total)
 		commit := readSectors(pos+txn-1, 1)
 		if binary.LittleEndian.Uint64(commit[0:]) != commitMagic ||
 			binary.LittleEndian.Uint64(commit[8:]) != epoch ||
@@ -123,15 +127,16 @@ scan:
 			rep.TornTail = true
 			break
 		}
-		// Committed: write every block home, in record order (a later
-		// transaction's copy of the same block overwrites an earlier
-		// one, so replay converges on the last committed state).
-		for i, addr := range addrs {
-			d.WriteImage(addr, data[int64(i)*int64(blockBytes):int64(i+1)*int64(blockBytes)])
-			rep.SectorsWritten += blockSectors
+		// Committed: write every run home, in log order (a later
+		// record of the same sectors overwrites an earlier one, so
+		// replay converges on the last committed state).
+		for _, r := range runs {
+			d.WriteImage(r[0], data[:r[1]*disk.SectorSize])
+			data = data[r[1]*disk.SectorSize:]
+			rep.SectorsWritten += r[1]
 		}
 		rep.Txns++
-		rep.Blocks += n
+		rep.Records += n
 		pos += txn
 		index++
 	}

@@ -1,40 +1,54 @@
 // Package wal is the write-ahead metadata journal: a fixed on-disk log
 // region (reserved past the last cylinder group by ufs.Mkfs), filled
-// with checksummed, transaction-framed copies of the metadata blocks
-// each operation dirtied. The file system stops writing metadata in
-// place; instead every operation's dirty blocks are staged and made
-// durable by one sequential log write (group commit), and the blocks
-// only go home — again sequentially batched — when a checkpoint resets
-// the log. Crash recovery is then Recover: replay the committed prefix
-// of the log over the image, discard the torn tail by checksum, and
-// done — O(log size) sectors instead of the O(disk) sweep ufs.Repair
-// performs.
+// with checksummed, transaction-framed records of the metadata each
+// operation changed. The file system stops writing metadata in place;
+// instead every operation's dirty blocks are staged, and one clustered
+// log write (group commit) makes the sectors of them that changed
+// durable. The blocks only go home — again batched — when a checkpoint
+// resets the log. Crash recovery is then Recover: replay the committed
+// prefix of the log over the image, discard the torn tail by checksum,
+// and done — O(log size) sectors instead of the O(disk) sweep
+// ufs.Repair performs.
 //
-// The package is file-system-agnostic: records are (sector, block)
-// pairs. internal/ufs drives it through the ufs.MetaJournal interface
-// and installs the Flush callback that stages dirty metadata at commit
-// time, so wal never imports ufs.
+// The package is file-system-agnostic: records are runs of sectors at
+// home addresses. internal/ufs drives it through the ufs.MetaJournal
+// interface and installs the Flush callback that stages dirty metadata
+// at commit time, so wal never imports ufs.
 //
-// On-disk format (all sectors 512 bytes, little-endian):
+// What a commit logs: each staged block is compared, sector by sector,
+// with its last committed image; every run of sectors that differ is
+// one record. A block with no committed image in the current epoch is
+// logged whole, and an unchanged block logs nothing. Replay is sound
+// because a block's first record in every epoch is whole: the home copy
+// plus the epoch's records applied in log order rebuild each committed
+// image exactly. A freed block is dropped (Drop); a commit that drops a
+// block the epoch has logged ends in a checkpoint, so no replay can
+// write the stale image over the block's next owner.
+//
+// On-disk format v2 (all sectors 512 bytes, little-endian):
 //
 //	sector 0     log superblock: magic, epoch, checksum. One sector,
 //	             so the power-cut model applies it atomically.
 //	sector 1...  transactions, back to back. Each is:
-//	               descriptor sector(s): magic, epoch, index, nblocks,
-//	                 first, then up to 60 home-sector addresses
-//	               data: nblocks × (block size) raw block images
-//	               commit sector: magic, epoch, index, nblocks, and a
+//	               descriptor sector(s): magic, epoch, index, nrecords,
+//	                 first, then up to 60 entries of 8 bytes: the
+//	                 record's home sector in the low 48 bits and its
+//	                 sector count in the top 16
+//	               data: the records' sectors, in entry order
+//	               commit sector: magic, epoch, index, nrecords, and a
 //	                 checksum over the descriptor and data bytes
 //
-// A transaction replays only if its descriptor chain parses, its epoch
-// and running index match, and the commit checksum verifies — so any
-// torn combination of its sectors discards the whole transaction, and
+// Each transaction goes to the disk as one transfer per MaxPhys. It
+// replays only if its descriptor chain parses, its epoch and running
+// index match, and the commit checksum verifies — so any torn
+// combination of its sectors discards the whole transaction, and
 // scanning stops there (later transactions may depend on earlier ones).
 // Checkpoint bumps the epoch in the log superblock, which atomically
 // invalidates every record still sitting in the region.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -48,33 +62,42 @@ import (
 // Record magics. Distinct values per record role so a data block that
 // happens to land where a descriptor is expected cannot parse as one.
 const (
-	logMagic    uint64 = 0x5546_5357_414c_7631 // "UFSWALv1"
+	logMagic    uint64 = 0x5546_5357_414c_7632 // "UFSWALv2"
 	descMagic   uint64 = 0x5741_4c44_4553_4331 // "WALDESC1"
 	commitMagic uint64 = 0x5741_4c43_4d54_5231 // "WALCMTR1"
 )
 
 const (
 	// descHdrBytes is the descriptor sector header: magic, epoch,
-	// index, nblocks, first.
+	// index, nrecords, first.
 	descHdrBytes = 8 + 8 + 8 + 4 + 4
-	// addrsPerDesc is how many 8-byte home-sector addresses follow the
+	// entriesPerDesc is how many 8-byte record entries follow the
 	// header in one descriptor sector.
-	addrsPerDesc = (disk.SectorSize - descHdrBytes) / 8
+	entriesPerDesc = (disk.SectorSize - descHdrBytes) / 8
+	// countShift places a record's sector count above its 48-bit home
+	// sector in a descriptor entry.
+	countShift = 48
 )
 
+// entry packs a record's home sector and sector count into its
+// descriptor slot.
+func entry(sector int64, count int) uint64 {
+	return uint64(sector) | uint64(count)<<countShift
+}
+
+// unpackEntry is entry's inverse.
+func unpackEntry(e uint64) (sector, count int64) {
+	return int64(e & (1<<countShift - 1)), int64(e >> countShift)
+}
+
 // LogBlocks is the on-disk log region size in file-system blocks,
-// reserved by Mkfs: 64 blocks = 512 KB, roomy against the handful of
-// blocks a metadata transaction carries.
+// reserved by Mkfs: 64 blocks = 512 KB.
 const LogBlocks = 64
 
-// Config tunes the journal.
-type Config struct {
-	// Clustered issues each commit as maxphys-sized contiguous
-	// transfers (the paper's write-clustering applied to the log
-	// itself) instead of one transfer per record. Both layouts are
-	// byte-identical on disk; only the request stream differs.
-	Clustered bool
-}
+// Config is the journal's configuration. It has no settings: the log
+// region size is LogBlocks, and every commit is one clustered write of
+// the sectors that changed.
+type Config struct{}
 
 // checksum is FNV-1a 64 over the given bytes — content protection for
 // torn-write detection, not cryptographic.
@@ -95,6 +118,10 @@ type stagedBlock struct {
 	data   []byte // private copy, block-sized
 }
 
+// record is one run of a staged block's sectors that the open commit
+// logs: sectors [off, off+count) of staged[blk].
+type record struct{ blk, off, count int }
+
 // Log is the journal runtime attached to a mounted file system.
 type Log struct {
 	Sim *sim.Sim
@@ -103,7 +130,6 @@ type Log struct {
 	base       int64 // first sector of the log region
 	sectors    int64 // region length in sectors
 	blockBytes int   // file-system block size
-	clustered  bool
 
 	// Flush is installed by the file system: called at commit time in
 	// process context, it stages (via Stage) every dirty metadata
@@ -136,13 +162,23 @@ type Log struct {
 	// stale: written at checkpoint, consulted by Peek so cache misses
 	// never read a stale home copy.
 	ckpt map[int64][]byte
+	// dropLogged is set when Drop forgets a block this epoch logged:
+	// the commit then ends in a checkpoint.
+	dropLogged bool
+
+	// Scratch every commit reuses: the records, the transaction image
+	// and its transfers, and block copies retired from ckpt for Stage.
+	recs  []record
+	txn   []byte
+	bufs  []*driver.Buf
+	spare [][]byte
 
 	err error // sticky first journal I/O error
 
 	bus *telemetry.Bus
 
 	// Stats
-	Commits, CommitBlocks, CommitSectors int64
+	Commits, CommitBlocks, CommitSectors int64 // CommitBlocks counts blocks with a record
 	EmptyCommits, OverflowCommits        int64
 	Checkpoints, CheckpointBlocks        int64
 	PeekFills                            int64
@@ -152,7 +188,7 @@ type Log struct {
 // region at base. It validates the log superblock and starts a fresh
 // transaction stream at its epoch; both Format and Recover leave the
 // region empty, so head starts at sector 1.
-func New(s *sim.Sim, drv *driver.Driver, base, sectors int64, blockBytes int, cfg Config) (*Log, error) {
+func New(s *sim.Sim, drv *driver.Driver, base, sectors int64, blockBytes int, _ Config) (*Log, error) {
 	if sectors < 4+int64(blockBytes/disk.SectorSize) {
 		return nil, fmt.Errorf("wal: log region too small (%d sectors)", sectors)
 	}
@@ -170,7 +206,6 @@ func New(s *sim.Sim, drv *driver.Driver, base, sectors int64, blockBytes int, cf
 		base:       base,
 		sectors:    sectors,
 		blockBytes: blockBytes,
-		clustered:  cfg.Clustered,
 		epoch:      binary.LittleEndian.Uint64(buf[8:]),
 		head:       1,
 		frames:     make(map[*sim.Proc]int),
@@ -245,8 +280,35 @@ func (l *Log) Stage(sector int64, data []byte) {
 		copy(l.staged[i].data, data)
 		return
 	}
+	var c []byte
+	if n := len(l.spare); n > 0 {
+		c, l.spare = l.spare[n-1], l.spare[:n-1]
+	} else {
+		c = make([]byte, l.blockBytes)
+	}
+	copy(c, data)
 	l.stagedAt[sector] = len(l.staged)
-	l.staged = append(l.staged, stagedBlock{sector: sector, data: append([]byte(nil), data...)})
+	l.staged = append(l.staged, stagedBlock{sector: sector, data: c})
+}
+
+// Drop forgets the block at the given home sector: it is neither staged
+// nor written home at checkpoint any more, and Peek no longer serves
+// it. If the current epoch logged the block, the next commit ends in a
+// checkpoint, so that replay cannot write it either.
+func (l *Log) Drop(sector int64) {
+	if i, ok := l.stagedAt[sector]; ok {
+		l.spare = append(l.spare, l.staged[i].data)
+		l.staged = append(l.staged[:i], l.staged[i+1:]...)
+		delete(l.stagedAt, sector)
+		for j := i; j < len(l.staged); j++ {
+			l.stagedAt[l.staged[j].sector] = j
+		}
+	}
+	if data, ok := l.ckpt[sector]; ok {
+		l.spare = append(l.spare, data)
+		delete(l.ckpt, sector)
+		l.dropLogged = true
+	}
 }
 
 // Peek returns the journal's committed (or currently staged) image of
@@ -265,30 +327,82 @@ func (l *Log) Peek(sector int64) []byte {
 	return nil
 }
 
-// txnSectors returns the on-log footprint of an n-block transaction.
-func (l *Log) txnSectors(n int) int64 {
-	nd := (n + addrsPerDesc - 1) / addrsPerDesc
-	return int64(nd) + int64(n)*int64(l.blockBytes/disk.SectorSize) + 1
+// plan splits the staged blocks into the open commit's records and
+// returns the transaction's footprint in log sectors, 0 if nothing
+// differs from the committed images.
+func (l *Log) plan() int64 {
+	l.recs = l.recs[:0]
+	blockSec := l.blockBytes / disk.SectorSize
+	data := 0
+	for i, sb := range l.staged {
+		old, ok := l.ckpt[sb.sector]
+		if !ok {
+			l.recs = append(l.recs, record{i, 0, blockSec})
+			data += blockSec
+			continue
+		}
+		run := -1 // first sector of the current differing run
+		for s := 0; s <= blockSec; s++ {
+			lo, hi := s*disk.SectorSize, (s+1)*disk.SectorSize
+			if s < blockSec && !bytes.Equal(sb.data[lo:hi], old[lo:hi]) {
+				if run < 0 {
+					run = s
+				}
+			} else if run >= 0 {
+				l.recs = append(l.recs, record{i, run, s - run})
+				data += s - run
+				run = -1
+			}
+		}
+	}
+	if len(l.recs) == 0 {
+		return 0
+	}
+	nd := (len(l.recs) + entriesPerDesc - 1) / entriesPerDesc
+	return int64(nd + data + 1)
 }
 
-// commit stages dirty metadata via Flush and writes the transaction.
-// Caller holds busy.
+// commit stages dirty metadata via Flush and logs it. Caller holds
+// busy.
 func (l *Log) commit(p *sim.Proc) error {
 	var flushErr error
 	if l.Flush != nil {
 		flushErr = l.Flush(p)
 		l.recordErr(flushErr)
 	}
-	if len(l.staged) == 0 {
-		l.EmptyCommits++
+	err := l.logStaged(p)
+	if err == nil && l.dropLogged {
+		// A block this epoch logged was freed and may hold file data
+		// next: retire the epoch so no replay writes the stale image.
+		err = l.checkpoint(p)
+	}
+	if flushErr != nil {
 		return flushErr
 	}
-	need := l.txnSectors(len(l.staged))
+	return err
+}
+
+// logStaged writes the staged blocks' records as one transaction and
+// promotes the staged copies to committed ones.
+func (l *Log) logStaged(p *sim.Proc) error {
+	if len(l.staged) == 0 {
+		l.EmptyCommits++
+		return nil
+	}
+	need := l.plan()
+	if need == 0 {
+		// Every staged block equals its committed image.
+		l.EmptyCommits++
+		l.moveStagedToCkpt()
+		return nil
+	}
 	if l.head+need > l.sectors {
-		// Log full: write the committed blocks home and reset.
+		// Log full: write the committed blocks home and reset. Every
+		// record is then a whole block.
 		if err := l.checkpoint(p); err != nil {
 			return err
 		}
+		need = l.plan()
 	}
 	if l.head+need > l.sectors {
 		// The transaction alone outgrows the log. Degrade to writing
@@ -297,107 +411,93 @@ func (l *Log) commit(p *sim.Proc) error {
 		// one does — the log was provisioned too small.
 		l.OverflowCommits++
 		l.moveStagedToCkpt()
-		err := l.checkpoint(p)
-		if flushErr == nil {
-			flushErr = err
-		}
-		return flushErr
+		return l.checkpoint(p)
 	}
-	img := l.buildTxn()
+	img := l.buildTxn(need)
 	err := l.writeLog(p, l.base+l.head, img)
+	blocks := int64(0)
+	for i, r := range l.recs {
+		if i == 0 || l.recs[i-1].blk != r.blk {
+			blocks++
+		}
+	}
 	if l.bus.Active() {
 		l.bus.Emit(telemetry.Event{
 			T: l.Sim.Now(), Kind: telemetry.EvLogCommit, Write: true,
-			Sector: l.base + l.head, Bytes: int64(len(img)), Blocks: int64(len(l.staged)),
+			Sector: l.base + l.head, Bytes: int64(len(img)), Blocks: blocks,
 		})
 	}
 	l.Commits++
-	l.CommitBlocks += int64(len(l.staged))
-	l.CommitSectors += int64(len(img) / disk.SectorSize)
-	l.head += int64(len(img) / disk.SectorSize)
+	l.CommitBlocks += blocks
+	l.CommitSectors += need
+	l.head += need
 	l.index++
 	l.moveStagedToCkpt()
-	if flushErr == nil {
-		flushErr = err
-	}
-	return flushErr
+	return err
 }
 
-// moveStagedToCkpt promotes the staged copies to committed ones.
+// moveStagedToCkpt promotes the staged copies to committed ones; the
+// copies they replace go back to Stage.
 func (l *Log) moveStagedToCkpt() {
 	for _, sb := range l.staged {
+		if old, ok := l.ckpt[sb.sector]; ok {
+			l.spare = append(l.spare, old)
+		}
 		l.ckpt[sb.sector] = sb.data
 	}
 	l.staged = l.staged[:0]
 	clear(l.stagedAt)
 }
 
-// buildTxn renders the staged blocks as one contiguous transaction
-// image: descriptor sector(s), data, commit sector.
-func (l *Log) buildTxn() []byte {
-	n := len(l.staged)
-	nd := (n + addrsPerDesc - 1) / addrsPerDesc
-	img := make([]byte, (nd+1)*disk.SectorSize+n*l.blockBytes)
+// buildTxn renders the open commit's records as one contiguous
+// transaction image of the given sectors — descriptor sector(s), data,
+// commit sector — in the Log's reused buffer.
+func (l *Log) buildTxn(sectors int64) []byte {
+	size := int(sectors) * disk.SectorSize
+	if cap(l.txn) < size {
+		l.txn = make([]byte, size)
+	}
+	img := l.txn[:size]
+	n := len(l.recs)
+	nd := (n + entriesPerDesc - 1) / entriesPerDesc
+	clear(img[:nd*disk.SectorSize])
 	for d := 0; d < nd; d++ {
 		s := img[d*disk.SectorSize:]
 		binary.LittleEndian.PutUint64(s[0:], descMagic)
 		binary.LittleEndian.PutUint64(s[8:], l.epoch)
 		binary.LittleEndian.PutUint64(s[16:], l.index)
 		binary.LittleEndian.PutUint32(s[24:], uint32(n))
-		binary.LittleEndian.PutUint32(s[28:], uint32(d*addrsPerDesc))
-		for i := d * addrsPerDesc; i < n && i < (d+1)*addrsPerDesc; i++ {
-			binary.LittleEndian.PutUint64(s[descHdrBytes+(i-d*addrsPerDesc)*8:], uint64(l.staged[i].sector))
-		}
+		binary.LittleEndian.PutUint32(s[28:], uint32(d*entriesPerDesc))
 	}
-	data := img[nd*disk.SectorSize:]
-	for i, sb := range l.staged {
-		copy(data[i*l.blockBytes:], sb.data)
+	off := nd * disk.SectorSize
+	for i, r := range l.recs {
+		sb := l.staged[r.blk]
+		e := img[(i/entriesPerDesc)*disk.SectorSize+descHdrBytes+(i%entriesPerDesc)*8:]
+		binary.LittleEndian.PutUint64(e, entry(sb.sector+int64(r.off), r.count))
+		off += copy(img[off:], sb.data[r.off*disk.SectorSize:(r.off+r.count)*disk.SectorSize])
 	}
-	c := img[len(img)-disk.SectorSize:]
+	c := img[off:]
+	clear(c)
 	binary.LittleEndian.PutUint64(c[0:], commitMagic)
 	binary.LittleEndian.PutUint64(c[8:], l.epoch)
 	binary.LittleEndian.PutUint64(c[16:], l.index)
 	binary.LittleEndian.PutUint32(c[24:], uint32(n))
-	binary.LittleEndian.PutUint64(c[32:], checksum(img[:len(img)-disk.SectorSize]))
+	binary.LittleEndian.PutUint64(c[32:], checksum(img[:off]))
 	return img
 }
 
-// writeLog issues the transaction image at the given absolute sector.
-// Clustered: maxphys-sized contiguous transfers. Unclustered: one
-// transfer per record (each descriptor sector, each block, the commit
-// sector), modeling a journal that never learned to cluster. Either
-// way all transfers are issued together and waited for once — the
-// commit checksum, not write ordering, provides atomicity.
+// writeLog issues the transaction image at the given absolute sector as
+// MaxPhys-sized contiguous transfers — the paper's write clustering
+// applied to the log — queued together and waited for once: the commit
+// checksum, not write ordering, provides atomicity.
 func (l *Log) writeLog(p *sim.Proc, sector int64, img []byte) error {
-	var spans [][2]int // byte ranges of img
-	if l.clustered {
-		maxphys := l.Drv.MaxPhys()
-		for off := 0; off < len(img); off += maxphys {
-			end := off + maxphys
-			if end > len(img) {
-				end = len(img)
-			}
-			spans = append(spans, [2]int{off, end})
-		}
-	} else {
-		n := len(l.staged)
-		nd := (n + addrsPerDesc - 1) / addrsPerDesc
-		off := 0
-		for d := 0; d < nd; d++ {
-			spans = append(spans, [2]int{off, off + disk.SectorSize})
-			off += disk.SectorSize
-		}
-		for i := 0; i < n; i++ {
-			spans = append(spans, [2]int{off, off + l.blockBytes})
-			off += l.blockBytes
-		}
-		spans = append(spans, [2]int{off, off + disk.SectorSize})
+	maxphys := l.Drv.MaxPhys()
+	l.bufs = l.bufs[:0]
+	for off := 0; off < len(img); off += maxphys {
+		end := min(off+maxphys, len(img))
+		l.bufs = append(l.bufs, &driver.Buf{Blkno: sector + int64(off/disk.SectorSize), Data: img[off:end], Write: true})
 	}
-	bufs := make([]*driver.Buf, len(spans))
-	for i, sp := range spans {
-		bufs[i] = &driver.Buf{Blkno: sector + int64(sp[0]/disk.SectorSize), Data: img[sp[0]:sp[1]], Write: true}
-	}
-	err := l.writeAll(p, bufs)
+	err := l.writeAll(p, l.bufs)
 	l.recordErr(err)
 	return err
 }
@@ -470,7 +570,11 @@ func (l *Log) checkpoint(p *sim.Proc) error {
 	l.epoch++
 	l.head = 1
 	l.index = 0
+	l.dropLogged = false
 	n := int64(len(l.ckpt))
+	for _, b := range home {
+		l.spare = append(l.spare, b.Data)
+	}
 	clear(l.ckpt)
 	l.Checkpoints++
 	l.CheckpointBlocks += n
@@ -501,6 +605,7 @@ func (l *Log) CheckpointImage() {
 	l.epoch++
 	l.head = 1
 	l.index = 0
+	l.dropLogged = false
 	l.Drv.Disk.WriteImage(l.base, logSuperblock(l.epoch))
 }
 

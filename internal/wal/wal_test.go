@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ufsclust/internal/detsort"
@@ -115,7 +117,7 @@ func TestCommitIsWriteAhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Txns != 1 || rep.Blocks != 2 || rep.TornTail {
+	if rep.Txns != 1 || rep.Records != 2 || rep.TornTail {
 		t.Fatalf("recover: %v", rep)
 	}
 	if !bytes.Equal(r.homeBlock(100), mkBlock(0xA1)) || !bytes.Equal(r.homeBlock(100+blockSec), mkBlock(0xA2)) {
@@ -295,19 +297,267 @@ func TestOverflowCommitDegradesToDirectWrite(t *testing.T) {
 	}
 }
 
-func TestClusteredAndUnclusteredLayoutIdentical(t *testing.T) {
-	// Clustered changes the request stream, never the bytes: both modes
-	// must leave the identical log region image.
-	regions := make([][]byte, 2)
-	for i, clustered := range []bool{false, true} {
-		r := newWalRig(t, 64, Config{Clustered: clustered})
-		r.commit(t, map[int64]byte{100: 0xD1, 100 + blockSec: 0xD2, 100 + 2*blockSec: 0xD3})
-		buf := make([]byte, r.l.sectors*disk.SectorSize)
-		r.d.ReadImage(testBase, buf)
-		regions[i] = buf
+func TestCommitIsOneTransferPerMaxPhys(t *testing.T) {
+	// One layout: a transaction goes to the driver as contiguous
+	// MaxPhys-sized transfers. Eight fresh blocks are 130 sectors (one
+	// descriptor, 128 data, one commit): two transfers of the 112-sector
+	// MaxPhys. A one-block transaction is one.
+	r := newWalRig(t, 64, Config{})
+	maxSec := int64(r.dr.MaxPhys() / disk.SectorSize)
+	for _, n := range []int{8, 1} {
+		blocks := map[int64]byte{}
+		for i := 0; i < n; i++ {
+			blocks[int64(1000*n+i*blockSec)] = byte(n + i)
+		}
+		head, queued := r.l.head, r.dr.Stats.Queued
+		r.commit(t, blocks)
+		sectors := r.l.head - head
+		if want := int64(1 + n*blockSec + 1); sectors != want {
+			t.Fatalf("%d blocks: transaction of %d sectors, want %d", n, sectors, want)
+		}
+		if got, want := r.dr.Stats.Queued-queued, (sectors+maxSec-1)/maxSec; got != want {
+			t.Errorf("%d blocks: %d transfers for %d sectors, want %d", n, got, sectors, want)
+		}
 	}
-	if !bytes.Equal(regions[0], regions[1]) {
-		t.Fatal("clustered and unclustered log writes differ on disk")
+}
+
+// edit returns a copy of img with the given byte ranges rewritten.
+func edit(img []byte, fill byte, spans ...[2]int) []byte {
+	out := append([]byte(nil), img...)
+	for _, sp := range spans {
+		for i := sp[0]; i < sp[1]; i++ {
+			out[i] = fill ^ byte(i)
+		}
+	}
+	return out
+}
+
+// stage commits the given full block images in one transaction.
+func (r *walRig) stage(t testing.TB, imgs map[int64][]byte) {
+	t.Helper()
+	r.run(t, func(p *sim.Proc) {
+		r.l.Begin(p)
+		for _, sector := range detsort.Keys(imgs) {
+			r.l.Stage(sector, imgs[sector])
+		}
+		if err := r.l.End(p); err != nil {
+			t.Errorf("End: %v", err)
+		}
+	})
+}
+
+func TestCommitLogsOnlyChangedSectors(t *testing.T) {
+	r := newWalRig(t, 64, Config{})
+	a0 := mkBlock(0xA0)
+	r.stage(t, map[int64][]byte{100: a0})
+	if r.l.CommitSectors != 1+blockSec+1 {
+		t.Fatalf("first logging of a block: %d sectors, want it whole", r.l.CommitSectors)
+	}
+	// Two runs: bytes 10..20 of sector 0, and sectors 3..5 touched by
+	// one span that crosses two boundaries. Two records, four sectors.
+	a1 := edit(a0, 0x11, [2]int{10, 20}, [2]int{3*disk.SectorSize + 500, 5*disk.SectorSize + 1})
+	before := r.l.CommitSectors
+	r.stage(t, map[int64][]byte{100: a1})
+	if got := r.l.CommitSectors - before; got != 1+4+1 {
+		t.Fatalf("re-logging two runs of four sectors: %d sectors", got)
+	}
+	// An unchanged block logs nothing: the commit is empty.
+	head := r.l.head
+	r.stage(t, map[int64][]byte{100: a1})
+	if r.l.head != head || r.l.EmptyCommits != 1 {
+		t.Fatalf("unchanged block moved the log head %d → %d (empty commits %d)", head, r.l.head, r.l.EmptyCommits)
+	}
+	rep, err := Recover(r.d, testBase, r.l.sectors, testBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Txns != 2 || rep.Records != 3 || !bytes.Equal(r.homeBlock(100), a1) {
+		t.Fatalf("replay of whole + diff records: %v", rep)
+	}
+}
+
+func TestFirstLoggingAfterCheckpointIsWhole(t *testing.T) {
+	// A checkpoint retires the epoch's records, so the next logging of
+	// a block may not lean on them: it is whole again, even when one
+	// byte changed.
+	r := newWalRig(t, 64, Config{})
+	a := mkBlock(0xA0)
+	r.stage(t, map[int64][]byte{100: a})
+	a = edit(a, 1, [2]int{0, 1})
+	r.stage(t, map[int64][]byte{100: a})
+	r.run(t, func(p *sim.Proc) {
+		if err := r.l.Checkpoint(p); err != nil {
+			t.Errorf("Checkpoint: %v", err)
+		}
+	})
+	a = edit(a, 2, [2]int{0, 1})
+	r.stage(t, map[int64][]byte{100: a})
+	if r.l.head != 1+1+blockSec+1 {
+		t.Fatalf("first logging after a checkpoint took %d sectors, want a whole block", r.l.head-1)
+	}
+	// The same holds when a full log forces the checkpoint inside the
+	// commit: the records are recomputed after the reset.
+	r = newWalRig(t, 2, Config{}) // 32 sectors: one whole block and then some
+	a = mkBlock(0xA0)
+	r.stage(t, map[int64][]byte{100: a})
+	for i := 0; r.l.Checkpoints == 0; i++ {
+		a = edit(a, byte(i), [2]int{0, 2 * disk.SectorSize})
+		r.stage(t, map[int64][]byte{100: a})
+	}
+	if r.l.head != 1+1+blockSec+1 {
+		t.Fatalf("commit after a log-full checkpoint left head at %d, want one whole block", r.l.head)
+	}
+	if _, err := Recover(r.d, testBase, r.l.sectors, testBlock); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.homeBlock(100), a) {
+		t.Fatal("block lost across the log-full checkpoint")
+	}
+}
+
+func TestDropRetiresTheEpoch(t *testing.T) {
+	// A freed block that the epoch logged: the next commit ends in a
+	// checkpoint that neither writes the block home nor leaves a log
+	// that replays it over its new owner's bytes.
+	r := newWalRig(t, 64, Config{})
+	r.commit(t, map[int64]byte{100: 0xA1, 200: 0xB1})
+	r.run(t, func(p *sim.Proc) {
+		r.l.Begin(p)
+		r.l.Drop(100)
+		r.l.Stage(200, mkBlock(0xB2))
+		if err := r.l.End(p); err != nil {
+			t.Errorf("End: %v", err)
+		}
+	})
+	if r.l.Checkpoints != 1 || r.l.Peek(100) != nil {
+		t.Fatalf("drop of a logged block: %d checkpoints, Peek %v", r.l.Checkpoints, r.l.Peek(100) != nil)
+	}
+	if !bytes.Equal(r.homeBlock(100), make([]byte, testBlock)) {
+		t.Fatal("checkpoint wrote a dropped block home")
+	}
+	owner := mkBlock(0xF0)
+	r.d.WriteImage(100, owner)
+	if _, err := Recover(r.d, testBase, r.l.sectors, testBlock); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.homeBlock(100), owner) || !bytes.Equal(r.homeBlock(200), mkBlock(0xB2)) {
+		t.Fatal("replay wrote a dropped block, or lost a committed one")
+	}
+	// A block dropped before it was ever committed costs no checkpoint.
+	r.run(t, func(p *sim.Proc) {
+		r.l.Begin(p)
+		r.l.Stage(300, mkBlock(0xC1))
+		r.l.Drop(300)
+		if err := r.l.End(p); err != nil {
+			t.Errorf("End: %v", err)
+		}
+	})
+	if r.l.Checkpoints != 1 || r.l.Peek(300) != nil {
+		t.Fatalf("drop of a staged block: %d checkpoints", r.l.Checkpoints)
+	}
+}
+
+// TestSubBlockEditsReplayExactly is the shadow-model property test of
+// sector-diff records: random sub-block edits of a few blocks across
+// many commits (through log-full checkpoints), and recovery at every
+// commit boundary and at every torn prefix of every transaction must
+// rebuild exactly the committed images — the previous ones for a torn
+// transaction.
+func TestSubBlockEditsReplayExactly(t *testing.T) {
+	r := newWalRig(t, 8, Config{}) // 128 sectors: frequent checkpoints
+	rng := rand.New(rand.NewSource(3))
+	homes := []int64{100, 100 + blockSec, 300, 1000, 2000}
+	cur := map[int64][]byte{}
+	for _, h := range homes {
+		cur[h] = make([]byte, testBlock)
+	}
+	committed := func() map[int64][]byte {
+		m := map[int64][]byte{}
+		for h, img := range cur {
+			m[h] = append([]byte(nil), img...)
+		}
+		return m
+	}
+	check := func(what string, want map[int64][]byte) {
+		t.Helper()
+		rep, err := Recover(r.d, testBase, r.l.sectors, testBlock)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if rep.SectorsRead > rep.LogSectors {
+			t.Fatalf("%s: read %d of %d log sectors", what, rep.SectorsRead, rep.LogSectors)
+		}
+		for _, h := range homes {
+			if !bytes.Equal(r.homeBlock(h), want[h]) {
+				t.Fatalf("%s: block at %d differs from the committed image (%v)", what, h, rep)
+			}
+		}
+	}
+	old := committed()
+	for c := 0; c < 80; c++ {
+		imgs := map[int64][]byte{}
+		for _, i := range rng.Perm(len(homes))[:1+rng.Intn(3)] {
+			h := homes[i]
+			var spans [][2]int
+			for k := rng.Intn(4); k >= 0; k-- {
+				lo := rng.Intn(testBlock)
+				spans = append(spans, [2]int{lo, min(testBlock, lo+1+rng.Intn(3*disk.SectorSize))})
+			}
+			cur[h] = edit(cur[h], byte(c), spans...)
+			imgs[h] = cur[h]
+		}
+		pre, head, ckpts := r.d.Snapshot(), r.l.head, r.l.Checkpoints
+		r.stage(t, imgs)
+		post, now := r.d.Snapshot(), committed()
+		check(fmt.Sprintf("commit %d", c), now)
+		if r.l.Checkpoints == ckpts && r.l.head > head {
+			txn := make([]byte, (r.l.head-head)*disk.SectorSize)
+			r.d.Restore(post)
+			r.d.ReadImage(testBase+head, txn)
+			for cut := 0; cut < len(txn)/disk.SectorSize; cut++ {
+				r.d.Restore(pre)
+				r.d.WriteImage(testBase+head, txn[:cut*disk.SectorSize])
+				check(fmt.Sprintf("commit %d cut at sector %d", c, cut), old)
+			}
+		}
+		r.d.Restore(post)
+		old = now
+	}
+	if r.l.Checkpoints == 0 {
+		t.Fatal("the edits never filled the log")
+	}
+}
+
+func TestCommitAllocationsDoNotGrowWithBlocks(t *testing.T) {
+	// The wal row of the allocation-free steady state: Stage reuses the
+	// copies a commit retires and the transaction image is a per-Log
+	// buffer, so re-logging eight blocks allocates no more than one.
+	allocs := func(n int) float64 {
+		r := newWalRig(t, 64, Config{})
+		imgs := make([][]byte, n)
+		for i := range imgs {
+			imgs[i] = mkBlock(byte(i))
+		}
+		body := func(p *sim.Proc) {
+			r.l.Begin(p)
+			for i, img := range imgs {
+				img[0]++ // one changed sector per block
+				r.l.Stage(int64(100+i*blockSec), img)
+			}
+			if err := r.l.End(p); err != nil {
+				t.Errorf("End: %v", err)
+			}
+		}
+		r.run(t, body) // the first logging is whole
+		got := testing.AllocsPerRun(20, func() { r.run(t, body) })
+		if r.l.Checkpoints != 0 {
+			t.Fatalf("%d blocks: the log filled", n)
+		}
+		return got
+	}
+	one, eight := allocs(1), allocs(8)
+	if eight > one {
+		t.Fatalf("a commit re-logging 8 blocks allocates %.0f times, one re-logging 1 block %.0f", eight, one)
 	}
 }
 

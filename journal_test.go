@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ufsclust/internal/core"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/wal"
 )
@@ -76,5 +77,84 @@ func TestDefaultMachineHasNoJournal(t *testing.T) {
 		if strings.HasPrefix(e.Name, "wal.") || e.Name == "fs.journal_meta_writes" {
 			t.Errorf("default machine registered journal metric %s", e.Name)
 		}
+	}
+}
+
+// TestFreedIndirectBlockStaysFreed is the reuse-after-free regression
+// on both machine kinds: truncate dirties a file's indirect block while
+// clearing its pointers and then frees it, and the next file that is
+// given that block for data must read back its own bytes — neither the
+// cache's dirty copy nor the journal's committed image of the freed
+// block may be written over them later.
+func TestFreedIndirectBlockStaysFreed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"unjournaled", nil},
+		{"journaled", []Option{WithJournal(wal.Config{})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(RunA(), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			fill := func(n int, v byte) []byte {
+				b := make([]byte, n)
+				for i := range b {
+					b[i] = v ^ byte(i*7)
+				}
+				return b
+			}
+			want := fill(16<<10, 0xB0)
+			err = m.Run(func(p *sim.Proc) {
+				must := func(err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				write := func(path string, data []byte, fsync bool) *core.File {
+					f, err := m.Engine.Create(p, path)
+					must(err)
+					_, err = f.Write(p, 0, data)
+					must(err)
+					if fsync {
+						must(f.Fsync(p))
+					}
+					return f
+				}
+				// /a is long enough to need an indirect block; removing
+				// it frees that block with a dirty cached copy.
+				a := write("/a", fill(200<<10, 0xA0), true)
+				ib := a.Inode().D.IB[0]
+				if ib == 0 {
+					t.Fatal("/a has no indirect block")
+				}
+				must(m.Engine.Remove(p, "/a"))
+				write("/c", fill(96<<10, 0xC0), false)
+				b := write("/b", want, true)
+				reused := false
+				for _, fsbn := range b.Inode().D.DB[:2] {
+					reused = reused || fsbn == ib
+				}
+				if !reused {
+					t.Fatalf("/b at %v does not reuse /a's indirect block %d", b.Inode().D.DB[:2], ib)
+				}
+				must(m.FS.Sync(p))
+				must(b.Purge(p))
+				got := make([]byte, len(want))
+				_, err := b.Read(p, 0, got)
+				must(err)
+				for blk := 0; blk < len(want); blk += 8 << 10 {
+					if !bytes.Equal(got[blk:blk+8<<10], want[blk:blk+8<<10]) {
+						t.Errorf("/b block %d reads back wrong", blk/(8<<10))
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

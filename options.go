@@ -110,11 +110,11 @@ func WithRecovery(imgs ...*disk.Image) Option {
 //	m, _ := ufsclust.New(ufsclust.RunA(),
 //		ufsclust.WithJournal(wal.Config{}))
 //
-// The zero Config takes the defaults (64-block log, one log transfer
-// per record); Clustered batches each commit's log sectors into
-// MaxPhys-sized transfers. Without this option nothing changes: no log
-// region is reserved and every event stream is byte-identical to the
-// unjournaled machine.
+// Config has no settings: the log is wal.LogBlocks long, and each
+// commit is one clustered write of only the metadata sectors that
+// changed since their last commit. Without this option nothing changes:
+// no log region is reserved and every event stream is byte-identical to
+// the unjournaled machine.
 func WithJournal(cfg wal.Config) Option {
 	return func(o *Options) { o.Journal = &cfg }
 }

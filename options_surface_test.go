@@ -40,7 +40,7 @@ func TestPublicOptionsSurface(t *testing.T) {
 		{ufs.MkfsOpts{}, []string{"Ipg", "Minfree", "Rotdelay", "Maxcontig", "LogBlocks"}},
 		{ufs.MountOpts{}, []string{"Nbuf", "WriteLimit", "BmapCache", "OrderedWrites"}},
 		{driver.Config{}, []string{"MaxPhys", "Sort", "Coalesce", "MaxRetries"}},
-		{wal.Config{}, []string{"Clustered"}},
+		{wal.Config{}, []string{}},
 		{vol.Config{}, []string{"Level", "Members", "StripeKB", "Member", "Degraded"}},
 	} {
 		typ := reflect.TypeOf(tc.v)

@@ -26,7 +26,7 @@ type Scenario struct {
 
 	ReadAhead string // "fixed" (or ""), "adaptive", "off"
 	Vec       string // "auto" (or ""), "naive", "sieve", "list"
-	Journal   string // "off" (or ""), "wal", "wal-clustered"
+	Journal   string // "off" (or ""), "wal"
 
 	Volume *vol.Config // nil = the single sd0
 }
@@ -38,10 +38,8 @@ func (sc Scenario) journal() (*wal.Config, error) {
 		return nil, nil
 	case "wal":
 		return &wal.Config{}, nil
-	case "wal-clustered":
-		return &wal.Config{Clustered: true}, nil
 	}
-	return nil, fmt.Errorf("unknown journal mode %q", sc.Journal)
+	return nil, fmt.Errorf("unknown journal mode %q (want off or wal)", sc.Journal)
 }
 
 // Journaled reports whether the scenario's machine runs the metadata
@@ -120,7 +118,7 @@ func (sc *Scenario) RegisterFlags(fs *flag.FlagSet) {
 	})
 	fs.StringVar(&sc.ReadAhead, "ra", "fixed", "read-ahead policy (fixed, adaptive, off)")
 	fs.StringVar(&sc.Vec, "vec", "auto", "Readv/Writev strategy (auto, naive, sieve, list)")
-	fs.StringVar(&sc.Journal, "journal", "off", "metadata journal (off, wal, wal-clustered)")
+	fs.StringVar(&sc.Journal, "journal", "off", "metadata journal (off, wal)")
 
 	// cfg collects the volume flags; once -vol has named a level every
 	// further flag re-resolves sc.Volume from it.

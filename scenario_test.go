@@ -36,13 +36,14 @@ func TestScenarioRejectsUnknownNames(t *testing.T) {
 		{[]string{"-ra", "bogus"}, false},
 		{[]string{"-vec", "bogus"}, false},
 		{[]string{"-journal", "bogus"}, false},
+		{[]string{"-journal", "wal-clustered"}, false}, // one log layout: the name is gone
 		{[]string{"-vol", "bogus"}, false},
 		{[]string{"-members", "3", "-vol", "raid6"}, false},
 		{[]string{"-mem", "-1"}, false},
 		{[]string{"-mem", "17592186044424"}, false}, // (1<<44 + 8) MB wraps to 8 MB
 		{nil, true},
 		{[]string{"-mem", "0"}, true},
-		{[]string{"-ra", "adaptive", "-vec", "sieve", "-journal", "wal-clustered", "-vol", "mirror"}, true},
+		{[]string{"-ra", "adaptive", "-vec", "sieve", "-journal", "wal", "-vol", "mirror"}, true},
 		{[]string{"-ra", "off", "-vec", "list", "-journal", "wal"}, true},
 		{[]string{"-ra", "fixed", "-vec", "naive", "-journal", "off"}, true},
 	} {
@@ -138,7 +139,7 @@ func FuzzScenarioFlags(f *testing.F) {
 	for _, args := range []string{
 		"",
 		"-seed 7 -mem 4",
-		"-ra adaptive -vec sieve -journal wal-clustered -vol mirror",
+		"-ra adaptive -vec sieve -journal wal -vol mirror",
 		"-degraded 1 -stripe 16 -members 4 -vol raid5",
 		"-vol raid6 -members 3",
 		"-mem 17592186044424",

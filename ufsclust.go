@@ -273,12 +273,8 @@ func NewMachine(o Options) (*Machine, error) {
 	// built with WithJournal or restored from a journaled donor.
 	var jl *wal.Log
 	if fs.SB.LogFrags > 0 {
-		cfg := wal.Config{}
-		if o.Journal != nil {
-			cfg = *o.Journal
-		}
 		base, sectors := logGeometry(fs.SB)
-		jl, err = wal.New(s, dr, base, sectors, int(fs.SB.Bsize), cfg)
+		jl, err = wal.New(s, dr, base, sectors, int(fs.SB.Bsize), wal.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
