@@ -99,12 +99,12 @@ func matrixCells() []cell {
 	// file grows, so the fsync commits the inode, the indirect blocks
 	// and the bitmaps to the log before their home locations. FSR
 	// stages nothing in its measured phase, but its rate is not the
-	// unjournaled machine's to the digit: the setup write's commit
-	// leaves the drive at another position and draws other command
-	// jitter from the shared random stream, so the read starts from a
-	// different state. MusBus is the metadata workload — creates,
-	// removes and small writes from eight users — where the journal's
-	// commit and checkpoint costs show.
+	// unjournaled machine's to the digit: the file starts behind the
+	// log in group 0, 1024 sectors later, and the setup's commits draw
+	// other command jitter from the shared random stream, so the read
+	// starts from a different state. MusBus is the metadata workload —
+	// creates, removes and small writes from eight users — where the
+	// journal's commit and checkpoint costs show.
 	walCounters := []string{"wal.commits", "wal.commit_sectors", "wal.checkpoints", "wal.checkpoint_blocks", "fs.journal_meta_writes"}
 	for _, rc := range []ufsclust.RunConfig{runA, runB} {
 		for _, mode := range []string{"off", "wal"} {

@@ -35,12 +35,10 @@ func Fsck(d disk.Device) (*FsckReport, error) {
 		return nil, err
 	}
 
-	// Shadow fragment map: 0 free, 1 metadata, 2 data.
+	// Shadow fragment map: 0 free, 1 metadata (the log included), 2 data.
 	shadow := make([]byte, sb.Size)
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		for f := sb.CgBase(cgx); f < sb.CgDmin(cgx); f++ {
-			shadow[f] = 1
-		}
+		sb.reserved(cgx, func(f int32) { shadow[f] = 1 })
 	}
 
 	im := image{d, sb}

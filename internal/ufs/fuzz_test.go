@@ -100,8 +100,9 @@ func FuzzFsckRepair(f *testing.F) {
 	seed := d.Snapshot()
 	// Byte offsets of Size, DB and IB within a marshaled dinode.
 	const offSize, offDB, offIB = 12, 44, 44 + NDADDR*4
-	// Byte offsets of Size, Ncg, Fpg and Ipg within a marshaled superblock.
-	const sbSize, sbNcg, sbFpg, sbIpg = 16, 24, 28, 32
+	// Byte offsets of Size, Ncg, Fpg, Ipg and LogStart within a marshaled
+	// superblock.
+	const sbSize, sbNcg, sbFpg, sbIpg, sbLog = 16, 24, 28, 32, 104
 	le32 := func(v int32) []byte { return []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)} }
 
 	for _, seed := range []struct {
@@ -139,6 +140,10 @@ func FuzzFsckRepair(f *testing.F) {
 		{sbOff: sbNcg, sbBytes: append(le32(1), le32(sb.Size)...)},
 		{sbOff: sbIpg, sbBytes: le32(2 * sb.Ipg), which: 3, ptrBytes: []byte{0, 0, 0, 0, 0xff, 0xff}},
 		{sbOff: sbFpg, sbBytes: le32(sb.Fpg / 2)},
+		// a log the image never reserved: one block off its place, then
+		// in its place, over the files behind the root directory
+		{sbOff: sbLog, sbBytes: append(le32(sb.logStart()+sb.Frag), le32(64)...)},
+		{sbOff: sbLog, sbBytes: append(le32(sb.logStart()), le32(64)...)},
 	} {
 		f.Add(uint16(seed.inoOff), seed.inoBytes, seed.which, seed.ptrOff, seed.ptrBytes, seed.sbOff, seed.sbBytes)
 	}

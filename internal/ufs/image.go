@@ -65,16 +65,17 @@ func (sb *Superblock) fits(dev disk.Device) error {
 		return bad("%d-byte fragments in %d-byte blocks", sb.Fsize, sb.Bsize)
 	case sb.Size <= 0 || int64(sb.Ncg)*int64(sb.Fpg) != int64(sb.Size):
 		return bad("size %d is not %d groups of %d fragments", sb.Size, sb.Ncg, sb.Fpg)
-	case sb.LogFrags < 0 || (int64(sb.Size)+int64(sb.LogFrags))*int64(sb.Fsize) > dev.Geom().TotalBytes():
-		return bad("%d+%d fragments on a device of %d bytes", sb.Size, sb.LogFrags, dev.Geom().TotalBytes())
-	case sb.LogFrags > 0 && sb.LogStart != sb.Size:
-		return bad("log at fragment %d, file system ends at %d", sb.LogStart, sb.Size)
+	case int64(sb.Size)*int64(sb.Fsize) > dev.Geom().TotalBytes():
+		return bad("%d fragments on a device of %d bytes", sb.Size, dev.Geom().TotalBytes())
 	case sb.Ipg%ipb != 0 || int64(sb.Ncg)*int64(sb.Ipg) > math.MaxInt32:
 		return bad("%d groups of %d inodes (%d to a block)", sb.Ncg, sb.Ipg, ipb)
 	case sb.MetaFrags() >= sb.Fpg:
 		return bad("group metadata (%d fragments) fills the group (%d)", sb.MetaFrags(), sb.Fpg)
 	case cgHdrSize+int(sb.Ipg+7)/8+int(sb.Fpg+7)/8 > int(sb.Bsize):
 		return bad("bitmaps of %d inodes and %d fragments overflow the group header block", sb.Ipg, sb.Fpg)
+	case sb.LogFrags < 0 || sb.LogFrags > 0 &&
+		(sb.LogStart != sb.logStart() || int64(sb.LogStart)+int64(sb.LogFrags) > int64(sb.Fpg)):
+		return bad("log of %d fragments at %d, not at %d inside group 0's %d", sb.LogFrags, sb.LogStart, sb.logStart(), sb.Fpg)
 	}
 	return nil
 }
@@ -237,15 +238,16 @@ func (cg *CG) countFree(sb *Superblock) (nbfree, nffree int32) {
 // adds its counts to sb's summary. owner[f] != 0 says the group's
 // fragment f is in use and inodes[i] is the group's inode i; both may
 // stop short of the group, and what they do not reach is free.
-// Metadata fragments and the reserved inodes are in use regardless.
+// Reserved fragments and inodes are in use regardless.
 func buildCG(sb *Superblock, cgx int32, owner []int32, inodes []Dinode) *CG {
 	cg := NewCG(sb, cgx)
-	cg.Ndblk = sb.Fpg - sb.MetaFrags()
-	for f := sb.MetaFrags(); f < sb.Fpg; f++ {
+	for f := int32(0); f < sb.Fpg; f++ {
 		if int(f) >= len(owner) || owner[f] == 0 {
 			setBit(cg.Blksfree, f)
 		}
 	}
+	cg.Ndblk = sb.Fpg
+	sb.reserved(cgx, func(f int32) { clrBit(cg.Blksfree, f-sb.CgBase(cgx)); cg.Ndblk-- })
 	cg.Nbfree, cg.Nffree = cg.countFree(sb)
 	cg.Nifree = sb.Ipg
 	for i := range inodes {

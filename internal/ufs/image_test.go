@@ -11,7 +11,9 @@ import (
 // TestLyingSuperblockIsAnError: a primary superblock that decodes but
 // describes a file system the device cannot hold — more groups than
 // there are, a negative size, an inode table of gigabytes, groups too
-// small for their own metadata, a log inside a group — is an error from
+// small for their own metadata, a log anywhere but right after group
+// 0's root block (the layout that kept it past the last group among
+// them) or one that overflows group 0 — is an error from
 // Fsck and Mount and a reason for Repair to fall back to a backup copy.
 // Never a panic from indexing what the geometry promised.
 func TestLyingSuperblockIsAnError(t *testing.T) {
@@ -24,6 +26,9 @@ func TestLyingSuperblockIsAnError(t *testing.T) {
 		{"HugeIpg", func(sb *Superblock) { sb.Ipg = 1 << 20 }},
 		{"FpgTooSmall", func(sb *Superblock) { sb.Fpg = sb.MetaFrags(); sb.Size = sb.Ncg * sb.Fpg }},
 		{"LogInsideGroup", func(sb *Superblock) { sb.LogFrags = 64; sb.LogStart = sb.Size - 64 }},
+		{"LogPastLastGroup", func(sb *Superblock) { sb.LogFrags = 64; sb.LogStart = sb.Size }},
+		{"LogMoved", func(sb *Superblock) { sb.LogFrags = 64; sb.LogStart = sb.logStart() + sb.Frag }},
+		{"LogOverflowsGroup0", func(sb *Superblock) { sb.LogFrags = sb.Fpg; sb.LogStart = sb.logStart() }},
 	}
 	for _, l := range lies {
 		l := l

@@ -103,10 +103,9 @@ type Superblock struct {
 
 	// Metadata journal region (zero on unjournaled images — the fields
 	// were appended to the layout, so pre-journal superblocks decode
-	// with LogFrags == 0 and nothing changes for them). The log lives
-	// in the fragments [LogStart, LogStart+LogFrags), placed beyond
-	// Size so it is structurally invisible to Fsck and Repair, whose
-	// fragment maps are bounded by Size.
+	// with LogFrags == 0 and nothing changes for them). The log is the
+	// fragments [LogStart, LogStart+LogFrags) at logStart in group 0,
+	// reserved like the group's metadata; Mkfs derives it, fits checks.
 	LogStart int32 // first fragment of the log region
 	LogFrags int32 // log region length in fragments (0 = no journal)
 }
@@ -148,6 +147,22 @@ func (sb *Superblock) CgDmin(cg int32) int32 {
 // MetaFrags returns the per-group fragment count reserved for metadata.
 func (sb *Superblock) MetaFrags() int32 {
 	return groupReserve + sb.Frag + sb.InodeBlocks()*sb.Frag
+}
+
+// logStart is where a journal's log begins: right after the root
+// directory's block, beside the inodes and first files it logs.
+func (sb *Superblock) logStart() int32 { return sb.CgDmin(0) + sb.Frag }
+
+// reserved calls mark with every fragment of group cgx no file may own:
+// the group's metadata and, in group 0, the log. Mkfs, buildCG, Fsck
+// and Repair all take the rule from here.
+func (sb *Superblock) reserved(cgx int32, mark func(fsbn int32)) {
+	for f := sb.CgBase(cgx); f < sb.CgDmin(cgx); f++ {
+		mark(f)
+	}
+	for f := sb.LogStart; cgx == 0 && f < sb.LogStart+sb.LogFrags; f++ {
+		mark(f)
+	}
 }
 
 // InoToCg returns the group holding inode ino.

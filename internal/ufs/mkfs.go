@@ -27,8 +27,8 @@ type MkfsOpts struct {
 	Maxcontig int // blocks per cluster when Rotdelay is 0
 
 	// LogBlocks reserves a metadata-journal region of that many blocks
-	// past the last cylinder group (0 = no journal; the image is then
-	// byte-identical to a pre-journal Mkfs). The region is recorded in
+	// in group 0 (0 = no journal; the image is then byte-identical to a
+	// pre-journal Mkfs). The region is recorded in
 	// Superblock.LogStart/LogFrags and consumed by internal/wal.
 	LogBlocks int
 }
@@ -47,7 +47,8 @@ func (o MkfsOpts) withDefaults() MkfsOpts {
 }
 
 // Mkfs lays a fresh file system onto d's image. It runs "offline" (no
-// simulated time passes) and returns the superblock it wrote.
+// simulated time passes) and returns the superblock it wrote. A log
+// goes in group 0, where a fresh tree's inodes and first files live.
 func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 	o := opts.withDefaults()
 	g := d.Geom()
@@ -71,28 +72,24 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 	sb.Ipg = (int32(o.Ipg) + ipb - 1) / ipb * ipb
 
 	totalFrags := g.TotalBytes() / mkfsFsize
-	logFrags := int64(o.LogBlocks) * int64(sb.Frag)
 	sb.Fpg = mkfsCpg * int32(spc) * disk.SectorSize / mkfsFsize
-	sb.Ncg = int32((totalFrags - logFrags) / int64(sb.Fpg))
+	sb.Ncg = int32(totalFrags / int64(sb.Fpg))
 	if sb.Ncg < 1 {
-		return nil, fmt.Errorf("ufs: disk too small (%d frags/group, %d total, %d log)", sb.Fpg, totalFrags, logFrags)
+		return nil, fmt.Errorf("ufs: disk too small (%d frags/group, %d total)", sb.Fpg, totalFrags)
 	}
 	sb.Size = sb.Ncg * sb.Fpg
-	if logFrags > 0 {
-		// The journal claims the fragments immediately past the last
-		// group. Fsck and Repair bound their shadow maps at Size, so
-		// the region cannot be claimed by files or flagged as lost.
-		sb.LogStart = sb.Size
-		sb.LogFrags = int32(logFrags)
+	if o.LogBlocks > 0 {
+		sb.LogStart = sb.logStart()
+		sb.LogFrags = int32(o.LogBlocks) * sb.Frag
 	}
 	// What the readers would refuse, Mkfs does not write.
 	if err := sb.fits(d); err != nil {
 		return nil, err
 	}
-	sb.Dsize = sb.Ncg * (sb.Fpg - sb.MetaFrags())
+	sb.Dsize = sb.Ncg*(sb.Fpg-sb.MetaFrags()) - sb.LogFrags
 	sb.Maxbpg = sb.Fpg / sb.Frag / 2
 
-	// Everything is free except the metadata, the reserved inodes, and
+	// Everything is free except the reserved fragments and inodes and
 	// the root directory: inode RootIno, holding group 0's first data
 	// block.
 	im := image{d, sb}

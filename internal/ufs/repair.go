@@ -135,14 +135,13 @@ func (rp *repairer) claim(ino, fsbn, n int32) bool {
 	return true
 }
 
-// newOwnerMap returns a fragment owner map with metadata pre-marked.
+// newOwnerMap returns a fragment owner map with metadata, the log
+// included, pre-marked.
 func (rp *repairer) newOwnerMap() []int32 {
 	sb := rp.sb
 	owner := make([]int32, sb.Size)
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		for f := sb.CgBase(cgx); f < sb.CgDmin(cgx); f++ {
-			owner[f] = -1
-		}
+		sb.reserved(cgx, func(f int32) { owner[f] = -1 })
 	}
 	return owner
 }

@@ -9,19 +9,21 @@ import (
 )
 
 // guardDev refuses, and remembers, an offline write that recovery has
-// no business making: anything touching the log region or beyond it
-// other than the one-sector log superblock.
+// no business making: anything off the device, or touching the log
+// region [base, base+sectors) other than the one-sector log superblock.
 type guardDev struct {
 	disk.Device
-	base int64
-	bad  string
+	base, sectors int64
+	bad           string
 }
 
 func (g *guardDev) WriteImage(sector int64, data []byte) {
 	end := sector + int64(len(data))/disk.SectorSize
-	if sector < 0 || (end > g.base && !(sector == g.base && len(data) == disk.SectorSize)) {
+	inLog := sector < g.base+g.sectors && end > g.base
+	if sector < 0 || end > g.Geom().TotalBytes()/disk.SectorSize ||
+		inLog && !(sector == g.base && len(data) == disk.SectorSize) {
 		if g.bad == "" {
-			g.bad = fmt.Sprintf("write of sectors [%d,%d) with the log at %d", sector, end, g.base)
+			g.bad = fmt.Sprintf("write of sectors [%d,%d) with the log at [%d,%d)", sector, end, g.base, g.base+g.sectors)
 		}
 		return
 	}
@@ -34,7 +36,8 @@ func (g *guardDev) WriteImage(sector int64, data []byte) {
 // the descriptors — so mutated counts, home sectors and run lengths
 // reach the replay path instead of dying at the checksum. Whatever the
 // region says, Recover returns a report or an error, never panics,
-// writes nothing at or above the log except its superblock sector, and
+// writes nothing into the log except its superblock sector nor off the
+// device, and
 // leaves a log whose second recovery replays nothing.
 func FuzzRecover(f *testing.F) {
 	const logBlocks = 4
@@ -72,18 +75,27 @@ func FuzzRecover(f *testing.F) {
 	// a second descriptor sector the log never wrote.
 	f.Add(patch(three, desc0+24, sectors, 4), true)
 	f.Add(patch(three, desc0+24, entriesPerDesc+1, 4), true)
-	// A home sector moved elsewhere below the log (replays), then runs
-	// inside the log region, straddling its start, and entries whose
-	// count field is out of range.
+	// A home sector moved elsewhere below the log and above it (both
+	// replay), then runs inside the log region, straddling its start,
+	// straddling its end and past the device's last sector (each ends
+	// the scan as a torn tail), and entries whose count field is out of
+	// range.
+	dev := r.d.Geom().TotalBytes() / disk.SectorSize
 	f.Add(patch(three, entry0, entry(1024, blockSec), 8), true)
+	f.Add(patch(three, entry0, entry(testBase+sectors+1024, blockSec), 8), true)
 	f.Add(patch(three, entry0, entry(testBase+8, blockSec), 8), true)
 	f.Add(patch(three, entry0, entry(testBase-blockSec+1, blockSec), 8), true)
+	f.Add(patch(three, entry0, entry(testBase+sectors-1, blockSec), 8), true)
+	f.Add(patch(three, entry0, entry(dev-blockSec+1, blockSec), 8), true)
 	f.Add(patch(three, entry0, 1<<63-1, 8), true)
 	f.Add(patch(three, entry0, 1<<63, 8), true)
-	// Sector counts of 0 and above a block, and a short run that crosses
-	// the log base.
+	// Sector counts of 0 and above a block; short runs that end exactly
+	// at the log's start and begin exactly at its end (both replay), and
+	// one that crosses its start.
 	f.Add(patch(three, entry0, entry(64, 0), 8), true)
 	f.Add(patch(three, entry0, entry(64, blockSec+1), 8), true)
+	f.Add(patch(three, entry0, entry(testBase-4, 4), 8), true)
+	f.Add(patch(three, entry0, entry(testBase+sectors, 4), 8), true)
 	f.Add(patch(three, entry0, entry(testBase-2, 4), 8), true)
 	// A fourth transaction of sub-block records, whole and torn.
 	r.stage(f, map[int64][]byte{64: edit(mkBlock(0x10), 0x77, [2]int{100, 200}, [2]int{5000, 6000})})
@@ -126,7 +138,7 @@ func FuzzRecover(f *testing.F) {
 		}
 		r.d.WriteImage(testBase, buf)
 
-		g := &guardDev{Device: r.d, base: testBase}
+		g := &guardDev{Device: r.d, base: testBase, sectors: sectors}
 		rep, err := Recover(g, testBase, sectors, testBlock)
 		if g.bad != "" {
 			t.Fatalf("recovery made a %s (report %v, err %v)", g.bad, rep, err)

@@ -59,6 +59,7 @@ func Recover(d disk.Device, base, sectors int64, blockBytes int) (*RecoverReport
 	rep.Epoch = epoch
 
 	blockSectors := int64(blockBytes / disk.SectorSize)
+	devSectors := d.Geom().TotalBytes() / disk.SectorSize
 	pos := int64(1)
 	index := uint64(0)
 scan:
@@ -88,8 +89,9 @@ scan:
 		if nd > 1 {
 			desc = append(desc, readSectors(pos+1, int64(nd-1))...)
 		}
-		// Each record is a run of sectors inside one block, wholly
-		// below the log region; anything else is corruption.
+		// Each record is a run of sectors inside one block, on the
+		// device and outside the log region (homes lie on both sides of
+		// it); anything else is corruption.
 		runs := make([][2]int64, 0, n)
 		var total int64
 		for dsec := 0; dsec < nd; dsec++ {
@@ -104,7 +106,8 @@ scan:
 			}
 			for i := dsec * entriesPerDesc; i < n && i < (dsec+1)*entriesPerDesc; i++ {
 				addr, count := unpackEntry(binary.LittleEndian.Uint64(s[descHdrBytes+(i-dsec*entriesPerDesc)*8:]))
-				if count == 0 || count > blockSectors || addr+count > base {
+				if count == 0 || count > blockSectors || addr+count > devSectors ||
+					addr < base+sectors && addr+count > base {
 					rep.TornTail = true
 					break scan
 				}

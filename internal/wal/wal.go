@@ -1,5 +1,6 @@
 // Package wal is the write-ahead metadata journal: a fixed on-disk log
-// region (reserved past the last cylinder group by ufs.Mkfs), filled
+// region (reserved in cylinder group 0, beside the metadata and the
+// first files it logs, by ufs.Mkfs), filled
 // with checksummed, transaction-framed records of the metadata each
 // operation changed. The file system stops writing metadata in place;
 // instead every operation's dirty blocks are staged, and one clustered

@@ -136,6 +136,73 @@ func TestCommitIsWriteAhead(t *testing.T) {
 	}
 }
 
+// TestRecoverReplaysHomesOnBothSidesOfTheLog: the log may sit anywhere
+// on the device — ufs puts it in group 0, with metadata homed below it
+// and above it — so recovery replays a committed record wherever it is
+// homed outside the region, up against either edge of it and in the
+// device's last block included.
+func TestRecoverReplaysHomesOnBothSidesOfTheLog(t *testing.T) {
+	r := newWalRig(t, 64, Config{})
+	end, dev := testBase+r.l.sectors, r.d.Geom().TotalBytes()/disk.SectorSize
+	homes := map[int64]byte{100: 0xD1, testBase - blockSec: 0xD2, end: 0xD3, end + 1000: 0xD4, dev - blockSec: 0xD5}
+	r.commit(t, homes)
+	// A power cut now leaves the transaction in the log and every home
+	// copy stale: nothing has been checkpointed.
+	for _, h := range detsort.Keys(homes) {
+		if !bytes.Equal(r.homeBlock(h), make([]byte, testBlock)) {
+			t.Fatalf("home block at %d written before any checkpoint", h)
+		}
+	}
+	g := &guardDev{Device: r.d, base: testBase, sectors: r.l.sectors}
+	rep, err := Recover(g, testBase, r.l.sectors, testBlock)
+	if err != nil || g.bad != "" {
+		t.Fatalf("recover: %v, %s", err, g.bad)
+	}
+	if rep.Txns != 1 || rep.Records != len(homes) || rep.TornTail {
+		t.Fatalf("recover: %v, want one transaction of %d records", rep, len(homes))
+	}
+	for _, h := range detsort.Keys(homes) {
+		if !bytes.Equal(r.homeBlock(h), mkBlock(homes[h])) {
+			t.Errorf("home block at %d not replayed", h)
+		}
+	}
+}
+
+// TestRecoverStopsAtRunsIntoTheLogOrOffTheDevice: a committed record
+// homed inside the log, across either of its edges, or past the
+// device's last sector is corruption. The scan replays the transactions
+// before it and ends there as a torn tail, writing nothing into the
+// region or off the device.
+func TestRecoverStopsAtRunsIntoTheLogOrOffTheDevice(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		home func(end, dev int64) int64
+	}{
+		{"InsideTheLog", func(_, _ int64) int64 { return testBase + 8 }},
+		{"StraddlingItsStart", func(_, _ int64) int64 { return testBase - blockSec + 1 }},
+		{"StraddlingItsEnd", func(end, _ int64) int64 { return end - 1 }},
+		{"PastTheDevice", func(_, dev int64) int64 { return dev - blockSec + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newWalRig(t, 64, Config{})
+			home := tc.home(testBase+r.l.sectors, r.d.Geom().TotalBytes()/disk.SectorSize)
+			r.commit(t, map[int64]byte{100: 0xE1})
+			r.commit(t, map[int64]byte{home: 0xE2})
+			g := &guardDev{Device: r.d, base: testBase, sectors: r.l.sectors}
+			rep, err := Recover(g, testBase, r.l.sectors, testBlock)
+			if err != nil || g.bad != "" {
+				t.Fatalf("recover: %v, %s", err, g.bad)
+			}
+			if rep.Txns != 1 || !rep.TornTail {
+				t.Fatalf("record at sector %d: %v, want the first transaction and a torn tail", home, rep)
+			}
+			if !bytes.Equal(r.homeBlock(100), mkBlock(0xE1)) {
+				t.Fatal("the transaction before the bad record was not replayed")
+			}
+		})
+	}
+}
+
 func TestStageDedupsWithinTransaction(t *testing.T) {
 	r := newWalRig(t, 64, Config{})
 	r.run(t, func(p *sim.Proc) {
