@@ -46,8 +46,9 @@ func main() {
 		Minfree:   *minfree,
 	})
 	if err != nil {
+		// Every Mkfs error names a flag value it cannot build from.
 		fmt.Fprintf(os.Stderr, "mkfs: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	f, err := os.Create(*out)
 	if err != nil {

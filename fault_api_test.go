@@ -6,53 +6,69 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ufsclust/internal/disk"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/sim"
+	"ufsclust/internal/vol"
+	"ufsclust/internal/wal"
 )
 
-var updateManifest = flag.Bool("update-manifest", false, "rewrite testdata/metrics_manifest.txt")
+var updateManifest = flag.Bool("update-manifest", false, "rewrite the testdata/metrics_manifest*.txt files")
 
 // TestMetricsManifest pins the full set of registered metric and
-// histogram names. A new counter (or a renamed one) must show up here
+// histogram names on every machine shape: the default single drive in
+// testdata/metrics_manifest.txt, each composed volume and the journaled
+// machine beside it. A new counter (or a renamed one) must show up here
 // deliberately — regenerate with -update-manifest — so dashboards and
 // tests reading Snapshot names never silently lose a series.
 func TestMetricsManifest(t *testing.T) {
-	m, err := New(RunA())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	snap := m.Snapshot()
-	var sb strings.Builder
-	for _, e := range snap.Entries {
-		kind := "counter"
-		if e.Gauge {
-			kind = "gauge"
-		}
-		fmt.Fprintf(&sb, "%s %s\n", e.Name, kind)
-	}
-	for _, h := range snap.Hists {
-		fmt.Fprintf(&sb, "%s hist\n", h.Name)
-	}
-	got := sb.String()
-	const path = "testdata/metrics_manifest.txt"
-	if *updateManifest {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+	for _, sh := range []struct {
+		file string
+		opts []Option
+	}{
+		{"metrics_manifest.txt", nil},
+		{"metrics_manifest_raid0x3.txt", []Option{WithVolume(vol.Config{Level: vol.RAID0, Members: 3})}},
+		{"metrics_manifest_raid1x2.txt", []Option{WithVolume(vol.Config{Level: vol.RAID1, Members: 2})}},
+		{"metrics_manifest_raid5x3.txt", []Option{WithVolume(vol.Config{Level: vol.RAID5, Members: 3, StripeKB: 16})}},
+		{"metrics_manifest_wal.txt", []Option{WithJournal(wal.Config{})}},
+	} {
+		m, err := New(RunA(), sh.opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update-manifest)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("metric registry drifted from %s (regenerate with -update-manifest):\ngot:\n%s\nwant:\n%s",
-			path, got, want)
+		snap := m.Snapshot()
+		m.Close()
+		var sb strings.Builder
+		for _, e := range snap.Entries {
+			kind := "counter"
+			if e.Gauge {
+				kind = "gauge"
+			}
+			fmt.Fprintf(&sb, "%s %s\n", e.Name, kind)
+		}
+		for _, h := range snap.Hists {
+			fmt.Fprintf(&sb, "%s hist\n", h.Name)
+		}
+		got := sb.String()
+		path := filepath.Join("testdata", sh.file)
+		if *updateManifest {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update-manifest)", err)
+		}
+		if got != string(want) {
+			t.Errorf("metric registry drifted from %s (regenerate with -update-manifest):\ngot:\n%s\nwant:\n%s",
+				path, got, want)
+		}
 	}
 }
 
@@ -177,7 +193,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.FS.SyncImage()
-	img := m1.Disk.Snapshot()
+	imgs := m1.Vol.Snapshot()
 
 	// Donor keeps writing after the snapshot.
 	err = m1.Run(func(p *sim.Proc) {
@@ -198,7 +214,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := New(RunA(), WithImage(img))
+	m2, err := New(RunA(), WithImage(imgs...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func PatternByte(seed, off int64) byte {
 // workload's durability watermark at the instant the lights went out.
 type CrashState struct {
 	// Images is the frozen platter set, one per member drive in member
-	// order (a single image for the bare disk).
+	// order (one for the single-drive machine).
 	Images []*disk.Image
 	// Acked is the durability watermark: -1 until Create returned
 	// (the file itself may not exist), then the number of leading
@@ -153,11 +153,7 @@ func RunToCrash(w Workload, plan fault.Plan) (*CrashState, error) {
 		Acked:   acked,
 		Crashed: m.Fault.Crashed(),
 	}
-	if m.Vol != nil {
-		st.Images = m.Vol.Snapshot()
-	} else {
-		st.Images = []*disk.Image{m.Disk.Snapshot()}
-	}
+	st.Images = m.Vol.Snapshot()
 	if st.Crashed {
 		st.Cut = m.Fault.CrashTime()
 	} else {
@@ -229,7 +225,7 @@ func Recover(w Workload, st *CrashState) (*Report, *ufs.RepairReport, error) {
 		rep.ReplayTxns = rl.Txns
 		rep.RecoverySectorsRead = rl.SectorsRead
 		rep.RecoveryBound = rl.LogSectors
-		chk, err := ufs.Fsck(m.Dev)
+		chk, err := ufs.Fsck(m.Vol)
 		if err != nil {
 			return nil, nil, fmt.Errorf("faultlab: post-replay fsck: %w", err)
 		}

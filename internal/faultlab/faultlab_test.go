@@ -119,8 +119,8 @@ func TestRecoverFlagsLostAcknowledgedData(t *testing.T) {
 	}
 	found := int64(-1)
 	buf := make([]byte, 512)
-	for s := int64(0); s < m.Disk.Geom().TotalSectors(); s++ {
-		m.Disk.ReadImage(s, buf)
+	for s := int64(0); s < m.Vol.Geom().TotalSectors(); s++ {
+		m.Vol.ReadImage(s, buf)
 		if bytes.Equal(buf, want) {
 			found = s
 			break
@@ -129,8 +129,8 @@ func TestRecoverFlagsLostAcknowledgedData(t *testing.T) {
 	if found < 0 {
 		t.Fatal("could not locate the file's first sector in the image")
 	}
-	m.Disk.WriteImage(found, make([]byte, 512))
-	st.Images[0] = m.Disk.Snapshot()
+	m.Vol.WriteImage(found, make([]byte, 512))
+	st.Images = m.Vol.Snapshot()
 	m.Close()
 
 	rep, _, err := Recover(w, st)

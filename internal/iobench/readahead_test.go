@@ -2,8 +2,6 @@ package iobench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ufsclust"
@@ -22,44 +20,6 @@ func runKindStream(t *testing.T, kind Kind, ra string) []byte {
 	return ew.Bytes()
 }
 
-func checkGolden(t *testing.T, got []byte, name string) {
-	t.Helper()
-	golden := filepath.Join("testdata", name)
-	if *updateEvents {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl := bytes.Split(got, []byte("\n"))
-	wl := bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("event stream diverges from %s at line %d:\n  got:  %s\n  want: %s", name, i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("event stream length differs from %s: got %d lines, want %d", name, len(gl), len(wl))
-}
-
-// TestFixedPolicyGoldens pins the default (fixed one-cluster) policy's
-// event streams for the pure-sequential and pure-random read cells.
-// Both fixtures were generated before the policy interface existed, so
-// they prove the refactored engine is byte-identical to the hardwired
-// nextrio read-ahead — the "default behavior unchanged" half of the
-// read-ahead policy contract.
-func TestFixedPolicyGoldens(t *testing.T) {
-	checkGolden(t, runKindStream(t, FSR, ""), "events_fsr_runA.golden")
-	checkGolden(t, runKindStream(t, FRR, ""), "events_frr_runA.golden")
-}
-
 // TestAdaptiveEventStreamDeterministic is the replay contract for the
 // adaptive policy: same seed, same byte stream — including the
 // ra_window events only this policy emits.
@@ -72,7 +32,7 @@ func TestAdaptiveEventStreamDeterministic(t *testing.T) {
 	if !bytes.Contains(a, []byte(`"ra_window"`)) {
 		t.Fatal("adaptive mixed run emitted no ra_window events")
 	}
-	checkGolden(t, a, "events_fmx_adaptive_runA.golden")
+	checkGolden(t, a, "events_fmx_adaptive_runA.golden", *updateEvents)
 }
 
 // pressureCell runs one cell under memory pressure (file twice physical

@@ -3,8 +3,6 @@ package iobench
 import (
 	"bytes"
 	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ufsclust"
@@ -28,29 +26,5 @@ func TestTraceMatchesGolden(t *testing.T) {
 	if _, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, FSW, prm); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "trace_fsw_runA.golden")
-	if *updateTrace {
-		if err := os.WriteFile(golden, tw.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, tw.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tw.Bytes()
-	if bytes.Equal(got, want) {
-		return
-	}
-	// Report the first diverging line so a failure is actionable.
-	gl := bytes.Split(got, []byte("\n"))
-	wl := bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("trace diverges from golden at line %d:\n  got:  %q\n  want: %q", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("trace length differs from golden: got %d lines, want %d", len(gl), len(wl))
+	checkGolden(t, tw.Bytes(), "trace_fsw_runA.golden", *updateTrace)
 }

@@ -1,34 +1,10 @@
 package iobench
 
 import (
-	"bytes"
 	"testing"
 
 	"ufsclust"
 )
-
-// runVecSingleStream is runKindStream with every scalar Read/Write of
-// the measured phase rerouted through a single-element Readv/Writev.
-func runVecSingleStream(t *testing.T, kind Kind) []byte {
-	t.Helper()
-	var ew bytes.Buffer
-	prm := Params{FileMB: 1, RandomOps: 16, EventW: &ew, VecSingle: true}
-	if _, _, err := RunMeasured(ufsclust.Scenario{Run: ufsclust.RunA()}, kind, prm); err != nil {
-		t.Fatal(err)
-	}
-	return ew.Bytes()
-}
-
-// TestVecSingleReplaysGoldens is the degeneration gate for the vectored
-// entry points: the FSR and FSW cells, run entirely through
-// single-element Readv/Writev, must replay the committed pre-vec event
-// streams byte for byte. Both fixtures were generated before Readv and
-// Writev existed, so any charge, counter, or event the vectored paths
-// add to the single-element case fails here.
-func TestVecSingleReplaysGoldens(t *testing.T) {
-	checkGolden(t, runVecSingleStream(t, FSR), "events_fsr_runA.golden")
-	checkGolden(t, runVecSingleStream(t, FSW), "events_fsw_runA.golden")
-}
 
 // TestStridedCell checks the FSTR workload's accounting: every strategy
 // moves exactly the strided payload, and the forced-list run queues

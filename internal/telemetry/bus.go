@@ -117,7 +117,7 @@ type Event struct {
 	Dur    sim.Time  // request latency (EvIODone)
 	Write  bool      // transfer direction (I/O events)
 	// Dev labels the member device of a volume ("sd1"); empty on a
-	// bare-disk machine and on volume-level events, so single-spindle
+	// single-drive machine and on volume-level events, so single-spindle
 	// streams replay the pre-volume fixtures byte-for-byte.
 	Dev string
 }

@@ -5,6 +5,7 @@ import (
 	"ufsclust/internal/detsort"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/sim"
+	"ufsclust/internal/wal"
 )
 
 // MBuf is a metadata buffer: one file system block of superblock copies,
@@ -43,7 +44,7 @@ type Bcache struct {
 	// commit stages them; writing them in place would publish
 	// uncommitted state) and backfills cache misses whose home copy on
 	// disk is stale (committed but not yet checkpointed).
-	journal MetaJournal
+	journal *wal.Log
 
 	// err is the sticky first I/O error: every failed metadata
 	// transfer records here, including ones with no caller to return

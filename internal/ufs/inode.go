@@ -7,6 +7,7 @@ import (
 	"ufsclust/internal/detsort"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/sim"
+	"ufsclust/internal/wal"
 )
 
 // Fs is a mounted file system instance (the vfs object).
@@ -37,10 +38,11 @@ type Fs struct {
 	// writes the driver may not reorder (Further Work: "B_ORDER").
 	OrderedWrites bool
 
-	// J, when non-nil, is the attached write-ahead metadata journal
-	// (see MetaJournal in journal.go): metadata writes become delayed
-	// writes committed by transaction, and Sync checkpoints the log.
-	J MetaJournal
+	// J, when non-nil, is the write-ahead metadata journal Mount
+	// attached because the superblock carries a log region (see
+	// journal.go): metadata writes become delayed writes committed by
+	// transaction, and Sync checkpoints the log.
+	J *wal.Log
 
 	// Stats for the future-work features.
 	BmapCacheHits                     int64
@@ -94,6 +96,11 @@ func Mount(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, opts MountOpts) 
 			return nil, fmt.Errorf("mount: cg %d: %w", cgx, err)
 		}
 		fs.csum[cgx] = cg.Nbfree
+	}
+	if sb.LogFrags > 0 {
+		if err := fs.attachLog(); err != nil {
+			return nil, err
+		}
 	}
 	return fs, nil
 }
@@ -238,7 +245,7 @@ func (fs *Fs) storeCG(p *sim.Proc, cg *CG) error {
 func (fs *Fs) Sync(p *sim.Proc) error {
 	if fs.J != nil {
 		// Journaled: one commit captures every dirty inode, buffer,
-		// and the superblock (StageCommit sweeps them all), then the
+		// and the superblock (stageCommit sweeps them all), then the
 		// checkpoint writes the committed blocks home and resets the
 		// log — after Sync the image itself is current.
 		fs.J.Begin(p)

@@ -1,47 +1,66 @@
 package ufs
 
 import (
+	"fmt"
+
 	"ufsclust/internal/detsort"
+	"ufsclust/internal/disk"
 	"ufsclust/internal/sim"
+	"ufsclust/internal/wal"
 )
 
-// MetaJournal is the seam the write-ahead metadata log (internal/wal)
-// plugs into. When a journal is attached, metadata writes stop going
-// in place: metaWrite degrades to a delayed write, top-level
+// The write-ahead metadata log (internal/wal) is part of the on-disk
+// format — Superblock.LogStart/LogFrags — so this package owns it from
+// mkfs to recovery: Mkfs formats the region, Recover replays it before
+// a restored image mounts, and Mount attaches a wal.Log whenever the
+// superblock carries one. With the log attached, metadata writes stop
+// going in place: metaWrite degrades to a delayed write, top-level
 // operations run inside Begin/End frames, and the End that closes the
-// outermost frame calls back into StageCommit to capture every dirty
-// metadata block for one sequential log write. The interface lives
-// here so ufs never imports wal.
-type MetaJournal interface {
-	// Begin opens (or nests into) a transaction frame.
-	Begin(p *sim.Proc)
-	// End closes a frame; closing the outermost frame commits all
-	// staged metadata and blocks until it is durable.
-	End(p *sim.Proc) error
-	// Stage records one block image (by home sector) for the open
-	// commit; the journal copies the data.
-	Stage(sector int64, data []byte)
-	// Peek returns the journal's committed-but-not-yet-checkpointed
-	// image of the block at the given home sector, or nil if the home
-	// copy is current. The buffer cache consults it on every miss.
-	Peek(sector int64) []byte
-	// Drop forgets the block at the given home sector, which the file
-	// system has freed: no later commit, checkpoint or replay may write
-	// it home over whatever the block holds next.
-	Drop(sector int64)
-	// Checkpoint writes every committed block home and resets the log.
-	Checkpoint(p *sim.Proc) error
-	// CheckpointImage is the offline checkpoint (no simulated time),
-	// used by SyncImage before fsck-style image inspection.
-	CheckpointImage()
+// outermost frame calls back into stageCommit to capture every dirty
+// metadata block for one sequential log write.
+
+// logRegion converts the superblock's log-region fragments to the
+// device sector range internal/wal works in.
+func (sb *Superblock) logRegion() (base, sectors int64) {
+	return sb.FsbToDb(sb.LogStart), int64(sb.LogFrags) * int64(sb.Fsize) / disk.SectorSize
 }
 
-// AttachJournal installs the journal on a mounted file system. The
-// caller (the machine builder) must also install StageCommit as the
-// journal's flush callback, so commits capture the dirty metadata.
-func (fs *Fs) AttachJournal(j MetaJournal) {
-	fs.J = j
-	fs.BC.journal = j
+// attachLog opens the log region the superblock describes and routes
+// the file system's metadata through it.
+func (fs *Fs) attachLog() error {
+	base, sectors := fs.SB.logRegion()
+	jl, err := wal.New(fs.Sim, fs.Drv, base, sectors, int(fs.SB.Bsize), wal.Config{})
+	if err != nil {
+		return err
+	}
+	jl.Flush = fs.stageCommit
+	fs.J = jl
+	fs.BC.journal = jl
+	return nil
+}
+
+// Recover readies a restored image for Mount. An image whose superblock
+// carries a log replays it whether or not repair was asked for: mounting
+// over the stale home copies would lose every fsync the log holds. An
+// image without a log (or without a readable primary superblock, which
+// Repair finds among the alternates) is repaired only when repair is set.
+func Recover(d disk.Device, repair bool) (*RepairReport, *wal.RecoverReport, error) {
+	if sb, err := ReadSuperblock(d); err == nil && sb.LogFrags > 0 {
+		base, sectors := sb.logRegion()
+		rl, err := wal.Recover(d, base, sectors, int(sb.Bsize))
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal recover: %w", err)
+		}
+		return nil, rl, nil
+	}
+	if !repair {
+		return nil, nil, nil
+	}
+	rr, err := Repair(d)
+	if err != nil {
+		return nil, nil, fmt.Errorf("repair: %w", err)
+	}
+	return rr, nil, nil
 }
 
 // journaled runs op inside a transaction frame if a journal is
@@ -60,7 +79,7 @@ func (fs *Fs) journaled(p *sim.Proc, op func() error) error {
 	return err
 }
 
-// StageCommit is the journal's flush callback: it captures everything
+// stageCommit is the journal's flush callback: it captures everything
 // a commit must make durable. Dirty in-core inodes are folded into
 // their blocks first (their mutations — size, pointers — otherwise
 // live only in the inode table), then every dirty non-busy cache
@@ -70,7 +89,7 @@ func (fs *Fs) journaled(p *sim.Proc, op func() error) error {
 // rides along whenever anything else does, because its summary totals
 // mutate in memory on every allocation and fsck cross-checks them
 // against the bitmaps.
-func (fs *Fs) StageCommit(p *sim.Proc) error {
+func (fs *Fs) stageCommit(p *sim.Proc) error {
 	var firstErr error
 	for _, ino := range detsort.Keys(fs.itable) {
 		if ip := fs.itable[ino]; ip.dirty {

@@ -10,12 +10,6 @@ import (
 	"ufsclust/internal/wal"
 )
 
-// logRegion returns the journal region of r's image as the device
-// sector range internal/wal works in.
-func (r *testRig) logRegion() (base, sectors int64) {
-	return r.sb.FsbToDb(r.sb.LogStart), int64(r.sb.LogFrags) * int64(r.sb.Fsize) / disk.SectorSize
-}
-
 // TestJournaledImageReservesTheLog: a journaled Mkfs puts the log in
 // group 0 right after the root directory's block, takes it out of the
 // data space and out of nothing else — the groups are the unjournaled
@@ -59,8 +53,7 @@ func TestJournaledImageReservesTheLog(t *testing.T) {
 // was, and the image then recovers and mounts.
 func TestPointerIntoLogIsRepaired(t *testing.T) {
 	r := newRig(t, MkfsOpts{LogBlocks: wal.LogBlocks})
-	base, sectors := r.logRegion()
-	wal.Format(r.d, base)
+	base, sectors := r.sb.logRegion()
 	r.mkFileWithData(t, "/f", 0xA5)
 	ino := r.findReg(t, 0)
 	wild := r.sb.LogStart + 8*r.sb.Frag

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ufsclust/internal/disk"
+	"ufsclust/internal/wal"
 )
 
 // The paper's file system geometry, which every Mkfs lays down: 8 KB
@@ -29,8 +30,27 @@ type MkfsOpts struct {
 	// LogBlocks reserves a metadata-journal region of that many blocks
 	// in group 0 (0 = no journal; the image is then byte-identical to a
 	// pre-journal Mkfs). The region is recorded in
-	// Superblock.LogStart/LogFrags and consumed by internal/wal.
+	// Superblock.LogStart/LogFrags, formatted here and attached by
+	// Mount.
 	LogBlocks int
+}
+
+// check refuses options no file system can be made from: a negative
+// count or delay, and a reserve that leaves users no space at all.
+func (o MkfsOpts) check() error {
+	switch {
+	case o.Ipg < 0:
+		return fmt.Errorf("ufs: %d inodes per group", o.Ipg)
+	case o.Minfree < 0 || o.Minfree >= 100:
+		return fmt.Errorf("ufs: minfree %d%% is outside 0-99", o.Minfree)
+	case o.Rotdelay < 0:
+		return fmt.Errorf("ufs: rotdelay %d ms is negative", o.Rotdelay)
+	case o.Maxcontig < 0:
+		return fmt.Errorf("ufs: maxcontig %d is negative", o.Maxcontig)
+	case o.LogBlocks < 0:
+		return fmt.Errorf("ufs: log of %d blocks", o.LogBlocks)
+	}
+	return nil
 }
 
 func (o MkfsOpts) withDefaults() MkfsOpts {
@@ -48,8 +68,12 @@ func (o MkfsOpts) withDefaults() MkfsOpts {
 
 // Mkfs lays a fresh file system onto d's image. It runs "offline" (no
 // simulated time passes) and returns the superblock it wrote. A log
-// goes in group 0, where a fresh tree's inodes and first files live.
+// goes in group 0, where a fresh tree's inodes and first files live,
+// formatted as an empty log the next Mount attaches.
 func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
+	if err := opts.check(); err != nil {
+		return nil, err
+	}
 	o := opts.withDefaults()
 	g := d.Geom()
 	spc := g.Zones[0].SPT * g.Heads
@@ -108,6 +132,10 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 		owner, inodes = nil, nil // the other groups hold nothing yet
 	}
 
+	if sb.LogFrags > 0 {
+		base, _ := sb.logRegion()
+		wal.Format(d, base)
+	}
 	sb.Clean = 1
 	im.writeSuperblocks()
 	return sb, nil

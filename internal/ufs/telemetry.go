@@ -19,4 +19,10 @@ func (fs *Fs) AttachTelemetry(tel *telemetry.Telemetry) {
 	r.Counter("fs.bc_misses", func() int64 { return fs.BC.Misses })
 	r.Counter("fs.bc_evictions", func() int64 { return fs.BC.Evictions })
 	r.Counter("fs.bc_writes", func() int64 { return fs.BC.Writes })
+	if fs.J != nil {
+		// Journal metrics exist only on journaled file systems, so the
+		// pinned metric manifest of a default machine never changes.
+		fs.J.AttachTelemetry(tel)
+		r.Counter("fs.journal_meta_writes", func() int64 { return fs.JournalMetaWrites })
+	}
 }

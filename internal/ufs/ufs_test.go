@@ -87,6 +87,43 @@ func TestMkfsProducesCleanFs(t *testing.T) {
 	}
 }
 
+// TestMkfsRefusesOutOfRangeOptions: an option no file system can be
+// made from is a Mkfs error naming it, never a panic, a superblock
+// carrying the value, or a silently different machine. The edges that
+// are legal still make a clean file system.
+func TestMkfsRefusesOutOfRangeOptions(t *testing.T) {
+	p := disk.DefaultParams()
+	p.Geom = smallGeom()
+	for _, tc := range []struct {
+		opts MkfsOpts
+		want string // error substring; "" = accepted
+	}{
+		{MkfsOpts{Ipg: -5}, "inodes per group"},
+		{MkfsOpts{Minfree: -10}, "minfree"},
+		{MkfsOpts{Minfree: 100}, "minfree"},
+		{MkfsOpts{Minfree: 150}, "minfree"},
+		{MkfsOpts{Rotdelay: -4}, "rotdelay"},
+		{MkfsOpts{Maxcontig: -3}, "maxcontig"},
+		{MkfsOpts{LogBlocks: -1}, "log"},
+		{MkfsOpts{Ipg: 1, Minfree: 99, Maxcontig: 15}, ""},
+	} {
+		s := sim.New(1)
+		d := disk.New(s, "d0", p)
+		_, err := Mkfs(d, tc.opts)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v: %v", tc.opts, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%+v: error %v, want one naming %q", tc.opts, err, tc.want)
+		case tc.want == "":
+			if rep, err := Fsck(d); err != nil || !rep.Clean() {
+				t.Errorf("%+v: fsck %v %v", tc.opts, err, rep)
+			}
+		}
+		s.Close()
+	}
+}
+
 func TestSuperblockRoundTrip(t *testing.T) {
 	r := newRig(t, MkfsOpts{Rotdelay: 4, Maxcontig: 1})
 	sb2, err := ReadSuperblock(r.d)

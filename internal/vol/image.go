@@ -113,10 +113,17 @@ func (v *Volume) Snapshot() []*disk.Image {
 }
 
 // Restore replaces every member's platter contents from a snapshot
-// taken on an identically configured volume.
+// taken on an identically configured volume: one image per member, in
+// member order. A count that does not match the members, or a nil
+// image, is refused before any member changes.
 func (v *Volume) Restore(imgs []*disk.Image) error {
 	if len(imgs) != len(v.members) {
-		return fmt.Errorf("vol: restore of %d member images onto %d members", len(imgs), len(v.members))
+		return fmt.Errorf("%d platter images for %d member drives", len(imgs), len(v.members))
+	}
+	for m, img := range imgs {
+		if img == nil {
+			return fmt.Errorf("platter image %d is nil", m)
+		}
 	}
 	for m, d := range v.members {
 		d.Restore(imgs[m])

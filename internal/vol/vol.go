@@ -346,20 +346,23 @@ func (v *Volume) AttachFaults(inj *fault.Injector) {
 }
 
 // AttachTelemetry registers the volume's counters and connects every
-// member to the event bus. The aggregate disk.* names a bare-disk
-// machine registers are preserved — summed across members — so
-// existing consumers (simstat, the metrics manifest) read a volume
-// machine unchanged; per-member activity appears under
-// vol.<member>.*, and volume-level composition activity under vol.*.
+// member to the event bus. The aggregate disk.* names a single drive
+// registers are preserved — summed across members — so existing
+// consumers (simstat, the metrics manifest) read a composed volume
+// unchanged; per-member activity appears under vol.<member>.*, and
+// volume-level composition activity under vol.*. A one-member concat
+// registers only its drive's disk.* names.
 func (v *Volume) AttachTelemetry(tel *telemetry.Telemetry) {
 	v.bus = tel.Bus
 	if v.passthrough() {
 		// Identity composition: the single member registers the
-		// standard disk.* names itself, exactly like a bare machine.
+		// standard disk.* names itself, and nothing else, exactly like
+		// a bare drive — a one-member concat has no composition
+		// activity to count.
 		v.members[0].AttachTelemetry(tel)
-	} else {
-		disk.AttachMemberTelemetry(tel, "vol.", v.members)
+		return
 	}
+	disk.AttachMemberTelemetry(tel, "vol.", v.members)
 	r := tel.Reg
 	r.Counter("vol.sub_requests", func() int64 { return v.Stats.SubRequests })
 	r.Counter("vol.full_stripe_writes", func() int64 { return v.Stats.FullStripeWrites })

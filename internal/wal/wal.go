@@ -12,9 +12,10 @@
 // ufs.Repair performs.
 //
 // The package is file-system-agnostic: records are runs of sectors at
-// home addresses. internal/ufs drives it through the ufs.MetaJournal
-// interface and installs the Flush callback that stages dirty metadata
-// at commit time, so wal never imports ufs.
+// home addresses. internal/ufs owns the region — its Mkfs formats it,
+// its Recover replays it, its Mount opens a Log on it and installs the
+// Flush callback that stages dirty metadata at commit time — so wal
+// never imports ufs.
 //
 // What a commit logs: each staged block is compared, sector by sector,
 // with its last committed image; every run of sectors that differ is
@@ -187,8 +188,9 @@ type Log struct {
 
 // New attaches a log runtime to the formatted (or just recovered) log
 // region at base. It validates the log superblock and starts a fresh
-// transaction stream at its epoch; both Format and Recover leave the
-// region empty, so head starts at sector 1.
+// transaction stream at its epoch, so the region must hold no committed
+// transaction of that epoch: both Format and Recover leave it empty,
+// and head starts at sector 1.
 func New(s *sim.Sim, drv *driver.Driver, base, sectors int64, blockBytes int, _ Config) (*Log, error) {
 	if sectors < 4+int64(blockBytes/disk.SectorSize) {
 		return nil, fmt.Errorf("wal: log region too small (%d sectors)", sectors)

@@ -75,7 +75,7 @@ func TestJournalBeatsSyncMetadataOnSmallFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		geom := m.Disk.Geom()
+		geom := m.Vol.Geom()
 		inFsync, lo, hi := false, 0, 0
 		m.Tel.Bus.Subscribe(func(ev telemetry.Event) {
 			if inFsync && ev.Kind == telemetry.EvIOStart {
@@ -234,5 +234,62 @@ func TestFreedIndirectBlockStaysFreed(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestImageBootReplaysCommittedLog boots a journaled image whose last
+// fsync lives only in the log, once with WithImage and once with
+// WithRecovery. Either boot replays the log before mounting, so the
+// fsync'd file is there with its bytes; a boot that mounted over the
+// stale home copies would lose it, and could later replay those records
+// over newer metadata.
+func TestImageBootReplaysCommittedLog(t *testing.T) {
+	donor, err := New(RunA(), WithJournal(wal.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer donor.Close()
+	data := bytes.Repeat([]byte("fsync'd "), 640)
+	if err := donor.Run(func(p *sim.Proc) {
+		f, err := donor.Engine.Create(p, "/x")
+		if err == nil {
+			_, err = f.Write(p, 0, data)
+		}
+		if err == nil {
+			err = f.Fsync(p)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	imgs := donor.Vol.Snapshot()
+	for _, b := range []struct {
+		name string
+		boot Option
+	}{{"image", WithImage(imgs...)}, {"recovery", WithRecovery(imgs...)}} {
+		name := b.name
+		m, err := New(RunA(), b.boot)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.ReplayLog == nil || m.ReplayLog.Txns == 0 {
+			t.Errorf("%s: boot replayed no transaction: %v", name, m.ReplayLog)
+		}
+		if err := m.Run(func(p *sim.Proc) {
+			f, err := m.Engine.Open(p, "/x")
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			got := make([]byte, len(data)+1)
+			if n, err := f.Read(p, 0, got); err != nil || !bytes.Equal(got[:n], data) {
+				t.Errorf("%s: read %d bytes (%v), want the %d fsync'd ones", name, n, err, len(data))
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
 	}
 }

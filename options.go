@@ -83,44 +83,50 @@ func WithFaultPlan(pl fault.Plan) Option {
 }
 
 // WithImage boots the machine from platter snapshots instead of running
-// mkfs: one image for the bare sd0 (disk.Disk's Snapshot), one per
-// member in member order for a volume machine (vol.Volume.Snapshot).
-// The snapshots are deep-copied; the donor machine is not shared. New
-// fails if the count is not the machine's member count or an image is
-// nil.
+// mkfs: one image per member drive in member order, as Machine.Vol's
+// Snapshot returns them (one for the single-drive machine). The
+// snapshots are deep-copied; the donor machine is not shared. A
+// journaled image replays its log before mounting. New fails if the
+// count is not the machine's member count or an image is nil.
 func WithImage(imgs ...*disk.Image) Option {
 	return func(o *Options) { o.Images, o.Recover = imgs, false }
 }
 
 // WithRecovery is WithImage plus recovery before mounting — the
 // reboot-and-fsck path after a power cut. An unjournaled image is
-// repaired by ufs.Repair and the report lands in Machine.RepairLog.
+// repaired by ufs.Repair and the report lands in Machine.RepairLog; a
+// journaled one replays its log either way (Machine.ReplayLog).
 func WithRecovery(imgs ...*disk.Image) Option {
 	return func(o *Options) { o.Images, o.Recover = imgs, true }
 }
 
-// WithJournal reserves an on-disk log region at mkfs time and mounts
-// the machine with the write-ahead metadata journal attached (see
-// internal/wal). Metadata mutations are grouped into transactions,
-// committed to the log with a checksum, and copied home lazily at
-// checkpoints; recovery after a power cut becomes a bounded log replay
-// instead of a full-image repair — WithRecovery notices the log region
-// in the restored superblock and replays it automatically:
+// WithJournal reserves an on-disk log region at mkfs time
+// (Options.Mkfs.LogBlocks, wal.LogBlocks long unless already set), and
+// ufs.Mount attaches the write-ahead metadata journal to any file
+// system whose superblock carries one (see internal/wal). Metadata
+// mutations are grouped into transactions, committed to the log with a
+// checksum, and copied home lazily at checkpoints; recovery after a
+// power cut becomes a bounded log replay instead of a full-image
+// repair — a boot from a journaled image replays the log before it
+// mounts:
 //
 //	m, _ := ufsclust.New(ufsclust.RunA(),
 //		ufsclust.WithJournal(wal.Config{}))
 //
-// Config has no settings: the log is wal.LogBlocks long, and each
-// commit is one clustered write of only the metadata sectors that
-// changed since their last commit. Without this option nothing changes:
-// no log region is reserved and every event stream is byte-identical to
-// the unjournaled machine.
-func WithJournal(cfg wal.Config) Option {
-	return func(o *Options) { o.Journal = &cfg }
+// Config has no settings: each commit is one clustered write of only
+// the metadata sectors that changed since their last commit. Without
+// this option nothing changes: no log region is reserved and every
+// event stream is byte-identical to the unjournaled machine.
+func WithJournal(wal.Config) Option {
+	return func(o *Options) {
+		if o.Mkfs.LogBlocks == 0 {
+			o.Mkfs.LogBlocks = wal.LogBlocks
+		}
+	}
 }
 
 // WithVolume composes the machine's storage from several member drives
-// instead of the single sd0 — a concat, stripe set, mirror, or RAID-5
+// instead of the single sd0 (itself a one-member concat) — a concat, stripe set, mirror, or RAID-5
 // array (see internal/vol). The file system sees one synthetic drive of
 // the composed data capacity; the driver keeps one request in flight
 // per member so the spindles seek concurrently:

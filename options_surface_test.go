@@ -33,7 +33,6 @@ func TestPublicOptionsSurface(t *testing.T) {
 			"EventJSONL", "Fault",
 			"Images", "Recover",
 			"Volume",
-			"Journal",
 		}},
 		{core.Config{}, []string{"Clustered", "Prefetch", "Vec", "FreeBehind",
 			"SkipBmapOnHit", "RandomClustering", "InodeDataCache"}},
@@ -76,7 +75,7 @@ func TestOptionConstructorsCompose(t *testing.T) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.Journal == nil || o.Seed != 7 {
+	if o.Mkfs.LogBlocks != wal.LogBlocks || o.Seed != 7 {
 		t.Error("options did not apply")
 	}
 }

@@ -162,7 +162,7 @@ func FuzzScenarioFlags(f *testing.F) {
 			fn(&o)
 		}
 		if o.Seed != sc.Seed || o.MemBytes != sc.MemBytes ||
-			(o.Journal != nil) != sc.Journaled() || !reflect.DeepEqual(o.Volume, sc.Volume) {
+			(o.Mkfs.LogBlocks > 0) != sc.Journaled() || !reflect.DeepEqual(o.Volume, sc.Volume) {
 			t.Fatalf("%q: options %+v do not describe scenario %+v", line, o, sc)
 		}
 	})

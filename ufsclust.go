@@ -79,25 +79,18 @@ type Options struct {
 
 	// Images, when non-empty, are platter snapshots restored instead of
 	// running mkfs; the machine mounts the existing file system. There
-	// must be exactly one per member drive, in member order: one
-	// disk.Disk.Snapshot for the bare sd0, vol.Volume.Snapshot for a
-	// volume. Recover additionally recovers the restored image before
-	// mounting — the crash-recovery path — and needs images to recover.
+	// must be exactly one per member drive, in member order, as
+	// vol.Volume.Snapshot returns them. A journaled image replays its log
+	// before mounting; Recover additionally repairs an unjournaled image
+	// — the crash-recovery path — and needs images to recover.
 	Images  []*disk.Image
 	Recover bool
 
 	// Volume, when non-nil, composes the machine's storage from several
-	// member drives (concat, RAID-0/1/5 — see internal/vol) instead of
-	// the single sd0. Options.Disk becomes the member template when
-	// Volume.Member is nil.
+	// member drives (concat, RAID-0/1/5 — see internal/vol); nil is the
+	// single drive sd0, a one-member concat. Options.Disk is the member
+	// template when Volume.Member is nil.
 	Volume *vol.Config
-
-	// Journal, when non-nil, reserves an on-disk log region at mkfs
-	// time and mounts the file system with the write-ahead metadata
-	// journal attached (see internal/wal). Machines restored from a
-	// journaled image attach the journal regardless — the mount follows
-	// the format, so a recovery boot never silently drops journaling.
-	Journal *wal.Config
 }
 
 // Machine is a fully assembled simulated system.
@@ -105,14 +98,8 @@ type Machine struct {
 	Sim *sim.Sim
 	CPU *cpu.Model
 
-	// Dev is the block device under the driver: the bare Disk, or the
-	// Vol composing several. Always non-nil.
-	Dev disk.Device
-	// Disk is the bare drive on a single-disk machine; nil when the
-	// machine was built with a volume (use Vol, or Dev for the common
-	// block-device surface).
-	Disk *disk.Disk
-	// Vol is the composed volume on a volume machine; nil otherwise.
+	// Vol is the machine's storage under the driver: the composed
+	// volume, or the single drive sd0 as a one-member concat.
 	Vol *vol.Volume
 
 	Driver *driver.Driver
@@ -138,14 +125,14 @@ type Machine struct {
 	// instead — see ReplayLog.
 	RepairLog *ufs.RepairReport
 
-	// WAL is the write-ahead metadata journal on a journaled machine
-	// (WithJournal, or a restored image whose superblock carries a log
-	// region); nil otherwise.
+	// WAL is the write-ahead metadata journal ufs.Mount attached on a
+	// journaled machine (WithJournal, or a restored image whose
+	// superblock carries a log region); nil otherwise.
 	WAL *wal.Log
 
-	// ReplayLog is the log-replay report when a journaled machine was
-	// built with Recover (WithRecovery): recovery replayed the
-	// journal instead of running ufs.Repair. Nil otherwise.
+	// ReplayLog is the log-replay report when a journaled machine booted
+	// from an image (WithImage or WithRecovery): ufs.Recover replayed
+	// the journal instead of running ufs.Repair. Nil otherwise.
 	ReplayLog *wal.RecoverReport
 }
 
@@ -173,130 +160,54 @@ func NewMachine(o Options) (*Machine, error) {
 	cm := cpu.New(s, cpu.MIPS)
 	tel := telemetry.New()
 
-	var (
-		dev disk.Device
-		d   *disk.Disk
-		vl  *vol.Volume
-		err error
-	)
+	vc := vol.Config{Level: vol.Concat, Members: 1}
 	if o.Volume != nil {
-		vc := *o.Volume
-		if vc.Member == nil && o.Disk != nil {
-			vc.Member = o.Disk
-		}
-		vl, err = vol.New(s, "vol0", vc)
-		if err != nil {
-			return nil, err
-		}
-		dev = vl
-	} else {
-		dp := disk.DefaultParams()
-		if o.Disk != nil {
-			dp = *o.Disk
-		}
-		d = disk.New(s, "sd0", dp)
-		dev = d
+		vc = *o.Volume
+	}
+	if vc.Member == nil {
+		vc.Member = o.Disk
+	}
+	vl, err := vol.New(s, "vol0", vc)
+	if err != nil {
+		return nil, err
 	}
 
 	dc := driver.DefaultConfig()
 	if o.Driver != nil {
 		dc = *o.Driver
 	}
-	dr := driver.New(s, dev, cm, dc)
+	dr := driver.New(s, vl, cm, dc)
 
 	inj, err := fault.NewInjector(s, o.Fault)
 	if err != nil {
 		return nil, fmt.Errorf("fault plan: %w", err)
 	}
-	if vl != nil {
-		vl.AttachFaults(inj)
-	} else {
-		d.AttachFaults(inj)
-	}
+	vl.AttachFaults(inj)
 
 	var repairLog *ufs.RepairReport
 	var replayLog *wal.RecoverReport
 	if len(o.Images) > 0 || o.Recover {
 		// Boot from platters. A count that does not match the device is
 		// refused, never papered over with a fresh mkfs.
-		members := []*disk.Disk{d}
-		if vl != nil {
-			members = vl.Members()
+		if err := vl.Restore(o.Images); err != nil {
+			return nil, fmt.Errorf("boot: %w", err)
 		}
-		if len(o.Images) != len(members) {
-			return nil, fmt.Errorf("boot: %d platter images for %d member drives", len(o.Images), len(members))
+		if repairLog, replayLog, err = ufs.Recover(vl, o.Recover); err != nil {
+			return nil, err
 		}
-		for i, img := range o.Images {
-			if img == nil {
-				return nil, fmt.Errorf("boot: platter image %d is nil", i)
-			}
-			members[i].Restore(img)
-		}
-		if o.Recover {
-			// A journaled image recovers by log replay — cost bounded by
-			// the log region size — instead of the full-image sweep. The
-			// restored superblock says which kind it is; an unreadable
-			// primary superblock falls back to Repair, which knows how to
-			// search the alternates.
-			if sb, sbErr := ufs.ReadSuperblock(dev); sbErr == nil && sb.LogFrags > 0 {
-				base, sectors := logGeometry(sb)
-				replayLog, err = wal.Recover(dev, base, sectors, int(sb.Bsize))
-				if err != nil {
-					return nil, fmt.Errorf("wal recover: %w", err)
-				}
-			} else {
-				repairLog, err = ufs.Repair(dev)
-				if err != nil {
-					return nil, fmt.Errorf("repair: %w", err)
-				}
-			}
-		}
-	} else {
-		if o.Journal != nil && o.Mkfs.LogBlocks == 0 {
-			o.Mkfs.LogBlocks = wal.LogBlocks
-		}
-		sb, err := ufs.Mkfs(dev, o.Mkfs)
-		if err != nil {
-			return nil, fmt.Errorf("mkfs: %w", err)
-		}
-		if sb.LogFrags > 0 {
-			base, _ := logGeometry(sb)
-			wal.Format(dev, base)
-		}
+	} else if _, err := ufs.Mkfs(vl, o.Mkfs); err != nil {
+		return nil, fmt.Errorf("mkfs: %w", err)
 	}
 	fs, err := ufs.Mount(s, cm, dr, o.Mount)
 	if err != nil {
 		return nil, fmt.Errorf("mount: %w", err)
 	}
-	// The mount follows the format: any image whose superblock carries a
-	// log region gets the journal attached, whether this machine was
-	// built with WithJournal or restored from a journaled donor.
-	var jl *wal.Log
-	if fs.SB.LogFrags > 0 {
-		base, sectors := logGeometry(fs.SB)
-		jl, err = wal.New(s, dr, base, sectors, int(fs.SB.Bsize), wal.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		jl.Flush = fs.StageCommit
-		fs.AttachJournal(jl)
-	}
 	v := vm.New(s, cm, o.MemBytes)
 	eng := core.NewEngine(s, cm, v, fs, o.Engine)
 	cm.AttachTelemetry(tel)
-	if vl != nil {
-		vl.AttachTelemetry(tel)
-	} else {
-		d.AttachTelemetry(tel)
-	}
+	vl.AttachTelemetry(tel)
 	dr.AttachTelemetry(tel)
 	fs.AttachTelemetry(tel)
-	if jl != nil {
-		// Journal metrics exist only on journaled machines, so the
-		// pinned metric manifest of a default machine never changes.
-		jl.AttachTelemetry(tel)
-		tel.Reg.Counter("fs.journal_meta_writes", func() int64 { return fs.JournalMetaWrites })
-	}
 	v.AttachTelemetry(tel)
 	eng.AttachTelemetry(tel)
 	if o.EventJSONL != nil {
@@ -314,14 +225,8 @@ func NewMachine(o Options) (*Machine, error) {
 			Blocks: int64(replayLog.Txns), Bytes: replayLog.SectorsRead, Depth: replayLog.SectorsWritten,
 		})
 	}
-	return &Machine{Sim: s, CPU: cm, Dev: dev, Disk: d, Vol: vl, Driver: dr, VM: v, FS: fs,
-		Engine: eng, Tel: tel, Fault: inj, RepairLog: repairLog, WAL: jl, ReplayLog: replayLog}, nil
-}
-
-// logGeometry converts the superblock's log-region fragments to the
-// device sector range the wal package works in.
-func logGeometry(sb *ufs.Superblock) (base, sectors int64) {
-	return sb.FsbToDb(sb.LogStart), int64(sb.LogFrags) * int64(sb.Fsize) / disk.SectorSize
+	return &Machine{Sim: s, CPU: cm, Vol: vl, Driver: dr, VM: v, FS: fs,
+		Engine: eng, Tel: tel, Fault: inj, RepairLog: repairLog, WAL: fs.J, ReplayLog: replayLog}, nil
 }
 
 // Run spawns fn as a simulated process and drives the simulation until
@@ -341,7 +246,7 @@ func (m *Machine) Close() { m.Sim.Close() }
 // Fsck flushes all state to the disk image and checks it.
 func (m *Machine) Fsck() (*ufs.FsckReport, error) {
 	m.FS.SyncImage()
-	return ufs.Fsck(m.Dev)
+	return ufs.Fsck(m.Vol)
 }
 
 // Snapshot reads every registered metric and histogram at the current

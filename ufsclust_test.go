@@ -18,7 +18,7 @@ func TestNewMachineDefaults(t *testing.T) {
 	if got := m.VM.TotalPages() * 8192; got != 8<<20 {
 		t.Errorf("memory = %d, want 8MB", got)
 	}
-	if mb := m.Disk.Geom().TotalBytes() >> 20; mb < 380 || mb > 420 {
+	if mb := m.Vol.Geom().TotalBytes() >> 20; mb < 380 || mb > 420 {
 		t.Errorf("disk = %dMB, want ~400MB", mb)
 	}
 }
@@ -123,7 +123,7 @@ func TestOnDiskFormatIdenticalAcrossEngines(t *testing.T) {
 		m.FS.SB.Time = 0 // normalize timestamps (none are set, but be safe)
 		m.FS.SyncImage()
 		var buf bytes.Buffer
-		if err := m.Disk.DumpImage(&buf); err != nil {
+		if err := m.Vol.Members()[0].DumpImage(&buf); err != nil {
 			t.Fatal(err)
 		}
 		images = append(images, buf.Bytes())

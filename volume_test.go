@@ -44,11 +44,11 @@ func TestUFSOnEveryVolumeLevel(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			if m.Vol == nil || m.Dev != disk.Device(m.Vol) {
-				t.Fatal("volume machine did not route Dev through the volume")
+			if m.Driver.Disk != disk.Device(m.Vol) {
+				t.Fatal("volume machine did not route the driver through the volume")
 			}
-			if m.Dev.Channels() != cfg.Members {
-				t.Fatalf("device exposes %d channels, want %d", m.Dev.Channels(), cfg.Members)
+			if m.Vol.Channels() != cfg.Members {
+				t.Fatalf("device exposes %d channels, want %d", m.Vol.Channels(), cfg.Members)
 			}
 			data := make([]byte, 1<<20)
 			for i := range data {
@@ -176,7 +176,7 @@ func TestBootImageCountMustMatchMembers(t *testing.T) {
 		m.FS.SyncImage()
 		return m
 	}
-	img := donor().Disk.Snapshot()
+	img := donor().Vol.Snapshot()[0]
 	imgs := donor(WithVolume(cfg)).Vol.Snapshot()
 
 	for _, tc := range []struct {
