@@ -18,6 +18,8 @@ type MBuf struct {
 	dirty bool
 	busy  bool
 	valid bool
+	// queued: the buffer is in Bcache.dirtyBufs.
+	queued bool
 
 	// orderedPending marks a B_ORDER write queued but possibly not yet
 	// taken by the drive. Further ordered writes of the same buffer
@@ -45,6 +47,10 @@ type Bcache struct {
 	// uncommitted state) and backfills cache misses whose home copy on
 	// disk is stale (committed but not yet checkpointed).
 	journal *wal.Log
+	// dirtyBufs is, with a journal attached, every buffer dirtied
+	// since a commit last swept it, so the commit stages these
+	// without walking the cache.
+	dirtyBufs []*MBuf
 
 	// err is the sticky first I/O error: every failed metadata
 	// transfer records here, including ones with no caller to return
@@ -192,8 +198,18 @@ func (bc *Bcache) Brelse(b *MBuf) {
 // Bdwrite marks the buffer dirty and releases it (a delayed write: the
 // data goes out on eviction or Flush).
 func (bc *Bcache) Bdwrite(b *MBuf) {
-	b.dirty = true
+	bc.markDirty(b)
 	bc.Brelse(b)
+}
+
+// markDirty sets b dirty and, with a journal attached, queues it for
+// the next commit.
+func (bc *Bcache) markDirty(b *MBuf) {
+	b.dirty = true
+	if bc.journal != nil && !b.queued {
+		b.queued = true
+		bc.dirtyBufs = append(bc.dirtyBufs, b)
+	}
 }
 
 // Bwrite writes the buffer synchronously and releases it. UFS uses

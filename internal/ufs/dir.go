@@ -28,15 +28,15 @@ var ErrNotDir = errors.New("ufs: not a directory")
 // ErrNotEmpty is returned when removing a non-empty directory.
 var ErrNotEmpty = errors.New("ufs: directory not empty")
 
-// direntSize returns the record size needed for a name (header + name +
-// NUL, rounded to 4).
-func direntSize(name string) int {
-	return 8 + (len(name)+1+3)&^3
+// direntSize returns the record size needed for a name of namlen bytes
+// (header + name + NUL, rounded to 4).
+func direntSize(namlen int) int {
+	return 8 + (namlen+1+3)&^3
 }
 
 // putDirent writes an entry with a tight record length; returns it.
 func putDirent(buf []byte, ino int32, name string) int {
-	return putDirentLast(buf, ino, name, direntSize(name))
+	return putDirentLast(buf, ino, name, direntSize(len(name)))
 }
 
 // putDirentLast writes an entry with an explicit record length.
@@ -62,34 +62,88 @@ type Dirent struct {
 	reclen int
 }
 
-// parseDirents decodes one directory block.
-func parseDirents(blk []byte) ([]Dirent, error) {
-	var out []Dirent
-	off := 0
-	for off < len(blk) {
-		i := int32(uint32(blk[off]) | uint32(blk[off+1])<<8 | uint32(blk[off+2])<<16 | uint32(blk[off+3])<<24)
+// dirRec is one record of a directory block as the walker yields it:
+// the inode number (0 = free slot), the name as a view into the block,
+// and where the record sits.
+type dirRec struct {
+	ino    int32
+	name   []byte
+	off    int
+	reclen int
+}
+
+// dirWalk is a cursor over the records of one directory block. It is
+// the one directory decoder: the online operations read names in place
+// through it, and parseDirents collects it for the offline checkers.
+type dirWalk struct {
+	blk []byte
+	off int
+}
+
+// walkDir checks blk's whole record chain before anything is acted on
+// — every header inside the block, every record length a multiple of 4,
+// at least a header long and inside the block, every name inside its
+// record — and returns a cursor over its records. The checks imply the
+// lengths tile the block exactly.
+func walkDir(blk []byte) (dirWalk, error) {
+	for off := 0; off < len(blk); {
+		if off+8 > len(blk) {
+			return dirWalk{}, fmt.Errorf("ufs: corrupt dirent at offset %d (header past block end)", off)
+		}
 		reclen := int(blk[off+4]) | int(blk[off+5])<<8
 		namlen := int(blk[off+6]) | int(blk[off+7])<<8
 		if reclen < 8 || off+reclen > len(blk) || (reclen&3) != 0 {
-			return nil, fmt.Errorf("ufs: corrupt dirent at offset %d (reclen %d)", off, reclen)
+			return dirWalk{}, fmt.Errorf("ufs: corrupt dirent at offset %d (reclen %d)", off, reclen)
 		}
 		if namlen > reclen-8 {
-			return nil, fmt.Errorf("ufs: corrupt dirent name at offset %d", off)
-		}
-		if i != 0 {
-			out = append(out, Dirent{
-				Ino:    i,
-				Name:   string(blk[off+8 : off+8+namlen]),
-				off:    off,
-				reclen: reclen,
-			})
-		} else {
-			out = append(out, Dirent{Ino: 0, off: off, reclen: reclen})
+			return dirWalk{}, fmt.Errorf("ufs: corrupt dirent name at offset %d", off)
 		}
 		off += reclen
 	}
-	if off != len(blk) {
-		return nil, errors.New("ufs: directory block reclens do not sum to block size")
+	return dirWalk{blk: blk}, nil
+}
+
+// next yields the next record; ok is false past the last one.
+func (w *dirWalk) next() (r dirRec, ok bool) {
+	if w.off >= len(w.blk) {
+		return dirRec{}, false
+	}
+	b := w.blk[w.off:]
+	r = dirRec{
+		ino:    getIndir(b, 0), // same little-endian u32 encoding
+		off:    w.off,
+		reclen: int(b[4]) | int(b[5])<<8,
+	}
+	r.name = b[8 : 8+(int(b[6])|int(b[7])<<8)]
+	w.off += r.reclen
+	return r, true
+}
+
+// find returns the live record named name, if the walk holds one. It
+// walks a copy: the caller's cursor does not move.
+func (w dirWalk) find(name string) (dirRec, bool) {
+	for r, ok := w.next(); ok; r, ok = w.next() {
+		if r.ino != 0 && string(r.name) == name {
+			return r, true
+		}
+	}
+	return dirRec{}, false
+}
+
+// parseDirents decodes one directory block into entries, free slots
+// included.
+func parseDirents(blk []byte) ([]Dirent, error) {
+	w, err := walkDir(blk)
+	if err != nil {
+		return nil, err
+	}
+	var out []Dirent
+	for r, ok := w.next(); ok; r, ok = w.next() {
+		e := Dirent{Ino: r.ino, off: r.off, reclen: r.reclen}
+		if r.ino != 0 {
+			e.Name = string(r.name)
+		}
+		out = append(out, e)
 	}
 	return out, nil
 }
@@ -136,17 +190,13 @@ func (fs *Fs) dirBlocks(p *sim.Proc, dip *Inode, fn func(b *MBuf) (dirty, stop b
 func (fs *Fs) DirLookup(p *sim.Proc, dip *Inode, name string) (int32, error) {
 	var found int32
 	err := fs.dirBlocks(p, dip, func(b *MBuf) (bool, bool, error) {
-		ents, err := parseDirents(b.Data)
+		w, err := walkDir(b.Data)
 		if err != nil {
 			return false, true, err
 		}
-		for _, e := range ents {
-			if e.Ino != 0 && e.Name == name {
-				found = e.Ino
-				return false, true, nil
-			}
-		}
-		return false, false, nil
+		r, ok := w.find(name)
+		found = r.ino
+		return false, ok, nil
 	})
 	if err != nil {
 		return 0, err
@@ -163,35 +213,33 @@ func (fs *Fs) DirEnter(p *sim.Proc, dip *Inode, name string, ino int32) error {
 	if len(name) == 0 || len(name) > MaxNameLen || strings.Contains(name, "/") {
 		return fmt.Errorf("ufs: invalid name %q", name)
 	}
-	need := direntSize(name)
+	need := direntSize(len(name))
 	inserted := false
 	err := fs.dirBlocks(p, dip, func(b *MBuf) (bool, bool, error) {
-		ents, err := parseDirents(b.Data)
+		w, err := walkDir(b.Data)
 		if err != nil {
 			return false, true, err
 		}
-		for _, e := range ents {
-			if e.Ino != 0 && e.Name == name {
-				return false, true, ErrExists
-			}
+		if _, ok := w.find(name); ok {
+			return false, true, ErrExists
 		}
-		for _, e := range ents {
+		for r, ok := w.next(); ok; r, ok = w.next() {
 			var slack, used int
-			if e.Ino == 0 {
-				slack, used = e.reclen, 0
+			if r.ino == 0 {
+				slack, used = r.reclen, 0
 			} else {
-				used = direntSize(e.Name)
-				slack = e.reclen - used
+				used = direntSize(len(r.name))
+				slack = r.reclen - used
 			}
 			if slack < need {
 				continue
 			}
 			// Shrink the existing record and append the new one.
-			if e.Ino != 0 {
-				b.Data[e.off+4] = byte(used)
-				b.Data[e.off+5] = byte(used >> 8)
+			if r.ino != 0 {
+				b.Data[r.off+4] = byte(used)
+				b.Data[r.off+5] = byte(used >> 8)
 			}
-			putDirentLast(b.Data[e.off+used:], ino, name, e.reclen-used)
+			putDirentLast(b.Data[r.off+used:], ino, name, r.reclen-used)
 			inserted = true
 			return true, true, nil
 		}
@@ -210,9 +258,7 @@ func (fs *Fs) DirEnter(p *sim.Proc, dip *Inode, name string, ino int32) error {
 		return err
 	}
 	b := fs.BC.getblk(p, fsbn)
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
+	clear(b.Data)
 	b.valid = true
 	putDirentLast(b.Data, ino, name, int(fs.SB.Bsize))
 	if err := fs.metaWrite(p, b); err != nil {
@@ -228,22 +274,25 @@ func (fs *Fs) DirEnter(p *sim.Proc, dip *Inode, name string, ino int32) error {
 func (fs *Fs) DirRemove(p *sim.Proc, dip *Inode, name string) (int32, error) {
 	var removed int32
 	err := fs.dirBlocks(p, dip, func(b *MBuf) (bool, bool, error) {
-		ents, err := parseDirents(b.Data)
+		w, err := walkDir(b.Data)
 		if err != nil {
 			return false, true, err
 		}
-		for i, e := range ents {
-			if e.Ino == 0 || e.Name != name {
+		var prev dirRec
+		for r, ok := w.next(); ok; r, ok = w.next() {
+			if r.ino == 0 || string(r.name) != name {
+				prev = r
 				continue
 			}
-			removed = e.Ino
-			if i > 0 && ents[i-1].off+ents[i-1].reclen == e.off {
-				// Merge into predecessor.
-				nr := ents[i-1].reclen + e.reclen
-				b.Data[ents[i-1].off+4] = byte(nr)
-				b.Data[ents[i-1].off+5] = byte(nr >> 8)
+			removed = r.ino
+			if r.off > 0 {
+				// Merge into predecessor (records tile the block, so
+				// it ends where this one starts).
+				nr := prev.reclen + r.reclen
+				b.Data[prev.off+4] = byte(nr)
+				b.Data[prev.off+5] = byte(nr >> 8)
 			} else {
-				putIndir(b.Data[e.off:], 0, 0) // zero the inode field
+				putIndir(b.Data[r.off:], 0, 0) // zero the inode field
 			}
 			return true, true, nil
 		}
@@ -262,12 +311,12 @@ func (fs *Fs) DirRemove(p *sim.Proc, dip *Inode, name string) (int32, error) {
 func (fs *Fs) DirIsEmpty(p *sim.Proc, dip *Inode) (bool, error) {
 	empty := true
 	err := fs.dirBlocks(p, dip, func(b *MBuf) (bool, bool, error) {
-		ents, err := parseDirents(b.Data)
+		w, err := walkDir(b.Data)
 		if err != nil {
 			return false, true, err
 		}
-		for _, e := range ents {
-			if e.Ino != 0 && e.Name != "." && e.Name != ".." {
+		for r, ok := w.next(); ok; r, ok = w.next() {
+			if r.ino != 0 && string(r.name) != "." && string(r.name) != ".." {
 				empty = false
 				return false, true, nil
 			}

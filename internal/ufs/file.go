@@ -21,11 +21,17 @@ func (fs *Fs) namei(p *sim.Proc, path string, depth int) (*Inode, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, fmt.Errorf("ufs: path %q not absolute", path)
 	}
+	return fs.walkPath(p, path, depth)
+}
+
+// walkPath resolves path's components from the root — empty components
+// are skipped, so "//a/" is "/a" — and holds a reference on the result.
+func (fs *Fs) walkPath(p *sim.Proc, path string, depth int) (*Inode, error) {
 	ip, err := fs.Iget(p, RootIno)
 	if err != nil {
 		return nil, err
 	}
-	for _, comp := range splitPath(path) {
+	for comp, rest := nextComp(path); comp != ""; comp, rest = nextComp(rest) {
 		if !ip.D.IsDir() {
 			fs.Iput(p, ip)
 			return nil, ErrNotDir
@@ -57,25 +63,26 @@ func (fs *Fs) namei(p *sim.Proc, path string, depth int) (*Inode, error) {
 	return ip, nil
 }
 
-func splitPath(path string) []string {
-	var out []string
-	for _, c := range strings.Split(path, "/") {
-		if c != "" {
-			out = append(out, c)
-		}
+// nextComp splits path's first component from the rest, skipping the
+// slashes before it; comp is "" once nothing but slashes remains.
+func nextComp(path string) (comp, rest string) {
+	path = strings.TrimLeft(path, "/")
+	if i := strings.IndexByte(path, '/'); i >= 0 {
+		return path[:i], path[i:]
 	}
-	return out
+	return path, ""
 }
 
 // lookupParent resolves the parent directory of path and returns it with
 // the leaf name.
 func (fs *Fs) lookupParent(p *sim.Proc, path string) (*Inode, string, error) {
-	comps := splitPath(path)
-	if len(comps) == 0 {
+	dir := strings.TrimRight(path, "/")
+	i := strings.LastIndexByte(dir, '/')
+	name := dir[i+1:]
+	if name == "" {
 		return nil, "", fmt.Errorf("ufs: empty path %q", path)
 	}
-	dir := "/" + strings.Join(comps[:len(comps)-1], "/")
-	dip, err := fs.Namei(p, dir)
+	dip, err := fs.walkPath(p, dir[:i+1], 0)
 	if err != nil {
 		return nil, "", err
 	}
@@ -83,7 +90,7 @@ func (fs *Fs) lookupParent(p *sim.Proc, path string) (*Inode, string, error) {
 		fs.Iput(p, dip)
 		return nil, "", ErrNotDir
 	}
-	return dip, comps[len(comps)-1], nil
+	return dip, name, nil
 }
 
 // newNode is what Create, Mkdir and Symlink share: resolve the parent,

@@ -1,7 +1,9 @@
 package ufs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ufsclust/internal/cpu"
 	"ufsclust/internal/detsort"
@@ -19,7 +21,17 @@ type Fs struct {
 	BC  *Bcache
 
 	itable map[int32]*Inode
-	cgs    map[int32]*CG
+	// igets counts the inodes Iget has brought in core; each Inode
+	// keeps its number in loaded.
+	igets int64
+	// dirtyInodes is, on a journaled mount, every in-core inode
+	// MarkDirty has touched since a commit last swept it, in inode
+	// order: the commit visits these instead of the whole table.
+	dirtyInodes []*Inode
+	// sbImage is the block-sized scratch the journal's superblock
+	// image is encoded into (wal.Stage copies it).
+	sbImage []byte
+	cgs     map[int32]*CG
 	// csum is the in-core free-block count per group (the fs_csp
 	// summary array UFS loads at mount), used by pickCg without I/O.
 	csum []int32
@@ -115,6 +127,11 @@ type Inode struct {
 	dirty bool
 	refs  int
 
+	// queued: the inode is in Fs.dirtyInodes. loaded: the value of
+	// Fs.igets when Iget read it in.
+	queued bool
+	loaded int64
+
 	// Nextr is the predicted logical block of the next read; read-ahead
 	// triggers when a fault matches it (figure 3).
 	Nextr int64
@@ -148,8 +165,19 @@ func (ip *Inode) InvalidateBmapCache() { ip.bmapCache.valid = false }
 // Size returns the file length in bytes.
 func (ip *Inode) Size() int64 { return ip.D.Size }
 
-// MarkDirty notes that the dinode must be written back.
-func (ip *Inode) MarkDirty() { ip.dirty = true }
+// MarkDirty notes that the dinode must be written back, and on a
+// journaled mount queues it for the next commit.
+func (ip *Inode) MarkDirty() {
+	ip.dirty = true
+	if fs := ip.Fs; fs.J != nil && !ip.queued {
+		ip.queued = true
+		i, _ := slices.BinarySearchFunc(fs.dirtyInodes, ip.Ino, byIno)
+		fs.dirtyInodes = slices.Insert(fs.dirtyInodes, i, ip)
+	}
+}
+
+// byIno orders inodes by number, for searching Fs.dirtyInodes.
+func byIno(ip *Inode, ino int32) int { return cmp.Compare(ip.Ino, ino) }
 
 // Iget returns the in-core inode for ino, reading it if necessary.
 func (fs *Fs) Iget(p *sim.Proc, ino int32) (*Inode, error) {
@@ -167,7 +195,8 @@ func (fs *Fs) Iget(p *sim.Proc, ino int32) (*Inode, error) {
 	off := fs.SB.InoBlockOff(ino)
 	di := UnmarshalDinode(b.Data[off : off+DinodeSize])
 	fs.BC.Brelse(b)
-	ip := &Inode{Fs: fs, Ino: ino, D: di, refs: 1}
+	fs.igets++
+	ip := &Inode{Fs: fs, Ino: ino, D: di, refs: 1, loaded: fs.igets}
 	if fs.WriteLimit > 0 {
 		ip.WriteSem = sim.NewSemaphore(fmt.Sprintf("wlimit.%d", ino), fs.WriteLimit)
 	}
@@ -232,7 +261,7 @@ func (fs *Fs) storeCG(p *sim.Proc, cg *CG) error {
 	if err != nil {
 		return err
 	}
-	copy(b.Data, cg.Marshal(fs.SB))
+	cg.MarshalInto(b.Data)
 	fs.BC.Bdwrite(b)
 	return nil
 }
@@ -270,10 +299,8 @@ func (fs *Fs) Sync(p *sim.Proc) error {
 		keep(fs.storeCG(p, fs.cgs[cgx]))
 	}
 	b := fs.BC.getblk(p, sbFragOffset)
-	if !b.valid {
-		b.valid = true
-	}
-	copy(b.Data, sbBlockImage(fs.SB))
+	b.valid = true
+	fs.SB.MarshalInto(b.Data) // the superblock's block holds nothing else
 	fs.BC.Bdwrite(b)
 	keep(fs.BC.Flush(p))
 	return firstErr
@@ -334,7 +361,7 @@ func (fs *Fs) SyncImage() {
 		// Merge through the buffer cache if the block is cached there.
 		if mb, ok := fs.BC.bufs[fs.BC.align(fsba)]; ok && mb.valid {
 			ip.D.MarshalInto(mb.Data[off:])
-			mb.dirty = true
+			fs.BC.markDirty(mb)
 		} else {
 			b := im.read(fsba, fs.SB.Frag)
 			ip.D.MarshalInto(b[off:])
@@ -352,14 +379,6 @@ func (fs *Fs) SyncImage() {
 		im.write(fs.SB.CgHeader(cgx), fs.cgs[cgx].Marshal(fs.SB))
 	}
 	im.write(sbFragOffset, fs.SB.Marshal())
-}
-
-// sbBlockImage renders the superblock into a block-sized buffer (its
-// block also holds nothing else).
-func sbBlockImage(sb *Superblock) []byte {
-	out := make([]byte, sb.Bsize)
-	copy(out, sb.Marshal())
-	return out
 }
 
 // chargeCPU charges instructions if a CPU model is attached.

@@ -1,9 +1,10 @@
 package ufs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"ufsclust/internal/detsort"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/wal"
@@ -36,6 +37,7 @@ func (fs *Fs) attachLog() error {
 	jl.Flush = fs.stageCommit
 	fs.J = jl
 	fs.BC.journal = jl
+	fs.sbImage = make([]byte, fs.SB.Bsize)
 	return nil
 }
 
@@ -89,27 +91,69 @@ func (fs *Fs) journaled(p *sim.Proc, op func() error) error {
 // rides along whenever anything else does, because its summary totals
 // mutate in memory on every allocation and fsck cross-checks them
 // against the bitmaps.
+//
+// Both sweeps visit only the dirty sets MarkDirty and markDirty keep,
+// never the whole inode table or cache, in the order a sweep of the
+// whole table would take.
 func (fs *Fs) stageCommit(p *sim.Proc) error {
-	var firstErr error
-	for _, ino := range detsort.Keys(fs.itable) {
-		if ip := fs.itable[ino]; ip.dirty {
-			if err := fs.IUpdate(p, ip, false); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
+	firstErr := fs.foldDirtyInodes(p)
+	bc := fs.BC
+	slices.SortFunc(bc.dirtyBufs, func(a, b *MBuf) int { return cmp.Compare(a.Fsbn, b.Fsbn) })
 	staged := 0
-	for _, fsbn := range detsort.Keys(fs.BC.bufs) {
-		b, ok := fs.BC.bufs[fsbn]
-		if !ok || !b.dirty || b.busy {
+	for _, b := range bc.dirtyBufs {
+		// A buffer leaves the cache clean (eviction writes it, Forget
+		// discards it), so a dirty one is still the cached copy.
+		if !b.dirty || b.busy {
 			continue
 		}
 		fs.J.Stage(fs.SB.FsbToDb(b.Fsbn), b.Data)
 		b.dirty = false
 		staged++
 	}
+	bc.dirtyBufs = slices.DeleteFunc(bc.dirtyBufs, func(b *MBuf) bool {
+		b.queued = b.dirty
+		return !b.dirty
+	})
 	if staged > 0 {
-		fs.J.Stage(fs.SB.FsbToDb(sbFragOffset), sbBlockImage(fs.SB))
+		fs.SB.MarshalInto(fs.sbImage)
+		fs.J.Stage(fs.SB.FsbToDb(sbFragOffset), fs.sbImage)
 	}
 	return firstErr
+}
+
+// foldDirtyInodes writes every dirty inode in the table into its block,
+// in ascending inode order, and drops the clean ones from the dirty
+// set. IUpdate may sleep on a read while other processes dirty inodes,
+// so each step searches the set afresh for the next inode past the
+// last one; like a sweep of the table as it stood when the commit
+// began, it takes only inodes that were in core by then and are still
+// in the table.
+func (fs *Fs) foldDirtyInodes(p *sim.Proc) error {
+	var firstErr error
+	incore := fs.igets
+	for last := int32(-1); ; {
+		i, _ := slices.BinarySearchFunc(fs.dirtyInodes, last+1, byIno)
+		for i < len(fs.dirtyInodes) && !fs.sweeps(fs.dirtyInodes[i], incore) {
+			i++
+		}
+		if i == len(fs.dirtyInodes) {
+			break
+		}
+		ip := fs.dirtyInodes[i]
+		last = ip.Ino
+		if err := fs.IUpdate(p, ip, false); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	fs.dirtyInodes = slices.DeleteFunc(fs.dirtyInodes, func(ip *Inode) bool {
+		ip.queued = ip.dirty && fs.itable[ip.Ino] == ip
+		return !ip.queued
+	})
+	return firstErr
+}
+
+// sweeps reports whether a sweep of the inode table begun when igets
+// was incore writes ip back.
+func (fs *Fs) sweeps(ip *Inode, incore int64) bool {
+	return ip.dirty && ip.loaded <= incore && fs.itable[ip.Ino] == ip
 }

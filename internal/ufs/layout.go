@@ -13,10 +13,10 @@
 package ufs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"ufsclust/internal/disk"
 )
@@ -55,7 +55,7 @@ const (
 )
 
 // Superblock is the on-disk file system description. All fields are
-// fixed-size so it marshals with encoding/binary.
+// fixed-size; MarshalInto lays them out as encoding/binary would.
 type Superblock struct {
 	FsMagic int32
 	Bsize   int32 // block size, bytes
@@ -213,20 +213,56 @@ func (sb *Superblock) MaxFileBlocks() int64 { return sb.indirBase(NIADDR) }
 
 // Marshal encodes the superblock into a fragment-sized buffer.
 func (sb *Superblock) Marshal() []byte {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, sb); err != nil {
-		panic(err) // simlint:invariant -- bytes.Buffer writes cannot fail
-	}
 	out := make([]byte, SBSize)
-	copy(out, buf.Bytes())
+	sb.MarshalInto(out)
 	return out
+}
+
+// sbBytes is the encoded superblock size: the fields in declaration
+// order, little-endian, unpadded (encoding/binary's layout).
+const sbBytes = 112
+
+// words lists the superblock's int32 fields in layout order: head
+// before Time (the one int64, at byte 88), tail after it. MarshalInto
+// and UnmarshalSuperblock both take the layout from here.
+func (sb *Superblock) words() (head [22]*int32, tail [4]*int32) {
+	return [22]*int32{&sb.FsMagic, &sb.Bsize, &sb.Fsize, &sb.Frag,
+			&sb.Size, &sb.Dsize, &sb.Ncg, &sb.Fpg, &sb.Ipg, &sb.Cpg, &sb.Minfree,
+			&sb.Rotdelay, &sb.Maxcontig, &sb.Maxbpg, &sb.Nsect, &sb.Ntrak, &sb.Spc, &sb.Rps,
+			&sb.CsNdir, &sb.CsNbfree, &sb.CsNifree, &sb.CsNffree},
+		[4]*int32{&sb.Clean, &sb.Fmod, &sb.LogStart, &sb.LogFrags}
+}
+
+// MarshalInto encodes the superblock into the front of dst and zeroes
+// the rest of it. The encoders here are written by hand, without
+// reflection, so the metadata path encodes in place.
+func (sb *Superblock) MarshalInto(dst []byte) {
+	le := binary.LittleEndian
+	head, tail := sb.words()
+	for i, f := range head {
+		le.PutUint32(dst[4*i:], uint32(*f))
+	}
+	le.PutUint64(dst[88:], uint64(sb.Time))
+	for i, f := range tail {
+		le.PutUint32(dst[96+4*i:], uint32(*f))
+	}
+	clear(dst[sbBytes:])
 }
 
 // UnmarshalSuperblock decodes and validates a superblock.
 func UnmarshalSuperblock(data []byte) (*Superblock, error) {
+	if len(data) < sbBytes {
+		return nil, io.ErrUnexpectedEOF
+	}
+	le := binary.LittleEndian
 	sb := new(Superblock)
-	if err := binary.Read(bytes.NewReader(data), binary.LittleEndian, sb); err != nil {
-		return nil, err
+	head, tail := sb.words()
+	for i, f := range head {
+		*f = int32(le.Uint32(data[4*i:]))
+	}
+	sb.Time = int64(le.Uint64(data[88:]))
+	for i, f := range tail {
+		*f = int32(le.Uint32(data[96+4*i:]))
 	}
 	if sb.FsMagic != Magic {
 		return nil, fmt.Errorf("ufs: bad superblock magic %#x", sb.FsMagic)
@@ -273,26 +309,63 @@ func (d *Dinode) IsReg() bool { return d.Mode&ModeFmt == ModeReg }
 // Allocated reports whether the inode is in use.
 func (d *Dinode) Allocated() bool { return d.Mode != 0 }
 
-// MarshalInto encodes the dinode into dst (DinodeSize bytes).
+// dinodeBytes is the encoded size of a Dinode's fields; the slot is
+// zero-padded to DinodeSize.
+const dinodeBytes = 124
+
+// MarshalInto encodes the dinode into dst (DinodeSize bytes), field by
+// field in declaration order, zeroing the slot's padding.
 func (d *Dinode) MarshalInto(dst []byte) {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, d); err != nil {
-		panic(err) // simlint:invariant -- bytes.Buffer writes cannot fail
+	le := binary.LittleEndian
+	dst = dst[:DinodeSize]
+	le.PutUint16(dst[0:], d.Mode)
+	le.PutUint16(dst[2:], uint16(d.Nlink))
+	le.PutUint32(dst[4:], d.UID)
+	le.PutUint32(dst[8:], d.GID)
+	le.PutUint64(dst[12:], uint64(d.Size))
+	le.PutUint64(dst[20:], uint64(d.Atime))
+	le.PutUint64(dst[28:], uint64(d.Mtime))
+	le.PutUint64(dst[36:], uint64(d.Ctime))
+	for i, a := range d.DB {
+		le.PutUint32(dst[44+4*i:], uint32(a))
 	}
-	if buf.Len() > DinodeSize {
-		panic(fmt.Sprintf("ufs: dinode marshals to %d bytes", buf.Len())) // simlint:invariant -- marshal size is fixed by the layout
+	for i, a := range d.IB {
+		le.PutUint32(dst[92+4*i:], uint32(a))
 	}
-	for i := range dst[:DinodeSize] {
-		dst[i] = 0
+	le.PutUint32(dst[100:], d.Flags)
+	le.PutUint32(dst[104:], uint32(d.Blocks))
+	le.PutUint32(dst[108:], d.Gen)
+	for i, v := range d.Spare {
+		le.PutUint32(dst[112+4*i:], v)
 	}
-	copy(dst, buf.Bytes())
+	clear(dst[dinodeBytes:])
 }
 
-// UnmarshalDinode decodes a dinode.
+// UnmarshalDinode decodes a dinode from a whole DinodeSize slot.
 func UnmarshalDinode(src []byte) Dinode {
-	var d Dinode
-	if err := binary.Read(bytes.NewReader(src), binary.LittleEndian, &d); err != nil {
-		panic(err) // simlint:invariant -- callers pass a whole DinodeSize slot, so the read cannot come up short
+	le := binary.LittleEndian
+	src = src[:DinodeSize]
+	d := Dinode{
+		Mode:   le.Uint16(src[0:]),
+		Nlink:  int16(le.Uint16(src[2:])),
+		UID:    le.Uint32(src[4:]),
+		GID:    le.Uint32(src[8:]),
+		Size:   int64(le.Uint64(src[12:])),
+		Atime:  int64(le.Uint64(src[20:])),
+		Mtime:  int64(le.Uint64(src[28:])),
+		Ctime:  int64(le.Uint64(src[36:])),
+		Flags:  le.Uint32(src[100:]),
+		Blocks: int32(le.Uint32(src[104:])),
+		Gen:    le.Uint32(src[108:]),
+	}
+	for i := range d.DB {
+		d.DB[i] = int32(le.Uint32(src[44+4*i:]))
+	}
+	for i := range d.IB {
+		d.IB[i] = int32(le.Uint32(src[92+4*i:]))
+	}
+	for i := range d.Spare {
+		d.Spare[i] = le.Uint32(src[112+4*i:])
 	}
 	return d
 }
@@ -312,8 +385,15 @@ type CgHdr struct {
 	Irotor int32 // inode search rotor
 }
 
-// cgHdrSize is the marshaled CgHdr size.
-var cgHdrSize = binary.Size(CgHdr{})
+// cgHdrSize is the marshaled CgHdr size: ten little-endian int32s.
+const cgHdrSize = 40
+
+// fields lists the header's fields in declaration order, the order
+// they are encoded in.
+func (h *CgHdr) fields() [10]*int32 {
+	return [10]*int32{&h.Magic, &h.Cgx, &h.Ndblk, &h.Nbfree, &h.Nifree,
+		&h.Nffree, &h.Ndir, &h.Rotor, &h.Frotor, &h.Irotor}
+}
 
 // CG is an in-memory cylinder group: header plus bitmaps. The inosused
 // bitmap has 1 = allocated; the blksfree bitmap has 1 = free (matching
@@ -336,26 +416,34 @@ func NewCG(sb *Superblock, cgx int32) *CG {
 
 // Marshal encodes the group into a block-sized buffer.
 func (cg *CG) Marshal(sb *Superblock) []byte {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, &cg.CgHdr); err != nil {
-		panic(err) // simlint:invariant -- bytes.Buffer writes cannot fail
-	}
-	buf.Write(cg.Inosused)
-	buf.Write(cg.Blksfree)
-	if buf.Len() > int(sb.Bsize) {
+	out := make([]byte, sb.Bsize)
+	cg.MarshalInto(out)
+	return out
+}
+
+// MarshalInto encodes the group — header, inode bitmap, fragment
+// bitmap — into the front of dst (its header block) and zeroes the
+// rest of it.
+func (cg *CG) MarshalInto(dst []byte) {
+	n := cgHdrSize + len(cg.Inosused) + len(cg.Blksfree)
+	if n > len(dst) {
 		panic("ufs: cylinder group overflows header block") // simlint:invariant -- mkfs sizes groups to fit the header block
 	}
-	out := make([]byte, sb.Bsize)
-	copy(out, buf.Bytes())
-	return out
+	for i, f := range cg.fields() {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(*f))
+	}
+	copy(dst[cgHdrSize+copy(dst[cgHdrSize:], cg.Inosused):], cg.Blksfree)
+	clear(dst[n:])
 }
 
 // UnmarshalCG decodes a group read from disk.
 func UnmarshalCG(sb *Superblock, data []byte) (*CG, error) {
+	if len(data) < cgHdrSize {
+		return nil, io.ErrUnexpectedEOF
+	}
 	cg := new(CG)
-	r := bytes.NewReader(data)
-	if err := binary.Read(r, binary.LittleEndian, &cg.CgHdr); err != nil {
-		return nil, err
+	for i, f := range cg.fields() {
+		*f = int32(binary.LittleEndian.Uint32(data[4*i:]))
 	}
 	if cg.Magic != CGMagic {
 		return nil, fmt.Errorf("ufs: bad cylinder group magic %#x", cg.Magic)

@@ -7,6 +7,7 @@ import (
 
 	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
+	"ufsclust/internal/sim"
 	"ufsclust/internal/wal"
 )
 
@@ -90,4 +91,138 @@ func TestPointerIntoLogIsRepaired(t *testing.T) {
 	if rep, err := Fsck(r.d); err != nil || !rep.Clean() {
 		t.Fatalf("fsck after recovery: %v %v", err, rep)
 	}
+}
+
+// TestCommitSweepsTheTableAsItStood: a commit folds in the dirty inodes
+// of the inode table as it stood when the commit began. Here the commit
+// sleeps reading inode 3's block back while another process brings
+// inode 69 in core and dirties it: that inode waits for the next
+// commit, as it would behind a snapshot of the whole table.
+func TestCommitSweepsTheTableAsItStood(t *testing.T) {
+	r := newRig(t, MkfsOpts{LogBlocks: wal.LogBlocks})
+	fs := r.fs
+	var x, late *Inode
+	var err, lateErr error
+	r.run(t, func(p *sim.Proc) {
+		if x, err = fs.Iget(p, RootIno+1); err != nil {
+			return
+		}
+		if _, err = fs.Iget(p, 70); err != nil { // caches inode 69's block
+			return
+		}
+		x.MarkDirty()
+		fs.BC.Forget(p, fs.SB.InoToFsba(x.Ino)) // the commit must read it back
+		r.s.Spawn("late", func(q *sim.Proc) {
+			q.Sleep(sim.Microsecond) // the commit is waiting for the disk
+			if late, lateErr = fs.Iget(q, 69); lateErr == nil {
+				late.MarkDirty()
+			}
+		})
+		fs.J.Begin(p)
+		err = fs.J.End(p)
+	})
+	if err != nil || lateErr != nil {
+		t.Fatalf("commit: %v; late process: %v", err, lateErr)
+	}
+	if x.dirty || !late.dirty {
+		t.Fatalf("after the commit: inode 3 dirty %v, late inode dirty %v; want inode 3 folded and the late inode left dirty", x.dirty, late.dirty)
+	}
+}
+
+// TestCommitSkipsRemovedInode: an inode removed from the table stays out
+// of every later commit, even if a holder of the old in-core copy dirties
+// it again — its slot keeps the cleared dinode the remove wrote.
+func TestCommitSkipsRemovedInode(t *testing.T) {
+	r := newRig(t, MkfsOpts{LogBlocks: wal.LogBlocks})
+	fs := r.fs
+	var ip *Inode
+	var slot Dinode
+	var err error
+	r.run(t, func(p *sim.Proc) {
+		if _, err = fs.Create(p, "/f"); err != nil {
+			return
+		}
+		if ip, err = fs.Namei(p, "/f"); err != nil {
+			return
+		}
+		if err = fs.Remove(p, "/f"); err != nil {
+			return
+		}
+		ip.D.Size = 4096
+		ip.MarkDirty()
+		fs.J.Begin(p)
+		if err = fs.J.End(p); err != nil {
+			return
+		}
+		var b *MBuf
+		if b, err = fs.BC.Bread(p, fs.SB.InoToFsba(ip.Ino)); err != nil {
+			return
+		}
+		off := fs.SB.InoBlockOff(ip.Ino)
+		slot = UnmarshalDinode(b.Data[off : off+DinodeSize])
+		fs.BC.Brelse(b)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot != (Dinode{}) {
+		t.Errorf("removed inode %d's slot holds %+v", ip.Ino, slot)
+	}
+}
+
+// TestJournalBytesPinned pins what a run of journaled namespace
+// operations leaves on the device — log records, their order within
+// each commit, checkpointed home blocks — and the virtual clock, with
+// constants recorded before commits staged from dirty sets instead of
+// sweeps of the whole inode table and cache. The operations span enough
+// commits to wrap the log into checkpoints.
+func TestJournalBytesPinned(t *testing.T) {
+	r := newRig(t, MkfsOpts{LogBlocks: wal.LogBlocks})
+	fs := r.fs
+	var err error
+	r.run(t, func(p *sim.Proc) { err = journalScript(p, fs) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.J.Checkpoints == 0 {
+		t.Fatal("the log never wrapped")
+	}
+	const wantHash, wantNow = 0x69bd8a44862f19fb, 7685396992
+	if h, now := imageHash(r.d), r.s.Now(); h != wantHash || now != wantNow {
+		t.Fatalf("image hash %#x at %d ns, want %#x at %d ns", h, now, uint64(wantHash), wantNow)
+	}
+}
+
+// journalScript makes, grows, links, renames and removes files in four
+// directories, one commit per operation.
+func journalScript(p *sim.Proc, fs *Fs) error {
+	for d := 0; d < 4; d++ {
+		dir := "/d" + itoa(d)
+		if _, err := fs.Mkdir(p, dir); err != nil {
+			return err
+		}
+		for i := 0; i < 40; i++ {
+			ip, err := fs.Create(p, dir+"/f"+itoa(i))
+			if err != nil {
+				return err
+			}
+			err = fs.Truncate(p, ip, int64(i)*1000)
+			fs.Iput(p, ip)
+			if err != nil {
+				return err
+			}
+		}
+		if err := fs.Symlink(p, dir+"/ln", "/d0/f1"); err != nil {
+			return err
+		}
+		if err := fs.Rename(p, dir+"/f2", "/moved"+itoa(d)); err != nil {
+			return err
+		}
+		for i := 0; i < 40; i += 3 {
+			if err := fs.Remove(p, dir+"/f"+itoa(i)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -240,7 +240,7 @@ func (rp *repairer) buildDirBlock(ents []Dirent) []byte {
 	blk := make([]byte, bsize)
 	off := 0
 	for i, e := range ents {
-		if off+direntSize(e.Name) > bsize {
+		if off+direntSize(len(e.Name)) > bsize {
 			rp.r.fixf("dir block overflow: dropped entry %q", e.Name)
 			continue
 		}

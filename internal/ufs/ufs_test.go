@@ -22,11 +22,11 @@ type testRig struct {
 // smallDisk is ~25 MB so tests run fast: 96 cyls x 8 heads x 64 spt.
 func smallGeom() *disk.Geometry { return disk.UniformGeometry(96, 8, 64, 3600) }
 
-func newRig(t *testing.T, opts MkfsOpts) *testRig { return newRigOn(t, nil, opts) }
+func newRig(t testing.TB, opts MkfsOpts) *testRig { return newRigOn(t, nil, opts) }
 
 // newRigOn builds the rig on a volume of small drives; a nil vc means
 // one bare drive.
-func newRigOn(t *testing.T, vc *vol.Config, opts MkfsOpts) *testRig {
+func newRigOn(t testing.TB, vc *vol.Config, opts MkfsOpts) *testRig {
 	t.Helper()
 	s := sim.New(1)
 	t.Cleanup(s.Close)
@@ -57,7 +57,7 @@ func newRigOn(t *testing.T, vc *vol.Config, opts MkfsOpts) *testRig {
 }
 
 // run executes fn as a simulated process and drives the sim to quiet.
-func (r *testRig) run(t *testing.T, fn func(p *sim.Proc)) {
+func (r *testRig) run(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	r.s.Spawn("test", fn)
 	if err := r.s.Run(); err != nil {
