@@ -33,6 +33,7 @@ fuzz:
 	go test ./internal/ufs -run '^$$' -fuzz '^FuzzFsckRepair$$' -fuzztime 30s -fuzzminimizetime 5s
 	go test ./internal/ufs -run '^$$' -fuzz '^FuzzDirBlock$$' -fuzztime 30s -fuzzminimizetime 5s
 	go test ./internal/wal -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 30s -fuzzminimizetime 5s
+	go test ./internal/disk -run '^$$' -fuzz '^FuzzLoadImage$$' -fuzztime 30s -fuzzminimizetime 5s
 	go test ./internal/vec -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 30s -fuzzminimizetime 5s
 	go test ./internal/fault -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 30s -fuzzminimizetime 5s
 	go test . -run '^$$' -fuzz '^FuzzScenarioFlags$$' -fuzztime 30s -fuzzminimizetime 5s

@@ -62,56 +62,74 @@ func (d *Disk) DumpImage(w io.Writer) error {
 
 // LoadImage replaces the platter contents and geometry from a dump
 // written by DumpImage. The disk's mechanical parameters are retained;
-// only geometry and data change.
+// only geometry and data change. The whole dump is parsed before the
+// disk is touched: a truncated dump, a bad geometry, a negative chunk
+// count, or a chunk index that is negative, past the dump's own
+// geometry or repeated returns an error and leaves the disk unchanged.
 func (d *Disk) LoadImage(r io.Reader) error {
-	br := bufio.NewReader(r)
+	g, image, err := parseImage(bufio.NewReader(r))
+	if err != nil {
+		return err
+	}
+	d.P.Geom, d.image = g, image
+	return nil
+}
+
+// parseImage reads and checks a whole dump.
+func parseImage(br *bufio.Reader) (*Geometry, map[int64][]byte, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if magic != imageMagic {
-		return fmt.Errorf("disk: bad image magic %q", magic)
+		return nil, nil, fmt.Errorf("disk: bad image magic %q", magic)
 	}
-	var nz, heads, rpm int32
-	for _, p := range []*int32{&nz, &heads, &rpm} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return err
-		}
+	var hdr [3]int32 // zones, heads, rpm
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, nil, err
 	}
-	if nz <= 0 || nz > 64 {
-		return fmt.Errorf("disk: implausible zone count %d", nz)
+	if nz := hdr[0]; nz <= 0 || nz > 64 {
+		return nil, nil, fmt.Errorf("disk: implausible zone count %d", nz)
 	}
-	zones := make([]Zone, nz)
+	zones := make([]Zone, hdr[0])
 	for i := range zones {
-		var cyl, spt int32
-		if err := binary.Read(br, binary.LittleEndian, &cyl); err != nil {
-			return err
+		var z [2]int32 // cylinders, sectors per track
+		if err := binary.Read(br, binary.LittleEndian, &z); err != nil {
+			return nil, nil, err
 		}
-		if err := binary.Read(br, binary.LittleEndian, &spt); err != nil {
-			return err
-		}
-		zones[i] = Zone{Cylinders: int(cyl), SPT: int(spt)}
+		zones[i] = Zone{Cylinders: int(z[0]), SPT: int(z[1])}
 	}
-	g, err := NewGeometry(int(heads), int(rpm), zones...)
+	g, err := NewGeometry(int(hdr[1]), int(hdr[2]), zones...)
 	if err != nil {
-		return fmt.Errorf("disk: bad image geometry: %w", err)
+		return nil, nil, fmt.Errorf("disk: bad image geometry: %w", err)
 	}
-	d.P.Geom = g
 	var n int64
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return err
+		return nil, nil, err
 	}
-	d.image = make(map[int64][]byte, n)
+	room := (g.TotalSectors() + chunkSectors - 1) / chunkSectors
+	if n < 0 || n > room {
+		return nil, nil, fmt.Errorf("disk: image claims %d chunks, its geometry holds %d", n, room)
+	}
+	// Not presized by n: every chunk must be present in the input, so
+	// memory grows with what was actually read.
+	image := make(map[int64][]byte)
 	for i := int64(0); i < n; i++ {
 		var k int64
 		if err := binary.Read(br, binary.LittleEndian, &k); err != nil {
-			return err
+			return nil, nil, err
+		}
+		if k < 0 || k >= room {
+			return nil, nil, fmt.Errorf("disk: image chunk %d outside its %d-chunk geometry", k, room)
+		}
+		if _, dup := image[k]; dup {
+			return nil, nil, fmt.Errorf("disk: image chunk %d appears twice", k)
 		}
 		buf := make([]byte, chunkSectors*SectorSize)
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return err
+			return nil, nil, err
 		}
-		d.image[k] = buf
+		image[k] = buf
 	}
-	return nil
+	return g, image, nil
 }

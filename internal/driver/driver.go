@@ -446,20 +446,34 @@ func (dr *Driver) requeue(b *Buf) {
 	dr.start()
 }
 
-// IO is a synchronous convenience: Strategy plus wait for completion.
-func (dr *Driver) IO(p *sim.Proc, b *Buf) {
-	done := false
-	var q sim.WaitQ
-	prev := b.Iodone
-	b.Iodone = func(bb *Buf) {
-		done = true
-		q.WakeAll()
-		if prev != nil {
-			prev(bb)
-		}
+// IO is the synchronous form of Strategy: it queues bufs in order —
+// their transfers overlap in the queue — blocks until every one has
+// completed, with a single wake-up at the last completion, and returns
+// the first error in completion order. IO sets the bufs' Iodone.
+func (dr *Driver) IO(p *sim.Proc, bufs ...*Buf) error {
+	w := &ioWait{left: len(bufs)}
+	for _, b := range bufs {
+		b.Iodone = w.done
+		dr.Strategy(p, b)
 	}
-	dr.Strategy(p, b)
-	for !done {
-		p.Block(&q)
+	for w.left > 0 {
+		p.Block(&w.q)
+	}
+	return w.err
+}
+
+// ioWait counts one IO call's bufs down.
+type ioWait struct {
+	left int
+	err  error
+	q    sim.WaitQ
+}
+
+func (w *ioWait) done(b *Buf) {
+	if w.err == nil {
+		w.err = b.Err
+	}
+	if w.left--; w.left == 0 {
+		w.q.WakeAll()
 	}
 }

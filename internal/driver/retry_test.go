@@ -231,3 +231,44 @@ func TestRetriesDisabled(t *testing.T) {
 		t.Fatalf("retries=%d giveups=%d, want 0/1", dr.Stats.Retries, dr.Stats.Giveups)
 	}
 }
+
+func TestIOWaitsForEveryBufAndReturnsItsError(t *testing.T) {
+	// One IO call over three writes, the second of which dies: IO
+	// returns only once all three are on the platter, with the failed
+	// buffer's typed error.
+	s, dr, d, _ := newFaultRig(t, fault.Plan{Rules: []fault.Rule{fault.FailNthHard(2, fault.Writes)}}, false)
+	var bufs []*Buf
+	for i := 0; i < 3; i++ {
+		data := bytes.Repeat([]byte{byte(i + 1)}, 8192)
+		bufs = append(bufs, &Buf{Blkno: int64(1000 + i*50000), Data: data, Write: true})
+	}
+	var err error
+	landed := 0
+	s.Spawn("io", func(p *sim.Proc) {
+		err = dr.IO(p, bufs...)
+		got := make([]byte, 8192)
+		for _, b := range bufs {
+			if d.ReadImage(b.Blkno, got); bytes.Equal(got, b.Data) {
+				landed++
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var failed *Buf
+	for _, b := range bufs {
+		if b.Err != nil {
+			if failed != nil {
+				t.Fatal("more than one buffer failed")
+			}
+			failed = b
+		}
+	}
+	if failed == nil || err != failed.Err || !errors.Is(err, disk.ErrMedia) {
+		t.Fatalf("IO returned %v; want the failed buffer's media error", err)
+	}
+	if landed != 2 {
+		t.Fatalf("%d buffers on the platter when IO returned, want 2", landed)
+	}
+}

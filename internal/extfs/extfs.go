@@ -294,13 +294,13 @@ func (f *File) io(p *sim.Proc, pbn int32, buf []byte, write bool) error {
 		Data:  buf,
 		Write: write,
 	}
-	fs.Drv.IO(p, b)
+	err := fs.Drv.IO(p, b)
 	if write {
 		fs.Writes++
 	} else {
 		fs.Reads++
 	}
-	return b.Err
+	return err
 }
 
 // span computes the largest transfer starting at off: bounded by the

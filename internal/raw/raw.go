@@ -48,9 +48,8 @@ func (d *Device) xfer(p *sim.Proc, off int64, buf []byte, write bool) (int, erro
 			Data:  buf[:n],
 			Write: write,
 		}
-		d.Drv.IO(p, b)
-		if b.Err != nil {
-			return total, b.Err
+		if err := d.Drv.IO(p, b); err != nil {
+			return total, err
 		}
 		off += int64(n)
 		buf = buf[n:]

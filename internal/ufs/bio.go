@@ -177,11 +177,10 @@ func (bc *Bcache) Bread(p *sim.Proc, fsbn int32) (*MBuf, error) {
 	}
 	db := &driver.Buf{Blkno: bc.sb.FsbToDb(b.Fsbn), Data: b.Data}
 	// simlint:ignore blockpath -- waiting for this buffer's own read: b must stay locked until its data lands
-	bc.Drv.IO(p, db)
-	if db.Err != nil {
-		bc.recordErr(db.Err)
+	if err := bc.Drv.IO(p, db); err != nil {
+		bc.recordErr(err)
 		bc.Brelse(b)
-		return nil, db.Err
+		return nil, err
 	}
 	b.valid = true
 	return b, nil
@@ -283,11 +282,10 @@ func (fs *Fs) metaWrite(p *sim.Proc, b *MBuf) error {
 // iowrite performs the timed write of b. A give-up from the driver is
 // returned and recorded in the sticky error.
 func (bc *Bcache) iowrite(p *sim.Proc, b *MBuf) error {
-	db := &driver.Buf{Blkno: bc.sb.FsbToDb(b.Fsbn), Data: b.Data, Write: true}
-	bc.Drv.IO(p, db)
+	err := bc.Drv.IO(p, &driver.Buf{Blkno: bc.sb.FsbToDb(b.Fsbn), Data: b.Data, Write: true})
 	bc.Writes++
-	bc.recordErr(db.Err)
-	return db.Err
+	bc.recordErr(err)
+	return err
 }
 
 // Flush writes every dirty buffer (sync/unmount path) in ascending

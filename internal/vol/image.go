@@ -7,62 +7,31 @@ import (
 )
 
 // Offline image access: the zero-time path mkfs, fsck, repair, and the
-// crash-recovery harness use. It shares the timed path's address
-// mapping and, on RAID-5, its row and reconstruction plans (plan.go) —
-// an offline metadata write keeps parity coherent and an offline read
-// of a dead member's chunk reconstructs it — so a file system checked
-// offline and a file system read through the driver see one device.
-// Nothing here moves Stats or emits an event.
+// crash-recovery harness use. It runs the timed path's plans (planIO)
+// against the members' platters — an offline metadata write keeps
+// parity coherent and an offline read of a dead member's chunk
+// reconstructs it — so a file system checked offline and a file system
+// read through the driver see one device. Offline reads of a mirror
+// take its lowest live side and leave the read rotor alone. Nothing
+// here moves Stats or emits an event.
 
 // ReadImage copies logical sectors without consuming simulated time.
 func (v *Volume) ReadImage(sector int64, buf []byte) {
-	if len(buf)%disk.SectorSize != 0 {
-		panic("vol: image access not sector aligned") // simlint:invariant -- offline callers use block-multiple buffers
-	}
-	n := int64(len(buf) / disk.SectorSize)
-	switch v.cfg.Level {
-	case RAID1:
-		m := v.firstHealthy()
-		if m < 0 {
-			panic("vol: image read with no live members") // simlint:invariant -- harnesses keep at least one mirror side
-		}
-		v.members[m].ReadImage(sector, buf)
-	default:
-		for _, p := range v.mapData(sector, n, 0) {
-			// Only RAID-5 has anything to reconstruct from: a member failed
-			// administratively on a non-redundant level is still read, as
-			// issueRead does.
-			if v.cfg.Level == RAID5 && v.failed[p.member] {
-				v.reconstructImage(p.member, p.msec, p.of(buf))
-			} else {
-				v.members[p.member].ReadImage(p.msec, p.of(buf))
-			}
-		}
-	}
+	v.runImageIO(sector, buf, false)
 }
 
 // WriteImage stores logical sectors without consuming simulated time.
 func (v *Volume) WriteImage(sector int64, data []byte) {
+	v.runImageIO(sector, data, true)
+}
+
+// runImageIO checks alignment, plans, and runs the plans offline.
+func (v *Volume) runImageIO(sector int64, data []byte, write bool) {
 	if len(data)%disk.SectorSize != 0 {
 		panic("vol: image access not sector aligned") // simlint:invariant -- offline callers use block-multiple buffers
 	}
-	n := int64(len(data) / disk.SectorSize)
-	switch v.cfg.Level {
-	case RAID1:
-		for m := range v.members {
-			if !v.failed[m] {
-				v.members[m].WriteImage(sector, data)
-			}
-		}
-	case RAID5:
-		rowSpan := int64(len(v.members)-1) * v.ss
-		for row := sector / rowSpan; row <= (sector+n-1)/rowSpan; row++ {
-			v.runImage(v.planRow(row, sector, data))
-		}
-	default:
-		for _, p := range v.mapData(sector, n, 0) {
-			v.members[p.member].WriteImage(p.msec, p.of(data))
-		}
+	if err := v.planIO(sector, data, write, v.firstHealthy, v.runImage); err != nil {
+		panic("vol: image access to a broken volume") // simlint:invariant -- construction caps failures at the level's tolerance
 	}
 }
 
@@ -88,16 +57,6 @@ func (v *Volume) firstHealthy() int {
 		}
 	}
 	return -1
-}
-
-// reconstructImage fills dst with the dead member's range starting at
-// msec, reconstructed from the survivors.
-func (v *Volume) reconstructImage(dead int, msec int64, dst []byte) {
-	pl, ok := v.planReconstruct(dead, msec, dst)
-	if !ok {
-		panic("vol: image read with two dead members") // simlint:invariant -- construction caps failures at the level's tolerance
-	}
-	v.runImage(pl)
 }
 
 // --- snapshot / restore --------------------------------------------------
@@ -139,8 +98,9 @@ const rebuildSpan = 128
 
 // Rebuild reconstructs member i's entire contents from the survivors —
 // the "replace the drive and resilver" operation — and returns it to
-// service. RAID-1 copies a live mirror side; RAID-5 reconstructs span
-// by span. Every other member must be healthy.
+// service. Each span is one plan whose write is member i: RAID-1 reads
+// a live mirror side, RAID-5 reconstructs (planReconstruct). Every
+// other member must be healthy.
 func (v *Volume) Rebuild(i int) error {
 	if i < 0 || i >= len(v.members) {
 		return fmt.Errorf("vol: rebuild member %d out of range", i)
@@ -159,12 +119,14 @@ func (v *Volume) Rebuild(i int) error {
 	}
 	buf := make([]byte, rebuildSpan*disk.SectorSize)
 	for s := int64(0); s < v.msize; s += rebuildSpan {
+		pl := plan{kind: direct}
 		if v.cfg.Level == RAID1 {
-			v.members[src].ReadImage(s, buf)
+			pl.reads = []xfer{{src, s, buf}}
 		} else {
-			v.reconstructImage(i, s, buf)
+			pl, _ = v.planReconstruct(i, s, buf) // every other member is live
 		}
-		v.members[i].WriteImage(s, buf)
+		pl.writes = []xfer{{i, s, buf}}
+		v.runImage(pl)
 	}
 	v.failed[i] = false
 	return nil

@@ -6,16 +6,18 @@ import (
 	"ufsclust/internal/disk"
 )
 
-// RAID-5 parity arithmetic, stated once. A plan names the member ranges
-// to read, how to fold what was read, and the member ranges to write
-// afterwards; making one performs no I/O. runPlan (rdwr.go) carries a
-// plan out through the member drives in virtual time and runImage
-// (image.go) through their platters in none, so the driver and the
-// offline tools — mkfs, fsck, repair, log recovery — keep parity by the
-// same rules.
+// The volume's member I/O, stated once. planIO turns a logical request
+// of any level into plans; a plan names the member ranges to read, how
+// to fold what was read, and the member ranges to write afterwards, and
+// making one performs no I/O. runPlan (rdwr.go) carries a plan out
+// through the member drives in virtual time and runImage (image.go)
+// through their platters in none, so the driver and the offline tools —
+// mkfs, fsck, repair, log recovery — address members, mirror sides and
+// parity by the same rules.
 
-// discipline is how the part of a parity row a request covers is
-// written.
+// discipline is what a plan does: one of the four ways the part of a
+// parity row a request covers is written, a reconstruction, or plain
+// member transfers.
 type discipline uint8
 
 const (
@@ -33,6 +35,12 @@ const (
 	// entire surviving row so the fold can solve for the dead chunk,
 	// overlay the new data and recompute the parity chunk outright.
 	deadDataRMW
+	// reconstruct: a read of a dead RAID-5 member's run, solved from
+	// every survivor (planReconstruct).
+	reconstruct
+	// direct: member transfers with no parity to keep — a concat,
+	// RAID-0 or live RAID-5 run, or the sides of a mirror.
+	direct
 )
 
 // xfer is one member transfer of a plan.
@@ -47,11 +55,110 @@ type xfer struct {
 // carry; it is nil when the writes are ready as planned.
 type plan struct {
 	kind   discipline
-	dead   int // the failed member, -1 on a healthy array (tolerance is 1)
-	npiece int // data pieces the request covers in this row
+	dead   int   // row kinds: the failed member, -1 on a healthy array; reconstruct: the member solved for
+	row    int64 // row kinds: the parity row
+	npiece int   // row kinds: data pieces the request covers in this row
 	reads  []xfer
 	fold   func(reads []xfer)
 	writes []xfer
+}
+
+// planIO hands fn, in the order the timed path issues them, the plans
+// a logical request for data at sector becomes:
+//
+//   - concat and RAID-0: one direct plan per member run;
+//   - RAID-1: a read from the side mirror() picks, or one write per
+//     live side in a single plan;
+//   - RAID-5 reads: live-member runs as for RAID-0, a reconstruction
+//     for a run on the dead member;
+//   - RAID-5 writes: one row plan per parity row (planRow).
+//
+// A run that no live member holds gets no plan: planIO returns
+// disk.ErrMedia after planning the rest. So does a RAID-5 write with
+// more members dead than the parity covers, and a RAID-1 request with
+// every side dead.
+func (v *Volume) planIO(sector int64, data []byte, write bool, mirror func() int, fn func(plan)) error {
+	n := int64(len(data) / disk.SectorSize)
+	switch {
+	case v.cfg.Level == RAID1 && write:
+		pl := plan{kind: direct, writes: make([]xfer, 0, len(v.members))}
+		for m := range v.members {
+			if !v.failed[m] {
+				// Members share the caller's buffer: writes only read it.
+				pl.writes = append(pl.writes, xfer{m, sector, data})
+			}
+		}
+		if len(pl.writes) == 0 {
+			return disk.ErrMedia
+		}
+		fn(pl)
+		return nil
+	case v.cfg.Level == RAID1:
+		m := mirror()
+		if m < 0 {
+			return disk.ErrMedia
+		}
+		fn(plan{kind: direct, reads: []xfer{{m, sector, data}}})
+		return nil
+	case v.cfg.Level == RAID5 && write:
+		if v.failedCount() > v.tolerance() {
+			return disk.ErrMedia
+		}
+		rowSpan := int64(len(v.members)-1) * v.ss
+		for row := sector / rowSpan; row <= (sector+n-1)/rowSpan; row++ {
+			fn(v.planRow(row, sector, data))
+		}
+		return nil
+	}
+	var err error
+	for _, run := range buildRuns(v.mapData(sector, n, 0)) {
+		if pl, ok := v.planRun(run, data, write); ok {
+			fn(pl)
+		} else {
+			err = disk.ErrMedia
+		}
+	}
+	return err
+}
+
+// planRun plans one member run of a concat or RAID-0 request or of a
+// RAID-5 read. A one-piece run transfers the request's own
+// bytes; a multi-piece run goes through a bounce buffer, gathered here
+// for a write and scattered by the plan's fold after a read. A read of
+// a dead RAID-5 member's run reconstructs it; ok is false when that is
+// impossible. Only RAID-5 has anything to reconstruct from: a member
+// failed administratively on a non-redundant level is still read.
+func (v *Volume) planRun(run memRun, data []byte, write bool) (pl plan, ok bool) {
+	buf := run.pieces[0].of(data)
+	if len(run.pieces) > 1 {
+		buf = make([]byte, run.n*disk.SectorSize)
+		if write {
+			off := int64(0)
+			for _, p := range run.pieces {
+				off += int64(copy(buf[off:], p.of(data)))
+			}
+		}
+	}
+	switch {
+	case write:
+		return plan{kind: direct, writes: []xfer{{run.member, run.msec, buf}}}, true
+	case v.cfg.Level == RAID5 && v.failed[run.member]:
+		if pl, ok = v.planReconstruct(run.member, run.msec, buf); !ok {
+			return plan{}, false
+		}
+	default:
+		pl = plan{kind: direct, reads: []xfer{{run.member, run.msec, buf}}}
+	}
+	if len(run.pieces) > 1 {
+		solve, pieces := pl.fold, run.pieces
+		pl.fold = func(reads []xfer) {
+			if solve != nil {
+				solve(reads)
+			}
+			scatter(data, pieces, buf)
+		}
+	}
+	return pl, true
 }
 
 // planRow plans writing the part of stripe row that a request for data
@@ -74,7 +181,7 @@ func (v *Volume) planRow(row, sector int64, data []byte) plan {
 	cb := v.ss * disk.SectorSize            // chunk bytes
 	fi := v.failedMember()
 
-	pl := plan{dead: fi, npiece: len(pieces), writes: make([]xfer, 0, len(pieces)+1)}
+	pl := plan{dead: fi, row: row, npiece: len(pieces), writes: make([]xfer, 0, len(pieces)+1)}
 	for _, p := range pieces {
 		if p.member != fi { // a dead data member's piece lives on only in the parity
 			pl.writes = append(pl.writes, xfer{p.member, p.msec, p.of(data)})
@@ -191,7 +298,7 @@ func (v *Volume) planReconstruct(dead int, msec int64, dst []byte) (pl plan, ok 
 			xorInto(dst, r.buf)
 		}
 	}
-	return plan{reads: reads, fold: fold}, true
+	return plan{kind: reconstruct, dead: dead, reads: reads, fold: fold}, true
 }
 
 // xorInto folds src into dst; len(src) must not exceed len(dst).

@@ -93,16 +93,15 @@ func (v *Volume) issue(q *volReq) {
 	v.dispatch(q)
 }
 
-// dispatch splits q into member operations. The pending guard held
-// across the dispatch keeps a fast-failing path from finishing the
-// request before every member operation has been counted.
+// dispatch runs q's plans (planIO); reads of a mirror rotate across its
+// live sides. The pending guard held across the dispatch keeps a
+// fast-failing path from finishing the request before every member
+// operation has been counted.
 func (v *Volume) dispatch(q *volReq) {
 	q.err, q.failMem = nil, -1
 	q.pending = 1
-	if q.r.Write {
-		v.issueWrite(q)
-	} else {
-		v.issueRead(q)
+	if err := v.planIO(q.r.Sector, q.r.Data, q.r.Write, v.pickMirror, func(pl plan) { v.runPlan(q, pl) }); err != nil && q.err == nil {
+		q.err = err // not a member fault: failMem stays -1
 	}
 	v.done(q, nil, -1)
 }
@@ -138,14 +137,6 @@ func (v *Volume) unlockRows(lo, hi int64) {
 			continue
 		}
 		delete(v.rowBusy, row)
-	}
-}
-
-// fail records a request-level error discovered at issue time.
-func (v *Volume) fail(q *volReq, err error) {
-	if q.err == nil {
-		q.err = err
-		q.failMem = -1
 	}
 }
 
@@ -252,8 +243,8 @@ func (v *Volume) mapData(lsec, n, boff int64) []piece {
 			p.member, p.msec = v.dataMember(row, int(t%(nm-1))), row*unit+o
 		default:
 			// RAID-1 member addresses equal logical addresses; mirroring
-			// is decided at issue time, not by the mapping.
-			panic("vol: mapData on mirror") // simlint:invariant -- issueRead/issueWrite special-case RAID1
+			// is decided by planIO, not by the mapping.
+			panic("vol: mapData on mirror") // simlint:invariant -- planIO special-cases RAID1
 		}
 		ps = append(ps, p)
 		lsec, n, boff = lsec+p.n, n-p.n, boff+p.n*disk.SectorSize
@@ -282,50 +273,21 @@ func (v *Volume) dataMember(row int64, d int) int {
 // buildRuns folds pieces into member-contiguous runs, preserving the
 // order in which members first appear — the deterministic issue order
 // the stripe-straddling golden test asserts.
-func (v *Volume) buildRuns(pieces []piece) []memRun {
-	var runs []memRun
-	last := make([]int, len(v.members))
-	for i := range last {
-		last[i] = -1
-	}
+func buildRuns(pieces []piece) []memRun {
+	runs := make([]memRun, 0, len(pieces))
 	for _, p := range pieces {
-		if i := last[p.member]; i >= 0 && runs[i].msec+runs[i].n == p.msec {
+		i := len(runs) - 1 // the member's latest run
+		for i >= 0 && runs[i].member != p.member {
+			i--
+		}
+		if i >= 0 && runs[i].msec+runs[i].n == p.msec {
 			runs[i].n += p.n
 			runs[i].pieces = append(runs[i].pieces, p)
 			continue
 		}
 		runs = append(runs, memRun{member: p.member, msec: p.msec, n: p.n, pieces: []piece{p}})
-		last[p.member] = len(runs) - 1
 	}
 	return runs
-}
-
-// submitRuns issues one member request per run. Single-piece runs use
-// the request's own buffer slice; multi-piece runs gather (writes)
-// or scatter (reads) through a bounce buffer.
-func (v *Volume) submitRuns(q *volReq, runs []memRun, write bool) {
-	data := q.r.Data
-	for _, run := range runs {
-		if len(run.pieces) == 1 {
-			v.subIO(q, run.member, run.msec, run.pieces[0].of(data), write, nil)
-			continue
-		}
-		buf := make([]byte, run.n*disk.SectorSize)
-		if write {
-			off := int64(0)
-			for _, p := range run.pieces {
-				off += int64(copy(buf[off:], p.of(data)))
-			}
-			v.subIO(q, run.member, run.msec, buf, true, nil)
-			continue
-		}
-		pieces := run.pieces
-		v.subIO(q, run.member, run.msec, buf, false, func(err error) {
-			if err == nil {
-				scatter(data, pieces, buf)
-			}
-		})
-	}
 }
 
 // scatter copies a run's member-contiguous bytes out to its pieces'
@@ -336,30 +298,7 @@ func scatter(data []byte, pieces []piece, buf []byte) {
 	}
 }
 
-// --- reads ---------------------------------------------------------------
-
-func (v *Volume) issueRead(q *volReq) {
-	r := q.r
-	switch v.cfg.Level {
-	case Concat, RAID0:
-		v.submitRuns(q, v.buildRuns(v.mapData(r.Sector, int64(r.Count), 0)), false)
-	case RAID1:
-		m := v.pickMirror()
-		if m < 0 {
-			v.fail(q, disk.ErrMedia)
-			return
-		}
-		v.subIO(q, m, r.Sector, r.Data, false, nil)
-	case RAID5:
-		for _, run := range v.buildRuns(v.mapData(r.Sector, int64(r.Count), 0)) {
-			if v.failed[run.member] {
-				v.reconstructRead(q, run)
-			} else {
-				v.submitRuns(q, []memRun{run}, false)
-			}
-		}
-	}
-}
+// --- timed execution -----------------------------------------------------
 
 // pickMirror rotates reads across the healthy mirror members so the
 // spindles share the load; -1 when every member is dead.
@@ -375,39 +314,22 @@ func (v *Volume) pickMirror() int {
 	return -1
 }
 
-// reconstructRead serves a run addressed to a failed RAID-5 member by
-// reconstruction (planReconstruct) from every surviving spindle.
-func (v *Volume) reconstructRead(q *volReq, run memRun) {
-	v.Stats.DegradedReads++
-	v.bus.Emit(telemetry.Event{
-		T:      v.s.Now(),
-		Kind:   telemetry.EvDegradedRead,
-		Sector: run.msec,
-		Bytes:  run.n * disk.SectorSize,
-		Dev:    v.members[run.member].Name(),
-	})
-	rb := make([]byte, run.n*disk.SectorSize)
-	pl, ok := v.planReconstruct(run.member, run.msec, rb)
-	if !ok {
-		v.fail(q, disk.ErrMedia)
-		return
-	}
-	solve := pl.fold
-	pl.fold = func(survivors []xfer) {
-		solve(survivors)
-		scatter(q.r.Data, run.pieces, rb)
-	}
-	v.runPlan(q, pl)
-}
-
-// runPlan is the timed executor of a plan: it issues the reads, and
-// from the completion of the last one — which still holds a pending
-// slot on q, so phase two cannot race the request's retirement — folds
-// and issues the writes. A failed read, this one or an earlier one
-// already latched in q.err, abandons phase two.
+// runPlan is the timed executor of a plan: it accounts for the plan,
+// issues the reads, and from the completion of the last one — which
+// still holds a pending slot on q, so phase two cannot race the
+// request's retirement — folds and issues the writes. A failed read,
+// this one or an earlier one already latched in q.err, abandons phase
+// two.
 func (v *Volume) runPlan(q *volReq, pl plan) {
-	if len(pl.reads) == 0 {
+	v.account(pl)
+	switch {
+	case len(pl.reads) == 0:
 		v.phaseTwo(q, pl)
+		return
+	case pl.fold == nil && len(pl.writes) == 0:
+		for _, r := range pl.reads {
+			v.subIO(q, r.member, r.msec, r.buf, false, nil)
+		}
 		return
 	}
 	rem := len(pl.reads)
@@ -432,38 +354,24 @@ func (v *Volume) phaseTwo(q *volReq, pl plan) {
 	}
 }
 
-// --- writes --------------------------------------------------------------
-
-func (v *Volume) issueWrite(q *volReq) {
-	r := q.r
-	switch v.cfg.Level {
-	case Concat, RAID0:
-		v.submitRuns(q, v.buildRuns(v.mapData(r.Sector, int64(r.Count), 0)), true)
-	case RAID1:
-		issued := 0
-		for m := range v.members {
-			if v.failed[m] {
-				continue
-			}
-			// Members share the caller's buffer: writes only read it.
-			v.subIO(q, m, r.Sector, r.Data, true, nil)
-			issued++
-		}
-		if issued == 0 {
-			v.fail(q, disk.ErrMedia)
-		}
-	case RAID5:
-		// The rows a write holds locked (issue) are the rows it writes.
-		for row := q.lockLo; row <= q.lockHi; row++ {
-			v.writeRow(q, row)
-		}
+// account counts a plan the timed path runs and emits its event, keyed
+// on its discipline: a reconstruction is a degraded read; a RAID-5 row
+// is a full-stripe, degraded or read-modify-write row.
+func (v *Volume) account(pl plan) {
+	switch pl.kind {
+	case direct:
+		return
+	case reconstruct:
+		v.Stats.DegradedReads++
+		v.bus.Emit(telemetry.Event{
+			T:      v.s.Now(),
+			Kind:   telemetry.EvDegradedRead,
+			Sector: pl.reads[0].msec,
+			Bytes:  int64(len(pl.reads[0].buf)),
+			Dev:    v.members[pl.dead].Name(),
+		})
+		return
 	}
-}
-
-// writeRow plans the part of one RAID-5 stripe row q covers (see
-// planRow for the disciplines), accounts for it, and runs the plan.
-func (v *Volume) writeRow(q *volReq, row int64) {
-	pl := v.planRow(row, q.r.Sector, q.r.Data)
 	if pl.dead >= 0 {
 		v.Stats.DegradedWrites++
 	} else if pl.kind == fullStripe {
@@ -474,7 +382,7 @@ func (v *Volume) writeRow(q *volReq, row int64) {
 		ev := telemetry.Event{
 			T:      v.s.Now(),
 			Kind:   telemetry.EvParityRMW,
-			Sector: row * int64(len(v.members)-1) * v.ss,
+			Sector: pl.row * int64(len(v.members)-1) * v.ss,
 			Blocks: int64(pl.npiece),
 		}
 		if pl.dead >= 0 {
@@ -482,5 +390,4 @@ func (v *Volume) writeRow(q *volReq, row int64) {
 		}
 		v.bus.Emit(ev)
 	}
-	v.runPlan(q, pl)
 }

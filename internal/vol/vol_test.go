@@ -1,6 +1,7 @@
 package vol_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -574,4 +575,38 @@ func TestBrokenVolumeReadsError(t *testing.T) {
 			t.Error("read on a two-dead-member RAID-5 succeeded, want error")
 		}
 	})
+}
+
+// TestBrokenVolumeWritesError pulls two members of a RAID-5 and
+// requires writes to be refused: with both gone no row can be read back,
+// so acknowledging the write would lose it silently. The offline path
+// treats the same state as a broken invariant.
+func TestBrokenVolumeWritesError(t *testing.T) {
+	for _, c := range []struct {
+		members int
+		dead    []int
+	}{{3, []int{0, 1}}, {4, []int{1, 3}}} {
+		t.Run(fmt.Sprintf("x%d-dead%v", c.members, c.dead), func(t *testing.T) {
+			s, v := newVol(t, 41, vol.Config{Level: vol.RAID5, Members: c.members, StripeKB: 8})
+			for _, m := range c.dead {
+				v.FailMember(m)
+			}
+			data := make([]byte, 64*disk.SectorSize)
+			fill(data, 9)
+			run(t, s, func(p *sim.Proc) {
+				if err := volIO(p, v, 0, data, true); !errors.Is(err, disk.ErrMedia) {
+					t.Errorf("write on a broken RAID-5: err %v, want %v", err, disk.ErrMedia)
+				}
+				if err := volIO(p, v, 0, make([]byte, len(data)), false); err == nil {
+					t.Error("read on a broken RAID-5 succeeded, want error")
+				}
+			})
+			defer func() {
+				if recover() == nil {
+					t.Error("offline write to a broken RAID-5 did not panic")
+				}
+			}()
+			v.WriteImage(0, data)
+		})
+	}
 }

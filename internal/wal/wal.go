@@ -500,34 +500,9 @@ func (l *Log) writeLog(p *sim.Proc, sector int64, img []byte) error {
 		end := min(off+maxphys, len(img))
 		l.bufs = append(l.bufs, &driver.Buf{Blkno: sector + int64(off/disk.SectorSize), Data: img[off:end], Write: true})
 	}
-	err := l.writeAll(p, l.bufs)
+	err := l.Drv.IO(p, l.bufs...)
 	l.recordErr(err)
 	return err
-}
-
-// writeAll queues every buffer, then waits for them all — the transfers
-// overlap in the driver queue — and returns the first error in
-// completion order.
-func (l *Log) writeAll(p *sim.Proc, bufs []*driver.Buf) error {
-	outstanding := len(bufs)
-	var firstErr error
-	var q sim.WaitQ
-	for _, b := range bufs {
-		b.Iodone = func(db *driver.Buf) {
-			if firstErr == nil {
-				firstErr = db.Err
-			}
-			outstanding--
-			if outstanding == 0 {
-				q.WakeAll()
-			}
-		}
-		l.Drv.Strategy(p, b)
-	}
-	for outstanding > 0 {
-		p.Block(&q)
-	}
-	return firstErr
 }
 
 // Checkpoint writes every committed block home and resets the log. The
@@ -558,17 +533,16 @@ func (l *Log) checkpoint(p *sim.Proc) error {
 	for _, sector := range detsort.Keys(l.ckpt) {
 		home = append(home, &driver.Buf{Blkno: sector, Data: l.ckpt[sector], Write: true})
 	}
-	if err := l.writeAll(p, home); err != nil {
+	if err := l.Drv.IO(p, home...); err != nil {
 		// The home copies are not all durable; keep the log as is so
 		// recovery can still replay them.
 		l.recordErr(err)
 		return err
 	}
 	sb := &driver.Buf{Blkno: l.base, Data: logSuperblock(l.epoch + 1), Write: true}
-	l.Drv.IO(p, sb)
-	l.recordErr(sb.Err)
-	if sb.Err != nil {
-		return sb.Err
+	if err := l.Drv.IO(p, sb); err != nil {
+		l.recordErr(err)
+		return err
 	}
 	l.epoch++
 	l.head = 1

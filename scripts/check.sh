@@ -38,11 +38,14 @@
 #                                          write, once per machine shape
 #                                          in the loop's list (single
 #                                          drive, degraded mirror,
-#                                          journaled with replay
-#                                          recovery, journaled RAID-5
-#                                          where the volume and the
-#                                          log meet); exits nonzero on
-#                                          any crash-consistency
+#                                          three-member stripe set,
+#                                          healthy RAID-5, so every
+#                                          volume plan shape meets a
+#                                          crash cut; journaled with
+#                                          replay recovery, journaled
+#                                          RAID-5 where the volume and
+#                                          the log meet); exits nonzero
+#                                          on any crash-consistency
 #                                          violation
 #
 # Each step prints the seconds it took and the last line the total.
@@ -86,7 +89,7 @@ step "go -C bench test ." go -C bench test .
 step "go test -race -short ./internal/..." go test -race -short ./internal/...
 
 go build -o "$tmp/faultlab" ./cmd/faultlab
-for shape in "" "-vol raid1 -degraded 1" "-journal wal" "-vol raid5 -journal wal"; do
+for shape in "" "-vol raid1 -degraded 1" "-vol raid0 -members 3" "-vol raid5" "-journal wal" "-vol raid5 -journal wal"; do
     # shellcheck disable=SC2086 # a shape is a list of flags
     step "faultlab smoke sweep $shape" "$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 $shape
 done
