@@ -64,9 +64,11 @@ cover:
 	go tool cover -func=coverage.out | tail -n 1
 	@echo "cover: wrote coverage.out (go tool cover -html=coverage.out to browse)"
 
-# loc prints the two sizes every design-diet PR reports (ROADMAP.md):
-# non-test Go lines outside bench/ and testdata/, and the root package's
-# With* option constructors.
+# loc prints the three sizes every design-diet PR reports (ROADMAP.md):
+# non-test Go lines outside bench/ and testdata/, the root package's
+# With* option constructors, and the settable values
+# TestPublicOptionsSurface counts.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l | xargs echo "non-test Go lines:"
 	@grep -c '^func With' options.go | xargs echo "root With* constructors:"
+	@go test -count=1 -run '^TestPublicOptionsSurface$$' -v . | sed -n 's/.*settable values: /settable values: /p'

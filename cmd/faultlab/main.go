@@ -55,6 +55,9 @@ func main() {
 	if w.Run, err = ufsclust.RunByName(*runName); err == nil {
 		_, err = w.Options()
 	}
+	if err == nil && *cuts < 1 {
+		err = fmt.Errorf("-cuts %d: need at least one crash point", *cuts)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faultlab: %v\n", err)
 		os.Exit(2)

@@ -183,7 +183,7 @@ func NewEngine(s *sim.Sim, cpuModel *cpu.Model, vmSys *vm.VM, fs *ufs.Fs, cfg Co
 
 // autoVec is the default vectored-I/O strategy, shared safely across
 // engines because it is stateless.
-var autoVec = vec.Auto(0)
+var autoVec = vec.Auto()
 
 // vecStrategy returns the configured vectored-I/O strategy, defaulting
 // to the density-threshold auto policy.

@@ -19,7 +19,7 @@ var vecStrategies = []struct {
 	{"naive", vec.UseNaive()},
 	{"sieve", vec.UseSieve()},
 	{"list", vec.UseList()},
-	{"auto", vec.Auto(0)},
+	{"auto", vec.Auto()},
 }
 
 // newVecRig builds a clustered rig with the given vectored-I/O
@@ -161,7 +161,7 @@ func TestReadvHoles(t *testing.T) {
 }
 
 func TestReadvValidation(t *testing.T) {
-	r := newVecRig(t, vec.Auto(0))
+	r := newVecRig(t, vec.Auto())
 	r.run(t, func(p *sim.Proc) {
 		f, _ := vecFill(t, r, p, 16384)
 		if _, err := f.Readv(p, []vec.Ext{{Off: -1, Len: 8}}, make([]byte, 8)); err == nil {
@@ -277,7 +277,7 @@ func TestWritevEdgeCases(t *testing.T) {
 // no vectored accounting and no vec_io event. (The byte-for-byte golden
 // replay against the pre-vec fixtures lives in internal/iobench.)
 func TestVecSingleElementDegeneration(t *testing.T) {
-	r := newVecRig(t, vec.Auto(0))
+	r := newVecRig(t, vec.Auto())
 	tel := telemetry.New()
 	r.eng.AttachTelemetry(tel)
 	var vecEvents int
@@ -420,7 +420,7 @@ func vecDeterminismWorkload(t *testing.T, r *rig) {
 func vecTraceRun(t *testing.T) replay {
 	t.Helper()
 	mk, cfg := clusteredOpts()
-	cfg.Vec = vec.Auto(0)
+	cfg.Vec = vec.Auto()
 	r := newRig(t, mk, cfg, 240<<10)
 	var tw bytes.Buffer
 	r.s.TraceW = &tw

@@ -19,9 +19,10 @@ import (
 // DefaultMaxPhys is the classic 56 KB transfer limit.
 const DefaultMaxPhys = 56 * 1024
 
-// Retry policy: a failed transfer is retried up to DefaultMaxRetries
-// times, the first after RetryBackoff and each subsequent one after
-// double the previous delay (classic exponential backoff).
+// Retry policy: a failed transfer is retried DefaultMaxRetries times,
+// the first after RetryBackoff and each subsequent one after double the
+// previous delay (classic exponential backoff), before the driver gives
+// up and delivers a *DevError.
 const (
 	DefaultMaxRetries = 3
 	RetryBackoff      = 5 * sim.Millisecond
@@ -100,28 +101,16 @@ type Stats struct {
 // Config selects driver behaviour.
 type Config struct {
 	MaxPhys int // maximum single transfer in bytes; 0 means DefaultMaxPhys
-	// Sort enables disksort elevator ordering (some drivers rely on
-	// intelligent controllers instead; the paper notes "not all drivers
-	// call disksort").
-	Sort bool
 	// Coalesce enables driver-level clustering of adjacent queued
 	// requests — the "driver clustering" alternative the paper rejects
 	// because it only helps writes and still traverses the file system
 	// per block.
 	Coalesce bool
-	// MaxRetries is how many times a failed transfer is reissued before
-	// the driver gives up and delivers a *DevError. 0 means
-	// DefaultMaxRetries; negative disables retries entirely.
-	MaxRetries int
 }
 
-// DefaultConfig returns a sorting, non-coalescing driver.
+// DefaultConfig returns a non-coalescing driver with the 56 KB limit.
 func DefaultConfig() Config {
-	return Config{
-		MaxPhys:    DefaultMaxPhys,
-		Sort:       true,
-		MaxRetries: DefaultMaxRetries,
-	}
+	return Config{MaxPhys: DefaultMaxPhys}
 }
 
 // Driver glues the file system to one block device — a bare drive or a
@@ -171,9 +160,6 @@ func (dr *Driver) AttachTelemetry(tel *telemetry.Telemetry) {
 func New(s *sim.Sim, d disk.Device, cpuModel *cpu.Model, cfg Config) *Driver {
 	if cfg.MaxPhys == 0 {
 		cfg.MaxPhys = DefaultMaxPhys
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
 	}
 	if cfg.MaxPhys%disk.SectorSize != 0 {
 		panic("driver: MaxPhys not sector aligned") // simlint:invariant -- harness configuration assertion at construction
@@ -232,7 +218,7 @@ func (dr *Driver) Strategy(p *sim.Proc, b *Buf) {
 // ascending runs, the first at or beyond the current head position, the
 // second behind it (the wrap). B_ORDER barriers pin the tail.
 func (dr *Driver) insert(b *Buf) {
-	if !dr.Cfg.Sort || b.Order {
+	if b.Order {
 		dr.queue = append(dr.queue, b)
 		return
 	}
@@ -374,7 +360,7 @@ func (dr *Driver) complete(b *Buf, devErr error) {
 	if b.Order {
 		dr.barrier = false
 	}
-	if devErr != nil && b.attempts < dr.Cfg.MaxRetries {
+	if devErr != nil && b.attempts < DefaultMaxRetries {
 		// Transient-error path: back off (doubling per attempt), then
 		// reissue at the head of the queue. The drive is released in
 		// the meantime, so queued requests are not starved by the

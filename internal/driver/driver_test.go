@@ -109,34 +109,6 @@ func TestDisksortElevatorWrap(t *testing.T) {
 	}
 }
 
-func TestNoSortFIFO(t *testing.T) {
-	s := sim.New(1)
-	t.Cleanup(s.Close)
-	d := disk.New(s, "d0", disk.DefaultParams())
-	cfg := DefaultConfig()
-	cfg.Sort = false
-	dr := New(s, d, nil, cfg)
-	var order []int64
-	mk := func(blk int64) *Buf {
-		return &Buf{Blkno: blk, Data: make([]byte, 512), Iodone: func(b *Buf) { order = append(order, b.Blkno) }}
-	}
-	s.Spawn("io", func(p *sim.Proc) {
-		dr.Strategy(p, mk(10))
-		dr.Strategy(p, mk(500000))
-		dr.Strategy(p, mk(1000))
-		p.Sleep(2 * sim.Second)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{10, 500000, 1000}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("service order = %v, want %v (FIFO)", order, want)
-		}
-	}
-}
-
 func TestOrderBarrierPreventsReorder(t *testing.T) {
 	// A B_ORDER request pins everything queued after it, even blocks
 	// that sort earlier.

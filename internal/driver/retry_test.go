@@ -199,39 +199,6 @@ func TestClusterChildrenInheritError(t *testing.T) {
 	}
 }
 
-func TestRetriesDisabled(t *testing.T) {
-	// MaxRetries < 0 turns retries off: the first failure is final.
-	s := sim.New(1)
-	t.Cleanup(s.Close)
-	tel := telemetry.New()
-	d := disk.New(s, "d0", disk.DefaultParams())
-	cfg := DefaultConfig()
-	cfg.MaxRetries = -1
-	dr := New(s, d, nil, cfg)
-	inj, err := fault.NewInjector(s, fault.Plan{Rules: []fault.Rule{fault.FailNth(1, fault.Writes, 1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AttachFaults(inj)
-	d.AttachTelemetry(tel)
-	dr.AttachTelemetry(tel)
-	inj.AttachTelemetry(tel)
-	var b *Buf
-	s.Spawn("io", func(p *sim.Proc) {
-		b = &Buf{Blkno: 320, Data: make([]byte, 512), Write: true}
-		dr.IO(p, b)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Err == nil {
-		t.Fatal("no error with retries disabled")
-	}
-	if dr.Stats.Retries != 0 || dr.Stats.Giveups != 1 {
-		t.Fatalf("retries=%d giveups=%d, want 0/1", dr.Stats.Retries, dr.Stats.Giveups)
-	}
-}
-
 func TestIOWaitsForEveryBufAndReturnsItsError(t *testing.T) {
 	// One IO call over three writes, the second of which dies: IO
 	// returns only once all three are on the platter, with the failed

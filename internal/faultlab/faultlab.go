@@ -338,8 +338,12 @@ func (sr *SweepResult) Violations() []Report {
 // then crashes it at n instants evenly spaced across (0, T) and
 // verifies every recovery, across workers host goroutines (0 means
 // GOMAXPROCS, 1 serial). Every machine is seeded only by the workload,
-// so the sweep is deterministic regardless of worker count.
+// so the sweep is deterministic regardless of worker count. A sweep of
+// fewer than one cut tests nothing and is an error.
 func Sweep(w Workload, n, workers int) (*SweepResult, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("faultlab: %d cuts: a sweep needs at least one", n)
+	}
 	w = w.withDefaults()
 	base, err := RunToCrash(w, fault.Plan{})
 	if err != nil {

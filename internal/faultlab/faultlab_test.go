@@ -259,6 +259,17 @@ func TestNegativeSizesAreAnError(t *testing.T) {
 	}
 }
 
+// TestSweepRefusesNoCuts: `faultlab -cuts 0` used to run only the
+// baseline and report "0 cuts" as a pass.
+func TestSweepRefusesNoCuts(t *testing.T) {
+	w := Workload{Scenario: runA(1, ""), FileMB: 1}
+	for _, n := range []int{0, -4} {
+		if sr, err := Sweep(w, n, 1); err == nil {
+			t.Errorf("Sweep(%d cuts) = %d reports and no error", n, len(sr.Reports))
+		}
+	}
+}
+
 func ExampleSweep() {
 	w := Workload{Scenario: runA(1, ""), FileMB: 1, FsyncEvery: 128 << 10}
 	sr, err := Sweep(w, 4, 1)

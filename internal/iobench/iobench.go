@@ -172,6 +172,12 @@ func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry
 		// over bytes the disk never delivered.
 		return Result{}, telemetry.Snapshot{}, fmt.Errorf("iobench: stride %d is below the record size %d", prm.Stride, prm.Record)
 	}
+	if int64(prm.IOSize) > int64(prm.FileMB)<<20 {
+		// A random offset needs at least one I/O-sized slot in the file,
+		// and a sequential pass would report the file's size after
+		// moving one I/O's worth.
+		return Result{}, telemetry.Snapshot{}, fmt.Errorf("iobench: I/O size %d exceeds the %d MB file", prm.IOSize, prm.FileMB)
+	}
 	sc.Seed++
 	m, err := sc.New()
 	if err != nil {

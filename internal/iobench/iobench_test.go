@@ -178,7 +178,8 @@ func TestParallelTableMatchesSerial(t *testing.T) {
 // the 400 MB drive cannot hold must come back as the setup write's
 // error, not as a rate over bytes that were never written. The same goes
 // for FSTR records that overlap (a stride below the record size), which
-// counted the shared bytes once per element.
+// counted the shared bytes once per element, and for an I/O larger than
+// the file, which panicked the random kinds and overstated FSW.
 func TestNegativeSizesAreAnError(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -191,6 +192,10 @@ func TestNegativeSizesAreAnError(t *testing.T) {
 		{"FSTR_stride_below_record", FSTR, Params{FileMB: 1, Record: 8192, Stride: 100}},
 		{"FSM_negative_file", FSM, Params{FileMB: -1}}, {"FSR_negative_file", FSR, Params{FileMB: -1}},
 		{"FSM_full_disk", FSM, Params{FileMB: 450}}, {"FSR_full_disk", FSR, Params{FileMB: 450}},
+		{"FRR_io_beyond_file", FRR, Params{FileMB: 1, IOSize: 2 << 20, RandomOps: 4}},
+		{"FRU_io_beyond_file", FRU, Params{FileMB: 1, IOSize: 2 << 20, RandomOps: 4}},
+		{"FMX_io_beyond_file", FMX, Params{FileMB: 1, IOSize: 2 << 20, RandomOps: 4}},
+		{"FSW_io_beyond_file", FSW, Params{FileMB: 1, IOSize: 2 << 20}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if res, err := Run(ufsclust.Scenario{Run: ufsclust.RunA()}, c.kind, c.prm); err == nil {

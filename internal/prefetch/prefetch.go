@@ -99,46 +99,32 @@ func (fixed) Trigger(ino int32, seq bool, lim Limits) Decision {
 func (fixed) Random(ino int32) {}
 func (fixed) Forget(ino int32) {}
 
-// AdaptiveConfig tunes the adaptive policy. The zero value selects the
-// defaults below.
-type AdaptiveConfig struct {
-	// StartClusters is the window issued on the first confirmed
+// The adaptive policy's tuning.
+const (
+	// startClusters is the window issued on the first confirmed
 	// sequential trigger (the second sequential trigger since the last
-	// collapse). Default 1.
-	StartClusters int
-	// MaxClusters is the ramp ceiling. Default 8 (120 blocks ahead at
-	// the paper's 15-block clusters).
-	MaxClusters int
-	// MemDivisor caps the window at FreePages/MemDivisor pages so a
+	// collapse).
+	startClusters = 1
+	// maxClusters is the ramp ceiling: 120 blocks ahead at the paper's
+	// 15-block clusters.
+	maxClusters = 8
+	// memDivisor caps the window at FreePages/memDivisor pages so a
 	// deep window cannot flush the cache; when memory is low the window
-	// additionally collapses to at most one cluster. Default 4.
-	MemDivisor int
-	// ConfidenceCap saturates the confidence counter (and therefore the
-	// ramp exponent). Default 16.
-	ConfidenceCap int
-}
+	// additionally collapses to at most one cluster.
+	memDivisor = 4
+	// confidenceCap saturates the confidence counter (and therefore the
+	// ramp exponent).
+	confidenceCap = 16
+)
 
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.StartClusters <= 0 {
-		c.StartClusters = 1
-	}
-	if c.MaxClusters <= 0 {
-		c.MaxClusters = 8
-	}
-	if c.MemDivisor <= 0 {
-		c.MemDivisor = 4
-	}
-	if c.ConfidenceCap <= 0 {
-		c.ConfidenceCap = 16
-	}
-	return c
-}
+// AdaptiveConfig is NewAdaptive's argument. It has no settings: the
+// policy's tuning is the constants above.
+type AdaptiveConfig struct{}
 
 // Adaptive is the confidence-driven policy: per-file detectors keyed by
 // inode number. Detectors are looked up, never iterated, so the map
 // leaks no host ordering into the simulation.
 type Adaptive struct {
-	cfg   AdaptiveConfig
 	files map[int32]*detector
 }
 
@@ -148,9 +134,9 @@ type detector struct {
 	hits int
 }
 
-// NewAdaptive returns an adaptive policy with the given tuning.
-func NewAdaptive(cfg AdaptiveConfig) *Adaptive {
-	return &Adaptive{cfg: cfg.withDefaults(), files: make(map[int32]*detector)}
+// NewAdaptive returns an adaptive policy.
+func NewAdaptive(AdaptiveConfig) *Adaptive {
+	return &Adaptive{files: make(map[int32]*detector)}
 }
 
 func (a *Adaptive) Name() string { return "adaptive" }
@@ -167,8 +153,8 @@ func (a *Adaptive) file(ino int32) *detector {
 // Trigger ramps the window: the first sequential trigger after a
 // collapse arms the detector without issuing (a single accidental
 // next-block touch — the head of a two-block random burst — must not
-// pay a full cluster), the second issues StartClusters, and each
-// further *granted* window doubles the next one up to MaxClusters —
+// pay a full cluster), the second issues startClusters, and each
+// further *granted* window doubles the next one up to maxClusters —
 // confidence steps once per window issued, not once per consulted
 // block, so a freshly confirmed stream cannot leap straight to the
 // ceiling and overshoot. A trigger whose access did not match the
@@ -182,29 +168,29 @@ func (a *Adaptive) Trigger(ino int32, seq bool, lim Limits) Decision {
 		d.hits = 1
 		return Decision{Clusters: 0, Confidence: 1}
 	}
-	want := a.cfg.StartClusters
-	for i := 1; i < d.hits && want < a.cfg.MaxClusters; i++ {
+	want := startClusters
+	for i := 1; i < d.hits && want < maxClusters; i++ {
 		want *= 2
 	}
-	if want > a.cfg.MaxClusters {
-		want = a.cfg.MaxClusters
+	if want > maxClusters {
+		want = maxClusters
 	}
-	dec := clamp(Decision{Clusters: want, Confidence: d.hits}, a.cfg, lim)
-	if dec.Clusters > 0 && d.hits < a.cfg.ConfidenceCap {
+	dec := clamp(Decision{Clusters: want, Confidence: d.hits}, lim)
+	if dec.Clusters > 0 && d.hits < confidenceCap {
 		d.hits++
 	}
 	return dec
 }
 
 // clamp applies the resource limits to a desired window.
-func clamp(dec Decision, cfg AdaptiveConfig, lim Limits) Decision {
+func clamp(dec Decision, lim Limits) Decision {
 	cb := lim.ClusterBlocks
 	if cb < 1 {
 		cb = 1
 	}
-	// Free-memory clamp: the window may use at most a MemDivisor'th of
+	// Free-memory clamp: the window may use at most a memDivisor'th of
 	// free memory, and at most one cluster when memory is already low.
-	maxBlocks := lim.FreePages / cfg.MemDivisor
+	maxBlocks := lim.FreePages / memDivisor
 	if lim.MemLow && maxBlocks > cb {
 		maxBlocks = cb
 	}

@@ -35,7 +35,7 @@ func TestOffIsNil(t *testing.T) {
 
 // TestAdaptiveRamp walks the doubling schedule: arm on the first
 // sequential trigger, one cluster on the second, then 2, 4, 8, and
-// saturation at MaxClusters.
+// saturation at maxClusters.
 func TestAdaptiveRamp(t *testing.T) {
 	a := NewAdaptive(AdaptiveConfig{})
 	want := []int{0, 1, 2, 4, 8, 8, 8}
@@ -54,14 +54,14 @@ func TestAdaptiveRamp(t *testing.T) {
 }
 
 // TestAdaptiveConfidenceCap pins the saturation: confidence stops at
-// ConfidenceCap no matter how long the stream runs.
+// confidenceCap no matter how long the stream runs.
 func TestAdaptiveConfidenceCap(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{ConfidenceCap: 5})
+	a := NewAdaptive(AdaptiveConfig{})
 	for i := 0; i < 40; i++ {
 		a.Trigger(3, true, roomy())
 	}
-	if c := a.Confidence(3); c != 5 {
-		t.Fatalf("confidence %d, want capped at 5", c)
+	if c := a.Confidence(3); c != confidenceCap {
+		t.Fatalf("confidence %d, want capped at %d", c, confidenceCap)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestAdaptiveNonSequentialNeverIssues(t *testing.T) {
 	}
 }
 
-// ramped returns an adaptive policy whose file ino wants MaxClusters.
+// ramped returns an adaptive policy whose file ino wants maxClusters.
 func ramped(ino int32) *Adaptive {
 	a := NewAdaptive(AdaptiveConfig{})
 	for i := 0; i < 8; i++ {
@@ -110,7 +110,7 @@ func ramped(ino int32) *Adaptive {
 
 func TestAdaptiveMemClamp(t *testing.T) {
 	a := ramped(1)
-	// 64 free pages / MemDivisor 4 = 16 blocks = 2 clusters of 8.
+	// 64 free pages / memDivisor 4 = 16 blocks = 2 clusters of 8.
 	lim := roomy()
 	lim.FreePages = 64
 	dec := a.Trigger(1, true, lim)

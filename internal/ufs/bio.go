@@ -31,6 +31,9 @@ type MBuf struct {
 	lru    int64 // last-release sequence for eviction
 }
 
+// cacheBufs is the metadata buffer cache's size in blocks (512 KB).
+const cacheBufs = 64
+
 // Bcache is the metadata buffer cache.
 type Bcache struct {
 	Sim *sim.Sim
@@ -39,7 +42,7 @@ type Bcache struct {
 	sb  *Superblock
 
 	bufs map[int32]*MBuf
-	nbuf int
+	nbuf int // cacheBufs; tests shrink it to force eviction
 	seq  int64
 
 	// journal, when attached, pins dirty buffers in memory (the next
@@ -71,12 +74,9 @@ func (bc *Bcache) recordErr(err error) {
 	}
 }
 
-// NewBcache builds a cache of nbuf block buffers (default 64 = 512 KB).
-func NewBcache(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, sb *Superblock, nbuf int) *Bcache {
-	if nbuf <= 0 {
-		nbuf = 64
-	}
-	return &Bcache{Sim: s, CPU: cpuModel, Drv: drv, sb: sb, bufs: make(map[int32]*MBuf), nbuf: nbuf}
+// NewBcache builds a cache of cacheBufs block buffers.
+func NewBcache(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, sb *Superblock) *Bcache {
+	return &Bcache{Sim: s, CPU: cpuModel, Drv: drv, sb: sb, bufs: make(map[int32]*MBuf), nbuf: cacheBufs}
 }
 
 // align rounds a fragment address down to its block start.

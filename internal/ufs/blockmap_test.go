@@ -58,10 +58,11 @@ func TestBlockMapDescentPinned(t *testing.T) {
 			}
 			cm := cpu.New(s, 12)
 			dr := driver.New(s, d, cm, driver.DefaultConfig())
-			fs, err := Mount(s, cm, dr, MountOpts{Nbuf: 4})
+			fs, err := Mount(s, cm, dr, MountOpts{})
 			if err != nil {
 				t.Fatalf("mount: %v", err)
 			}
+			fs.BC.nbuf = 4
 			sb := fs.SB
 			bsize := int64(sb.Bsize)
 			nindir := sb.NindirPerBlock()

@@ -70,7 +70,6 @@ type Fs struct {
 
 // MountOpts tunes a mount.
 type MountOpts struct {
-	Nbuf       int   // metadata buffer count; default 64
 	WriteLimit int64 // bytes; 0 = unlimited
 	// BmapCache and OrderedWrites enable the corresponding Further Work
 	// features (see the Fs fields of the same names).
@@ -95,7 +94,7 @@ func Mount(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, opts MountOpts) 
 		BmapCache:     opts.BmapCache,
 		OrderedWrites: opts.OrderedWrites,
 	}
-	fs.BC = NewBcache(s, cpuModel, drv, sb, opts.Nbuf)
+	fs.BC = NewBcache(s, cpuModel, drv, sb)
 	// Load the per-group summary (mount-time work, untimed like the
 	// superblock read).
 	fs.csum = make([]int32, sb.Ncg)

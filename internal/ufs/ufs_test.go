@@ -816,7 +816,8 @@ func TestBufferCacheHitAvoidsIO(t *testing.T) {
 func TestBufferCacheEvictsLRUAndWritesDirty(t *testing.T) {
 	r := newRig(t, MkfsOpts{})
 	// Tiny cache to force eviction.
-	r.fs.BC = NewBcache(r.s, nil, r.dr, r.sb, 4)
+	r.fs.BC = NewBcache(r.s, nil, r.dr, r.sb)
+	r.fs.BC.nbuf = 4
 	r.run(t, func(p *sim.Proc) {
 		b, _ := r.fs.BC.Bread(p, r.sb.CgHeader(0))
 		b.Data[100] = 99

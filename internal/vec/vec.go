@@ -207,11 +207,11 @@ func UseList() Strategy { return fixed{List} }
 const DefaultDenseCutoff = 0.2
 
 // auto picks Sieve for dense requests and List for sparse ones.
-type auto struct{ cutoff float64 }
+type auto struct{}
 
-func (a auto) Name() string { return "auto" }
+func (auto) Name() string { return "auto" }
 
-func (a auto) Pick(n Norm, write bool) Method {
+func (auto) Pick(n Norm, write bool) Method {
 	if len(n.Runs) <= 1 {
 		// A single merged run has no gaps, so sieving's envelope IS the
 		// payload: a read rides the scalar path's read-ahead with zero
@@ -223,18 +223,13 @@ func (a auto) Pick(n Norm, write bool) Method {
 		}
 		return Sieve
 	}
-	if n.Density() >= a.cutoff {
+	if n.Density() >= DefaultDenseCutoff {
 		return Sieve
 	}
 	return List
 }
 
 // Auto returns the density-threshold strategy: requests at or above
-// cutoff go through data sieving, sparser ones through list I/O.
-// A cutoff of 0 selects DefaultDenseCutoff.
-func Auto(cutoff float64) Strategy {
-	if cutoff == 0 {
-		cutoff = DefaultDenseCutoff
-	}
-	return auto{cutoff: cutoff}
-}
+// DefaultDenseCutoff go through data sieving, sparser ones through list
+// I/O.
+func Auto() Strategy { return auto{} }

@@ -129,7 +129,7 @@ func TestNormalizeDeterministic(t *testing.T) {
 }
 
 func TestAutoPick(t *testing.T) {
-	s := Auto(0)
+	s := Auto()
 	dense, _ := Normalize([]Ext{{0, 8192}, {16384, 8192}})   // density 2/3
 	sparse, _ := Normalize([]Ext{{0, 8192}, {131072, 8192}}) // density ~0.12
 	single, _ := Normalize([]Ext{{0, 8192}, {8192, 8192}})   // one merged run

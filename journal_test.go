@@ -23,7 +23,7 @@ func TestJournaledMachineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.WAL == nil {
+	if m.FS.J == nil {
 		t.Fatal("WithJournal machine has no WAL")
 	}
 	if m.FS.SB.LogFrags == 0 {
@@ -145,7 +145,7 @@ func TestDefaultMachineHasNoJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.WAL != nil {
+	if m.FS.J != nil {
 		t.Error("default machine grew a WAL")
 	}
 	if m.FS.SB.LogFrags != 0 {

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"ufsclust/internal/disk"
-	"ufsclust/internal/driver"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/prefetch"
 	"ufsclust/internal/vec"
@@ -26,16 +25,6 @@ func WithMemBytes(n int64) Option {
 	return func(o *Options) { o.MemBytes = n }
 }
 
-// WithDiskParams replaces the drive characteristics.
-func WithDiskParams(p disk.Params) Option {
-	return func(o *Options) { o.Disk = &p }
-}
-
-// WithDriverConfig replaces the driver configuration.
-func WithDriverConfig(c driver.Config) Option {
-	return func(o *Options) { o.Driver = &c }
-}
-
 // WithReadAhead selects the clustered engine's read-ahead policy:
 //
 //	WithReadAhead(prefetch.NewFixed())                       // the paper's one-cluster nextrio (the default)
@@ -53,7 +42,7 @@ func WithReadAhead(pol prefetch.Policy) Option {
 // WithVecStrategy selects how Readv/Writev service multi-element
 // vectors (see internal/vec):
 //
-//	WithVecStrategy(vec.Auto(0))    // density-threshold sieve/list pick (the default)
+//	WithVecStrategy(vec.Auto())     // density-threshold sieve/list pick (the default)
 //	WithVecStrategy(vec.UseSieve()) // always data sieving
 //	WithVecStrategy(vec.UseList())  // always true list I/O
 //	WithVecStrategy(vec.UseNaive()) // per-piece baseline
@@ -134,7 +123,8 @@ func WithJournal(wal.Config) Option {
 //	m, _ := ufsclust.New(ufsclust.RunA(),
 //		ufsclust.WithVolume(vol.Config{Level: vol.RAID5, Members: 4}))
 //
-// Options.Disk, if also set, becomes the member drive template.
+// cfg.Member, if set, is the member drive template; it is the one way
+// to change the drive parameters.
 func WithVolume(cfg vol.Config) Option {
 	return func(o *Options) { o.Volume = &cfg }
 }

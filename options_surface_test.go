@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ufsclust/internal/core"
-	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/prefetch"
@@ -21,15 +20,18 @@ import (
 // touch a list here deliberately — the functional options, README, and
 // DESIGN.md all follow from it — the way a new metric has to edit
 // testdata/metrics_manifest.txt. A setting no caller varies is a
-// constant in the package that uses it, not a field.
+// constant in the package that uses it, not a field. The lists sum to
+// the machine's settable-value count, which the test logs for make loc
+// and pins.
 func TestPublicOptionsSurface(t *testing.T) {
+	total := 0
 	for _, tc := range []struct {
 		v    any
 		want []string
 	}{
 		{Options{}, []string{
 			"Seed", "MemBytes",
-			"Disk", "Driver", "Mkfs", "Mount", "Engine",
+			"Driver", "Mkfs", "Mount", "Engine",
 			"EventJSONL", "Fault",
 			"Images", "Recover",
 			"Volume",
@@ -37,11 +39,13 @@ func TestPublicOptionsSurface(t *testing.T) {
 		{core.Config{}, []string{"Clustered", "Prefetch", "Vec", "FreeBehind",
 			"SkipBmapOnHit", "RandomClustering", "InodeDataCache"}},
 		{ufs.MkfsOpts{}, []string{"Ipg", "Minfree", "Rotdelay", "Maxcontig", "LogBlocks"}},
-		{ufs.MountOpts{}, []string{"Nbuf", "WriteLimit", "BmapCache", "OrderedWrites"}},
-		{driver.Config{}, []string{"MaxPhys", "Sort", "Coalesce", "MaxRetries"}},
+		{ufs.MountOpts{}, []string{"WriteLimit", "BmapCache", "OrderedWrites"}},
+		{driver.Config{}, []string{"MaxPhys", "Coalesce"}},
 		{wal.Config{}, []string{}},
 		{vol.Config{}, []string{"Level", "Members", "StripeKB", "Member", "Degraded"}},
+		{prefetch.AdaptiveConfig{}, []string{}},
 	} {
+		total += len(tc.want)
 		typ := reflect.TypeOf(tc.v)
 		got := make([]string, 0, typ.NumField())
 		for i := 0; i < typ.NumField(); i++ {
@@ -50,6 +54,10 @@ func TestPublicOptionsSurface(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%v fields drifted:\ngot:  %v\nwant: %v", typ, got, tc.want)
 		}
+	}
+	t.Logf("settable values: %d", total)
+	if total != 33 {
+		t.Errorf("settable values = %d, want 33", total)
 	}
 }
 
@@ -60,10 +68,8 @@ func TestOptionConstructorsCompose(t *testing.T) {
 	opts := []Option{
 		WithSeed(7),
 		WithMemBytes(8 << 20),
-		WithDiskParams(disk.DefaultParams()),
-		WithDriverConfig(driver.DefaultConfig()),
 		WithReadAhead(prefetch.NewFixed()),
-		WithVecStrategy(vec.Auto(0)),
+		WithVecStrategy(vec.Auto()),
 		WithTelemetry(io.Discard),
 		WithFaultPlan(fault.Plan{}),
 		WithImage(),

@@ -31,22 +31,23 @@ type Scenario struct {
 	Volume *vol.Config // nil = the single sd0
 }
 
-// journal resolves the journal mode name; nil means no journal.
-func (sc Scenario) journal() (*wal.Config, error) {
+// journal resolves the journal mode name: whether the machine runs the
+// metadata journal.
+func (sc Scenario) journal() (bool, error) {
 	switch strings.ToLower(sc.Journal) {
 	case "", "off":
-		return nil, nil
+		return false, nil
 	case "wal":
-		return &wal.Config{}, nil
+		return true, nil
 	}
-	return nil, fmt.Errorf("unknown journal mode %q (want off or wal)", sc.Journal)
+	return false, fmt.Errorf("unknown journal mode %q (want off or wal)", sc.Journal)
 }
 
 // Journaled reports whether the scenario's machine runs the metadata
 // journal.
 func (sc Scenario) Journaled() bool {
-	cfg, _ := sc.journal()
-	return cfg != nil
+	on, _ := sc.journal()
+	return on
 }
 
 // Options translates the scenario into machine options. Read-ahead
@@ -78,10 +79,10 @@ func (sc Scenario) Options() ([]Option, error) {
 	default:
 		return nil, fmt.Errorf("unknown vec strategy %q", sc.Vec)
 	}
-	if cfg, err := sc.journal(); err != nil {
+	if on, err := sc.journal(); err != nil {
 		return nil, err
-	} else if cfg != nil {
-		opts = append(opts, WithJournal(*cfg))
+	} else if on {
+		opts = append(opts, WithJournal(wal.Config{}))
 	}
 	if sc.Volume != nil {
 		opts = append(opts, WithVolume(*sc.Volume))

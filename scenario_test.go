@@ -63,8 +63,8 @@ func TestScenarioRejectsUnknownNames(t *testing.T) {
 	for name, opt := range map[string]Option{
 		"one page of memory": WithMemBytes(8192),
 		"negative memory":    WithMemBytes(-1 << 20),
-		"unaligned MaxPhys":  WithDriverConfig(driver.Config{MaxPhys: 1000}),
-		"negative MaxPhys":   WithDriverConfig(driver.Config{MaxPhys: -512}),
+		"unaligned MaxPhys":  func(o *Options) { o.Driver = &driver.Config{MaxPhys: 1000} },
+		"negative MaxPhys":   func(o *Options) { o.Driver = &driver.Config{MaxPhys: -512} },
 	} {
 		if m, err := New(RunA(), opt); err == nil {
 			m.Close()

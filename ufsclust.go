@@ -62,7 +62,6 @@ type Options struct {
 	Seed     int64
 	MemBytes int64
 
-	Disk   *disk.Params   // nil = disk.DefaultParams()
 	Driver *driver.Config // nil = driver.DefaultConfig()
 	Mkfs   ufs.MkfsOpts
 	Mount  ufs.MountOpts
@@ -88,8 +87,7 @@ type Options struct {
 
 	// Volume, when non-nil, composes the machine's storage from several
 	// member drives (concat, RAID-0/1/5 — see internal/vol); nil is the
-	// single drive sd0, a one-member concat. Options.Disk is the member
-	// template when Volume.Member is nil.
+	// single drive sd0, a one-member concat of disk.DefaultParams().
 	Volume *vol.Config
 }
 
@@ -125,11 +123,6 @@ type Machine struct {
 	// instead — see ReplayLog.
 	RepairLog *ufs.RepairReport
 
-	// WAL is the write-ahead metadata journal ufs.Mount attached on a
-	// journaled machine (WithJournal, or a restored image whose
-	// superblock carries a log region); nil otherwise.
-	WAL *wal.Log
-
 	// ReplayLog is the log-replay report when a journaled machine booted
 	// from an image (WithImage or WithRecovery): ufs.Recover replayed
 	// the journal instead of running ufs.Repair. Nil otherwise.
@@ -163,9 +156,6 @@ func NewMachine(o Options) (*Machine, error) {
 	vc := vol.Config{Level: vol.Concat, Members: 1}
 	if o.Volume != nil {
 		vc = *o.Volume
-	}
-	if vc.Member == nil {
-		vc.Member = o.Disk
 	}
 	vl, err := vol.New(s, "vol0", vc)
 	if err != nil {
@@ -226,7 +216,7 @@ func NewMachine(o Options) (*Machine, error) {
 		})
 	}
 	return &Machine{Sim: s, CPU: cm, Vol: vl, Driver: dr, VM: v, FS: fs,
-		Engine: eng, Tel: tel, Fault: inj, RepairLog: repairLog, WAL: fs.J, ReplayLog: replayLog}, nil
+		Engine: eng, Tel: tel, Fault: inj, RepairLog: repairLog, ReplayLog: replayLog}, nil
 }
 
 // Run spawns fn as a simulated process and drives the simulation until

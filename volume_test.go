@@ -13,13 +13,14 @@ import (
 	"ufsclust/internal/vol"
 )
 
-// volMember is a small drive template for array machines: 200 cyl x
-// 8 heads x 64 spt = 102400 sectors = 50 MB per member, so mkfs over a
-// multi-member array stays quick.
-func volMember() disk.Params {
+// smallVol gives cfg a small member drive: 200 cyl x 8 heads x 64 spt
+// = 102400 sectors = 50 MB per member, so mkfs over a multi-member
+// array stays quick.
+func smallVol(cfg vol.Config) vol.Config {
 	p := disk.DefaultParams()
 	p.Geom = disk.UniformGeometry(200, 8, 64, 3600)
-	return p
+	cfg.Member = &p
+	return cfg
 }
 
 // TestUFSOnEveryVolumeLevel runs the full stack — engine, UFS, driver,
@@ -38,8 +39,7 @@ func TestUFSOnEveryVolumeLevel(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-x%d", cfg.Level, cfg.Members), func(t *testing.T) {
 			m, err := New(RunA(),
 				WithSeed(3),
-				WithDiskParams(volMember()),
-				WithVolume(cfg))
+				WithVolume(smallVol(cfg)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,12 +98,12 @@ func TestUFSOnEveryVolumeLevel(t *testing.T) {
 // TestVolumeSnapshotBoot moves a populated RAID-1 array between
 // machines via member snapshots — the volume counterpart of WithImage.
 func TestVolumeSnapshotBoot(t *testing.T) {
-	cfg := vol.Config{Level: vol.RAID1, Members: 2}
+	cfg := smallVol(vol.Config{Level: vol.RAID1, Members: 2})
 	data := make([]byte, 256<<10)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	m, err := New(RunA(), WithSeed(5), WithDiskParams(volMember()), WithVolume(cfg))
+	m, err := New(RunA(), WithSeed(5), WithVolume(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,7 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 	m.FS.SyncImage()
 	imgs := m.Vol.Snapshot()
 
-	m2, err := New(RunA(), WithSeed(6), WithDiskParams(volMember()),
-		WithVolume(cfg), WithImage(imgs...))
+	m2, err := New(RunA(), WithSeed(6), WithVolume(cfg), WithImage(imgs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +155,10 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 // return a machine that had silently run mkfs over the request (or, for
 // the nil images, panicked).
 func TestBootImageCountMustMatchMembers(t *testing.T) {
-	cfg := vol.Config{Level: vol.RAID1, Members: 2}
+	cfg := smallVol(vol.Config{Level: vol.RAID1, Members: 2})
+	bare := smallVol(vol.Config{Level: vol.Concat, Members: 1})
 	boot := func(opts ...Option) (*Machine, error) {
-		return New(RunA(), append([]Option{WithDiskParams(volMember())}, opts...)...)
+		return New(RunA(), append([]Option{WithVolume(bare)}, opts...)...)
 	}
 	donor := func(opts ...Option) *Machine {
 		m, err := boot(opts...)
@@ -245,8 +245,7 @@ func TestRowCutTailNeverLostNeverRewritten(t *testing.T) {
 			m, err := New(rc,
 				WithSeed(seed),
 				WithMemBytes(2<<20),
-				WithDiskParams(volMember()),
-				WithVolume(vol.Config{Level: vol.RAID5, Members: 4}))
+				WithVolume(smallVol(vol.Config{Level: vol.RAID5, Members: 4})))
 			if err != nil {
 				t.Fatal(err)
 			}
