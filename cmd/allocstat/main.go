@@ -31,6 +31,17 @@ func main() {
 	parallel := flag.Int("parallel", 0, "host workers (0 = GOMAXPROCS)")
 	flag.Parse()
 
+	// Refuse bad values before any machine boots: the sweep and the
+	// two-row table would otherwise measure for a while and then fail.
+	err := alloclab.AgeOpts{TargetFull: *full, Churn: *churn}.Check()
+	if err == nil && (*bestMB <= 0 || *worstMB <= 0) {
+		err = fmt.Errorf("-best %d -worst %d: file sizes must be positive", *bestMB, *worstMB)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "allocstat: %v\n", err)
+		os.Exit(2)
+	}
+
 	if *layout {
 		printLayout()
 		return

@@ -55,8 +55,15 @@ func main() {
 	if w.Run, err = ufsclust.RunByName(*runName); err == nil {
 		_, err = w.Options()
 	}
-	if err == nil && *cuts < 1 {
+	switch {
+	case err != nil:
+	case *cuts < 1:
 		err = fmt.Errorf("-cuts %d: need at least one crash point", *cuts)
+	case w.FileMB <= 0:
+		// The report names the file size, so it must be the one measured.
+		err = fmt.Errorf("-file %d: the file size must be positive", w.FileMB)
+	case w.FsyncEvery < 0:
+		err = fmt.Errorf("-fsync %d: the fsync interval must not be negative", w.FsyncEvery)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "faultlab: %v\n", err)

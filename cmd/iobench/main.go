@@ -79,8 +79,9 @@ func main() {
 	}
 
 	_, err := sc.Options()
-	if err == nil && (*fileMB < 0 || *ops < 0) {
-		err = fmt.Errorf("-file %d -ops %d: sizes must not be negative", *fileMB, *ops)
+	if err == nil && (*fileMB <= 0 || *ops < 0) {
+		// The report names the file size, so it must be the one measured.
+		err = fmt.Errorf("-file %d -ops %d: the file size must be positive, -ops not negative", *fileMB, *ops)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)

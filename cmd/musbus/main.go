@@ -30,7 +30,13 @@ func main() {
 	users := flag.Int("users", 8, "concurrent simulated users")
 	minutes := flag.Int("minutes", 5, "virtual minutes to run")
 	flag.Parse()
-	if _, err := sc.Options(); err != nil {
+	_, err := sc.Options()
+	if err == nil && (*users <= 0 || *minutes <= 0) {
+		// The table names the users and minutes, so they must be the
+		// ones measured.
+		err = fmt.Errorf("-users %d -minutes %d: both must be positive", *users, *minutes)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "musbus: %v\n", err)
 		os.Exit(2)
 	}

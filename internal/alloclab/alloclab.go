@@ -133,9 +133,9 @@ const meanFileKB = 48
 // the same seed.
 const ageSeedSalt = 0x6167_6564 // "aged"
 
-// check refuses options that would age nothing measurable: a target
+// Check refuses options that would age nothing measurable: a target
 // outside (0, 1) or negative churn.
-func (o AgeOpts) check() error {
+func (o AgeOpts) Check() error {
 	switch {
 	case !(o.TargetFull > 0 && o.TargetFull < 1):
 		return fmt.Errorf("alloclab: aging target %v full, want a fraction in (0, 1)", o.TargetFull)
@@ -153,7 +153,7 @@ func (o AgeOpts) check() error {
 // partition": a file system that has lived at high occupancy with
 // ongoing deletions.
 func Age(p *sim.Proc, fs *ufs.Fs, o AgeOpts) error {
-	if err := o.check(); err != nil {
+	if err := o.Check(); err != nil {
 		return err
 	}
 	// A stream of its own, seeded from the machine's: drawn from

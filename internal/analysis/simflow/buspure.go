@@ -67,10 +67,8 @@ func checkSubscriber(pass *analysis.Pass, prog *Program, at ast.Expr, sub *Func)
 }
 
 // busModelPkgs are the structural model packages a subscriber must not
-// call back into. telemetry itself (histograms, formatting) and fault
-// (whose injector is a subscriber by design) are deliberately absent:
-// the former is the observation layer, the latter is scoped by its own
-// annotations.
+// call back into. telemetry itself (histograms, formatting) is
+// deliberately absent: it is the observation layer.
 var busModelPkgs = map[string]bool{
 	"ufsclust/internal/core":   true,
 	"ufsclust/internal/ufs":    true,
@@ -78,4 +76,7 @@ var busModelPkgs = map[string]bool{
 	"ufsclust/internal/disk":   true,
 	"ufsclust/internal/driver": true,
 	"ufsclust/internal/extfs":  true,
+	"ufsclust/internal/vol":    true,
+	"ufsclust/internal/wal":    true,
+	"ufsclust/internal/fault":  true,
 }

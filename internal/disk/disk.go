@@ -280,11 +280,11 @@ func AttachMemberTelemetry(tel *telemetry.Telemetry, prefix string, members []*D
 	}
 }
 
-// AttachFaults connects a fault injector: the drive consults it after
-// every io_start emission and registers a crash hook that freezes any
-// write transfer in flight at the cut, torn at sector granularity.
-// Fault matching rides the telemetry stream, so a drive without
-// AttachTelemetry never sees injected faults.
+// AttachFaults connects a fault injector: the drive calls its Start as
+// each transfer begins service, just after io_start, and fails the
+// transfers Start names. It also registers a crash hook that freezes
+// any write transfer in flight at the cut, torn at sector granularity.
+// Faults need no AttachTelemetry.
 func (d *Disk) AttachFaults(inj *fault.Injector) {
 	d.inj = inj
 	inj.OnCrash(d.freezeTorn)
@@ -369,7 +369,7 @@ func (d *Disk) serve(p *sim.Proc) {
 
 		start := p.Now()
 		d.Stats.QueueWait += start - r.queued
-		d.bus.Emit(telemetry.Event{
+		ev := telemetry.Event{
 			T:      start,
 			Kind:   telemetry.EvIOStart,
 			Sector: r.Sector,
@@ -377,19 +377,11 @@ func (d *Disk) serve(p *sim.Proc) {
 			Depth:  int64(len(d.q)),
 			Write:  r.Write,
 			Dev:    d.label,
-		})
-		// The injector's subscriber ran inside the Emit above, so a
-		// media fault anchored on that io_start is armed by now.
-		failed := d.inj != nil && d.inj.TakeMedia()
-		if failed {
-			d.bus.Emit(telemetry.Event{
-				T:      start,
-				Kind:   telemetry.EvFaultInject,
-				Sector: r.Sector,
-				Bytes:  int64(r.Count) * SectorSize,
-				Write:  r.Write,
-				Dev:    d.label,
-			})
+		}
+		d.bus.Emit(ev)
+		if d.inj != nil && d.inj.Start(ev) {
+			ev.Kind, ev.Depth = telemetry.EvFaultInject, 0
+			d.bus.Emit(ev)
 			d.failService(p)
 			r.Err = ErrMedia
 			d.Stats.MediaErrors++

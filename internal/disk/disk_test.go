@@ -2,9 +2,11 @@ package disk
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"ufsclust/internal/fault"
 	"ufsclust/internal/sim"
 )
 
@@ -150,6 +152,39 @@ func TestTimedWriteThenReadMovesData(t *testing.T) {
 	}
 	if s.Now() == 0 {
 		t.Fatal("timed I/O consumed no virtual time")
+	}
+}
+
+// TestFaultsNeedNoTelemetry: the drive calls the injector itself, so a
+// fault plan acts on a drive that has no telemetry attached.
+func TestFaultsNeedNoTelemetry(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		rule  fault.Rule
+		media bool // the transfer fails; otherwise power is cut
+	}{
+		{"media", fault.FailNthHard(1, fault.Any), true},
+		{"cut", fault.CutAtIO(1), false},
+	} {
+		s := sim.New(1)
+		t.Cleanup(s.Close)
+		d := New(s, "d0", DefaultParams())
+		inj, err := fault.NewInjector(s, fault.Plan{Rules: []fault.Rule{tc.rule}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.AttachFaults(inj)
+		r := &Request{Sector: 500, Count: 16, Data: make([]byte, 16*SectorSize)}
+		s.Spawn("io", func(p *sim.Proc) { d.IO(p, r) })
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.media && !errors.Is(r.Err, ErrMedia) {
+			t.Errorf("%s: transfer error %v, want %v", tc.name, r.Err, ErrMedia)
+		}
+		if !tc.media && !inj.Crashed() {
+			t.Errorf("%s: the first transfer did not cut power", tc.name)
+		}
 	}
 }
 

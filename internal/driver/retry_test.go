@@ -13,9 +13,7 @@ import (
 )
 
 // newFaultRig builds a sim + disk + driver with telemetry attached and
-// a fault injector executing plan — the same wiring order as the root
-// machine (injector last, so faults armed by an io_start are visible to
-// the drive's TakeMedia before the emission returns).
+// a fault injector executing plan.
 func newFaultRig(t *testing.T, plan fault.Plan, coalesce bool) (*sim.Sim, *Driver, *disk.Disk, *telemetry.Telemetry) {
 	t.Helper()
 	s := sim.New(1)

@@ -18,24 +18,21 @@ func TestPlanValidate(t *testing.T) {
 		{"transient", Plan{Rules: []Rule{FailNth(3, Writes, 2)}}, ""},
 		{"hard", Plan{Rules: []Rule{FailNthHard(1, Any)}}, ""},
 		{"cut-time", Plan{Rules: []Rule{CutAtTime(5 * sim.Millisecond)}}, ""},
-		{"cut-event", Plan{Rules: []Rule{CutAtEvent(telemetry.EvClusterPush, 2)}}, ""},
-		{"media-bad-anchor",
-			Plan{Rules: []Rule{{Match: Match{Event: telemetry.EvIODone}, Kind: MediaTransient}}},
-			"anchor on io_start"},
+		{"cut-io", Plan{Rules: []Rule{CutAtIO(2)}}, ""},
 		{"media-with-at",
-			Plan{Rules: []Rule{{Match: Match{Event: telemetry.EvIOStart}, Kind: MediaHard, At: 1}}},
+			Plan{Rules: []Rule{{Match: Match{}, Kind: MediaHard, At: 1}}},
 			"power-cut only"},
 		{"media-negative-fails",
-			Plan{Rules: []Rule{{Match: Match{Event: telemetry.EvIOStart}, Kind: MediaTransient, Fails: -1}}},
+			Plan{Rules: []Rule{{Match: Match{}, Kind: MediaTransient, Fails: -1}}},
 			"negative Fails"},
 		{"cut-negative-time", Plan{Rules: []Rule{{Kind: PowerCut, At: -1}}}, "negative cut time"},
 		{"cut-with-fails", Plan{Rules: []Rule{{Kind: PowerCut, At: 1, Fails: 2}}}, "media only"},
-		{"unknown-kind", Plan{Rules: []Rule{{Match: Match{Event: telemetry.EvIOStart}}}}, "unknown kind"},
+		{"unknown-kind", Plan{Rules: []Rule{{Match: Match{}}}}, "unknown kind"},
 		{"negative-nth",
-			Plan{Rules: []Rule{{Match: Match{Event: telemetry.EvIOStart, Nth: -2}, Kind: MediaHard}}},
+			Plan{Rules: []Rule{{Match: Match{Nth: -2}, Kind: MediaHard}}},
 			"negative Nth"},
 		{"inverted-window",
-			Plan{Rules: []Rule{{Match: Match{Event: telemetry.EvIOStart, SectorLo: 9, SectorHi: 4}, Kind: MediaHard}}},
+			Plan{Rules: []Rule{{Match: Match{SectorLo: 9, SectorHi: 4}, Kind: MediaHard}}},
 			"window inverted"},
 	}
 	for _, tc := range cases {
@@ -53,7 +50,7 @@ func TestPlanValidate(t *testing.T) {
 }
 
 // rig is an injector wired to a bare sim and telemetry, with a recorder
-// capturing everything emitted on the bus.
+// capturing everything emitted on the bus; ioStart plays the drive.
 type rig struct {
 	s      *sim.Sim
 	tel    *telemetry.Telemetry
@@ -75,8 +72,16 @@ func newRig(t *testing.T, plan Plan) *rig {
 	return r
 }
 
-func (r *rig) ioStart(sector int64, write bool) {
-	r.tel.Bus.Emit(telemetry.Event{T: r.s.Now(), Kind: telemetry.EvIOStart, Sector: sector, Write: write})
+// ioStart begins a transfer the way the drive does: io_start goes out
+// on the bus, then the injector decides whether the transfer fails.
+func (r *rig) ioStart(sector int64, write bool) bool {
+	return r.ioStartAt(r.s.Now(), sector, write)
+}
+
+func (r *rig) ioStartAt(t sim.Time, sector int64, write bool) bool {
+	ev := telemetry.Event{T: t, Kind: telemetry.EvIOStart, Sector: sector, Write: write}
+	r.tel.Bus.Emit(ev)
+	return r.inj.Start(ev)
 }
 
 func (r *rig) kinds() []telemetry.EventKind {
@@ -91,28 +96,22 @@ func TestMediaTransientLatchesAndDrains(t *testing.T) {
 	// 2nd write fails twice (anchor + one retry), then recovers.
 	r := newRig(t, Plan{Rules: []Rule{FailNth(2, Writes, 2)}})
 
-	r.ioStart(100, false) // read: direction filter skips it
-	if r.inj.TakeMedia() {
+	if r.ioStart(100, false) { // read: direction filter skips it
 		t.Fatal("read transfer armed a Writes-only rule")
 	}
-	r.ioStart(100, true) // 1st write: not the anchor
-	if r.inj.TakeMedia() {
+	if r.ioStart(100, true) { // 1st write: not the anchor
 		t.Fatal("1st write armed an Nth=2 rule")
 	}
-	r.ioStart(200, true) // 2nd write: anchor fires
-	if !r.inj.TakeMedia() {
+	if !r.ioStart(200, true) { // 2nd write: anchor fires
 		t.Fatal("anchor transfer did not fail")
 	}
-	r.ioStart(300, true) // unrelated transfer while latched
-	if r.inj.TakeMedia() {
+	if r.ioStart(300, true) { // unrelated transfer while latched
 		t.Fatal("latched rule failed an unrelated sector")
 	}
-	r.ioStart(200, true) // retry of the latched transfer: 2nd failure
-	if !r.inj.TakeMedia() {
+	if !r.ioStart(200, true) { // retry of the latched transfer: 2nd failure
 		t.Fatal("retry of latched transfer did not fail")
 	}
-	r.ioStart(200, true) // budget spent: the drive has "recovered"
-	if r.inj.TakeMedia() {
+	if r.ioStart(200, true) { // budget spent: the drive has "recovered"
 		t.Fatal("transfer failed after the Fails budget was spent")
 	}
 	if got := r.inj.Stats.MediaInjected; got != 2 {
@@ -126,8 +125,7 @@ func TestMediaTransientLatchesAndDrains(t *testing.T) {
 func TestMediaHardNeverHeals(t *testing.T) {
 	r := newRig(t, Plan{Rules: []Rule{FailNthHard(1, Any)}})
 	for i := 0; i < 5; i++ {
-		r.ioStart(42, true)
-		if !r.inj.TakeMedia() {
+		if !r.ioStart(42, true) {
 			t.Fatalf("attempt %d: hard fault healed", i+1)
 		}
 	}
@@ -138,27 +136,23 @@ func TestMediaHardNeverHeals(t *testing.T) {
 
 func TestSectorWindowFilter(t *testing.T) {
 	r := newRig(t, Plan{Rules: []Rule{{
-		Match: Match{Event: telemetry.EvIOStart, SectorLo: 1000, SectorHi: 1999},
+		Match: Match{SectorLo: 1000, SectorHi: 1999},
 		Kind:  MediaHard,
 	}}})
-	r.ioStart(999, true)
-	if r.inj.TakeMedia() {
+	if r.ioStart(999, true) {
 		t.Fatal("sector below the window matched")
 	}
-	r.ioStart(2000, true)
-	if r.inj.TakeMedia() {
+	if r.ioStart(2000, true) {
 		t.Fatal("sector above the window matched")
 	}
-	r.ioStart(1500, true)
-	if !r.inj.TakeMedia() {
+	if !r.ioStart(1500, true) {
 		t.Fatal("sector inside the window did not match")
 	}
 }
 
 func TestTakeMediaWithoutPending(t *testing.T) {
 	r := newRig(t, Plan{})
-	r.ioStart(1, true)
-	if r.inj.TakeMedia() {
+	if r.ioStart(1, true) {
 		t.Fatal("empty plan injected a fault")
 	}
 	if r.inj.Stats.MediaInjected != 0 {
@@ -167,7 +161,7 @@ func TestTakeMediaWithoutPending(t *testing.T) {
 }
 
 func TestCutAtEvent(t *testing.T) {
-	r := newRig(t, Plan{Rules: []Rule{CutAtEvent(telemetry.EvIOStart, 2)}})
+	r := newRig(t, Plan{Rules: []Rule{CutAtIO(2)}})
 	var hookCut sim.Time
 	r.inj.OnCrash(func(cut sim.Time) { hookCut = cut })
 
@@ -191,12 +185,24 @@ func TestCutAtEvent(t *testing.T) {
 		t.Fatalf("last event = %v, want crash_cut (stream %v)", ks[len(ks)-1], ks)
 	}
 	// Post-crash the injector is inert: no more faults, no second cut.
-	r.ioStart(3, true)
-	if r.inj.TakeMedia() {
+	if r.ioStart(3, true) {
 		t.Fatal("fault injected after the crash")
 	}
 	if r.inj.Stats.Cuts != 1 {
 		t.Fatalf("Cuts = %d after extra events, want 1", r.inj.Stats.Cuts)
+	}
+}
+
+// TestCutKeepsEarlierMediaFailure: a cut stops the rule walk, but a
+// media rule that matched the same transfer earlier in the walk still
+// fails it.
+func TestCutKeepsEarlierMediaFailure(t *testing.T) {
+	r := newRig(t, Plan{Rules: []Rule{FailNthHard(1, Any), CutAtIO(1), FailNthHard(1, Any)}})
+	if !r.ioStart(7, true) {
+		t.Fatal("media rule before the cut did not fail the transfer")
+	}
+	if !r.inj.Crashed() || r.inj.Stats.MediaInjected != 1 {
+		t.Fatalf("Crashed=%v MediaInjected=%d, want a cut and one failure", r.inj.Crashed(), r.inj.Stats.MediaInjected)
 	}
 }
 
@@ -226,15 +232,13 @@ func TestCutAtTimeStopsTheClock(t *testing.T) {
 
 func TestAfterFilter(t *testing.T) {
 	r := newRig(t, Plan{Rules: []Rule{{
-		Match: Match{Event: telemetry.EvIOStart, After: 5 * sim.Millisecond},
+		Match: Match{After: 5 * sim.Millisecond},
 		Kind:  MediaHard,
 	}}})
-	r.tel.Bus.Emit(telemetry.Event{T: 1 * sim.Millisecond, Kind: telemetry.EvIOStart, Write: true})
-	if r.inj.TakeMedia() {
+	if r.ioStartAt(1*sim.Millisecond, 0, true) {
 		t.Fatal("event before After matched")
 	}
-	r.tel.Bus.Emit(telemetry.Event{T: 6 * sim.Millisecond, Kind: telemetry.EvIOStart, Write: true})
-	if !r.inj.TakeMedia() {
+	if !r.ioStartAt(6*sim.Millisecond, 0, true) {
 		t.Fatal("event after After did not match")
 	}
 }

@@ -16,15 +16,14 @@ const (
 
 var fuzzDevs = []string{"", "sd0", "sd1"}
 
-// decodeRule reads one rule: kind (0 is unknown), anchor event, direction,
-// Nth, Fails, device, sector window, cut time and After. Small signed
-// fields keep the interesting boundaries (0, negative, inverted) within
-// a mutation's reach.
+// decodeRule reads one rule: kind (0 is unknown), direction, Nth,
+// Fails, device, sector window, cut time and After; byte 1 is unused.
+// Small signed fields keep the interesting boundaries (0, negative,
+// inverted) within a mutation's reach.
 func decodeRule(b []byte) Rule {
 	return Rule{
 		Kind: Kind(b[0] % 4),
 		Match: Match{
-			Event:    EventKind(b[1] % 24),
 			RW:       RW(b[2] % 3),
 			Nth:      int64(int8(b[3])),
 			Dev:      fuzzDevs[int(b[5])%len(fuzzDevs)],
@@ -39,14 +38,14 @@ func decodeRule(b []byte) Rule {
 
 // FuzzPlan validates an arbitrary plan and, when it is valid, drives its
 // injector through a synthetic event stream the way the drive does
-// (TakeMedia after every io_start), then runs the clock to fire the
+// (Start after every io_start), then runs the clock to fire the
 // timed cuts. A plan is refused by both Validate and NewInjector or by
 // neither; a valid one never panics, cuts power at most once, injects no
 // media fault after the cut, and counts every fault it delivers.
 func FuzzPlan(f *testing.F) {
 	rule := func(r Rule) []byte {
 		b := make([]byte, ruleBytes)
-		b[0], b[1], b[2], b[3], b[4] = byte(r.Kind), byte(r.Match.Event), byte(r.Match.RW), byte(r.Match.Nth), byte(r.Fails)
+		b[0], b[2], b[3], b[4] = byte(r.Kind), byte(r.Match.RW), byte(r.Match.Nth), byte(r.Fails)
 		binary.LittleEndian.PutUint16(b[6:], uint16(r.Match.SectorLo))
 		binary.LittleEndian.PutUint16(b[8:], uint16(r.Match.SectorHi))
 		binary.LittleEndian.PutUint16(b[10:], uint16(r.At/sim.Microsecond))
@@ -58,9 +57,9 @@ func FuzzPlan(f *testing.F) {
 	}
 	f.Add([]byte(nil), stream)
 	f.Add(rule(FailNth(2, Writes, 2)), stream)
-	f.Add(append(rule(FailNthHard(1, Any)), rule(CutAtEvent(telemetry.EvIOStart, 3))...), stream)
+	f.Add(append(rule(FailNthHard(1, Any)), rule(CutAtIO(3))...), stream)
 	f.Add(rule(CutAtTime(50*sim.Microsecond)), stream)
-	f.Add(rule(Rule{Kind: MediaHard, Match: Match{Event: telemetry.EvIOStart, SectorLo: 9, SectorHi: 4}}), stream)
+	f.Add(rule(Rule{Kind: MediaHard, Match: Match{SectorLo: 9, SectorHi: 4}}), stream)
 	f.Add(rule(Rule{Kind: PowerCut, At: -1}), stream)
 
 	f.Fuzz(func(t *testing.T, rules, events []byte) {
@@ -98,7 +97,7 @@ func FuzzPlan(f *testing.F) {
 			if ev.Kind != telemetry.EvIOStart {
 				continue
 			}
-			if inj.TakeMedia() {
+			if inj.Start(ev) {
 				if crashed {
 					t.Fatalf("media fault injected after the cut at %v", inj.CrashTime())
 				}
@@ -109,7 +108,7 @@ func FuzzPlan(f *testing.F) {
 			t.Fatal(err)
 		}
 		if got := inj.Stats.MediaInjected; got != failed {
-			t.Fatalf("MediaInjected = %d, TakeMedia failed %d transfers", got, failed)
+			t.Fatalf("MediaInjected = %d, Start failed %d transfers", got, failed)
 		}
 		if c := inj.Stats.Cuts; c > 1 || (c == 1) != inj.Crashed() || int64(hooks) != c {
 			t.Fatalf("cuts %d, crashed %v, crash hooks run %d", c, inj.Crashed(), hooks)

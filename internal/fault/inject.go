@@ -14,13 +14,13 @@ type Stats struct {
 
 // ruleState is one rule's live matching state. A media rule, once its
 // anchor fires, latches onto the identity of the transfer it failed
-// (sector, direction) so that the driver's retries of that same
+// (sector, direction, device) so that the driver's retries of that same
 // transfer keep failing until the rule's budget is spent — without the
 // latch, the retry's own io_start would not be "the nth" anymore and a
 // hard error would heal itself.
 type ruleState struct {
 	r       Rule
-	seen    int64 // matching events observed so far
+	seen    int64 // matching transfers seen so far
 	latched bool  // media rule armed on a transfer identity
 	sector  int64
 	write   bool
@@ -31,9 +31,6 @@ type ruleState struct {
 
 func (rs *ruleState) match(ev telemetry.Event) bool {
 	m := rs.r.Match
-	if ev.Kind != m.Event {
-		return false
-	}
 	if m.After > 0 && ev.T < m.After {
 		return false
 	}
@@ -54,23 +51,17 @@ func (rs *ruleState) match(ev telemetry.Event) bool {
 		return false
 	}
 	rs.seen++
-	nth := m.Nth
-	if nth < 1 {
-		nth = 1
-	}
-	return rs.seen == nth
+	return rs.seen == max(m.Nth, 1)
 }
 
-// Injector executes a Plan against one machine. It observes the
-// telemetry bus (subscribers run synchronously at the emission site,
-// so by the time the drive's io_start Emit returns, any media fault it
-// triggered is already armed for TakeMedia), and it owns the crash
-// state: once a power cut fires, the sim is stopped and Crashed
-// reports true.
+// Injector executes a Plan against one machine. The drive calls Start
+// as each transfer begins service; the injector counts the transfers
+// every rule's anchor matches and answers whether this one fails. It
+// also owns the crash state: once a power cut fires, the sim is stopped
+// and Crashed reports true.
 type Injector struct {
 	sim     *sim.Sim
 	rules   []*ruleState
-	pending *ruleState // media rule armed for the transfer now starting
 	crashed bool
 	cutAt   sim.Time
 	onCrash []func(cut sim.Time)
@@ -80,8 +71,8 @@ type Injector struct {
 }
 
 // NewInjector validates the plan and builds its injector. Time-based
-// power cuts are scheduled on s immediately; event-based rules arm
-// once AttachTelemetry subscribes the injector to the bus.
+// power cuts are scheduled on s immediately; the other rules count the
+// transfers the drive reports through Start.
 func NewInjector(s *sim.Sim, plan Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -93,24 +84,19 @@ func NewInjector(s *sim.Sim, plan Plan) (*Injector, error) {
 		if r.Kind == PowerCut && r.At > 0 {
 			rs.done = true // consumed by the timer below
 			at := r.At
-			s.At(at, func() {
-				in.crash(at)
-			})
+			s.At(at, func() { in.crash(at) })
 		}
 	}
 	return in, nil
 }
 
-// AttachTelemetry registers the fault.* counters and subscribes the
-// injector to the event stream. The crash_cut for an event-triggered
-// power cut is deferred behind the triggering event (see Bus.Defer),
-// so subscription order no longer affects the stream.
+// AttachTelemetry registers the fault.* counters and keeps the bus the
+// crash_cut event goes out on. The injector is not a subscriber: the
+// faults do not depend on telemetry being attached.
 func (in *Injector) AttachTelemetry(tel *telemetry.Telemetry) {
 	in.bus = tel.Bus
 	tel.Reg.Counter("fault.media_injected", func() int64 { return in.Stats.MediaInjected })
 	tel.Reg.Counter("fault.cuts", func() int64 { return in.Stats.Cuts })
-	// simlint:ignore buspure -- crash freeze hooks reach into the disk by design: they must capture the torn transfer at cut time, and mutate only the crash image
-	tel.Bus.Subscribe(in.observe)
 }
 
 // OnCrash registers a hook that runs when a power cut fires, before
@@ -119,12 +105,17 @@ func (in *Injector) OnCrash(fn func(cut sim.Time)) {
 	in.onCrash = append(in.onCrash, fn)
 }
 
-// observe is the bus subscriber: it advances every live rule's match
-// state and arms or fires faults.
-func (in *Injector) observe(ev telemetry.Event) {
+// Start is called by the drive as it begins servicing a transfer, just
+// after the transfer's io_start event is emitted. It advances every live
+// rule's match state, fires a power cut whose anchor is this transfer,
+// and reports whether the transfer must fail, consuming one failure from
+// the matched media rule's budget.
+func (in *Injector) Start(ev telemetry.Event) bool {
 	if in.crashed {
-		return
+		return false
 	}
+	var media *ruleState
+walk:
 	for _, rs := range in.rules {
 		if rs.done {
 			continue
@@ -137,44 +128,30 @@ func (in *Injector) observe(ev telemetry.Event) {
 				// label is part of the transfer's identity: a volume
 				// reissuing the same member-local sector on another
 				// spindle (mirror failover) must not re-trip the rule.
-				if ev.Kind == telemetry.EvIOStart && ev.Sector == rs.sector && ev.Write == rs.write && ev.Dev == rs.dev {
-					in.pending = rs
+				if ev.Sector == rs.sector && ev.Write == rs.write && ev.Dev == rs.dev {
+					media = rs
 				}
 				continue
 			}
 			if rs.match(ev) {
 				rs.latched, rs.sector, rs.write, rs.dev = true, ev.Sector, ev.Write, ev.Dev
-				in.pending = rs
+				media = rs
 			}
 		case PowerCut:
 			if rs.match(ev) {
 				rs.done = true
 				in.crash(ev.T)
-				return
+				break walk
 			}
 		}
 	}
-}
-
-// TakeMedia is called by the drive immediately after it emits io_start
-// for a transfer: it reports whether that transfer must fail, and
-// consumes one failure from the armed rule's budget.
-func (in *Injector) TakeMedia() bool {
-	rs := in.pending
-	if rs == nil {
+	if media == nil {
 		return false
 	}
-	in.pending = nil
-	rs.fails++
+	media.fails++
 	in.Stats.MediaInjected++
-	if rs.r.Kind == MediaTransient {
-		budget := rs.r.Fails
-		if budget < 1 {
-			budget = 1
-		}
-		if rs.fails >= budget {
-			rs.done = true
-		}
+	if media.r.Kind == MediaTransient && media.fails >= max(media.r.Fails, 1) {
+		media.done = true
 	}
 	return true
 }
@@ -193,11 +170,7 @@ func (in *Injector) crash(t sim.Time) {
 		fn(t)
 	}
 	in.sim.Stop()
-	// Defer, not Emit: event-rule cuts fire from inside the triggering
-	// event's fan-out, and the cut must join the stream behind that
-	// event for every subscriber, not just the ones subscribed after
-	// the injector.
-	in.bus.Defer(telemetry.Event{T: t, Kind: telemetry.EvCrashCut})
+	in.bus.Emit(telemetry.Event{T: t, Kind: telemetry.EvCrashCut})
 }
 
 // Crashed reports whether a power cut has fired.

@@ -1,28 +1,27 @@
 // Package fault is the deterministic fault-injection layer: seed-free,
-// plan-driven media errors and power-cut crashes keyed off the
-// telemetry event stream. A Plan is a list of Rules; each rule anchors
-// on an event match ("the 3rd io_start on this sector range", "the
-// first cluster_push after time T") or, for power cuts, an absolute
-// simulated time. The Injector subscribes to the machine's event bus,
-// counts matching events, and arms the corresponding fault exactly
-// when its anchor fires — same plan, same seed, same faults, every
-// run.
+// plan-driven media errors and power-cut crashes. A Plan is a list of
+// Rules; each rule anchors on a transfer match ("the 3rd write on this
+// sector range", "the first read of sd1 after time T") or, for power
+// cuts, an absolute simulated time. Every drive calls the Injector as
+// each transfer begins service (Injector.Start); the injector counts
+// the transfers each anchor matches and fires the fault exactly when
+// its anchor does — same plan, same seed, same faults, every run, with
+// or without telemetry attached.
 //
-// Media errors are consumed by internal/disk (the drive fails the
-// transfer that the matched io_start began); power cuts stop the
-// simulation clock dead and freeze the disk image with only the
-// sectors physically written by then (a transfer in flight is torn at
-// sector granularity — see disk.freezeTorn).
+// A media error fails the transfer its anchor matched (internal/disk
+// reports ErrMedia); a power cut stops the simulation clock dead and
+// freezes the disk image with only the sectors physically written by
+// then (a transfer in flight is torn at sector granularity — see
+// disk.freezeTorn).
 package fault
 
 import (
 	"fmt"
 
 	"ufsclust/internal/sim"
-	"ufsclust/internal/telemetry"
 )
 
-// RW filters an I/O event match by transfer direction.
+// RW filters a transfer match by direction.
 type RW uint8
 
 // Direction filters.
@@ -43,8 +42,8 @@ const (
 	// MediaHard fails the matched transfer and every retry of it,
 	// forever: the driver's give-up path is the only way out.
 	MediaHard
-	// PowerCut stops the machine at the anchor (an event match, or the
-	// absolute time Rule.At) and freezes the disk image as of that
+	// PowerCut stops the machine at the anchor (a transfer match, or
+	// the absolute time Rule.At) and freezes the disk image as of that
 	// instant.
 	PowerCut
 )
@@ -61,33 +60,28 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Match is a rule's anchor: a predicate over the telemetry stream plus
-// an occurrence count. The rule fires on the Nth event (1-based) that
-// passes every filter.
+// Match is a rule's anchor: a predicate over the transfers the drives
+// begin servicing plus an occurrence count. The rule fires on the Nth
+// transfer (1-based) that passes every filter.
 type Match struct {
-	Event EventKind // event kind to count (media rules: telemetry.EvIOStart)
-	Nth   int64     // 1-based occurrence; 0 means 1
-	RW    RW        // direction filter (I/O events carry a direction)
+	Nth int64 // 1-based occurrence; 0 means 1
+	RW  RW    // direction filter
 
-	// SectorLo/SectorHi restrict the match to events whose Sector lies
-	// in [SectorLo, SectorHi]. SectorHi == 0 disables the filter. Use
-	// disk geometry / ufs layout helpers to aim at a cylinder group.
-	// On a volume machine the Sector of a member's io_start is
+	// SectorLo/SectorHi restrict the match to transfers whose first
+	// sector lies in [SectorLo, SectorHi]. SectorHi == 0 disables the
+	// filter. Use disk geometry / ufs layout helpers to aim at a
+	// cylinder group. On a volume machine a member's sectors are
 	// member-local; combine with Dev to aim at a spindle region.
 	SectorLo, SectorHi int64
 
-	// Dev restricts the match to events tagged with this member device
-	// label ("sd1" — see internal/vol). Empty matches any device,
-	// including the unlabeled bare drive.
+	// Dev restricts the match to transfers on this member device
+	// ("sd1" — see internal/vol). Empty matches any device, including
+	// the unlabeled bare drive.
 	Dev string
 
-	// After ignores events before this simulated time.
+	// After ignores transfers that start before this simulated time.
 	After sim.Time
 }
-
-// EventKind aliases the telemetry kind so plan literals read naturally
-// without importing telemetry at every call site.
-type EventKind = telemetry.EventKind
 
 // Rule is one planned fault.
 type Rule struct {
@@ -100,7 +94,7 @@ type Rule struct {
 	Fails int
 
 	// At, for PowerCut only, cuts power at an absolute simulated time
-	// instead of an event match. When At > 0 the Match is ignored.
+	// instead of a transfer match. When At > 0 the Match is ignored.
 	At sim.Time
 }
 
@@ -114,13 +108,6 @@ func (pl Plan) Validate() error {
 	for i, r := range pl.Rules {
 		switch r.Kind {
 		case MediaTransient, MediaHard:
-			// The media decision is taken by the drive as it begins
-			// service, so the anchor must be the service-start event:
-			// any other anchor would leave the fault pending with no
-			// transfer to fail.
-			if r.Match.Event != telemetry.EvIOStart {
-				return fmt.Errorf("fault: rule %d: media faults anchor on io_start, not %v", i, r.Match.Event)
-			}
 			if r.At != 0 {
 				return fmt.Errorf("fault: rule %d: At is power-cut only", i)
 			}
@@ -151,7 +138,7 @@ func (pl Plan) Validate() error {
 // (transient: the transfer succeeds once the budget is spent).
 func FailNth(nth int64, rw RW, fails int) Rule {
 	return Rule{
-		Match: Match{Event: telemetry.EvIOStart, Nth: nth, RW: rw},
+		Match: Match{Nth: nth, RW: rw},
 		Kind:  MediaTransient,
 		Fails: fails,
 	}
@@ -161,7 +148,7 @@ func FailNth(nth int64, rw RW, fails int) Rule {
 // of it, permanently.
 func FailNthHard(nth int64, rw RW) Rule {
 	return Rule{
-		Match: Match{Event: telemetry.EvIOStart, Nth: nth, RW: rw},
+		Match: Match{Nth: nth, RW: rw},
 		Kind:  MediaHard,
 	}
 }
@@ -171,7 +158,7 @@ func CutAtTime(t sim.Time) Rule {
 	return Rule{Kind: PowerCut, At: t}
 }
 
-// CutAtEvent cuts power at the nth occurrence of ev.
-func CutAtEvent(ev EventKind, nth int64) Rule {
-	return Rule{Match: Match{Event: ev, Nth: nth}, Kind: PowerCut}
+// CutAtIO cuts power as the nth transfer begins service.
+func CutAtIO(nth int64) Rule {
+	return Rule{Match: Match{Nth: nth}, Kind: PowerCut}
 }

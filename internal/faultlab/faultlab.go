@@ -18,7 +18,6 @@ import (
 	"ufsclust/internal/fault"
 	"ufsclust/internal/runner"
 	"ufsclust/internal/sim"
-	"ufsclust/internal/telemetry"
 	"ufsclust/internal/ufs"
 )
 
@@ -408,13 +407,8 @@ func RunDegradedMember(w Workload, member int) (*MemberReport, error) {
 	}
 
 	plan := fault.Plan{Rules: []fault.Rule{{
-		Match: fault.Match{
-			Event: telemetry.EvIOStart,
-			Nth:   1,
-			RW:    fault.Reads,
-			Dev:   fmt.Sprintf("sd%d", member),
-		},
-		Kind: fault.MediaHard,
+		Match: fault.Match{Nth: 1, RW: fault.Reads, Dev: fmt.Sprintf("sd%d", member)},
+		Kind:  fault.MediaHard,
 	}}}
 	m, err := w.boot(3, ufsclust.WithImage(base.Images...), ufsclust.WithFaultPlan(plan))
 	if err != nil {

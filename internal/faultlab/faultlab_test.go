@@ -11,7 +11,6 @@ import (
 	"ufsclust"
 	"ufsclust/internal/fault"
 	"ufsclust/internal/sim"
-	"ufsclust/internal/telemetry"
 )
 
 var updateFaultEvents = flag.Bool("update-fault-events", false, "rewrite the golden fault-event JSONL stream")
@@ -144,14 +143,14 @@ func TestRecoverFlagsLostAcknowledgedData(t *testing.T) {
 
 // faultEventStream runs a small fsync-heavy write workload under a
 // plan that exercises all three fault event kinds — a transient media
-// error (fault_inject), its retry (io_retry), and an event-anchored
+// error (fault_inject), its retry (io_retry), and a transfer-anchored
 // power cut (crash_cut) — and returns the machine's JSONL stream.
 func faultEventStream(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
 	plan := fault.Plan{Rules: []fault.Rule{
 		fault.FailNth(3, fault.Writes, 1),
-		fault.CutAtEvent(telemetry.EvIOStart, 20),
+		fault.CutAtIO(20),
 	}}
 	m, err := ufsclust.New(ufsclust.RunA(),
 		ufsclust.WithSeed(99),

@@ -127,9 +127,7 @@ type Event struct {
 // that performs no allocation — instrumented hot paths pay only a nil
 // check and a length test when nobody is listening.
 type Bus struct {
-	subs    []func(Event)
-	depth   int     // emissions in progress (re-entrancy guard)
-	pending []Event // events deferred until the current fan-out ends
+	subs []func(Event)
 }
 
 // Subscribe adds a handler. Handlers run synchronously at the emission
@@ -145,51 +143,13 @@ func (b *Bus) Active() bool {
 	return b != nil && len(b.subs) > 0
 }
 
-// Emit delivers ev to every subscriber, then drains any events that
-// subscribers deferred during the fan-out.
+// Emit delivers ev to every subscriber.
 func (b *Bus) Emit(ev Event) {
 	if b == nil {
 		return
 	}
-	b.deliver(ev)
-	b.drain()
-}
-
-// Defer delivers ev like Emit, except that when an emission is already
-// in progress the event is queued and delivered after the current
-// fan-out completes. Subscribers that need to publish in reaction to an
-// event (the fault injector's crash_cut) must use it: re-entering Emit
-// from inside a fan-out would hand later subscribers the reaction
-// before the event that provoked it, so the stream order would no
-// longer be the emission order.
-func (b *Bus) Defer(ev Event) {
-	if b == nil {
-		return
-	}
-	if b.depth > 0 {
-		b.pending = append(b.pending, ev)
-		return
-	}
-	b.deliver(ev)
-	b.drain()
-}
-
-// deliver runs one complete fan-out of ev.
-func (b *Bus) deliver(ev Event) {
-	b.depth++
 	for _, fn := range b.subs {
 		fn(ev)
-	}
-	b.depth--
-}
-
-// drain delivers deferred events in FIFO order; a deferral made during
-// the drain itself lands behind the events already queued.
-func (b *Bus) drain() {
-	for b.depth == 0 && len(b.pending) > 0 {
-		ev := b.pending[0]
-		b.pending = b.pending[1:]
-		b.deliver(ev)
 	}
 }
 

@@ -24,65 +24,6 @@ func TestBusDelivery(t *testing.T) {
 	}
 }
 
-// TestDeferDuringEmit pins the re-entrancy contract: an event deferred
-// from inside a fan-out is delivered to every subscriber after the
-// triggering event, regardless of subscription order — the property the
-// fault injector's crash_cut relies on.
-func TestDeferDuringEmit(t *testing.T) {
-	b := &Bus{}
-	var before, after []EventKind
-	b.Subscribe(func(ev Event) { before = append(before, ev.Kind) })
-	b.Subscribe(func(ev Event) {
-		if ev.Kind == EvIOStart {
-			b.Defer(Event{Kind: EvCrashCut})
-		}
-	})
-	b.Subscribe(func(ev Event) { after = append(after, ev.Kind) })
-	b.Emit(Event{Kind: EvIOStart})
-	want := []EventKind{EvIOStart, EvCrashCut}
-	for name, got := range map[string][]EventKind{"before": before, "after": after} {
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Errorf("subscriber subscribed %s the deferrer saw %v, want %v", name, got, want)
-		}
-	}
-}
-
-// TestDeferIdle: with no emission in progress, Defer is just Emit.
-func TestDeferIdle(t *testing.T) {
-	b := &Bus{}
-	var got []EventKind
-	b.Subscribe(func(ev Event) { got = append(got, ev.Kind) })
-	b.Defer(Event{Kind: EvCrashCut})
-	if len(got) != 1 || got[0] != EvCrashCut {
-		t.Errorf("idle Defer delivered %v, want immediate crash_cut", got)
-	}
-	var nb *Bus
-	nb.Defer(Event{Kind: EvIOStart}) // must not panic
-}
-
-// TestDeferChain: a deferral made while the deferred queue drains lands
-// behind the events already queued, in FIFO order.
-func TestDeferChain(t *testing.T) {
-	b := &Bus{}
-	var got []EventKind
-	fired := false
-	b.Subscribe(func(ev Event) {
-		got = append(got, ev.Kind)
-		if ev.Kind == EvIOStart {
-			b.Defer(Event{Kind: EvIODone})
-		}
-		if ev.Kind == EvIODone && !fired {
-			fired = true
-			b.Defer(Event{Kind: EvCrashCut})
-		}
-	})
-	b.Emit(Event{Kind: EvIOStart})
-	want := []EventKind{EvIOStart, EvIODone, EvCrashCut}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("chained deferral order %v, want %v", got, want)
-	}
-}
-
 func TestNilBusSafe(t *testing.T) {
 	var b *Bus
 	b.Emit(Event{Kind: EvIOStart}) // must not panic

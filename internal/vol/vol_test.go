@@ -516,7 +516,7 @@ func TestMemberFaultFailover(t *testing.T) {
 	var kinds []telemetry.EventKind
 	tel.Bus.Subscribe(func(ev telemetry.Event) { kinds = append(kinds, ev.Kind) })
 	inj, err := fault.NewInjector(s, fault.Plan{Rules: []fault.Rule{{
-		Match: fault.Match{Event: telemetry.EvIOStart, Nth: 1, RW: fault.Reads, Dev: "sd0"},
+		Match: fault.Match{Nth: 1, RW: fault.Reads, Dev: "sd0"},
 		Kind:  fault.MediaHard,
 	}}})
 	if err != nil {

@@ -203,9 +203,6 @@ func NewMachine(o Options) (*Machine, error) {
 	if o.EventJSONL != nil {
 		tel.Bus.Subscribe(telemetry.NewJSONL(o.EventJSONL).Write)
 	}
-	// The injector's telemetry goes last so its crash_cut / fault_inject
-	// lines appear in the JSONL stream after the event that triggered
-	// them — the bus runs subscribers in registration order.
 	inj.AttachTelemetry(tel)
 	if replayLog != nil && tel.Bus.Active() {
 		// Boot-time replay happened before the bus had subscribers;
