@@ -127,7 +127,7 @@ func BenchmarkWriteLimitSweep(b *testing.B) {
 // failures as errors rather than through a *testing.B.
 func writeLimitRate(limit int64) (float64, error) {
 	o := ufsclust.RunA().Options()
-	o.Mount.WriteLimit = limit
+	o.Engine.WriteLimit = limit
 	m, err := ufsclust.NewMachine(o)
 	if err != nil {
 		return 0, err

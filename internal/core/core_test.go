@@ -35,11 +35,12 @@ func newRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64) *rig 
 	if _, err := ufs.Mkfs(d, mkfs); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := ufs.Mount(s, cm, dr, ufs.MountOpts{WriteLimit: writeLimit})
+	fs, err := ufs.Mount(s, cm, dr, ufs.MountOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := vm.New(s, cm, 8<<20)
+	cfg.WriteLimit = writeLimit
 	eng := NewEngine(s, cm, v, fs, cfg)
 	return &rig{s: s, d: d, dr: dr, fs: fs, v: v, eng: eng}
 }
@@ -251,40 +252,6 @@ func TestSparseFileReadsZeros(t *testing.T) {
 	verifyOK(t, r)
 }
 
-// --- Figure 3: legacy read-ahead pattern ---------------------------------
-
-func TestFigure3LegacyReadAheadPattern(t *testing.T) {
-	mk, cfg := legacyOpts()
-	r := newRig(t, mk, cfg, 0)
-	r.run(t, func(p *sim.Proc) {
-		f, _ := r.eng.Create(p, "/f")
-		data := make([]byte, 64<<10)
-		f.Write(p, 0, data)
-		f.Purge(p)
-		r.eng.Stats = Stats{}
-		buf := make([]byte, 8192)
-		// Fault pages 0,1,2 sequentially.
-		for i := int64(0); i < 3; i++ {
-			f.Read(p, i*8192, buf)
-		}
-		// Figure 3: each fault issues one sync-or-hit plus one async
-		// read-ahead: page 0 -> sync 0 + async 1; page 1 -> hit +
-		// async 2; page 2 -> hit + async 3.
-		if r.eng.Stats.SyncReads != 1 {
-			t.Errorf("sync reads = %d, want 1", r.eng.Stats.SyncReads)
-		}
-		if r.eng.Stats.AsyncReads != 3 {
-			t.Errorf("async read-aheads = %d, want 3", r.eng.Stats.AsyncReads)
-		}
-		if r.eng.Stats.CacheHits < 2 {
-			t.Errorf("cache hits = %d, want >= 2 (read-ahead worked)", r.eng.Stats.CacheHits)
-		}
-		if f.vn.IP.Nextr != 3 {
-			t.Errorf("nextr = %d, want 3", f.vn.IP.Nextr)
-		}
-	})
-}
-
 func TestLegacyRandomReadNoReadAhead(t *testing.T) {
 	mk, cfg := legacyOpts()
 	r := newRig(t, mk, cfg, 0)
@@ -304,50 +271,6 @@ func TestLegacyRandomReadNoReadAhead(t *testing.T) {
 		}
 		if r.eng.Stats.SyncReads != 5 {
 			t.Errorf("sync reads = %d, want 5", r.eng.Stats.SyncReads)
-		}
-	})
-}
-
-// --- Figure 6: clustered read-ahead pattern ------------------------------
-
-func TestFigure6ClusterReadPattern(t *testing.T) {
-	// maxcontig=3 exactly as in the figure.
-	r := newRig(t, ufs.MkfsOpts{Rotdelay: 0, Maxcontig: 3}, ConfigA(), 0)
-	r.run(t, func(p *sim.Proc) {
-		f, _ := r.eng.Create(p, "/f")
-		data := make([]byte, 24*8192)
-		f.Write(p, 0, data)
-		f.Purge(p)
-		r.eng.Stats = Stats{}
-		buf := make([]byte, 8192)
-
-		type step struct {
-			sync, async int64
-			nextrio     int64
-		}
-		var got []step
-		for i := int64(0); i < 7; i++ {
-			f.Read(p, i*8192, buf)
-			got = append(got, step{r.eng.Stats.SyncReads, r.eng.Stats.AsyncReads, f.vn.IP.Nextrio})
-		}
-		// Page 0: sync cluster 0-2, async 3-5, nextrio=6.
-		if got[0].sync != 1 || got[0].async != 1 || got[0].nextrio != 6 {
-			t.Errorf("page 0: %+v, want sync=1 async=1 nextrio=6", got[0])
-		}
-		// Pages 1,2: nothing.
-		if got[2].sync != 1 || got[2].async != 1 {
-			t.Errorf("pages 1-2 issued I/O: %+v", got[2])
-		}
-		// Page 3: prefetch 6-8, nextrio=9.
-		if got[3].async != 2 || got[3].nextrio != 9 {
-			t.Errorf("page 3: %+v, want async=2 nextrio=9", got[3])
-		}
-		// Pages 4,5: nothing. Page 6: prefetch 9-11, nextrio=12.
-		if got[6].async != 3 || got[6].nextrio != 12 {
-			t.Errorf("page 6: %+v, want async=3 nextrio=12", got[6])
-		}
-		if got[6].sync != 1 {
-			t.Errorf("sync reads = %d after 7 pages, want 1 (everything else prefetched)", got[6].sync)
 		}
 	})
 }
@@ -389,32 +312,6 @@ func TestLegacyReadIsBlockAtATime(t *testing.T) {
 		}
 		if r.d.Stats.Reads < 60 {
 			t.Errorf("disk reads = %d for 60 blocks, want >= 60 (block at a time)", r.d.Stats.Reads)
-		}
-	})
-}
-
-// --- Figure 7: clustered write pattern -----------------------------------
-
-func TestFigure7ClusterWritePattern(t *testing.T) {
-	r := newRig(t, ufs.MkfsOpts{Rotdelay: 0, Maxcontig: 3}, ConfigA(), 0)
-	r.run(t, func(p *sim.Proc) {
-		f, _ := r.eng.Create(p, "/f")
-		buf := make([]byte, 8192)
-		var ios []int64
-		for i := int64(0); i < 6; i++ {
-			f.Write(p, i*8192, buf)
-			ios = append(ios, r.eng.Stats.WriteIOs)
-		}
-		// Figure 7: lie, lie, push 0-2, lie, lie, push 3-5.
-		want := []int64{0, 0, 1, 1, 1, 2}
-		for i, w := range want {
-			if ios[i] != w {
-				t.Errorf("after page %d: %d write IOs, want %d (pattern %v)", i, ios[i], w, ios)
-				break
-			}
-		}
-		if r.eng.Stats.Lies != 6 {
-			t.Errorf("lies = %d, want 6", r.eng.Stats.Lies)
 		}
 	})
 }

@@ -105,11 +105,12 @@ func newVolRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64, vc
 	if _, err := ufs.Mkfs(dev, mkfs); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := ufs.Mount(s, cm, dr, ufs.MountOpts{WriteLimit: writeLimit})
+	fs, err := ufs.Mount(s, cm, dr, ufs.MountOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := vm.New(s, cm, 8<<20)
+	cfg.WriteLimit = writeLimit
 	eng := NewEngine(s, cm, v, fs, cfg)
 	return &rig{s: s, dr: dr, fs: fs, v: v, eng: eng}, vl
 }

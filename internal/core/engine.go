@@ -46,6 +46,9 @@ type Config struct {
 	// FreeBehind releases pages behind large sequential reads when
 	// memory is low, turning LRU into MRU for streaming I/O.
 	FreeBehind bool
+	// WriteLimit is the per-file cap on bytes of write I/O in the disk
+	// queue (the paper's fairness semaphore); 0 disables the limit.
+	WriteLimit int64
 
 	// SkipBmapOnHit enables the Further Work "UFS_HOLE" optimization:
 	// when the requested page is already cached and the file has no
@@ -66,10 +69,9 @@ type Config struct {
 }
 
 // ConfigA and ConfigD return the code-path halves of the paper's Figure
-// 9 runs A and D. (The matching mkfs tunings are: A rotdelay 0 maxcontig
-// 15; D rotdelay 4ms maxcontig 1. The write limit is a mount option, and
-// runs B and C are D plus heuristics the root package's RunB/RunC turn
-// on.)
+// 9 runs A and D, without the write limit. (The matching mkfs tunings
+// are: A rotdelay 0 maxcontig 15; D rotdelay 4ms maxcontig 1. Runs B
+// and C are D plus heuristics the root package's RunB/RunC turn on.)
 func ConfigA() Config {
 	return Config{Clustered: true, Prefetch: prefetch.NewFixed(), FreeBehind: true}
 }
@@ -202,11 +204,29 @@ func (e *Engine) charge(p *sim.Proc, c cpu.Category, instr int64) {
 
 var _ vm.Object = (*Vnode)(nil)
 
-// Vnode is the per-file object: the ufs inode plus engine state. It
-// implements vm.Object so the pageout daemon can write its dirty pages.
+// Vnode is the per-file object: the ufs inode plus every piece of
+// engine state the paper's algorithms keep per file, the way 4.4BSD
+// keeps its clustering cursors in the vnode. It implements vm.Object so
+// the pageout daemon can write its dirty pages.
 type Vnode struct {
 	eng *Engine
 	IP  *ufs.Inode
+
+	// nextr is the predicted logical block of the next read; read-ahead
+	// triggers when a fault matches it (figure 3).
+	nextr int64
+	// nextrio is the logical block where the next cluster read-ahead
+	// should begin (figure 6).
+	nextrio int64
+	// delayoff/delaylen describe the run of delayed ("lied about")
+	// write pages not yet pushed (figures 7 and 8). Byte units.
+	delayoff, delaylen int64
+	// ra is the read-ahead policy's detector for this file.
+	ra prefetch.State
+
+	// wsem implements the per-file write limit: bytes of I/O this file
+	// may have in the disk queue. Nil when Config.WriteLimit is 0.
+	wsem *sim.Semaphore
 
 	// pending counts bytes of write I/O in flight for this file.
 	pending     int64
@@ -244,6 +264,9 @@ func (e *Engine) vnode(ip *ufs.Inode) *Vnode {
 	}
 	vn := &Vnode{eng: e, IP: ip}
 	vn.pendingWait.Name = fmt.Sprintf("vnode.%d.pending", ip.Ino)
+	if e.Cfg.WriteLimit > 0 {
+		vn.wsem = sim.NewSemaphore(fmt.Sprintf("wlimit.%d", ip.Ino), e.Cfg.WriteLimit)
+	}
 	e.vnodes[ip.Ino] = vn
 	return vn
 }
@@ -295,6 +318,11 @@ func (f *File) Size() int64 { return f.vn.IP.D.Size }
 // Inode exposes the underlying inode (benchmarks inspect layout).
 func (f *File) Inode() *ufs.Inode { return f.vn.IP }
 
+// Cursors returns the file's read predictors: nextr, the block the next
+// read is expected at, and nextrio, where the next cluster read-ahead
+// begins (the figure tracer prints them).
+func (f *File) Cursors() (nextr, nextrio int64) { return f.vn.nextr, f.vn.nextrio }
+
 // Fsync pushes any delayed writes, waits for all of this file's write
 // I/O to reach the platter, and then writes the file's metadata (the
 // indirect blocks and the inode itself) synchronously. Only when Fsync
@@ -302,9 +330,9 @@ func (f *File) Inode() *ufs.Inode { return f.vn.IP }
 // loses nothing that was written before the call.
 func (f *File) Fsync(p *sim.Proc) error {
 	vn := f.vn
-	if vn.IP.Delaylen > 0 {
-		f.eng.push(p, vn, vn.IP.Delayoff, vn.IP.Delaylen, true, 0)
-		vn.IP.Delayoff, vn.IP.Delaylen = 0, 0
+	if vn.delaylen > 0 {
+		f.eng.push(p, vn, vn.delayoff, vn.delaylen, true, 0)
+		vn.delayoff, vn.delaylen = 0, 0
 	}
 	for vn.pending > 0 {
 		p.Block(&vn.pendingWait)
@@ -326,12 +354,10 @@ func (f *File) Fsync(p *sim.Proc) error {
 func (f *File) Purge(p *sim.Proc) error {
 	err := f.Fsync(p)
 	f.evict(p, 0)
-	f.vn.IP.Nextr, f.vn.IP.Nextrio = 0, 0
+	f.vn.nextr, f.vn.nextrio = 0, 0
+	f.vn.ra = prefetch.State{}
 	f.vn.seq = false
 	f.vn.inodeData = nil
-	if pol := f.eng.Cfg.Prefetch; pol != nil {
-		pol.Forget(f.vn.IP.Ino)
-	}
 	return err
 }
 
@@ -360,19 +386,19 @@ func (f *File) evict(p *sim.Proc, from int64) {
 // limit it stalls on the per-file limit if one is set; the pageout
 // daemon passes false so it can always make progress.
 func (vn *Vnode) writeStarted(p *sim.Proc, n int64, limit bool) {
-	if limit && vn.IP.WriteSem != nil {
-		if vn.IP.WriteSem.Value() < n {
+	if limit && vn.wsem != nil {
+		if vn.wsem.Value() < n {
 			vn.eng.Stats.WriteStalls++
 		}
-		vn.IP.WriteSem.P(p, n)
+		vn.wsem.P(p, n)
 	}
 	vn.pending += n
 }
 
 // writeDone releases writeStarted's accounting from interrupt context.
 func (vn *Vnode) writeDone(n int64, limit bool) {
-	if limit && vn.IP.WriteSem != nil {
-		vn.IP.WriteSem.V(n)
+	if limit && vn.wsem != nil {
+		vn.wsem.V(n)
 	}
 	vn.pending -= n
 	if vn.pending == 0 {

@@ -181,7 +181,7 @@ func TestBmapCacheInvalidatedByReallocation(t *testing.T) {
 // newRigOpts is newRig with explicit mount options.
 func newRigOpts(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, mo ufs.MountOpts) *rig {
 	t.Helper()
-	r := newRig(t, mkfs, cfg, mo.WriteLimit)
+	r := newRig(t, mkfs, cfg, cfg.WriteLimit)
 	fs, err := ufs.Mount(r.s, r.eng.CPU, r.dr, mo)
 	if err != nil {
 		t.Fatal(err)

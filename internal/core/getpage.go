@@ -73,7 +73,7 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 	}
 
 	// if (sequential I/O) start I/O for next page.
-	seq := lbn == vn.IP.Nextr
+	seq := lbn == vn.nextr
 	vn.seq = seq
 	if seq && e.Cfg.Prefetch != nil {
 		nlbn := lbn + 1
@@ -92,7 +92,7 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 	// if (first page was not in cache) wait for I/O to finish.
 	pg.WaitUnbusy(p)
 	// predict next I/O location.
-	vn.IP.Nextr = lbn + 1
+	vn.nextr = lbn + 1
 	return pg, nil
 }
 
@@ -102,7 +102,7 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 	sb := e.FS.SB
 	lbn := sb.Lblkno(off)
 
-	seq := lbn == vn.IP.Nextr
+	seq := lbn == vn.nextr
 	// The UFS_HOLE fast path: a cached page in a hole-free file needs
 	// no bmap at all. (Read-ahead decisions still work from nextrio.)
 	if e.Cfg.SkipBmapOnHit && !seq && noHoles(e, vn) {
@@ -112,7 +112,7 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 			e.cacheHit(pg)
 			vn.seq = false
 			pg.WaitUnbusy(p)
-			vn.IP.Nextr = lbn + 1
+			vn.nextr = lbn + 1
 			return pg, nil
 		}
 	}
@@ -155,14 +155,14 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 	if e.Cfg.Prefetch != nil {
 		// The paper's exact trigger: the demand cluster ends precisely
 		// at the nextrio cursor (or we are at the start of the file).
-		exact := lbn+int64(contig) == vn.IP.Nextrio || (lbn == 0 && vn.IP.Nextrio == 0)
+		exact := lbn+int64(contig) == vn.nextrio || (lbn == 0 && vn.nextrio == 0)
 		switch {
 		case !cached && !seq && lbn != 0:
 			// Random miss: collapse the policy's window and restart
 			// the read-ahead trigger past this cluster.
 			e.raCollapse(vn, lbn)
-			vn.IP.Nextrio = lbn + int64(contig)
-		case exact || (e.raVerbose() && lbn+int64(contig) > vn.IP.Nextrio):
+			vn.nextrio = lbn + int64(contig)
+		case exact || (e.raVerbose() && lbn+int64(contig) > vn.nextrio):
 			// We are at the start of the last prefetched cluster (or
 			// at the very beginning): the read-ahead trigger point.
 			// The policy sizes the window; the engine issues it. "It
@@ -183,7 +183,7 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 	}
 
 	pg.WaitUnbusy(p)
-	vn.IP.Nextr = lbn + 1
+	vn.nextr = lbn + 1
 	return pg, nil
 }
 
@@ -195,11 +195,11 @@ func (e *Engine) raVerbose() bool {
 	return e.Cfg.Prefetch != nil && e.Cfg.Prefetch.Name() != "fixed"
 }
 
-// raCollapse tells the policy the reader seeked away from the detected
-// stream.
+// raCollapse zeroes the file's detector: the reader seeked away from
+// the detected stream, which must re-confirm before prefetch resumes.
 func (e *Engine) raCollapse(vn *Vnode, lbn int64) {
 	e.Stats.RACollapses++
-	e.Cfg.Prefetch.Random(vn.IP.Ino)
+	vn.ra = prefetch.State{}
 	if e.raVerbose() {
 		e.Bus.Emit(telemetry.Event{T: e.Sim.Now(), Kind: telemetry.EvRAWindow, LBN: lbn})
 	}
@@ -221,10 +221,10 @@ func (e *Engine) raTrigger(p *sim.Proc, vn *Vnode, lbn int64, contig int, seq bo
 		MemLow:        e.VM.MemoryLow(),
 		WriteHeadroom: -1,
 	}
-	if vn.IP.WriteSem != nil {
-		lim.WriteHeadroom = vn.IP.WriteSem.Value()
+	if vn.wsem != nil {
+		lim.WriteHeadroom = vn.wsem.Value()
 	}
-	dec := e.Cfg.Prefetch.Trigger(vn.IP.Ino, seq, lim)
+	dec := e.Cfg.Prefetch.Trigger(&vn.ra, seq, lim)
 	if dec.ClampedMem {
 		e.Stats.RAClampMem++
 	}
@@ -240,7 +240,7 @@ func (e *Engine) raTrigger(p *sim.Proc, vn *Vnode, lbn int64, contig int, seq bo
 	// nothing), and starting at lbn+contig there would skip blocks the
 	// reader still needs. The issue walk skips any cached prefix, so a
 	// conservative edge costs lookups, never duplicate I/O.
-	start := vn.IP.Nextrio
+	start := vn.nextrio
 	if exact {
 		if end := lbn + int64(contig); end > start {
 			start = end
@@ -256,7 +256,7 @@ func (e *Engine) raTrigger(p *sim.Proc, vn *Vnode, lbn int64, contig int, seq bo
 		// fixed policy never grants zero, so this branch never runs for
 		// the default engine.
 		if seq {
-			vn.IP.Nextrio = start
+			vn.nextrio = start
 		}
 		e.raWindow.Observe(0)
 		return
@@ -276,7 +276,7 @@ func (e *Engine) raTrigger(p *sim.Proc, vn *Vnode, lbn int64, contig int, seq bo
 		}
 		e.startRead(p, vn, start, rfsbn, rcontig, true, false)
 		start += int64(rcontig)
-		vn.IP.Nextrio = start
+		vn.nextrio = start
 		issued += rcontig
 	}
 	e.raWindow.Observe(int64(issued))

@@ -23,32 +23,31 @@ func (e *Engine) PutPage(p *sim.Proc, vn *Vnode, off int64) {
 	bsize := int64(e.FS.SB.Bsize)
 	maxBytes := int64(e.FS.ClusterBlocks()) * bsize
 
-	ip := vn.IP
-	if ip.Delaylen == 0 || ip.Delayoff+ip.Delaylen == off {
+	if vn.delaylen == 0 || vn.delayoff+vn.delaylen == off {
 		// Sequential (or first): lie.
-		if ip.Delaylen == 0 {
-			ip.Delayoff = off
+		if vn.delaylen == 0 {
+			vn.delayoff = off
 		}
-		ip.Delaylen += bsize
+		vn.delaylen += bsize
 		e.Stats.Lies++
 		e.Bus.Emit(telemetry.Event{T: e.Sim.Now(), Kind: telemetry.EvWriteLie, LBN: off / bsize, Blocks: 1})
-		if ip.Delaylen >= maxBytes {
+		if vn.delaylen >= maxBytes {
 			// A full cluster: write it, but only as far as the device's
 			// last row boundary. What lies past it stays delayed and
 			// opens the next window, so once the stream is under way
 			// every push is whole rows. The window's end is taken first:
 			// push can block on the write limit, and the pageout daemon
-			// trims Delaylen meanwhile.
-			end := ip.Delayoff + ip.Delaylen
-			held := e.push(p, vn, ip.Delayoff, ip.Delaylen, true, e.FS.RowBlocks())
-			ip.Delayoff, ip.Delaylen = end-held, held
+			// trims delaylen meanwhile.
+			end := vn.delayoff + vn.delaylen
+			held := e.push(p, vn, vn.delayoff, vn.delaylen, true, e.FS.RowBlocks())
+			vn.delayoff, vn.delaylen = end-held, held
 		}
 		return
 	}
 	// Sequentiality assumption was wrong: flush the old window and
 	// start over with the current page.
-	e.push(p, vn, ip.Delayoff, ip.Delaylen, true, 0)
-	ip.Delayoff, ip.Delaylen = off, bsize
+	e.push(p, vn, vn.delayoff, vn.delaylen, true, 0)
+	vn.delayoff, vn.delaylen = off, bsize
 }
 
 // push writes out the dirty cached pages in [off, off+length), grouping
@@ -98,8 +97,8 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool, row
 		// A single transfer may never exceed the per-file write limit,
 		// or its semaphore P could not be satisfied even by an empty
 		// queue.
-		if limit && vn.IP.WriteSem != nil {
-			if lim := int(e.FS.WriteLimit / bsize); lim >= 1 && contig > lim {
+		if limit && vn.wsem != nil {
+			if lim := int(e.Cfg.WriteLimit / bsize); lim >= 1 && contig > lim {
 				contig = lim
 			}
 		}
@@ -168,9 +167,8 @@ func (vn *Vnode) PageOut(p *sim.Proc, pg *vm.Page) {
 		length = int64(e.FS.ClusterBlocks()) * bsize
 	}
 	// Trim the delayed window if we are writing part of it.
-	ip := vn.IP
-	if ip.Delaylen > 0 && pg.Off >= ip.Delayoff && pg.Off < ip.Delayoff+ip.Delaylen {
-		ip.Delaylen = pg.Off - ip.Delayoff
+	if vn.delaylen > 0 && pg.Off >= vn.delayoff && pg.Off < vn.delayoff+vn.delaylen {
+		vn.delaylen = pg.Off - vn.delayoff
 	}
 	e.push(p, vn, pg.Off, length, false, 0)
 }

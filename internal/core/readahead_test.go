@@ -21,7 +21,7 @@ func readTrace(p *sim.Proc, r *rig, f *File, n int64) []raStep {
 	var got []raStep
 	for i := int64(0); i < n; i++ {
 		f.Read(p, i*8192, buf)
-		got = append(got, raStep{r.eng.Stats.SyncReads, r.eng.Stats.AsyncReads, f.vn.IP.Nextrio})
+		got = append(got, raStep{r.eng.Stats.SyncReads, r.eng.Stats.AsyncReads, f.vn.nextrio})
 	}
 	return got
 }
@@ -85,9 +85,8 @@ func TestAdaptiveRampAtEngineLevel(t *testing.T) {
 // second. The fixed policy cannot do this — after the collapse resets
 // the cursor, its exact-match trigger goes dead on a contiguous layout.
 func TestAdaptiveCollapseAndReconfirm(t *testing.T) {
-	ad := prefetch.NewAdaptive(prefetch.AdaptiveConfig{})
 	cfg := ConfigA()
-	cfg.Prefetch = ad
+	cfg.Prefetch = prefetch.NewAdaptive(prefetch.AdaptiveConfig{})
 	r := newRig(t, ufs.MkfsOpts{Rotdelay: 0, Maxcontig: 3}, cfg, 0)
 	r.run(t, func(p *sim.Proc) {
 		f, _ := r.eng.Create(p, "/f")
@@ -95,19 +94,18 @@ func TestAdaptiveCollapseAndReconfirm(t *testing.T) {
 		f.Write(p, 0, data)
 		f.Purge(p)
 		r.eng.Stats = Stats{}
-		ino := f.vn.IP.Ino
 		buf := make([]byte, 8192)
 
 		// Ramp up over the first ten pages (prefetch reaches block 24).
 		readTrace(p, r, f, 10)
-		if c := ad.Confidence(ino); c < 3 {
-			t.Fatalf("confidence %d after sequential ramp, want >= 3", c)
+		if f.vn.ra == (prefetch.State{}) {
+			t.Fatal("detector still cold after a sequential ramp")
 		}
 
 		// Random seek to an uncached block: the window collapses.
 		f.Read(p, 30*8192, buf)
-		if c := ad.Confidence(ino); c != 0 {
-			t.Errorf("confidence %d after random seek, want 0 (collapsed)", c)
+		if f.vn.ra != (prefetch.State{}) {
+			t.Errorf("detector %+v after random seek, want zeroed (collapsed)", f.vn.ra)
 		}
 		if r.eng.Stats.RACollapses != 1 {
 			t.Errorf("collapses = %d, want 1", r.eng.Stats.RACollapses)
@@ -124,8 +122,36 @@ func TestAdaptiveCollapseAndReconfirm(t *testing.T) {
 		if r.eng.Stats.AsyncReads <= async {
 			t.Error("prefetch did not resume on the re-confirmed stream")
 		}
-		if c := ad.Confidence(ino); c < 2 {
-			t.Errorf("confidence %d after re-confirmation, want >= 2", c)
+		if f.vn.ra == (prefetch.State{}) {
+			t.Error("detector cold after re-confirmation")
+		}
+	})
+}
+
+// TestPurgeColdsReadAheadDetector ramps the adaptive window, purges the
+// file, and reads it again from the start: the purge zeroes the
+// vnode's detector, so the first sequential trigger only arms, exactly
+// as on a file never read, and the second issues one cluster.
+func TestPurgeColdsReadAheadDetector(t *testing.T) {
+	cfg := ConfigA()
+	cfg.Prefetch = prefetch.NewAdaptive(prefetch.AdaptiveConfig{})
+	r := newRig(t, ufs.MkfsOpts{Rotdelay: 0, Maxcontig: 3}, cfg, 0)
+	r.run(t, func(p *sim.Proc) {
+		f, _ := r.eng.Create(p, "/f")
+		f.Write(p, 0, make([]byte, 24*8192))
+		f.Purge(p)
+		if got := readTrace(p, r, f, 10); got[9].async < 3 {
+			t.Fatalf("ramp issued %d windows, want >= 3", got[9].async)
+		}
+
+		f.Purge(p)
+		r.eng.Stats = Stats{}
+		got := readTrace(p, r, f, 2)
+		if got[0].sync != 1 || got[0].async != 0 || got[0].nextrio != 3 {
+			t.Errorf("page 0 after purge: %+v, want sync=1 async=0 nextrio=3 (armed, nothing issued)", got[0])
+		}
+		if got[1].async != 1 || got[1].nextrio != 6 {
+			t.Errorf("page 1 after purge: %+v, want async=1 nextrio=6 (first window: one cluster)", got[1])
 		}
 	})
 }

@@ -208,8 +208,8 @@ func TestRowCutSequentialWriteOnRAID5(t *testing.T) {
 					t.Errorf("open: %v", err)
 					return
 				}
-				if ip := f.Inode(); ip.Delaylen != 0 {
-					t.Errorf("fsync left a delayed window of %d bytes at %d", ip.Delaylen, ip.Delayoff)
+				if f.vn.delaylen != 0 {
+					t.Errorf("fsync left a delayed window of %d bytes at %d", f.vn.delaylen, f.vn.delayoff)
 				}
 				for _, pg := range r.v.ObjectPages(f.vn) {
 					if pg.Dirty() {

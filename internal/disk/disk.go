@@ -337,26 +337,6 @@ func (d *Disk) Submit(r *Request) {
 	d.qWait.WakeAll()
 }
 
-// IO submits r and blocks the calling process until it completes. It is
-// a convenience for code (and tests) that has no driver layer.
-func (d *Disk) IO(p *sim.Proc, r *Request) {
-	done := false
-	var q sim.WaitQ
-	prev := r.Done
-	// simlint:ignore blockpath -- prev is the request's original Done, itself bound by the non-blocking completion contract; the dynamic-call match is conservative
-	r.Done = func() {
-		done = true
-		q.WakeAll()
-		if prev != nil {
-			prev()
-		}
-	}
-	d.Submit(r)
-	for !done {
-		p.Block(&q)
-	}
-}
-
 // serve is the drive's service loop.
 func (d *Disk) serve(p *sim.Proc) {
 	for {

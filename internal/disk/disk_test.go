@@ -10,6 +10,26 @@ import (
 	"ufsclust/internal/sim"
 )
 
+// IO submits r and blocks the calling process until it completes: the
+// synchronous form these tests drive the drive with, having no driver
+// layer.
+func (d *Disk) IO(p *sim.Proc, r *Request) {
+	done := false
+	var q sim.WaitQ
+	prev := r.Done
+	r.Done = func() {
+		done = true
+		q.WakeAll()
+		if prev != nil {
+			prev()
+		}
+	}
+	d.Submit(r)
+	for !done {
+		p.Block(&q)
+	}
+}
+
 func TestGeometryCapacity(t *testing.T) {
 	g := DefaultGeometry()
 	want := int64(1520) * 8 * 64 * SectorSize

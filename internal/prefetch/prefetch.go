@@ -2,7 +2,8 @@
 // decision half of getpage's prefetch path. A Policy watches each
 // file's access pattern at the read-ahead trigger points and answers
 // one question — how many clusters to issue ahead of the reader — while
-// the engine keeps the mechanism (bmap, startRead, nextrio bookkeeping).
+// the engine keeps the mechanism (bmap, startRead, nextrio bookkeeping)
+// and each file's State beside its other clustering cursors.
 //
 // Three policies exist:
 //
@@ -16,10 +17,20 @@
 //     never starves demand I/O.
 //   - Off: no read-ahead at all (WithReadAhead(prefetch.Off())).
 //
-// Policies are deterministic state machines over simulated inputs only:
-// same access stream, same decisions, same telemetry — the ra_window
-// event stream replays byte-identically across same-seed runs.
+// Policies are stateless values, so one may serve any number of files
+// and machines; a file's detector is the State its vnode hands to
+// Trigger. Decisions depend on simulated inputs only: same access
+// stream, same decisions, same telemetry — the ra_window event stream
+// replays byte-identically across same-seed runs.
 package prefetch
+
+// State is one file's sequentiality detector: the count of consecutive
+// confirmed sequential triggers since the last random seek. The zero
+// value is a cold file; the engine zeroes it on a random seek (the
+// collapse) and on purge.
+type State struct {
+	hits int
+}
 
 // Limits carries the resource state a policy may clamp its window
 // against. The engine fills it from live machine state at each trigger.
@@ -35,9 +46,9 @@ type Limits struct {
 	// predicate that gates free-behind).
 	MemLow bool
 	// WriteHeadroom is the file's write-limit semaphore headroom in
-	// bytes, or -1 when no write limit is mounted. Prefetch competes
+	// bytes, or -1 when the engine runs no write limit. Prefetch competes
 	// with demand writes for the disk queue; a policy that respects the
-	// headroom cannot queue more speculative bytes than the mount lets
+	// headroom cannot queue more speculative bytes than the limit lets
 	// one file queue deliberately.
 	WriteHeadroom int64
 }
@@ -58,21 +69,16 @@ type Decision struct {
 
 // Policy decides the prefetch window at each read-ahead trigger. The
 // clustered engine consults the one in its Config.Prefetch;
-// implementations must be deterministic and must not touch simulated
-// time or scheduling.
+// implementations keep no state of their own, must be deterministic,
+// and must not touch simulated time or scheduling.
 type Policy interface {
 	// Name returns the policy's wire name ("fixed", "adaptive").
 	Name() string
 	// Trigger is consulted when the access stream reaches the read-ahead
 	// trigger point: the start of the last prefetched cluster, or the
-	// start of the file. seq reports whether the access matched the
-	// block-level predictor (lbn == nextr).
-	Trigger(ino int32, seq bool, lim Limits) Decision
-	// Random informs the policy of a non-sequential cache miss — the
-	// signal that the reader seeked away from the detected stream.
-	Random(ino int32)
-	// Forget drops any per-file state (purge, truncate, remove).
-	Forget(ino int32)
+	// start of the file. st is the file's detector, seq reports whether
+	// the access matched the block-level predictor (lbn == nextr).
+	Trigger(st *State, seq bool, lim Limits) Decision
 }
 
 // Off returns the nil policy: WithReadAhead(prefetch.Off()) disables
@@ -81,7 +87,7 @@ type Policy interface {
 func Off() Policy { return nil }
 
 // fixed is the paper's policy: one cluster ahead on every trigger,
-// no per-file state, no clamps — exactly the pre-policy nextrio code.
+// no detector, no clamps — exactly the pre-policy nextrio code.
 type fixed struct{}
 
 // NewFixed returns the default one-cluster policy.
@@ -92,12 +98,9 @@ func (fixed) Name() string { return "fixed" }
 // Trigger always asks for one cluster; the legacy behaviour never
 // clamps, so a machine with no telemetry attached behaves bit-for-bit
 // like the pre-policy engine.
-func (fixed) Trigger(ino int32, seq bool, lim Limits) Decision {
+func (fixed) Trigger(st *State, seq bool, lim Limits) Decision {
 	return Decision{Clusters: 1}
 }
-
-func (fixed) Random(ino int32) {}
-func (fixed) Forget(ino int32) {}
 
 // The adaptive policy's tuning.
 const (
@@ -121,34 +124,13 @@ const (
 // policy's tuning is the constants above.
 type AdaptiveConfig struct{}
 
-// Adaptive is the confidence-driven policy: per-file detectors keyed by
-// inode number. Detectors are looked up, never iterated, so the map
-// leaks no host ordering into the simulation.
-type Adaptive struct {
-	files map[int32]*detector
-}
+// adaptive is the confidence-driven policy over each file's State.
+type adaptive struct{}
 
-// detector is one file's sequentiality state: the count of consecutive
-// confirmed sequential triggers since the last random seek.
-type detector struct {
-	hits int
-}
+// NewAdaptive returns the adaptive policy.
+func NewAdaptive(AdaptiveConfig) Policy { return adaptive{} }
 
-// NewAdaptive returns an adaptive policy.
-func NewAdaptive(AdaptiveConfig) *Adaptive {
-	return &Adaptive{files: make(map[int32]*detector)}
-}
-
-func (a *Adaptive) Name() string { return "adaptive" }
-
-func (a *Adaptive) file(ino int32) *detector {
-	d, ok := a.files[ino]
-	if !ok {
-		d = &detector{}
-		a.files[ino] = d
-	}
-	return d
-}
+func (adaptive) Name() string { return "adaptive" }
 
 // Trigger ramps the window: the first sequential trigger after a
 // collapse arms the detector without issuing (a single accidental
@@ -159,8 +141,7 @@ func (a *Adaptive) file(ino int32) *detector {
 // block, so a freshly confirmed stream cannot leap straight to the
 // ceiling and overshoot. A trigger whose access did not match the
 // predictor neither ramps nor issues.
-func (a *Adaptive) Trigger(ino int32, seq bool, lim Limits) Decision {
-	d := a.file(ino)
+func (adaptive) Trigger(d *State, seq bool, lim Limits) Decision {
 	if !seq {
 		return Decision{Clusters: 0, Confidence: d.hits}
 	}
@@ -217,25 +198,4 @@ func clamp(dec Decision, lim Limits) Decision {
 		dec.Clusters = 1
 	}
 	return dec
-}
-
-// Random collapses the file's window to zero: the next sequential run
-// must re-confirm before prefetch resumes.
-func (a *Adaptive) Random(ino int32) {
-	if d, ok := a.files[ino]; ok {
-		d.hits = 0
-	}
-}
-
-// Forget drops the file's detector (purge, truncate, remove).
-func (a *Adaptive) Forget(ino int32) {
-	delete(a.files, ino)
-}
-
-// Confidence exposes a file's current confidence (tests and tools).
-func (a *Adaptive) Confidence(ino int32) int {
-	if d, ok := a.files[ino]; ok {
-		return d.hits
-	}
-	return 0
 }

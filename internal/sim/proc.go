@@ -95,9 +95,6 @@ func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Sim returns the simulator the process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 

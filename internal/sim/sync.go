@@ -8,9 +8,6 @@ type WaitQ struct {
 	procs []*Proc
 }
 
-// Len reports how many processes are parked on the queue.
-func (q *WaitQ) Len() int { return len(q.procs) }
-
 // WakeOne makes the longest-waiting process runnable. It reports whether
 // a process was woken. Safe from process or scheduler context.
 func (q *WaitQ) WakeOne() bool {

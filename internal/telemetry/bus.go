@@ -137,12 +137,6 @@ func (b *Bus) Subscribe(fn func(Event)) {
 	b.subs = append(b.subs, fn)
 }
 
-// Active reports whether any subscriber is attached; emitters may use
-// it to skip event assembly that is not free (e.g. computing a field).
-func (b *Bus) Active() bool {
-	return b != nil && len(b.subs) > 0
-}
-
 // Emit delivers ev to every subscriber.
 func (b *Bus) Emit(ev Event) {
 	if b == nil {

@@ -152,11 +152,12 @@ func figure(fig *Figure, rotdelayMs, maxcontig, npages int, clustered, write boo
 			} else {
 				f.Read(p, int64(i)*8192, buf)
 			}
+			nextr, nextrio := f.Cursors()
 			switch fig.PredLabel {
 			case "nextr":
-				pe.Pred = f.Inode().Nextr
+				pe.Pred = nextr
 			case "nextrio":
-				pe.Pred = f.Inode().Nextrio
+				pe.Pred = nextrio
 			}
 			fig.Pages = append(fig.Pages, pe)
 		}

@@ -36,10 +36,6 @@ type Fs struct {
 	// summary array UFS loads at mount), used by pickCg without I/O.
 	csum []int32
 
-	// WriteLimit is the per-file cap on bytes outstanding in the disk
-	// queue (the paper's fairness semaphore); 0 disables the limit.
-	WriteLimit int64
-
 	// BmapCache enables the per-inode translation cache (Further Work:
 	// "Bmap cache"). Off by default to match the paper's measured
 	// system.
@@ -70,7 +66,6 @@ type Fs struct {
 
 // MountOpts tunes a mount.
 type MountOpts struct {
-	WriteLimit int64 // bytes; 0 = unlimited
 	// BmapCache and OrderedWrites enable the corresponding Further Work
 	// features (see the Fs fields of the same names).
 	BmapCache     bool
@@ -90,7 +85,6 @@ func Mount(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, opts MountOpts) 
 		SB:            sb,
 		itable:        make(map[int32]*Inode),
 		cgs:           make(map[int32]*CG),
-		WriteLimit:    opts.WriteLimit,
 		BmapCache:     opts.BmapCache,
 		OrderedWrites: opts.OrderedWrites,
 	}
@@ -116,8 +110,9 @@ func Mount(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, opts MountOpts) 
 	return fs, nil
 }
 
-// Inode is the in-core inode: the on-disk dinode plus the fields the
-// paper's algorithms live in.
+// Inode is the in-core inode: the on-disk dinode plus the file system's
+// bookkeeping. The data path's per-file state (read cursors, delayed
+// writes, the write limit) lives in internal/core's vnode.
 type Inode struct {
 	Fs  *Fs
 	Ino int32
@@ -130,21 +125,6 @@ type Inode struct {
 	// Fs.igets when Iget read it in.
 	queued bool
 	loaded int64
-
-	// Nextr is the predicted logical block of the next read; read-ahead
-	// triggers when a fault matches it (figure 3).
-	Nextr int64
-	// Nextrio is the logical block where the next cluster read-ahead
-	// should begin (figure 6).
-	Nextrio int64
-	// Delayoff/Delaylen describe the run of delayed ("lied about")
-	// write pages not yet pushed (figures 7 and 8). Byte units.
-	Delayoff int64
-	Delaylen int64
-
-	// WriteSem implements the per-file write limit: bytes of I/O this
-	// file may have in the disk queue. Nil when the limit is off.
-	WriteSem *sim.Semaphore
 
 	// bmapCache holds the most recent translation run when the mount
 	// enables the paper's "bmap cache" future-work idea: "A small cache
@@ -160,9 +140,6 @@ type Inode struct {
 // InvalidateBmapCache drops the cached translation; callers that change
 // the block map (allocation, truncation) must invoke it.
 func (ip *Inode) InvalidateBmapCache() { ip.bmapCache.valid = false }
-
-// Size returns the file length in bytes.
-func (ip *Inode) Size() int64 { return ip.D.Size }
 
 // MarkDirty notes that the dinode must be written back, and on a
 // journaled mount queues it for the next commit.
@@ -196,9 +173,6 @@ func (fs *Fs) Iget(p *sim.Proc, ino int32) (*Inode, error) {
 	fs.BC.Brelse(b)
 	fs.igets++
 	ip := &Inode{Fs: fs, Ino: ino, D: di, refs: 1, loaded: fs.igets}
-	if fs.WriteLimit > 0 {
-		ip.WriteSem = sim.NewSemaphore(fmt.Sprintf("wlimit.%d", ino), fs.WriteLimit)
-	}
 	fs.itable[ino] = ip
 	return ip, nil
 }
@@ -339,8 +313,15 @@ func (fs *Fs) SyncInode(p *sim.Proc, ip *Inode) error {
 
 // IOErr returns the file system's sticky first I/O error, if any:
 // failures with no synchronous caller (delayed metadata write-back,
-// ordered writes, evictions) are reported here and by the next fsync.
-func (fs *Fs) IOErr() error { return fs.BC.Err() }
+// ordered writes, evictions, a log write whose commit a later fsync
+// would otherwise take for granted) are reported here and by the next
+// fsync.
+func (fs *Fs) IOErr() error {
+	if err := fs.BC.Err(); err != nil || fs.J == nil {
+		return err
+	}
+	return fs.J.Err()
+}
 
 // SyncImage is the offline equivalent of Sync: spill all state to the
 // image with no simulated time, so fsck and direct image inspection see

@@ -278,9 +278,6 @@ func (v *Volume) failedCount() int {
 // Name returns the volume's name.
 func (v *Volume) Name() string { return v.name }
 
-// Level returns the composition level.
-func (v *Volume) Level() Level { return v.cfg.Level }
-
 // Geom returns the synthetic data-capacity geometry (the member
 // geometry itself for a one-member concat).
 func (v *Volume) Geom() *disk.Geometry { return v.geom }

@@ -424,12 +424,10 @@ func (l *Log) logStaged(p *sim.Proc) error {
 			blocks++
 		}
 	}
-	if l.bus.Active() {
-		l.bus.Emit(telemetry.Event{
-			T: l.Sim.Now(), Kind: telemetry.EvLogCommit, Write: true,
-			Sector: l.base + l.head, Bytes: int64(len(img)), Blocks: blocks,
-		})
-	}
+	l.bus.Emit(telemetry.Event{
+		T: l.Sim.Now(), Kind: telemetry.EvLogCommit, Write: true,
+		Sector: l.base + l.head, Bytes: int64(len(img)), Blocks: blocks,
+	})
 	l.Commits++
 	l.CommitBlocks += blocks
 	l.CommitSectors += need
@@ -555,12 +553,10 @@ func (l *Log) checkpoint(p *sim.Proc) error {
 	clear(l.ckpt)
 	l.Checkpoints++
 	l.CheckpointBlocks += n
-	if l.bus.Active() {
-		l.bus.Emit(telemetry.Event{
-			T: l.Sim.Now(), Kind: telemetry.EvLogCheckpoint, Write: true,
-			Blocks: n, Depth: int64(l.epoch),
-		})
-	}
+	l.bus.Emit(telemetry.Event{
+		T: l.Sim.Now(), Kind: telemetry.EvLogCheckpoint, Write: true,
+		Blocks: n, Depth: int64(l.epoch),
+	})
 	return nil
 }
 

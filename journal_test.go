@@ -2,11 +2,14 @@ package ufsclust
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"ufsclust/internal/core"
+	"ufsclust/internal/disk"
+	"ufsclust/internal/fault"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/telemetry"
 	"ufsclust/internal/wal"
@@ -291,5 +294,67 @@ func TestImageBootReplaysCommittedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Close()
+	}
+}
+
+// TestJournalWriteErrorFailsLaterFsyncs hard-fails the first write in
+// the log region past its superblock, so the commit of Create /a never
+// reaches the platter. The file system must then refuse every later
+// fsync, as an unjournaled mount does after a lost metadata write: an
+// fsync that returned nil would be a promise no log record backs, and a
+// boot from the platters would not have the file.
+func TestJournalWriteErrorFailsLaterFsyncs(t *testing.T) {
+	probe, err := New(RunA(), WithJournal(wal.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := probe.FS.SB
+	base := sb.FsbToDb(sb.LogStart)
+	end := base + int64(sb.LogFrags)*int64(sb.Fsize)/disk.SectorSize - 1
+	probe.Close()
+
+	m, err := New(RunA(), WithJournal(wal.Config{}), WithFaultPlan(fault.Plan{Rules: []fault.Rule{{
+		Match: fault.Match{Nth: 1, RW: fault.Writes, SectorLo: base + 1, SectorHi: end},
+		Kind:  fault.MediaHard,
+	}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var createA, fsyncB error
+	if err := m.Run(func(p *sim.Proc) {
+		_, createA = m.Engine.Create(p, "/a")
+		f, err := m.Engine.Create(p, "/b")
+		if err != nil {
+			fsyncB = err
+			return
+		}
+		if _, err := f.Write(p, 0, make([]byte, 8192)); err != nil {
+			fsyncB = err
+			return
+		}
+		fsyncB = f.Fsync(p)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(createA, disk.ErrMedia) {
+		t.Fatalf("Create /a = %v, want the log write's media error", createA)
+	}
+	if errors.Is(fsyncB, disk.ErrMedia) {
+		return
+	}
+	t.Errorf("fsync of /b after a failed log write = %v, want the journal's sticky media error", fsyncB)
+	// The acknowledged file must then survive a reboot from the platters.
+	r, err := New(RunA(), WithRecovery(m.Vol.Snapshot()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Run(func(p *sim.Proc) {
+		if _, err := r.Engine.Open(p, "/b"); err != nil {
+			t.Errorf("after recovery (%v): %v", r.ReplayLog, err)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

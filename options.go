@@ -31,10 +31,10 @@ func WithMemBytes(n int64) Option {
 //	WithReadAhead(prefetch.NewAdaptive(prefetch.AdaptiveConfig{})) // confidence-driven ramping window
 //	WithReadAhead(prefetch.Off())                            // no read-ahead at all
 //
-// Policies carry per-file detector state, so build a fresh policy per
-// machine — never share one instance across machines (inode numbers
-// collide). The default fixed policy is byte-identical to the pre-policy
-// engine: same events, same trace, same goldens.
+// Policies are stateless (each file's detector lives in its vnode), so
+// one value may serve any number of machines. The default fixed policy
+// is byte-identical to the pre-policy engine: same events, same trace,
+// same goldens.
 func WithReadAhead(pol prefetch.Policy) Option {
 	return func(o *Options) { o.Engine.Prefetch = pol }
 }

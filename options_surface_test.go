@@ -36,10 +36,10 @@ func TestPublicOptionsSurface(t *testing.T) {
 			"Images", "Recover",
 			"Volume",
 		}},
-		{core.Config{}, []string{"Clustered", "Prefetch", "Vec", "FreeBehind",
+		{core.Config{}, []string{"Clustered", "Prefetch", "Vec", "FreeBehind", "WriteLimit",
 			"SkipBmapOnHit", "RandomClustering", "InodeDataCache"}},
 		{ufs.MkfsOpts{}, []string{"Ipg", "Minfree", "Rotdelay", "Maxcontig", "LogBlocks"}},
-		{ufs.MountOpts{}, []string{"WriteLimit", "BmapCache", "OrderedWrites"}},
+		{ufs.MountOpts{}, []string{"BmapCache", "OrderedWrites"}},
 		{driver.Config{}, []string{"MaxPhys", "Coalesce"}},
 		{wal.Config{}, []string{}},
 		{vol.Config{}, []string{"Level", "Members", "StripeKB", "Member", "Degraded"}},

@@ -84,7 +84,7 @@ func (rc RunConfig) Options() Options {
 		Driver: &dc,
 	}
 	if rc.WriteLimit {
-		o.Mount.WriteLimit = WriteLimitBytes
+		o.Engine.WriteLimit = WriteLimitBytes
 	}
 	return o
 }

@@ -50,10 +50,8 @@ func (sc Scenario) Journaled() bool {
 	return on
 }
 
-// Options translates the scenario into machine options. Read-ahead
-// policies carry per-file detector state, so every call builds fresh
-// policy and strategy instances: two machines never share one. An
-// unknown mode name or an impossible memory size is an error.
+// Options translates the scenario into machine options. An unknown mode
+// name or an impossible memory size is an error.
 func (sc Scenario) Options() ([]Option, error) {
 	if err := checkMem(sc.MemBytes); err != nil {
 		return nil, err

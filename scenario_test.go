@@ -106,28 +106,28 @@ func TestScenarioFlagsBuildVolume(t *testing.T) {
 	}
 }
 
-// TestScenarioOptionsBuildFreshPolicies: read-ahead policies carry
-// per-file detector state keyed by inode number, so two machines built
-// from one Scenario must never share an instance.
-func TestScenarioOptionsBuildFreshPolicies(t *testing.T) {
-	sc := Scenario{Run: RunA(), ReadAhead: "adaptive"}
-	var built [2]Options
-	for i := range built {
+// TestScenarioOptionsSelectReadAheadPolicy: each -ra name installs its
+// policy over the run's fixed default, and "off" installs none.
+func TestScenarioOptionsSelectReadAheadPolicy(t *testing.T) {
+	for _, tc := range []struct{ ra, want string }{
+		{"", "fixed"}, {"fixed", "fixed"}, {"adaptive", "adaptive"}, {"off", ""},
+	} {
+		sc := Scenario{Run: RunA(), ReadAhead: tc.ra}
 		opts, err := sc.Options()
 		if err != nil {
 			t.Fatal(err)
 		}
-		built[i] = sc.Run.Options()
+		o := sc.Run.Options()
 		for _, fn := range opts {
-			fn(&built[i])
+			fn(&o)
 		}
-	}
-	a, b := built[0].Engine.Prefetch, built[1].Engine.Prefetch
-	if a == nil || b == nil {
-		t.Fatal("adaptive scenario installed no read-ahead policy")
-	}
-	if a == b {
-		t.Fatal("two Options() calls share one prefetch.Policy instance")
+		got := ""
+		if o.Engine.Prefetch != nil {
+			got = o.Engine.Prefetch.Name()
+		}
+		if got != tc.want {
+			t.Errorf("-ra %q installed policy %q, want %q", tc.ra, got, tc.want)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@
 # Runs, in order:
 #   1. go build ./...                      everything compiles
 #   2. go vet ./...                        stock vet findings
+#      go -C bench vet ./...               the same for the benchmark's
+#                                          own module, which compiles
+#                                          against the root package
 #      gofmt -l .                          formatting: any file listed
 #                                          fails the gate
 #   3. simlint ./...                       determinism & simulation-hygiene
@@ -80,6 +83,7 @@ gofmt_clean() {
 
 step "go build ./..." go build ./...
 step "go vet ./..." go vet ./...
+step "go -C bench vet ./..." go -C bench vet ./...
 step "gofmt -l ." gofmt_clean
 go build -o "$tmp/simlint" ./cmd/simlint
 step "simlint ./..." "$tmp/simlint" ./...

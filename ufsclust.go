@@ -204,7 +204,7 @@ func NewMachine(o Options) (*Machine, error) {
 		tel.Bus.Subscribe(telemetry.NewJSONL(o.EventJSONL).Write)
 	}
 	inj.AttachTelemetry(tel)
-	if replayLog != nil && tel.Bus.Active() {
+	if replayLog != nil {
 		// Boot-time replay happened before the bus had subscribers;
 		// surface it as the stream's first event.
 		tel.Bus.Emit(telemetry.Event{

@@ -48,8 +48,8 @@ func TestRunAOptionsRaiseMaxphys(t *testing.T) {
 	if o.Driver.MaxPhys < 120<<10 {
 		t.Errorf("run A maxphys = %d, cannot carry 120KB clusters", o.Driver.MaxPhys)
 	}
-	if o.Mount.WriteLimit != WriteLimitBytes {
-		t.Errorf("run A write limit = %d", o.Mount.WriteLimit)
+	if o.Engine.WriteLimit != WriteLimitBytes {
+		t.Errorf("run A write limit = %d", o.Engine.WriteLimit)
 	}
 	if o.Mkfs.Maxcontig != 15 {
 		t.Errorf("run A maxcontig = %d, want 15 (120KB/8KB)", o.Mkfs.Maxcontig)
