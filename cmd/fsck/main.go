@@ -1,9 +1,10 @@
 // Command fsck checks the consistency of a UFS image created by
 // cmd/mkfs (or dumped from a simulation): superblock, block and inode
 // bitmaps, per-file block accounting, directory structure, link counts,
-// and summary totals. It is the repository's proof of the paper's
-// headline constraint: the clustered engine leaves the on-disk format
-// byte-compatible with the legacy one.
+// and summary totals. It writes nothing and prints each change
+// ufs.Repair would make, after its class. It is the repository's proof of
+// the paper's headline constraint: the clustered engine leaves the
+// on-disk format byte-compatible with the legacy one.
 package main
 
 import (

@@ -185,7 +185,6 @@ type Report struct {
 	Cut     sim.Time // when power was cut (0: workload completed uncut)
 	Acked   int64    // durability watermark at the cut
 	Size    int64    // recovered file size (-1: file absent)
-	Fixes   int      // repairs applied on reboot (full-image repair only)
 	Detail  string   // first violation, for the violation outcomes
 
 	// Journaled recovery accounting (journaled workloads only): the
@@ -216,6 +215,7 @@ func Recover(w Workload, st *CrashState) (*Report, *ufs.RepairReport, error) {
 
 	rep := &Report{Cut: st.Cut, Acked: st.Acked, Size: -1}
 	rr := m.RepairLog
+	var chk *ufs.FsckReport
 	if rl := m.ReplayLog; rl != nil {
 		// Journaled boot: recovery was the log replay, already done and
 		// accounted. The read-only Fsck here is the harness verifying
@@ -224,22 +224,16 @@ func Recover(w Workload, st *CrashState) (*Report, *ufs.RepairReport, error) {
 		rep.ReplayTxns = rl.Txns
 		rep.RecoverySectorsRead = rl.SectorsRead
 		rep.RecoveryBound = rl.LogSectors
-		chk, err := ufs.Fsck(m.Vol)
-		if err != nil {
+		if chk, err = ufs.Fsck(m.Vol); err != nil {
 			return nil, nil, fmt.Errorf("faultlab: post-replay fsck: %w", err)
 		}
-		if !chk.Clean() {
-			rep.Outcome = OutcomeDirty
-			rep.Detail = strings.Join(chk.Problems, "; ")
-			return rep, nil, nil
-		}
 	} else {
-		rep.Fixes = len(rr.Fixes)
-		if !rr.Clean() {
-			rep.Outcome = OutcomeDirty
-			rep.Detail = strings.Join(rr.Check.Problems, "; ")
-			return rep, rr, nil
-		}
+		chk = rr.Check // the check Repair closes with
+	}
+	if !chk.Clean() {
+		rep.Outcome = OutcomeDirty
+		rep.Detail = chk.Problems[0].String()
+		return rep, rr, nil
 	}
 
 	var data []byte

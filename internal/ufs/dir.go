@@ -54,6 +54,21 @@ func putDirentLast(buf []byte, ino int32, name string, reclen int) int {
 	return reclen
 }
 
+// packDir fills the directory block blk with ents, the last record
+// absorbing the slack; with no entries the block is one free record.
+// The entries must fit.
+func packDir(blk []byte, ents []Dirent) {
+	clear(blk)
+	off, last := 0, 0
+	for _, e := range ents {
+		last = off
+		off += putDirent(blk[off:], e.Ino, e.Name)
+	}
+	rem := len(blk) - last
+	blk[last+4] = byte(rem)
+	blk[last+5] = byte(rem >> 8)
+}
+
 // Dirent is a decoded directory entry.
 type Dirent struct {
 	Ino    int32

@@ -172,12 +172,8 @@ func (fs *Fs) emptyDir(p *sim.Proc, dip, ip *Inode) error {
 		return err
 	}
 	b := fs.BC.getblk(p, fsbn)
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
 	b.valid = true
-	n := putDirent(b.Data, ip.Ino, ".")
-	putDirentLast(b.Data[n:], dip.Ino, "..", int(fs.SB.Bsize)-n)
+	packDir(b.Data, []Dirent{{Ino: ip.Ino, Name: "."}, {Ino: dip.Ino, Name: ".."}})
 	fs.BC.Bdwrite(b)
 	ip.D.Size = int64(fs.SB.Bsize)
 	return nil
@@ -285,22 +281,21 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 			return err
 		}
 	}
-	// Free the pointer trees the new size no longer reaches into.
-	for k := range ip.D.IB {
-		if ip.D.IB[k] == 0 || newBlocks > fs.SB.indirBase(k) {
-			continue
-		}
-		err := fs.eachIndir(p, ip.D.IB[k], k+1, func(ib int32) error {
-			if err := fs.FreeFrags(p, ib, fs.SB.Frag); err != nil {
+	// Free the pointer blocks that map only blocks past the new end: a
+	// whole IB[k] tree, or the subtrees below the one that straddles it.
+	free := func(ib int32) error {
+		ip.D.Blocks -= fs.SB.Frag
+		return fs.FreeFrags(p, ib, fs.SB.Frag)
+	}
+	for k, ib := range ip.D.IB {
+		if base := fs.SB.indirBase(k); ib != 0 {
+			if err := fs.eachIndir(p, ib, k+1, base, newBlocks, free); err != nil {
 				return err
 			}
-			ip.D.Blocks -= fs.SB.Frag
-			return nil
-		})
-		if err != nil {
-			return err
+			if newBlocks <= base {
+				ip.D.IB[k] = 0
+			}
 		}
-		ip.D.IB[k] = 0
 	}
 	// Shrink the new tail block to fragments where the direct range
 	// allows it, as FFS truncate does; otherwise di_blocks and the
@@ -321,33 +316,51 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 	return nil
 }
 
-// eachIndir calls fn on every pointer block of the tree rooted at ib,
-// children before their parent; height is the tree's pointer levels
-// (1 = ib's entries are data blocks, which fn never sees). A block's
-// entries are copied out and its buffer released before fn runs on any
-// of them: fn sleeps on other buffers (FreeFrags reads cylinder-group
-// blocks, FlushBlock waits for the device), and holding this one across
-// that would pin a locked buffer over unrelated waits.
-func (fs *Fs) eachIndir(p *sim.Proc, ib int32, height int, fn func(ib int32) error) error {
-	if height > 1 {
+// eachIndir calls fn, children first, on each pointer block under ib
+// (height levels above the data, so 1 means fn never sees its entries;
+// mapping lbn onward) that maps only blocks from end on — with end 0,
+// on all. truncate frees those (FFS's ffs_indirtrunc), and a block that
+// stays drops its entries for them; SyncInode flushes them. A block's
+// entries are copied out and its buffer released before fn runs: fn
+// sleeps on other buffers, and holding this one across that would pin
+// a locked buffer over unrelated waits.
+func (fs *Fs) eachIndir(p *sim.Proc, ib int32, height int, lbn, end int64, fn func(ib int32) error) error {
+	n, span := fs.SB.NindirPerBlock(), fs.SB.indirSpan(height)
+	if height > 1 && end < lbn+n*span {
 		b, err := fs.BC.Bread(p, ib)
 		if err != nil {
 			return err
 		}
-		var kids []int32
-		for i := int64(0); i < fs.SB.NindirPerBlock(); i++ {
-			if kid := getIndir(b.Data, i); kid != 0 {
-				kids = append(kids, kid)
+		type kid struct {
+			addr int32
+			lbn  int64
+		}
+		var kids []kid
+		dirty := false
+		for i := max(0, (end-lbn)/span); i < n; i++ {
+			if a := getIndir(b.Data, i); a != 0 {
+				kids = append(kids, kid{a, lbn + i*span})
+				if lbn < end && lbn+i*span >= end {
+					putIndir(b.Data, i, 0)
+					dirty = true
+				}
 			}
 		}
-		fs.BC.Brelse(b)
-		for _, kid := range kids {
-			if err := fs.eachIndir(p, kid, height-1, fn); err != nil {
+		if dirty {
+			fs.BC.Bdwrite(b)
+		} else {
+			fs.BC.Brelse(b)
+		}
+		for _, k := range kids {
+			if err := fs.eachIndir(p, k.addr, height-1, k.lbn, end, fn); err != nil {
 				return err
 			}
 		}
 	}
-	return fn(ib)
+	if lbn >= end {
+		return fn(ib)
+	}
+	return nil
 }
 
 // clearBlockPtr zeroes the pointer to logical block lbn.

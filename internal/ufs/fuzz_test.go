@@ -1,6 +1,7 @@
 package ufs
 
 import (
+	"slices"
 	"testing"
 
 	"ufsclust/internal/disk"
@@ -72,9 +73,12 @@ func FuzzPtrPath(f *testing.F) {
 // block and the primary superblock of a small image that has files in
 // all three pointer ranges and a two-level directory. Whatever the image
 // then says, Fsck and Repair each return a report or an error — never a
-// panic — and while the superblock is left alone neither errs and Fsck
-// passes what Repair left. (Behind a superblock that fits the device but
-// describes some other file system, Repair repairs that one.)
+// panic — and both the same one; while the superblock is left alone
+// neither errs. Wherever a superblock copy can be believed, the dry run
+// predicts the wet one: Fsck's problems are Repair's fixes, line for
+// line, and a second Repair finds nothing to fix. (Behind a superblock
+// that fits the device but describes some other file system, Repair
+// repairs that one.)
 func FuzzFsckRepair(f *testing.F) {
 	s := sim.New(1)
 	f.Cleanup(s.Close)
@@ -160,16 +164,22 @@ func FuzzFsckRepair(f *testing.F) {
 		overlay(targets[int(which)%len(targets)], int(sb.Bsize), ptrOff, ptrBytes)
 		overlay(sb.CgSBlock(0), SBSize, sbOff, sbBytes)
 
-		_, ferr := Fsck(d)
+		rep, ferr := Fsck(d)
 		rr, rerr := Repair(d)
-		if len(sbBytes) > 0 {
+		if (ferr == nil) != (rerr == nil) || ferr != nil && len(sbBytes) == 0 {
+			t.Fatalf("fsck: %v, repair: %v", ferr, rerr)
+		}
+		if ferr != nil {
 			return
 		}
-		if ferr != nil || rerr != nil {
-			t.Fatalf("fsck: %v, repair: %v", ferr, rerr)
+		if !slices.Equal(rep.Problems, rr.Fixes) {
+			t.Fatalf("dry run found %q, repair fixed %q", rep.Problems, rr.Fixes)
 		}
 		if !rr.Clean() {
 			t.Fatalf("not clean after repair:\nfixes: %q\nproblems: %q", rr.Fixes, rr.Check.Problems)
+		}
+		if again, err := Repair(d); err != nil || len(again.Fixes) != 0 {
+			t.Fatalf("second repair: %v, fixes %q", err, again.Fixes)
 		}
 	})
 }

@@ -11,11 +11,15 @@ import (
 // image is a file system taken offline: the platters of d as sb lays
 // them out. Mkfs, Mount, SyncImage, Fsck and Repair all reach the
 // platters through it, and this file states the format's mechanics
-// once; what a checker or a repairer concludes from them is theirs
+// once; what the checker concludes from them is repair.go's
 // (DESIGN.md § "Offline image").
 type image struct {
 	d  disk.Device
 	sb *Superblock
+	// dry, when not nil, takes every write in place of the platters,
+	// one fragment to an entry, and read serves what it holds: Fsck's
+	// walk sees its own writes and never writes the platters.
+	dry map[int32][]byte
 }
 
 // ReadSuperblock loads the primary superblock from d and checks that it
@@ -88,17 +92,29 @@ func (im image) read(fsbn, n int32) []byte {
 	if !im.sb.inRange(fsbn, n) {
 		return nil
 	}
-	buf := make([]byte, int(n)*int(im.sb.Fsize))
+	fsize := int(im.sb.Fsize)
+	buf := make([]byte, int(n)*fsize)
 	im.d.ReadImage(im.sb.FsbToDb(fsbn), buf)
+	for i := range int(n) {
+		copy(buf[i*fsize:], im.dry[fsbn+int32(i)]) // nothing unless dry holds it
+	}
 	return buf
 }
 
-// write stores data, whole fragments of it, at fsbn.
+// write stores data, whole fragments of it, at fsbn. A dry image keeps
+// data itself, so the caller may not change it afterwards.
 func (im image) write(fsbn int32, data []byte) {
-	if len(data)%int(im.sb.Fsize) != 0 {
+	fsize := int(im.sb.Fsize)
+	if len(data)%fsize != 0 {
 		panic("ufs: unaligned image write") // simlint:invariant -- callers pass blocks and fragments the layout sized
 	}
-	im.d.WriteImage(im.sb.FsbToDb(fsbn), data)
+	if im.dry == nil {
+		im.d.WriteImage(im.sb.FsbToDb(fsbn), data)
+		return
+	}
+	for i := 0; i < len(data)/fsize; i++ {
+		im.dry[fsbn+int32(i)] = data[i*fsize : (i+1)*fsize]
+	}
 }
 
 // writeSuperblocks stores sb as the primary and as every group's copy.
@@ -152,8 +168,9 @@ type visitor struct {
 	hole func(lbn int64)
 	// fix, when not nil, makes a refusal destructive: a pointer check
 	// refused, or one whose pointer block cannot be read, is zeroed and
-	// fix is handed each pointer block that changed, to store. Only
-	// Repair sets it; a walk without it cannot alter dinode or image.
+	// fix is handed each pointer block that changed, to store. Only the
+	// checker's claim sweep sets it; a walk without it cannot alter
+	// dinode or image.
 	fix func(fsbn int32, blk []byte)
 }
 
@@ -218,22 +235,6 @@ func (im image) dataBlocks(di *Dinode, n int64) []int32 {
 	return addrs
 }
 
-// countFree recounts the group's free space from its fragment bitmap:
-// wholly free blocks, and free fragments in the blocks that are not.
-// The block size is a power of two (fits), so a block's fragments
-// share one bitmap byte.
-func (cg *CG) countFree(sb *Superblock) (nbfree, nffree int32) {
-	mask := byte(1)<<sb.Frag - 1
-	for f := int32(0); f+sb.Frag <= sb.Fpg; f += sb.Frag {
-		if free := int32(bits.OnesCount8(cg.Blksfree[f>>3] >> (f & 7) & mask)); free == sb.Frag {
-			nbfree++
-		} else {
-			nffree += free
-		}
-	}
-	return nbfree, nffree
-}
-
 // buildCG builds group cgx — bitmaps, counts — from what is in use and
 // adds its counts to sb's summary. owner[f] != 0 says the group's
 // fragment f is in use and inodes[i] is the group's inode i; both may
@@ -248,7 +249,17 @@ func buildCG(sb *Superblock, cgx int32, owner []int32, inodes []Dinode) *CG {
 	}
 	cg.Ndblk = sb.Fpg
 	sb.reserved(cgx, func(f int32) { clrBit(cg.Blksfree, f-sb.CgBase(cgx)); cg.Ndblk-- })
-	cg.Nbfree, cg.Nffree = cg.countFree(sb)
+	// Wholly free blocks, and free fragments in the blocks that are not.
+	// The block size is a power of two (fits), so a block's fragments
+	// share one bitmap byte.
+	mask := byte(1)<<sb.Frag - 1
+	for f := int32(0); f+sb.Frag <= sb.Fpg; f += sb.Frag {
+		if free := int32(bits.OnesCount8(cg.Blksfree[f>>3] >> (f & 7) & mask)); free == sb.Frag {
+			cg.Nbfree++
+		} else {
+			cg.Nffree += free
+		}
+	}
 	cg.Nifree = sb.Ipg
 	for i := range inodes {
 		if inodes[i].Allocated() || cgx*sb.Ipg+int32(i) < RootIno {
@@ -270,8 +281,7 @@ func buildCG(sb *Superblock, cgx int32, owner []int32, inodes []Dinode) *CG {
 // root directory whose block is at fsbn.
 func rootDir(sb *Superblock, fsbn int32) (Dinode, []byte) {
 	blk := make([]byte, sb.Bsize)
-	n := putDirent(blk, RootIno, ".")
-	putDirentLast(blk[n:], RootIno, "..", int(sb.Bsize)-n)
+	packDir(blk, []Dirent{{Ino: RootIno, Name: "."}, {Ino: RootIno, Name: ".."}})
 	di := Dinode{Mode: ModeDir | 0o755, Nlink: 2, Size: int64(sb.Bsize), Blocks: sb.Frag}
 	di.DB[0] = fsbn
 	return di, blk

@@ -1,7 +1,6 @@
 package ufs
 
 import (
-	"strings"
 	"testing"
 
 	"ufsclust/internal/disk"
@@ -13,9 +12,10 @@ import (
 // there are, a negative size, an inode table of gigabytes, groups too
 // small for their own metadata, a log anywhere but right after group
 // 0's root block (the layout that kept it past the last group among
-// them) or one that overflows group 0 — is an error from
-// Fsck and Mount and a reason for Repair to fall back to a backup copy.
-// Never a panic from indexing what the geometry promised.
+// them) or one that overflows group 0 — is an error from Mount, and
+// a reason for Fsck and Repair to fall back to a backup copy and report
+// a superblock finding. Never a panic from indexing what the geometry
+// promised.
 func TestLyingSuperblockIsAnError(t *testing.T) {
 	lies := []struct {
 		name string
@@ -43,8 +43,12 @@ func TestLyingSuperblockIsAnError(t *testing.T) {
 			return r
 		}
 		t.Run(l.name+"/Fsck", func(t *testing.T) {
-			if rep, err := Fsck(plant(t).d); err == nil {
-				t.Fatalf("no error; report %+v", rep)
+			rep, err := Fsck(plant(t).d)
+			if err != nil {
+				t.Fatalf("no report from the backup copy: %v", err)
+			}
+			if len(rep.Problems) == 0 || rep.Problems[0].Class != ClassSuperblock {
+				t.Fatalf("fsck trusted the lying primary: %v", rep.Problems)
 			}
 		})
 		t.Run(l.name+"/Mount", func(t *testing.T) {
@@ -59,7 +63,7 @@ func TestLyingSuperblockIsAnError(t *testing.T) {
 			if !rep.Clean() {
 				t.Fatalf("not clean after repair: %v", rep.Check.Problems)
 			}
-			if len(rep.Fixes) == 0 || !strings.Contains(rep.Fixes[0], "restored from a backup") {
+			if len(rep.Fixes) == 0 || rep.Fixes[0].Class != ClassSuperblock {
 				t.Fatalf("repair trusted the lying primary: %v", rep.Fixes)
 			}
 			if rep.Check.Files != 2 || rep.Check.Dirs != 3 {

@@ -92,11 +92,9 @@ func Mount(s *sim.Sim, cpuModel *cpu.Model, drv *driver.Driver, opts MountOpts) 
 	// Load the per-group summary (mount-time work, untimed like the
 	// superblock read).
 	fs.csum = make([]int32, sb.Ncg)
-	im := image{drv.Disk, sb}
-	// The header and its two bitmaps, not the whole header block.
-	need := (int32(cgHdrSize) + (sb.Ipg+7)/8 + (sb.Fpg+7)/8 + sb.Fsize - 1) / sb.Fsize
+	im := image{d: drv.Disk, sb: sb}
 	for cgx := int32(0); cgx < sb.Ncg; cgx++ {
-		cg, err := UnmarshalCG(sb, im.read(sb.CgHeader(cgx), need))
+		cg, err := UnmarshalCG(sb, im.read(sb.CgHeader(cgx), sb.cgHdrFrags()))
 		if err != nil {
 			return nil, fmt.Errorf("mount: cg %d: %w", cgx, err)
 		}
@@ -298,7 +296,7 @@ func (fs *Fs) SyncInode(p *sim.Proc, ip *Inode) error {
 		if ip.D.IB[k] == 0 {
 			continue
 		}
-		err := fs.eachIndir(p, ip.D.IB[k], k+1, func(ib int32) error { return fs.BC.FlushBlock(p, ib) })
+		err := fs.eachIndir(p, ip.D.IB[k], k+1, 0, 0, func(ib int32) error { return fs.BC.FlushBlock(p, ib) })
 		if err != nil {
 			return err
 		}
@@ -334,7 +332,7 @@ func (fs *Fs) SyncImage() {
 		// any newer in-memory state, and the log comes back empty.
 		fs.J.CheckpointImage()
 	}
-	im := image{fs.Drv.Disk, fs.SB}
+	im := image{d: fs.Drv.Disk, sb: fs.SB}
 	for _, ino := range detsort.Keys(fs.itable) {
 		ip := fs.itable[ino]
 		fsba, off := fs.SB.InoToFsba(ip.Ino), fs.SB.InoBlockOff(ip.Ino)

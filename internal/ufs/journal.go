@@ -67,11 +67,15 @@ func Recover(d disk.Device, repair bool) (*RepairReport, *wal.RecoverReport, err
 
 // journaled runs op inside a transaction frame if a journal is
 // attached, folding a commit error into the result if op itself
-// succeeded. op does not outlive the call, so a caller's closure stays
-// on its stack.
+// succeeded. Once the journal has failed an I/O it runs nothing and
+// returns that error: no commit could make op durable. op does not
+// outlive the call, so a caller's closure stays on its stack.
 func (fs *Fs) journaled(p *sim.Proc, op func() error) error {
 	if fs.J == nil {
 		return op()
+	}
+	if err := fs.J.Err(); err != nil {
+		return err
 	}
 	fs.J.Begin(p)
 	err := op()

@@ -131,6 +131,11 @@ func (sb *Superblock) CgSBlock(cg int32) int32 { return sb.CgBase(cg) + sbFragOf
 // CgHeader returns the fragment address of group cg's header block.
 func (sb *Superblock) CgHeader(cg int32) int32 { return sb.CgBase(cg) + groupReserve }
 
+// cgHdrFrags returns the fragments a group's header and bitmaps fill.
+func (sb *Superblock) cgHdrFrags() int32 {
+	return (cgHdrSize + (sb.Ipg+7)/8 + (sb.Fpg+7)/8 + sb.Fsize - 1) / sb.Fsize
+}
+
 // CgIblock returns the fragment address of group cg's first inode block.
 func (sb *Superblock) CgIblock(cg int32) int32 { return sb.CgHeader(cg) + sb.Frag }
 

@@ -66,7 +66,7 @@ func TestPointerIntoLogIsRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(rep.Problems, "\n"), "overlaps metadata") {
+	if !hasClass(rep.Problems, ClassMetadata) {
 		t.Fatalf("pointer into the log not reported as metadata: %v", rep.Problems)
 	}
 	rr := r.repair(t)

@@ -116,7 +116,7 @@ func Mkfs(d disk.Device, opts MkfsOpts) (*Superblock, error) {
 	// Everything is free except the reserved fragments and inodes and
 	// the root directory: inode RootIno, holding group 0's first data
 	// block.
-	im := image{d, sb}
+	im := image{d: d, sb: sb}
 	root, rootBlk := rootDir(sb, sb.CgDmin(0))
 	im.write(root.DB[0], rootBlk)
 	iblk := im.read(sb.InoToFsba(RootIno), sb.Frag)

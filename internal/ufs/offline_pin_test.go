@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,9 +115,10 @@ func buildPinImage(t *testing.T, vc *vol.Config) *pinImage {
 // TestOfflineReportsPinned pins what the offline half says and does:
 // for each corruption of one image, on a bare drive and on a two-member
 // concatenation, Fsck's problems, Repair's fixes, the closing check's
-// problems and a hash of the repaired platters. Wording, order and bytes
-// are all behaviour; the golden file was recorded before image.go
-// existed and a refactor of the offline code must leave it untouched.
+// problems and a hash of the repaired platters. Wording, classes, order
+// and bytes are all behaviour. Fsck is Repair writing nothing, so its
+// problems must equal the fixes; the closing checks, tree counts and
+// hashes are the ones recorded before image.go existed.
 func TestOfflineReportsPinned(t *testing.T) {
 	metaAddr := func(pi *pinImage) int32 { return pi.r.sb.CgHeader(0) }
 	rows := []struct {
@@ -221,6 +223,20 @@ func TestOfflineReportsPinned(t *testing.T) {
 		{"dir-isFile", func(_ *testing.T, pi *pinImage) {
 			pi.r.editDinode(pi.dir, func(di *Dinode) { di.Mode = ModeReg | 0o644 })
 		}},
+		// A full root block without ".": "..", 12-byte records to /big,
+		// one 16-byte record, and /d's entry, 12 bytes in the last 16.
+		// Restoring "." leaves /d's entry 4 bytes short of room.
+		{"dir-fullBlockLacksDot", func(_ *testing.T, pi *pinImage) {
+			pi.r.editBlock(pi.rootD.DB[0], func(blk []byte) {
+				clear(blk)
+				off := putDirent(blk, RootIno, "..")
+				for i := 0; off+12+16+16 <= len(blk); i++ {
+					off += putDirent(blk[off:], pi.big, fmt.Sprintf("%03d", i))
+				}
+				off += putDirent(blk[off:], pi.big, "long")
+				putDirentLast(blk[off:], pi.dir, "end", len(blk)-off)
+			})
+		}},
 
 		// Inode fields.
 		{"nlink-wrong", func(_ *testing.T, pi *pinImage) {
@@ -266,10 +282,10 @@ func TestOfflineReportsPinned(t *testing.T) {
 	}
 
 	var out strings.Builder
-	section := func(title string, lines []string) {
+	section := func(title string, fs []Finding) {
 		fmt.Fprintf(&out, "%s:\n", title)
-		for _, l := range lines {
-			fmt.Fprintf(&out, "  %s\n", l)
+		for _, f := range fs {
+			fmt.Fprintf(&out, "  %s\n", f)
 		}
 	}
 	for _, dev := range devices {
@@ -291,6 +307,9 @@ func TestOfflineReportsPinned(t *testing.T) {
 				fmt.Fprintf(&out, "repair error: %v\n", err)
 			}
 			if rep != nil {
+				if before != nil && !slices.Equal(before.Problems, rep.Fixes) {
+					t.Errorf("%s/%s: fsck found %v, repair fixed %v", dev.name, row.name, before.Problems, rep.Fixes)
+				}
 				section("fixes", rep.Fixes)
 				if rep.Check != nil {
 					section("check", rep.Check.Problems)

@@ -2,6 +2,7 @@ package ufs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,12 +81,13 @@ func TestFsckSurvivesWildPointers(t *testing.T) {
 		{"raid0x2", &vol.Config{Level: vol.RAID0, Members: 2}},
 	}
 	wild := []struct {
-		name string
-		addr func(sb *Superblock) int32
+		name  string
+		addr  func(sb *Superblock) int32
+		class Class
 	}{
-		{"negative", func(*Superblock) int32 { return -8 }},
-		{"pastDevice", func(*Superblock) int32 { return 0x7fffff00 }},
-		{"inMetadata", func(sb *Superblock) int32 { return sb.CgHeader(0) }},
+		{"negative", func(*Superblock) int32 { return -8 }, ClassRange},
+		{"pastDevice", func(*Superblock) int32 { return 0x7fffff00 }, ClassRange},
+		{"inMetadata", func(sb *Superblock) int32 { return sb.CgHeader(0) }, ClassMetadata},
 	}
 	// Each victim plants addr in one pointer and returns the inode it
 	// belongs to.
@@ -136,8 +138,11 @@ func TestFsckSurvivesWildPointers(t *testing.T) {
 					if err != nil {
 						t.Fatalf("fsck: %v", err)
 					}
-					if want := fmt.Sprintf("ino %d:", ino); !strings.Contains(strings.Join(rep.Problems, "\n"), want) {
-						t.Errorf("no problem names %q: %v", want, rep.Problems)
+					want := fmt.Sprintf("ino %d:", ino)
+					if !slices.ContainsFunc(rep.Problems, func(f Finding) bool {
+						return f.Class == w.class && strings.Contains(f.String(), want)
+					}) {
+						t.Errorf("no %s finding names %q: %v", w.class, want, rep.Problems)
 					}
 					if rr := r.repair(t); !rr.Clean() {
 						t.Fatalf("not clean after repair: %v", rr.Check.Problems)

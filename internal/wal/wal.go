@@ -366,8 +366,12 @@ func (l *Log) plan() int64 {
 }
 
 // commit stages dirty metadata via Flush and logs it. Caller holds
-// busy.
+// busy. After a journal I/O error it does neither and returns the error:
+// replay stops at a failed transaction, so none behind it could replay.
 func (l *Log) commit(p *sim.Proc) error {
+	if l.err != nil {
+		return l.err
+	}
 	var flushErr error
 	if l.Flush != nil {
 		flushErr = l.Flush(p)

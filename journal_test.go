@@ -297,12 +297,13 @@ func TestImageBootReplaysCommittedLog(t *testing.T) {
 	}
 }
 
-// TestJournalWriteErrorFailsLaterFsyncs hard-fails the first write in
-// the log region past its superblock, so the commit of Create /a never
-// reaches the platter. The file system must then refuse every later
-// fsync, as an unjournaled mount does after a lost metadata write: an
-// fsync that returned nil would be a promise no log record backs, and a
-// boot from the platters would not have the file.
+// TestJournalWriteErrorFailsLaterFsyncs hard-fails the second write in
+// the log region past its superblock: Create /pre commits, and the
+// commit of Create /a never reaches the platter. Replay stops at that
+// hole, so the file system must then refuse every later operation —
+// Create /b, and the fsync of /pre's data — as an unjournaled mount
+// does after a lost metadata write: a nil would be a promise no log
+// record backs, and a boot from the platters would not have it.
 func TestJournalWriteErrorFailsLaterFsyncs(t *testing.T) {
 	probe, err := New(RunA(), WithJournal(wal.Config{}))
 	if err != nil {
@@ -314,47 +315,38 @@ func TestJournalWriteErrorFailsLaterFsyncs(t *testing.T) {
 	probe.Close()
 
 	m, err := New(RunA(), WithJournal(wal.Config{}), WithFaultPlan(fault.Plan{Rules: []fault.Rule{{
-		Match: fault.Match{Nth: 1, RW: fault.Writes, SectorLo: base + 1, SectorHi: end},
+		Match: fault.Match{Nth: 2, RW: fault.Writes, SectorLo: base + 1, SectorHi: end},
 		Kind:  fault.MediaHard,
 	}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	var createA, fsyncB error
+	var createPre, createA, createB, fsyncPre error
 	if err := m.Run(func(p *sim.Proc) {
+		var pre *core.File
+		if pre, createPre = m.Engine.Create(p, "/pre"); createPre != nil {
+			return
+		}
 		_, createA = m.Engine.Create(p, "/a")
-		f, err := m.Engine.Create(p, "/b")
-		if err != nil {
-			fsyncB = err
+		_, createB = m.Engine.Create(p, "/b")
+		if _, err := pre.Write(p, 0, make([]byte, 8192)); err != nil {
+			fsyncPre = err
 			return
 		}
-		if _, err := f.Write(p, 0, make([]byte, 8192)); err != nil {
-			fsyncB = err
-			return
-		}
-		fsyncB = f.Fsync(p)
+		fsyncPre = pre.Fsync(p)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(createA, disk.ErrMedia) {
-		t.Fatalf("Create /a = %v, want the log write's media error", createA)
+	if createPre != nil {
+		t.Fatalf("Create /pre = %v before any fault", createPre)
 	}
-	if errors.Is(fsyncB, disk.ErrMedia) {
-		return
-	}
-	t.Errorf("fsync of /b after a failed log write = %v, want the journal's sticky media error", fsyncB)
-	// The acknowledged file must then survive a reboot from the platters.
-	r, err := New(RunA(), WithRecovery(m.Vol.Snapshot()...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.Run(func(p *sim.Proc) {
-		if _, err := r.Engine.Open(p, "/b"); err != nil {
-			t.Errorf("after recovery (%v): %v", r.ReplayLog, err)
+	for _, c := range []struct {
+		what string
+		err  error
+	}{{"Create /a", createA}, {"Create /b", createB}, {"fsync of /pre", fsyncPre}} {
+		if !errors.Is(c.err, disk.ErrMedia) {
+			t.Errorf("%s = %v, want the log write's media error", c.what, c.err)
 		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

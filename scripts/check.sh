@@ -37,19 +37,17 @@
 #                                          day it does, with no list to
 #                                          join (also `make race`); -short
 #                                          trims only faultlab's sweeps
-#   6. faultlab smoke sweeps               8 crash points over a 2 MB
-#                                          write, once per machine shape
-#                                          in the loop's list (single
-#                                          drive, degraded mirror,
-#                                          three-member stripe set,
-#                                          healthy RAID-5, so every
-#                                          volume plan shape meets a
-#                                          crash cut; journaled with
-#                                          replay recovery, journaled
-#                                          RAID-5 where the volume and
-#                                          the log meet); exits nonzero
-#                                          on any crash-consistency
-#                                          violation
+#   6. scripts/smoke.sh                    six faultlab smoke sweeps, 8
+#                                          crash points over a 2 MB
+#                                          write once per machine shape
+#                                          (see that script); exits
+#                                          nonzero on any crash-
+#                                          consistency violation, and
+#                                          its output must cmp equal to
+#                                          testdata/faultlab_smoke.txt,
+#                                          so an outcome shift fails too
+#                                          (regenerate: scripts/smoke.sh
+#                                          > testdata/faultlab_smoke.txt)
 #
 # Each step prints the seconds it took and the last line the total.
 #
@@ -92,10 +90,13 @@ step "go test ./..." go test ./...
 step "go -C bench test ." go -C bench test .
 step "go test -race -short ./internal/..." go test -race -short ./internal/...
 
-go build -o "$tmp/faultlab" ./cmd/faultlab
-for shape in "" "-vol raid1 -degraded 1" "-vol raid0 -members 3" "-vol raid5" "-journal wal" "-vol raid5 -journal wal"; do
-    # shellcheck disable=SC2086 # a shape is a list of flags
-    step "faultlab smoke sweep $shape" "$tmp/faultlab" -file 2 -fsync 262144 -cuts 8 -seed 7 $shape
-done
+# smoke_matches runs the sweeps, shows their output and compares it
+# with the record.
+smoke_matches() {
+    scripts/smoke.sh >"$tmp/smoke.txt"
+    cat "$tmp/smoke.txt"
+    cmp "$tmp/smoke.txt" testdata/faultlab_smoke.txt
+}
+step "faultlab smoke sweeps (= testdata/faultlab_smoke.txt)" smoke_matches
 
 echo "check: all gates passed in $(($(date +%s) - start)) s"
