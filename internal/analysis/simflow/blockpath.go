@@ -2,7 +2,9 @@ package simflow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 
 	"ufsclust/internal/analysis"
 )
@@ -25,9 +27,9 @@ import (
 //
 // Callback expressions that cannot be resolved (a field read, a call
 // result) are skipped: the rule trades soundness at those few sites for
-// zero-noise findings everywhere else. Buffer regions end at the first
-// release or return after the acquire, so early-exit branches shorten
-// rather than widen them.
+// zero-noise findings everywhere else. A buffer region ends where a
+// release or a return certainly ran; a release on an early-exit branch
+// does not end it (see checkBufferRegions).
 var BlockPath = &analysis.Analyzer{
 	Name: "blockpath",
 	Doc:  "may-block calls from scheduler-context callbacks or while a metadata buffer is held",
@@ -177,48 +179,29 @@ var bufferReleases = map[string]bool{
 }
 
 // checkBufferRegions scans one function for getblk/Bread acquisitions
-// and flags may-block calls inside the held region that do not mention
-// the buffer. A call that takes the buffer is presumed to be operating
-// on (or releasing) it; one that does not, and can park the process,
-// holds a locked buffer across an unrelated wait.
+// and flags may-block calls made while the buffer is held. A call that
+// takes the buffer is presumed to be operating on (or releasing) it; one
+// that does not, and can park the process, holds a locked buffer across
+// an unrelated wait.
+//
+// The hold ends only where a release certainly ran. A statement that
+// ends it on every path that goes on past it — a release call mentioning
+// the buffer, a return, or an if/else each of whose branches ends it —
+// closes everything after it when its block also holds the acquire, and
+// the rest of its own block otherwise. So a release on an early-exit
+// branch does not end the hold of the code after the branch.
 func checkBufferRegions(pass *analysis.Pass, prog *Program, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
 	type acquisition struct {
-		obj   types.Object
-		pos   int            // file offset order via token.Pos
-		block *ast.BlockStmt // block the acquire statement lives in
+		obj types.Object
+		pos token.Pos
 	}
 	var acquires []acquisition
-	returnBlocks := make(map[*ast.ReturnStmt]*ast.BlockStmt)
-
-	// One stack walk records each acquire and the innermost block of
-	// every statement of interest: a return inside a nested block (an
-	// if-branch) is conditional and must not close a region opened at
-	// shallower depth — only a return at the acquire's own depth
-	// certainly executes.
 	var blocks []*ast.BlockStmt
-	var depth []ast.Node
-	innermost := func() *ast.BlockStmt {
-		if len(blocks) == 0 {
-			return nil
-		}
-		return blocks[len(blocks)-1]
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			top := depth[len(depth)-1]
-			depth = depth[:len(depth)-1]
-			if _, ok := top.(*ast.BlockStmt); ok {
-				blocks = blocks[:len(blocks)-1]
-			}
-			return true
-		}
-		depth = append(depth, n)
 		switch x := n.(type) {
 		case *ast.BlockStmt:
 			blocks = append(blocks, x)
-		case *ast.ReturnStmt:
-			returnBlocks[x] = innermost()
 		case *ast.AssignStmt:
 			if len(x.Rhs) != 1 {
 				return true
@@ -240,42 +223,69 @@ func checkBufferRegions(pass *analysis.Pass, prog *Program, fd *ast.FuncDecl) {
 				obj = info.Uses[id]
 			}
 			if obj != nil {
-				acquires = append(acquires, acquisition{obj: obj, pos: int(call.End()), block: innermost()})
+				acquires = append(acquires, acquisition{obj, call.End()})
 			}
 		}
 		return true
 	})
 
+	contains := func(blk *ast.BlockStmt, at token.Pos) bool { return blk.Pos() <= at && at < blk.End() }
 	for _, acq := range acquires {
-		end := int(fd.Body.End())
-		// The region closes at the first release mentioning the buffer
-		// or the first unconditional return after the acquire, whichever
-		// comes first.
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
+		isRelease := func(e ast.Expr) bool {
+			call, ok := unparen(e).(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+			return ok && bufferReleases[sel.Sel.Name] && mentionsObject(info, call, acq.obj)
+		}
+		// ends reports whether every path that runs on past st has let
+		// the buffer go: st releases it or returns, or is an if/else each
+		// of whose branches ends it.
+		var ends func(st ast.Stmt) bool
+		ends = func(st ast.Stmt) bool {
+			switch x := st.(type) {
 			case *ast.ReturnStmt:
-				if returnBlocks[x] == acq.block && int(x.Pos()) > acq.pos && int(x.Pos()) < end {
-					end = int(x.Pos())
+				return true
+			case *ast.ExprStmt:
+				return isRelease(x.X)
+			case *ast.AssignStmt:
+				return len(x.Rhs) == 1 && isRelease(x.Rhs[0])
+			case *ast.BlockStmt:
+				return slices.ContainsFunc(x.List, ends)
+			case *ast.IfStmt:
+				return x.Else != nil && ends(x.Body) && ends(x.Else)
+			}
+			return false
+		}
+		// A closer is the end of a statement that ends the hold, and the
+		// block it sits in.
+		type closer struct {
+			pos   token.Pos
+			block *ast.BlockStmt
+		}
+		var closers []closer
+		for _, blk := range blocks {
+			for _, st := range blk.List {
+				if st.Pos() > acq.pos && ends(st) {
+					closers = append(closers, closer{st.End(), blk})
 				}
-			case *ast.CallExpr:
-				if int(x.Pos()) <= acq.pos || int(x.Pos()) >= end {
-					return true
-				}
-				if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok &&
-					bufferReleases[sel.Sel.Name] && mentionsObject(info, x, acq.obj) {
-					if int(x.End()) < end {
-						end = int(x.End())
-					}
+			}
+		}
+		held := func(at token.Pos) bool {
+			for _, c := range closers {
+				if c.pos <= at && (contains(c.block, acq.pos) || contains(c.block, at)) {
+					return false
 				}
 			}
 			return true
-		})
+		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || int(call.Pos()) <= acq.pos || int(call.Pos()) >= end {
+			if !ok || call.Pos() <= acq.pos {
 				return true
 			}
-			if mentionsObject(info, call, acq.obj) {
+			if mentionsObject(info, call, acq.obj) || !held(call.Pos()) {
 				return true
 			}
 			if c := prog.CallAt(call.Lparen); c != nil {

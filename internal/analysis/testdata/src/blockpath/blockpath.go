@@ -58,3 +58,46 @@ func suppressedHold(p *sim.Proc, bc *ufs.Bcache, q *sim.WaitQ) error {
 	bc.Brelse(b)
 	return nil
 }
+
+func earlyReturnHold(p *sim.Proc, bc *ufs.Bcache, q *sim.WaitQ, done bool) error {
+	b, err := bc.Bread(p, 7)
+	if err != nil {
+		return err
+	}
+	if done {
+		bc.Brelse(b) // releases only on the early exit
+		mayBlock(p, q)
+		return nil
+	}
+	mayBlock(p, q) // b is still locked on this path
+	bc.Brelse(b)
+	return nil
+}
+
+func oneBranchRelease(p *sim.Proc, bc *ufs.Bcache, q *sim.WaitQ, dirty bool) error {
+	b, err := bc.Bread(p, 7)
+	if err != nil {
+		return err
+	}
+	if dirty {
+		bc.Bdwrite(b)
+	}
+	mayBlock(p, q) // b is still locked when it was clean
+	return nil
+}
+
+func everyBranchReleases(p *sim.Proc, bc *ufs.Bcache, q *sim.WaitQ, dirty, sync bool) error {
+	b, err := bc.Bread(p, 7)
+	if err != nil {
+		return err
+	}
+	if dirty {
+		bc.Bdwrite(b)
+	} else if sync {
+		_ = bc.Bwrite(p, b)
+	} else {
+		bc.Brelse(b)
+	}
+	mayBlock(p, q)
+	return nil
+}

@@ -51,7 +51,7 @@ func (fs *Fs) bmapSlow(p *sim.Proc, ip *Inode, lbn int64, pp ptrPath) (int32, in
 		addr, run := fs.runAt(ip, nil, int64(pp.root), lbn)
 		return addr, run, nil
 	}
-	b, err := fs.lastIndir(p, ip, pp)
+	b, err := fs.lastIndir(p, ip, pp, false)
 	if b == nil {
 		return 0, 1, err // a hole high in the tree, unless err
 	}
@@ -96,17 +96,43 @@ func (ip *Inode) dataAddr(table []byte, i int64) int32 {
 }
 
 // lastIndir follows pp (depth >= 1) from ip down to the pointer block
-// holding the data block's own address and returns it locked. It
-// returns nil when a pointer on the way is zero: the block is a hole.
-func (fs *Fs) lastIndir(p *sim.Proc, ip *Inode, pp ptrPath) (*MBuf, error) {
+// holding the data block's own address and returns it locked. It is the
+// only descent below IB[k]. A zero pointer on the way is a hole: lastIndir
+// returns nil, or, when grow, allocates the missing pointer block and
+// goes on. The parent is released while allocMetaBlock runs — it acquires
+// cylinder-group buffers, and holding the parent across that would pin a
+// locked buffer over an unrelated wait. Re-reading the parent to install
+// the pointer is a cache hit (it was just released, so it cannot have
+// been the eviction victim), and the inode lock keeps the slot ours in
+// between.
+func (fs *Fs) lastIndir(p *sim.Proc, ip *Inode, pp ptrPath, grow bool) (*MBuf, error) {
 	addr := ip.D.IB[pp.root]
+	if addr == 0 && grow {
+		var err error
+		if addr, err = fs.allocMetaBlock(p, ip); err != nil {
+			return nil, err
+		}
+		ip.D.IB[pp.root] = addr
+		ip.MarkDirty()
+	}
 	for lvl := 0; addr != 0; lvl++ {
 		b, err := fs.BC.Bread(p, addr)
 		if err != nil || lvl == pp.depth-1 {
 			return b, err
 		}
-		addr = getIndir(b.Data, pp.idx[lvl])
+		next := getIndir(b.Data, pp.idx[lvl])
 		fs.BC.Brelse(b)
+		if next == 0 && grow {
+			if next, err = fs.allocMetaBlock(p, ip); err != nil {
+				return nil, err
+			}
+			if b, err = fs.BC.Bread(p, addr); err != nil {
+				return nil, err
+			}
+			putIndir(b.Data, pp.idx[lvl], next)
+			fs.BC.Bdwrite(b)
+		}
+		addr = next
 	}
 	return nil, nil
 }
@@ -161,37 +187,33 @@ func (fs *Fs) BmapAlloc(p *sim.Proc, ip *Inode, lbn int64, size int) (int32, err
 		return fs.allocDirect(p, ip, lbn, fs.SB.BlkFrags(lbn*int64(fs.SB.Bsize)+int64(size), lbn))
 	}
 
-	// Indirect ranges: walk the pointer chain, growing it where it ends.
-	ib, err := fs.ensureIndir(p, ip, &ip.D.IB[pp.root])
+	b, err := fs.lastIndir(p, ip, pp, true)
 	if err != nil {
 		return 0, err
 	}
-	for lvl := 0; lvl < pp.depth-1; lvl++ {
-		b, err := fs.BC.Bread(p, ib)
-		if err != nil {
-			return 0, err
-		}
-		next := getIndir(b.Data, pp.idx[lvl])
-		fs.BC.Brelse(b)
-		if next == 0 {
-			// Allocate with the parent buffer released: allocMetaBlock
-			// acquires cylinder-group buffers, and holding b across that
-			// would pin a locked buffer over an unrelated wait. Re-reading
-			// to install the pointer is a cache hit — b was just released,
-			// so it cannot have been the eviction victim — and the inode
-			// lock keeps the slot ours in between.
-			if next, err = fs.allocMetaBlock(p, ip); err != nil {
-				return 0, err
-			}
-			if b, err = fs.BC.Bread(p, ib); err != nil {
-				return 0, err
-			}
-			putIndir(b.Data, pp.idx[lvl], next)
-			fs.BC.Bdwrite(b)
-		}
-		ib = next
+	// Allocate the data block the way lastIndir allocates pointer
+	// blocks: with the table released.
+	table, idx := b.Fsbn, pp.idx[pp.depth-1]
+	fsbn, prev := getIndir(b.Data, idx), int32(0)
+	if idx > 0 {
+		prev = getIndir(b.Data, idx-1)
 	}
-	return fs.allocInIndir(p, ip, ib, pp.idx[pp.depth-1], lbn)
+	fs.BC.Brelse(b)
+	if fsbn != 0 {
+		return fsbn, nil
+	}
+	if idx == 0 {
+		prev = fs.prevAddr(p, ip, lbn)
+	}
+	if fsbn, err = fs.AllocBlock(p, ip, fs.BlkPref(ip, lbn, prev)); err != nil {
+		return 0, err
+	}
+	if b, err = fs.BC.Bread(p, table); err != nil {
+		return 0, err
+	}
+	putIndir(b.Data, idx, fsbn)
+	fs.BC.Bdwrite(b)
+	return fsbn, nil
 }
 
 // allocDirect backs direct block lbn with needFrags fragments: a fresh
@@ -232,21 +254,6 @@ func (fs *Fs) allocDirect(p *sim.Proc, ip *Inode, lbn int64, needFrags int32) (i
 	return fsbn, nil
 }
 
-// ensureIndir allocates (zeroed) the indirect block *slot if missing and
-// returns its address.
-func (fs *Fs) ensureIndir(p *sim.Proc, ip *Inode, slot *int32) (int32, error) {
-	if *slot != 0 {
-		return *slot, nil
-	}
-	fsbn, err := fs.allocMetaBlock(p, ip)
-	if err != nil {
-		return 0, err
-	}
-	*slot = fsbn
-	ip.MarkDirty()
-	return fsbn, nil
-}
-
 // allocMetaBlock allocates and zeroes a pointer block.
 func (fs *Fs) allocMetaBlock(p *sim.Proc, ip *Inode) (int32, error) {
 	fsbn, err := fs.AllocBlock(p, ip, fs.BlkPref(ip, 0, 0))
@@ -258,34 +265,6 @@ func (fs *Fs) allocMetaBlock(p *sim.Proc, ip *Inode) (int32, error) {
 		b.Data[i] = 0
 	}
 	b.valid = true
-	fs.BC.Bdwrite(b)
-	return fsbn, nil
-}
-
-// allocInIndir ensures entry idx of the indirect block at ib points to a
-// data block, allocating one if needed.
-func (fs *Fs) allocInIndir(p *sim.Proc, ip *Inode, ib int32, idx int64, lbn int64) (int32, error) {
-	b, err := fs.BC.Bread(p, ib)
-	if err != nil {
-		return 0, err
-	}
-	addr := getIndir(b.Data, idx)
-	if addr != 0 {
-		fs.BC.Brelse(b)
-		return addr, nil
-	}
-	var prev int32
-	if idx > 0 {
-		prev = getIndir(b.Data, idx-1)
-	} else {
-		prev = fs.prevAddr(p, ip, lbn)
-	}
-	fsbn, err := fs.AllocBlock(p, ip, fs.BlkPref(ip, lbn, prev))
-	if err != nil {
-		fs.BC.Brelse(b)
-		return 0, err
-	}
-	putIndir(b.Data, idx, fsbn)
 	fs.BC.Bdwrite(b)
 	return fsbn, nil
 }

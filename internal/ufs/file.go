@@ -263,8 +263,27 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 	oldBlocks := (ip.D.Size + int64(fs.SB.Bsize) - 1) / int64(fs.SB.Bsize)
 	newBlocks := (size + int64(fs.SB.Bsize) - 1) / int64(fs.SB.Bsize)
 
-	// Free data blocks past the new end, walking backwards.
-	for lbn := oldBlocks - 1; lbn >= newBlocks; lbn-- {
+	// Free what lies past the new end under each IB[k]: the data blocks
+	// and the pointer blocks that map only them, found by walking the
+	// pointers that exist rather than the logical blocks. In the
+	// indirect ranges every block is whole.
+	free := func(addr int32) error {
+		ip.D.Blocks -= fs.SB.Frag
+		return fs.FreeFrags(p, addr, fs.SB.Frag)
+	}
+	for k, ib := range ip.D.IB {
+		if base := fs.SB.indirBase(k); ib != 0 {
+			if err := fs.eachIndir(p, ib, k+1, base, newBlocks, free, free); err != nil {
+				return err
+			}
+			if newBlocks <= base {
+				ip.D.IB[k] = 0
+			}
+		}
+	}
+	// Then the direct slots, walking backwards. Each pays a Bmap: the
+	// remove-heavy workloads are calibrated with that charge.
+	for lbn := min(oldBlocks, NDADDR) - 1; lbn >= newBlocks; lbn-- {
 		fsbn, _, err := fs.Bmap(p, ip, lbn)
 		if err != nil {
 			return err
@@ -277,25 +296,7 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 			return err
 		}
 		ip.D.Blocks -= frags
-		if err := fs.clearBlockPtr(p, ip, lbn); err != nil {
-			return err
-		}
-	}
-	// Free the pointer blocks that map only blocks past the new end: a
-	// whole IB[k] tree, or the subtrees below the one that straddles it.
-	free := func(ib int32) error {
-		ip.D.Blocks -= fs.SB.Frag
-		return fs.FreeFrags(p, ib, fs.SB.Frag)
-	}
-	for k, ib := range ip.D.IB {
-		if base := fs.SB.indirBase(k); ib != 0 {
-			if err := fs.eachIndir(p, ib, k+1, base, newBlocks, free); err != nil {
-				return err
-			}
-			if newBlocks <= base {
-				ip.D.IB[k] = 0
-			}
-		}
+		ip.D.DB[lbn] = 0
 	}
 	// Shrink the new tail block to fragments where the direct range
 	// allows it, as FFS truncate does; otherwise di_blocks and the
@@ -316,17 +317,19 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 	return nil
 }
 
-// eachIndir calls fn, children first, on each pointer block under ib
-// (height levels above the data, so 1 means fn never sees its entries;
-// mapping lbn onward) that maps only blocks from end on — with end 0,
-// on all. truncate frees those (FFS's ffs_indirtrunc), and a block that
-// stays drops its entries for them; SyncInode flushes them. A block's
-// entries are copied out and its buffer released before fn runs: fn
-// sleeps on other buffers, and holding this one across that would pin
-// a locked buffer over unrelated waits.
-func (fs *Fs) eachIndir(p *sim.Proc, ib int32, height int, lbn, end int64, fn func(ib int32) error) error {
+// eachIndir calls fn, children first and last entry first, on each
+// pointer block under ib (height levels above the data, so 1 means its
+// entries are data blocks; mapping lbn onward) that maps only blocks
+// from end on — with end 0, on all — and, when leaf is non-nil, leaf on
+// each data block from end on before fn on its pointer block. truncate
+// frees all of those (FFS's ffs_indirtrunc), and a block that stays
+// drops its entries for them; SyncInode flushes the pointer blocks. A
+// block's entries are copied out and its buffer released before fn or
+// leaf runs: they sleep on other buffers, and holding this one across
+// that would pin a locked buffer over unrelated waits.
+func (fs *Fs) eachIndir(p *sim.Proc, ib int32, height int, lbn, end int64, fn, leaf func(addr int32) error) error {
 	n, span := fs.SB.NindirPerBlock(), fs.SB.indirSpan(height)
-	if height > 1 && end < lbn+n*span {
+	if (height > 1 || leaf != nil) && end < lbn+n*span {
 		b, err := fs.BC.Bread(p, ib)
 		if err != nil {
 			return err
@@ -351,8 +354,14 @@ func (fs *Fs) eachIndir(p *sim.Proc, ib int32, height int, lbn, end int64, fn fu
 		} else {
 			fs.BC.Brelse(b)
 		}
-		for _, k := range kids {
-			if err := fs.eachIndir(p, k.addr, height-1, k.lbn, end, fn); err != nil {
+		for i := len(kids) - 1; i >= 0; i-- {
+			k := kids[i]
+			if height == 1 {
+				err = leaf(k.addr)
+			} else {
+				err = fs.eachIndir(p, k.addr, height-1, k.lbn, end, fn, leaf)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -361,25 +370,6 @@ func (fs *Fs) eachIndir(p *sim.Proc, ib int32, height int, lbn, end int64, fn fu
 		return fn(ib)
 	}
 	return nil
-}
-
-// clearBlockPtr zeroes the pointer to logical block lbn.
-func (fs *Fs) clearBlockPtr(p *sim.Proc, ip *Inode, lbn int64) error {
-	pp, err := fs.SB.ptrPath(lbn)
-	if err != nil {
-		return err
-	}
-	if pp.depth == 0 {
-		ip.D.DB[pp.root] = 0
-		ip.MarkDirty()
-		return nil
-	}
-	b, err := fs.lastIndir(p, ip, pp)
-	if b != nil {
-		putIndir(b.Data, pp.idx[pp.depth-1], 0)
-		fs.BC.Bdwrite(b)
-	}
-	return err
 }
 
 // MaxFastLink is the longest symlink target stored directly in the

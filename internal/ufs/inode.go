@@ -296,7 +296,7 @@ func (fs *Fs) SyncInode(p *sim.Proc, ip *Inode) error {
 		if ip.D.IB[k] == 0 {
 			continue
 		}
-		err := fs.eachIndir(p, ip.D.IB[k], k+1, 0, 0, func(ib int32) error { return fs.BC.FlushBlock(p, ib) })
+		err := fs.eachIndir(p, ip.D.IB[k], k+1, 0, 0, func(ib int32) error { return fs.BC.FlushBlock(p, ib) }, nil)
 		if err != nil {
 			return err
 		}

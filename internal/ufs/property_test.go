@@ -101,13 +101,6 @@ func TestPropertyAllocatorConsistency(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Property: a directory behaves as a map under any sequence of
 // create/remove/lookup operations.
 func TestPropertyDirectoryIsAMap(t *testing.T) {
@@ -195,30 +188,49 @@ func TestPropertyDirectoryIsAMap(t *testing.T) {
 	}
 }
 
-// Property: grow/truncate sequences keep di_blocks exact and fsck clean.
+// Property: grow/truncate sequences keep di_blocks exact and fsck clean,
+// on a file that starts sparse — a seeded subset of blocks in the direct,
+// single- and double-indirect ranges — and then grows densely. Truncate
+// walks the pointers that exist: it pays at most one Bmap per direct slot,
+// however many logical blocks it drops.
 func TestPropertyGrowTruncate(t *testing.T) {
 	f := func(seed int64, sizesRaw []uint16) bool {
 		if len(sizesRaw) > 12 {
 			sizesRaw = sizesRaw[:12]
 		}
 		r := newRig(t, MkfsOpts{})
+		rng := rand.New(rand.NewSource(seed))
+		bsize := int64(r.sb.Bsize)
+		nindir := r.sb.NindirPerBlock()
 		ok := true
+		check := func(what string, err error) bool {
+			if err != nil {
+				t.Logf("%s: %v", what, err)
+				ok = false
+			}
+			return err == nil
+		}
 		r.run(t, func(p *sim.Proc) {
 			ip, err := r.fs.Create(p, "/gt")
-			if err != nil {
-				ok = false
+			if !check("create", err) {
 				return
 			}
+			for _, rg := range [][2]int64{{0, NDADDR}, {NDADDR, nindir}, {NDADDR + nindir, 3 * nindir}} {
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					lbn := rg[0] + rng.Int63n(rg[1])
+					if _, err := r.fs.BmapAlloc(p, ip, lbn, int(bsize)); !check("sparse alloc", err) {
+						return
+					}
+					ip.D.Size = max(ip.D.Size, (lbn+1)*bsize)
+				}
+			}
+			ip.MarkDirty()
 			for _, sz := range sizesRaw {
 				target := int64(sz) * 97 // up to ~6.3MB
 				if target > ip.D.Size {
 					// Grow by allocating every block (no holes).
-					bsize := int64(r.sb.Bsize)
 					for off := ip.D.Size / bsize * bsize; off < target; off += bsize {
-						n := bsize
-						if off+n > target {
-							n = target - off
-						}
+						n := min(bsize, target-off)
 						if _, err := r.fs.BmapAlloc(p, ip, off/bsize, int(n)); err != nil {
 							ok = err == ErrNoSpace
 							return
@@ -227,11 +239,26 @@ func TestPropertyGrowTruncate(t *testing.T) {
 					}
 					ip.D.Size = target
 					ip.MarkDirty()
-				} else {
-					if err := r.fs.Truncate(p, ip, target); err != nil {
-						ok = false
-						return
-					}
+					continue
+				}
+				bmaps := r.fs.BmapCalls
+				if !check("truncate", r.fs.Truncate(p, ip, target)) {
+					return
+				}
+				if n := r.fs.BmapCalls - bmaps; n > NDADDR {
+					t.Logf("truncate to %d made %d Bmap calls, want at most %d", target, n, NDADDR)
+					ok = false
+					return
+				}
+				r.fs.SyncImage()
+				rep, err := Fsck(r.d)
+				if !check("fsck", err) {
+					return
+				}
+				if !rep.Clean() {
+					t.Logf("after truncate to %d: %v", target, rep.Problems[:min(len(rep.Problems), 5)])
+					ok = false
+					return
 				}
 			}
 		})
