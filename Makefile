@@ -40,10 +40,10 @@ fuzz:
 
 # bench regenerates BENCH_iobench.json, the committed matrix of virtual
 # rates and counters that TestMatrixMatchesCommitted compares byte for
-# byte, then rewrites EXPERIMENTS.md's generated paper tables from its
-# paper section (the blocks TestPaperTablesMatchCommitted compares); a
-# diff after running it is a behaviour change to explain. Host costs are
-# not committed anywhere: the kernel's are benchmarks beside the code
+# byte, then rewrites EXPERIMENTS.md's generated tables from its paper
+# and ablations sections (the blocks TestPaperTablesMatchCommitted
+# compares); a diff after running it is a behaviour change to explain.
+# Host costs are not committed anywhere: the kernel's are benchmarks beside the code
 # (go test -bench . -benchmem ./internal/sim ./internal/telemetry
 # ./internal/prefetch) with their allocation counts asserted by tests,
 # the full stack's are what bench/ measures.

@@ -1,10 +1,13 @@
 // Benchmarks for the paper's access-pattern and placement figures and
-// the ablations its design discussion implies. Each benchmark measures
-// the host cost of the simulation (the usual Go numbers) and reports
-// the experiment's own metric — virtual-time transfer rates, CPU time —
-// via b.ReportMetric, so `go test -bench=.` prints the reproduction next
-// to the benchmark. The paper's evaluation tables themselves (Figures
-// 10-12, the intro claim, the allocator extents, MusBus) are gated
+// the three measurements that are not a cell of BENCH_iobench.json:
+// the extent file system and the raw disk, which are not a ufsclust
+// machine, and B_ORDER's rm *. Each benchmark measures the host cost of
+// the simulation (the usual Go numbers) and reports the experiment's
+// own metric — virtual-time transfer rates, CPU time — via
+// b.ReportMetric, so `go test -bench=.` prints the reproduction next to
+// the benchmark. The paper's evaluation tables themselves (Figures
+// 10-12, the intro claim, the allocator extents, MusBus), its
+// design-discussion ablations and its Further Work ideas are gated
 // cells of BENCH_iobench.json, not benchmarks.
 package ufsclust_test
 
@@ -14,13 +17,10 @@ import (
 
 	"ufsclust"
 
-	"ufsclust/internal/core"
 	"ufsclust/internal/disk"
 	"ufsclust/internal/driver"
 	"ufsclust/internal/extfs"
-	"ufsclust/internal/prefetch"
 	"ufsclust/internal/raw"
-	"ufsclust/internal/runner"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/trace"
 	"ufsclust/internal/ufs"
@@ -91,201 +91,6 @@ func BenchmarkFig04InterleavedPlacement(b *testing.B) {
 func BenchmarkFig05ContiguousPlacement(b *testing.B) {
 	gap := benchPlacement(b, 0)
 	b.ReportMetric(float64(gap), "gap-blocks")
-}
-
-// --- In-text: the write-limit sizing argument -------------------------------
-
-// BenchmarkWriteLimitSweep reproduces the paper's sizing discussion: a
-// process alternates writes between the beginning and end of a file.
-// Too small a limit kills the elevator's chance to sort; 240 KB keeps
-// most of the unlimited rate.
-func BenchmarkWriteLimitSweep(b *testing.B) {
-	limitsKB := []int{8, 56, 240, 0}
-	var rates []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		// The sweep points are independent machines, so they run through
-		// the parallel runner; the rates come back in point order.
-		rates, err = runner.Map(len(limitsKB), runner.Options{}, func(job int) (float64, error) {
-			return writeLimitRate(int64(limitsKB[job]) << 10)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for j, limitKB := range limitsKB {
-		name := fmt.Sprintf("limit%dKB-virtKB/s", limitKB)
-		if limitKB == 0 {
-			name = "unlimited-virtKB/s"
-		}
-		b.ReportMetric(rates[j], name)
-	}
-}
-
-// writeLimitRate measures the fairness-stress rate under one write
-// limit. It is runner-safe: its machine is private and it reports
-// failures as errors rather than through a *testing.B.
-func writeLimitRate(limit int64) (float64, error) {
-	o := ufsclust.RunA().Options()
-	o.Engine.WriteLimit = limit
-	m, err := ufsclust.NewMachine(o)
-	if err != nil {
-		return 0, err
-	}
-	defer m.Close()
-	const n = 256
-	var elapsed sim.Time
-	var runErr error
-	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Create(p, "/sweep")
-		if err != nil {
-			runErr = err
-			return
-		}
-		f.Write(p, 0, make([]byte, 8<<20))
-		f.Fsync(p)
-		buf := make([]byte, 8192)
-		t0 := p.Now()
-		for j := 0; j < n; j++ {
-			off := int64(j/2) * 8192
-			if j%2 == 1 {
-				off = 8<<20 - int64(j/2+1)*8192
-			}
-			f.Write(p, off, buf)
-		}
-		f.Fsync(p)
-		elapsed = p.Now() - t0
-	})
-	if err != nil {
-		return 0, err
-	}
-	if runErr != nil {
-		return 0, runErr
-	}
-	return float64(n*8192) / 1024 / elapsed.Seconds(), nil
-}
-
-// --- Rejected alternative: tuning only (track buffer) ------------------------
-
-// BenchmarkTrackBufferTradeoff is the "file system tuning" alternative:
-// rotdelay 0 with the legacy block-at-a-time engine. Reads improve
-// (track buffer), but writes "suffer horribly" — write-through means a
-// full rotation per block.
-func BenchmarkTrackBufferTradeoff(b *testing.B) {
-	measure := func(b *testing.B, write bool) float64 {
-		var rate float64
-		for i := 0; i < b.N; i++ {
-			o := ufsclust.Options{
-				Mkfs:   ufs.MkfsOpts{Rotdelay: 0, Maxcontig: 1},
-				Engine: core.Config{Clustered: false, Prefetch: prefetch.NewFixed()},
-			}
-			m, err := ufsclust.NewMachine(o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			const size = 4 << 20
-			var elapsed sim.Time
-			err = m.Run(func(p *sim.Proc) {
-				f, err := m.Engine.Create(p, "/tuned")
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				chunk := make([]byte, 8192)
-				if !write {
-					for off := int64(0); off < size; off += 8192 {
-						f.Write(p, off, chunk)
-					}
-					f.Purge(p)
-				}
-				t0 := p.Now()
-				for off := int64(0); off < size; off += 8192 {
-					if write {
-						f.Write(p, off, chunk)
-					} else {
-						f.Read(p, off, chunk)
-					}
-				}
-				f.Fsync(p)
-				elapsed = p.Now() - t0
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rate = float64(size) / 1024 / elapsed.Seconds()
-		}
-		return rate
-	}
-	b.Run("read", func(b *testing.B) {
-		b.ReportMetric(measure(b, false), "virtKB/s")
-	})
-	b.Run("write", func(b *testing.B) {
-		b.ReportMetric(measure(b, true), "virtKB/s")
-	})
-}
-
-// --- Rejected alternative: driver clustering ---------------------------------
-
-// BenchmarkDriverClustering shows the paper's objection: coalescing in
-// the driver helps asynchronous writes but cannot help synchronous
-// reads (at most two requests are ever queued), and the file system is
-// still traversed per block.
-func BenchmarkDriverClustering(b *testing.B) {
-	measure := func(b *testing.B, write bool) float64 {
-		var rate float64
-		for i := 0; i < b.N; i++ {
-			dc := driver.DefaultConfig()
-			dc.Coalesce = true
-			o := ufsclust.Options{
-				Mkfs:   ufs.MkfsOpts{Rotdelay: 0, Maxcontig: 1},
-				Driver: &dc,
-				Engine: core.Config{Clustered: false, Prefetch: prefetch.NewFixed()},
-			}
-			m, err := ufsclust.NewMachine(o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			const size = 4 << 20
-			var elapsed sim.Time
-			err = m.Run(func(p *sim.Proc) {
-				f, err := m.Engine.Create(p, "/drvclu")
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				chunk := make([]byte, 8192)
-				if !write {
-					for off := int64(0); off < size; off += 8192 {
-						f.Write(p, off, chunk)
-					}
-					f.Purge(p)
-				}
-				t0 := p.Now()
-				for off := int64(0); off < size; off += 8192 {
-					if write {
-						f.Write(p, off, chunk)
-					} else {
-						f.Read(p, off, chunk)
-					}
-				}
-				f.Fsync(p)
-				elapsed = p.Now() - t0
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rate = float64(size) / 1024 / elapsed.Seconds()
-		}
-		return rate
-	}
-	b.Run("read", func(b *testing.B) {
-		b.ReportMetric(measure(b, false), "virtKB/s")
-	})
-	b.Run("write", func(b *testing.B) {
-		b.ReportMetric(measure(b, true), "virtKB/s")
-	})
 }
 
 // --- Ablation: extents vs clustering ------------------------------------------
@@ -408,152 +213,7 @@ func BenchmarkRawDisk(b *testing.B) {
 	b.ReportMetric(rate, "virtKB/s")
 }
 
-// --- Further Work features (paper's final section), as ablations --------------
-
-// BenchmarkFwBmapCache measures the "Bmap cache" idea: "A small cache in
-// the inode could reduce the cost of bmap substantially."
-func BenchmarkFwBmapCache(b *testing.B) {
-	for _, cache := range []bool{false, true} {
-		cache := cache
-		name := "off"
-		if cache {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cpuS float64
-			for i := 0; i < b.N; i++ {
-				o := ufsclust.RunA().Options()
-				o.Mount.BmapCache = cache
-				m, err := ufsclust.NewMachine(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Close()
-				err = m.Run(func(p *sim.Proc) {
-					f, err := m.Engine.Create(p, "/big")
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					f.Write(p, 0, make([]byte, 4<<20))
-					f.Purge(p)
-					pre := m.Snapshot()
-					buf := make([]byte, 8192)
-					for off := int64(0); off < 4<<20; off += 8192 {
-						f.Read(p, off, buf)
-					}
-					cpuS = sim.Time(m.Snapshot().Delta(pre).Get("cpu.system_ns")).Seconds()
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(cpuS*1000, "virt-cpu-ms")
-		})
-	}
-}
-
-// BenchmarkFwSkipBmapOnHit measures UFS_HOLE: skipping the defensive
-// bmap when the page is cached and the file has no holes.
-func BenchmarkFwSkipBmapOnHit(b *testing.B) {
-	for _, skip := range []bool{false, true} {
-		skip := skip
-		name := "off"
-		if skip {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cpuS float64
-			for i := 0; i < b.N; i++ {
-				o := ufsclust.RunA().Options()
-				o.Engine.SkipBmapOnHit = skip
-				m, err := ufsclust.NewMachine(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Close()
-				err = m.Run(func(p *sim.Proc) {
-					f, err := m.Engine.Create(p, "/warm")
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					f.Write(p, 0, make([]byte, 2<<20))
-					f.Fsync(p)
-					// Warm: everything cached.
-					buf := make([]byte, 8192)
-					for off := int64(0); off < 2<<20; off += 8192 {
-						f.Read(p, off, buf)
-					}
-					pre := m.Snapshot()
-					// Random cached re-reads: the bmap-skip case.
-					for j := 0; j < 512; j++ {
-						off := m.Sim.Rand.Int63n(2<<20/8192) * 8192
-						f.Read(p, off, buf)
-					}
-					cpuS = sim.Time(m.Snapshot().Delta(pre).Get("cpu.system_ns")).Seconds()
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(cpuS*1000, "virt-cpu-ms")
-		})
-	}
-}
-
-// BenchmarkFwRandomClustering measures the request-size hint on random
-// 56KB reads ("random reads of 20KB segments ... will not receive the
-// full benefits of clustering" without it).
-func BenchmarkFwRandomClustering(b *testing.B) {
-	for _, hint := range []bool{false, true} {
-		hint := hint
-		name := "off"
-		if hint {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				o := ufsclust.RunA().Options()
-				o.Engine.RandomClustering = hint
-				m, err := ufsclust.NewMachine(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Close()
-				const size = 8 << 20
-				var elapsed sim.Time
-				var moved int64
-				err = m.Run(func(p *sim.Proc) {
-					f, err := m.Engine.Create(p, "/seg")
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					chunk := make([]byte, 112<<10)
-					for off := int64(0); off < size; off += int64(len(chunk)) {
-						f.Write(p, off, chunk)
-					}
-					f.Purge(p)
-					t0 := p.Now()
-					segs := size / int64(len(chunk))
-					for j := 0; j < 64; j++ {
-						off := m.Sim.Rand.Int63n(segs) * int64(len(chunk))
-						f.Read(p, off, chunk)
-						moved += int64(len(chunk))
-					}
-					elapsed = p.Now() - t0
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate = float64(moved) / 1024 / elapsed.Seconds()
-			}
-			b.ReportMetric(rate, "virtKB/s")
-		})
-	}
-}
+// --- Further Work: ordered metadata writes ------------------------------------
 
 // BenchmarkFwOrderedRmStar measures B_ORDER: "The performance of
 // commands like rm * would improve substantially."
@@ -599,158 +259,6 @@ func BenchmarkFwOrderedRmStar(b *testing.B) {
 				}
 			}
 			b.ReportMetric(elapsed.Seconds()*1000, "virt-ms")
-		})
-	}
-}
-
-// --- Ablation: the rotdelay tuning space ---------------------------------------
-
-// BenchmarkRotdelaySweep sweeps the legacy system's only real knob,
-// showing the dead end the paper escaped: every rotdelay caps
-// sequential reads near half the disk, and zero trades writes away.
-func BenchmarkRotdelaySweep(b *testing.B) {
-	rots := []int{8, 4, 0}
-	// Each (rotdelay, direction) pair is an independent machine; the
-	// runner spreads the six of them over the host cores.
-	type point struct {
-		rot   int
-		write bool
-	}
-	var points []point
-	for _, rot := range rots {
-		points = append(points, point{rot, false}, point{rot, true})
-	}
-	var rates []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		rates, err = runner.Map(len(points), runner.Options{}, func(job int) (float64, error) {
-			return seqRateErr(points[job].rot, false, points[job].write)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for j, pt := range points {
-		dir := "read"
-		if pt.write {
-			dir = "write"
-		}
-		b.ReportMetric(rates[j], fmt.Sprintf("rot%dms-%s-virtKB/s", pt.rot, dir))
-	}
-}
-
-// seqRate measures a sequential 4MB read or write on the legacy engine
-// (or clustered when clustered is true).
-func seqRate(b *testing.B, rotdelay int, clustered, write bool) float64 {
-	rate, err := seqRateErr(rotdelay, clustered, write)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rate
-}
-
-// seqRateErr is the runner-safe form of seqRate: private machine,
-// errors returned rather than reported to a *testing.B.
-func seqRateErr(rotdelay int, clustered, write bool) (float64, error) {
-	o := ufsclust.Options{
-		Mkfs: ufs.MkfsOpts{Rotdelay: rotdelay, Maxcontig: 1},
-	}
-	o.Engine = core.Config{Prefetch: prefetch.NewFixed()}
-	if clustered {
-		o.Mkfs.Maxcontig = 15
-		o.Engine.Clustered = true
-		dc := driver.DefaultConfig()
-		dc.MaxPhys = 128 << 10
-		o.Driver = &dc
-	}
-	m, err := ufsclust.NewMachine(o)
-	if err != nil {
-		return 0, err
-	}
-	defer m.Close()
-	const size = 4 << 20
-	var elapsed sim.Time
-	var runErr error
-	err = m.Run(func(p *sim.Proc) {
-		f, err := m.Engine.Create(p, "/r")
-		if err != nil {
-			runErr = err
-			return
-		}
-		chunk := make([]byte, 8192)
-		if !write {
-			for off := int64(0); off < size; off += 8192 {
-				f.Write(p, off, chunk)
-			}
-			f.Purge(p)
-		}
-		t0 := p.Now()
-		for off := int64(0); off < size; off += 8192 {
-			if write {
-				f.Write(p, off, chunk)
-			} else {
-				f.Read(p, off, chunk)
-			}
-		}
-		f.Fsync(p)
-		elapsed = p.Now() - t0
-	})
-	if err != nil {
-		return 0, err
-	}
-	if runErr != nil {
-		return 0, runErr
-	}
-	return float64(size) / 1024 / elapsed.Seconds(), nil
-}
-
-// --- Ablation: read-ahead ---------------------------------------------------
-
-// BenchmarkReadAheadAblation isolates the read-ahead heuristic that
-// motivates the rotdelay gap in the first place: without it, even the
-// gap cannot save sequential reads.
-func BenchmarkReadAheadAblation(b *testing.B) {
-	for _, ra := range []prefetch.Policy{prefetch.NewFixed(), prefetch.Off()} {
-		ra := ra
-		name := "with-readahead"
-		if ra == nil {
-			name = "without"
-		}
-		b.Run(name, func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				o := ufsclust.Options{Mkfs: ufs.MkfsOpts{Rotdelay: 4, Maxcontig: 1}}
-				o.Engine = core.Config{Prefetch: ra}
-				m, err := ufsclust.NewMachine(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Close()
-				const size = 4 << 20
-				var elapsed sim.Time
-				err = m.Run(func(p *sim.Proc) {
-					f, err := m.Engine.Create(p, "/ra")
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					chunk := make([]byte, 8192)
-					for off := int64(0); off < size; off += 8192 {
-						f.Write(p, off, chunk)
-					}
-					f.Purge(p)
-					t0 := p.Now()
-					for off := int64(0); off < size; off += 8192 {
-						f.Read(p, off, chunk)
-					}
-					elapsed = p.Now() - t0
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate = float64(size) / 1024 / elapsed.Seconds()
-			}
-			b.ReportMetric(rate, "virtKB/s")
 		})
 	}
 }

@@ -18,9 +18,9 @@
 // so the output is byte-identical to the serial run.
 //
 // -matrix skips the figures and instead writes the comparison report
-// to the named JSON file: six sections (ramatrix, volmatrix, vecmatrix,
-// jmatrix, iosize, paper) of cells in one schema, from one table — see
-// matrix.go for what each section varies and why.
+// to the named JSON file: seven sections (ramatrix, volmatrix,
+// vecmatrix, jmatrix, iosize, paper, ablations) of cells in one schema,
+// from one table — see matrix.go for what each section varies and why.
 package main
 
 import (

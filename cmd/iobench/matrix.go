@@ -162,6 +162,12 @@ func matrixCells() []cell {
 		cells = append(cells, cell{"paper", iobench.Cell{Scenario: ufsclust.Scenario{Run: rc},
 			MusBus: &musbus.Params{}, Counters: []string{"cpu.system_ns"}}})
 	}
+
+	// ablations: the paper's design discussion and its Further Work
+	// ideas, each cell a run with one thing changed (iobench.Ablations).
+	for _, c := range iobench.Ablations() {
+		cells = append(cells, cell{"ablations", c})
+	}
 	return cells
 }
 

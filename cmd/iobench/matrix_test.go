@@ -33,9 +33,9 @@ func TestMatrixMatchesCommitted(t *testing.T) {
 	}
 }
 
-// paperRows reads the committed paper section; the tests below simulate
+// committedRows reads the committed report; the tests below simulate
 // nothing, TestMatrixMatchesCommitted ties the file to the code.
-func paperRows(t *testing.T) []iobench.Row {
+func committedRows(t *testing.T) map[string][]iobench.Row {
 	t.Helper()
 	buf, err := os.ReadFile("../../BENCH_iobench.json")
 	if err != nil {
@@ -45,28 +45,29 @@ func paperRows(t *testing.T) []iobench.Row {
 	if err := json.Unmarshal(buf, &report); err != nil {
 		t.Fatal(err)
 	}
-	return report["paper"]
+	return report
 }
 
-// TestPaperTablesMatchCommitted renders every paper table from the
-// committed paper section and requires EXPERIMENTS.md's generated
-// <!-- paper:NAME --> block to equal it, so a hand edit of a block and a
-// paper cell that moved without its table both fail here. With
-// -update-tables it rewrites the blocks instead (`make bench` does).
+// TestPaperTablesMatchCommitted renders every generated table from its
+// committed section and requires EXPERIMENTS.md's <!-- paper:NAME -->
+// block to equal it, so a hand edit of a block and a cell that moved
+// without its table both fail here. With -update-tables it rewrites the
+// blocks instead (`make bench` does).
 func TestPaperTablesMatchCommitted(t *testing.T) {
-	rows := paperRows(t)
+	report := committedRows(t)
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := string(doc)
-	for _, name := range iobench.PaperTables {
+	for _, tab := range iobench.PaperTables {
+		name := tab.Name
 		begin, end := "<!-- paper:"+name+" -->\n", "<!-- /paper:"+name+" -->"
 		i, j := strings.Index(want, begin), strings.Index(want, end)
 		if strings.Count(want, begin) != 1 || strings.Count(want, end) != 1 || j < i {
 			t.Fatalf("EXPERIMENTS.md needs exactly one %q … %q block", begin, end)
 		}
-		tab, err := iobench.RenderPaper(name, rows)
+		tab, err := iobench.RenderPaper(name, report[tab.Section])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestPaperTablesMatchCommitted(t *testing.T) {
 		return
 	}
 	if want != string(doc) {
-		t.Fatal("EXPERIMENTS.md's paper tables differ from BENCH_iobench.json's paper section; rewrite them with `go test ./cmd/iobench -run TestPaperTablesMatchCommitted -update-tables` and read the git diff")
+		t.Fatal("EXPERIMENTS.md's generated tables differ from BENCH_iobench.json; rewrite them with `go test ./cmd/iobench -run TestPaperTablesMatchCommitted -update-tables` and read the git diff")
 	}
 }
 
@@ -87,7 +88,7 @@ func TestPaperTablesMatchCommitted(t *testing.T) {
 // paper reports — who wins, and by roughly what factor — in bands wide
 // enough for the deviations EXPERIMENTS.md explains.
 func TestPaperShapes(t *testing.T) {
-	rows := paperRows(t)
+	rows := committedRows(t)["paper"]
 	cell := func(t *testing.T, run string, kind iobench.Kind) iobench.Row {
 		t.Helper()
 		for _, r := range rows {
@@ -221,4 +222,76 @@ func TestPaperShapes(t *testing.T) {
 			t.Errorf("%d MusBus runs, iterations %d..%d: want runs A-D within 5 %%", n, lo, hi)
 		}
 	})
+}
+
+// TestAblationShapes holds the committed ablation cells to the claims
+// EXPERIMENTS.md restates from them, in bands wide enough for the
+// simulator's deviations from the paper.
+func TestAblationShapes(t *testing.T) {
+	rows := committedRows(t)["ablations"]
+	get := func(run, variant string, kind iobench.Kind, fileMB int, ra string) iobench.Row {
+		for _, r := range rows {
+			if r.Run == run && r.Variant == variant && r.Kind == kind && r.FileMB == fileMB && r.ReadAhead == ra {
+				return r
+			}
+		}
+		t.Fatalf("no ablation cell for run %s %q %s %d MB", run, variant, kind, fileMB)
+		return iobench.Row{}
+	}
+	rate := func(run, variant string, kind iobench.Kind) float64 { return get(run, variant, kind, 4, "").RateKBs }
+	fru := func(variant string) float64 { return get("A", variant, iobench.FRU, 8, "").RateKBs }
+	// fw returns counter name of run A's cell without and with the variant.
+	fw := func(variant string, kind iobench.Kind, fileMB int, name string) (off, on int64) {
+		return get("A", "", kind, fileMB, "").Counters[name], get("A", variant, kind, fileMB, "").Counters[name]
+	}
+	d, tuned, fsr, fsw, frr := "legacy 4 ms", "legacy 0 ms", iobench.FSR, iobench.FSW, iobench.FRR
+	halved := func(off, on int64) bool { return 2*on < off }
+	lower := func(off, on int64) bool { return on < off }
+	engaged := func(off, on int64) bool { return off == 0 && on > 0 }
+	for _, c := range []struct {
+		name  string
+		holds bool
+	}{
+		{"RotdelayCapsSequentialIO", max(rate("legacy 8 ms", "", fsr), rate(d, "", fsr), rate("legacy 2 ms", "", fsr)) < 1000},
+		{"TuningGainsReadsHalvesWrites", rate(tuned, "", fsr) > rate(d, "", fsr) && rate(tuned, "", fsw) < 0.6*rate(d, "", fsw)},
+		{"OnlyClusteringGetsBoth", rate("A", "", fsr) > 1.4*rate(tuned, "", fsr) && rate("A", "", fsw) > 1.4*rate(d, "", fsw)},
+		// A synchronous reader never queues two adjacent requests.
+		{"DriverClusteringHelpsWritesNotReads", rate(tuned, "coalesce", fsr) == rate(tuned, "", fsr) &&
+			get(tuned, "coalesce", fsr, 4, "").Counters["driver.coalesced"] == 0 && rate(tuned, "coalesce", fsw) > 2*rate(tuned, "", fsw)},
+		{"RotdelayGapNeedsReadAhead", get(d, "", fsr, 4, "off").RateKBs < 0.7*rate(d, "", fsr)},
+		{"WriteLimitKeepsMostOfTheRate", fru("") > 0.95*fru("no write limit") && fru("write limit 8 KB") < fru("")},
+		{"BmapCacheSpeedsLargeFileReads", engaged(fw("bmap cache", fsr, 4, "fs.bmap_cache_hits")) &&
+			halved(fw("bmap cache", fsr, 4, "fs.bmap_calls")) && lower(fw("bmap cache", fsr, 4, "cpu.system_ns"))},
+		{"SkipBmapOnHitSavesCPU", halved(fw("UFS_HOLE", frr, 2, "fs.bmap_calls")) && lower(fw("UFS_HOLE", frr, 2, "cpu.system_ns"))},
+		{"RandomClusteringHint", engaged(fw("random clustering", frr, 8, "core.hint_clusters")) &&
+			lower(fw("random clustering", frr, 8, "driver.issued"))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if !c.holds {
+				t.Error("the committed ablation cells no longer show it")
+			}
+		})
+	}
+}
+
+// TestAdaptiveBeatsFixedOnMixed is the acceptance test for the adaptive
+// read-ahead window, on the committed ramatrix cells (run A, a 2 MB
+// file in 1 MB of memory): adaptive holds fixed's sequential rate within
+// 2 % (the ramp-up is the only cost it may pay), beats both fixed and
+// off on the mixed cell (fixed's exact-match cursor goes dead after a
+// random burst, off never prefetches), and on pure random reads wastes
+// strictly fewer prefetched blocks than fixed, whose trigger fires on
+// accidental matches.
+func TestAdaptiveBeatsFixedOnMixed(t *testing.T) {
+	ra := map[string]iobench.Row{}
+	for _, r := range committedRows(t)["ramatrix"] {
+		ra[string(r.Kind)+" "+r.ReadAhead] = r
+	}
+	rate := func(cell string) float64 { return ra[cell].RateKBs }
+	waste := func(cell string) int64 { return ra[cell].Counters["vm.ra_waste"] }
+	if rate("FSR adaptive") < 0.98*rate("FSR fixed") || rate("FMX adaptive") <= max(rate("FMX fixed"), rate("FMX off")) ||
+		waste("FRR fixed") == 0 || waste("FRR adaptive") >= waste("FRR fixed") {
+		t.Errorf("FSR KB/s fixed %.0f, adaptive %.0f; FMX KB/s fixed %.0f, adaptive %.0f, off %.0f; FRR wasted blocks fixed %d, adaptive %d",
+			rate("FSR fixed"), rate("FSR adaptive"), rate("FMX fixed"), rate("FMX adaptive"), rate("FMX off"), waste("FRR fixed"), waste("FRR adaptive"))
+	}
 }

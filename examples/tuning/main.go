@@ -1,73 +1,31 @@
 // Tuning: the paper's "Possible Improvements" section as a live
-// experiment. Sweep the rotdelay tuning of the legacy block-at-a-time
-// engine (with the track-buffer drive), then compare with clustering —
-// showing why "file system tuning" alone was rejected: rotdelay 0 helps
-// reads but makes writes "suffer horribly", any non-zero rotdelay caps
-// sequential I/O near half the disk, and only clustering gets both.
+// experiment. It measures the ablation cells of BENCH_iobench.json
+// afresh — the rotdelay tuning of the legacy block-at-a-time engine
+// (with the track-buffer drive), driver clustering, read-ahead, the
+// write limit and the Further Work ideas — and prints them through the
+// renderer EXPERIMENTS.md's tables come from, showing why "file system
+// tuning" alone was rejected: rotdelay 0 helps reads but makes writes
+// "suffer horribly", any non-zero rotdelay caps sequential I/O near
+// half the disk, and only clustering gets both.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"ufsclust"
-	"ufsclust/internal/core"
-	"ufsclust/internal/prefetch"
-	"ufsclust/internal/sim"
-	"ufsclust/internal/ufs"
+	"ufsclust/internal/iobench"
 )
 
-const size = 8 << 20
-
 func main() {
-	fmt.Println("sequential rates (KB/s) by tuning, 8MB file, legacy engine:")
-	fmt.Printf("%-26s %8s %8s\n", "configuration", "read", "write")
-	for _, rot := range []int{8, 4, 2, 0} {
-		r, w := measure(ufs.MkfsOpts{Rotdelay: rot, Maxcontig: 1}, core.Config{Prefetch: prefetch.NewFixed()})
-		fmt.Printf("rotdelay %dms%-14s %8.0f %8.0f\n", rot, "", r, w)
+	rows, err := iobench.MeasureAll(iobench.Ablations(), 0)
+	if err != nil {
+		log.Fatal(err)
 	}
-	r, w := measure(ufs.MkfsOpts{Rotdelay: 0, Maxcontig: 15},
-		core.Config{Clustered: true, Prefetch: prefetch.NewFixed(), FreeBehind: true})
-	fmt.Printf("%-26s %8.0f %8.0f\n", "clustering (the paper)", r, w)
-	fmt.Println("\nthe tuning-only row (rotdelay 0) shows the trade the paper rejects:")
-	fmt.Println("reads ride the track buffer but each write waits a full rotation.")
-}
-
-func measure(mk ufs.MkfsOpts, cfg core.Config) (readKBs, writeKBs float64) {
-	run := func(write bool) float64 {
-		o := ufsclust.Options{Mkfs: mk, Engine: cfg}
-		m, err := ufsclust.NewMachine(o)
+	for _, name := range []string{"ablations", "furtherwork"} {
+		tab, err := iobench.RenderPaper(name, rows)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var elapsed sim.Time
-		err = m.Run(func(p *sim.Proc) {
-			f, err := m.Engine.Create(p, "/t")
-			if err != nil {
-				log.Fatal(err)
-			}
-			chunk := make([]byte, 8192)
-			if !write {
-				for off := int64(0); off < size; off += 8192 {
-					f.Write(p, off, chunk)
-				}
-				f.Purge(p)
-			}
-			t0 := p.Now()
-			for off := int64(0); off < size; off += 8192 {
-				if write {
-					f.Write(p, off, chunk)
-				} else {
-					f.Read(p, off, chunk)
-				}
-			}
-			f.Fsync(p)
-			elapsed = p.Now() - t0
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return float64(size) / 1024 / elapsed.Seconds()
+		fmt.Println(tab)
 	}
-	return run(false), run(true)
 }

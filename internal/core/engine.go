@@ -361,9 +361,29 @@ func (f *File) Purge(p *sim.Proc) error {
 	return err
 }
 
-// Truncate resizes the file, invalidating cached pages past the end.
+// Truncate resizes the file, invalidating cached pages past the end. A
+// new end inside a block first zeroes the rest of that block, as FFS's
+// ffs_truncate does, so a later extension reads zeros there and not the
+// bytes the truncate cut off. A hole reads as zeros already (and a
+// dirty page needs backing), so it is left alone.
 func (f *File) Truncate(p *sim.Proc, size int64) error {
-	f.vn.inodeData = nil
+	e, vn := f.eng, f.vn
+	vn.inodeData = nil
+	if boff := e.FS.SB.Blkoff(size); boff != 0 && size < vn.IP.D.Size {
+		blockStart := size - int64(boff)
+		fsbn, _, err := e.FS.Bmap(p, vn.IP, e.FS.SB.Lblkno(size))
+		if err == nil && fsbn != 0 {
+			var pg *vm.Page
+			if pg, err = e.GetPage(p, vn, blockStart); err == nil {
+				clear(pg.Data[boff:])
+				pg.SetDirty()
+				e.PutPage(p, vn, blockStart)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
 	if err := f.Fsync(p); err != nil {
 		return err
 	}

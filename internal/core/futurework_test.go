@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"ufsclust/internal/disk"
 	"ufsclust/internal/sim"
 	"ufsclust/internal/ufs"
 )
@@ -61,40 +60,6 @@ func TestSkipBmapNotAppliedToSparseFiles(t *testing.T) {
 
 // --- Further Work: random clustering ---------------------------------------
 
-func TestRandomClusteringHint(t *testing.T) {
-	// "Certain access patterns, such as random reads of 20KB segments
-	// of a file, will not receive the full benefits of clustering"
-	// without the hint; with it the request size drives the transfer.
-	mk, _ := clusteredOpts()
-	prep := func(hint bool) (*rig, *File) {
-		cfg := ConfigA()
-		cfg.RandomClustering = hint
-		r := newRig(t, mk, cfg, 0)
-		var f *File
-		r.run(t, func(p *sim.Proc) {
-			f, _ = r.eng.Create(p, "/f")
-			f.Write(p, 0, make([]byte, 2<<20))
-			f.Purge(p)
-			r.d.Stats = disk.Stats{}
-			// Random 56KB reads at descending, non-sequential offsets.
-			buf := make([]byte, 56<<10)
-			for _, lbn := range []int64{200, 50, 150, 100, 10} {
-				f.Read(p, lbn*8192, buf)
-			}
-		})
-		return r, f
-	}
-	rOff, _ := prep(false)
-	rOn, _ := prep(true)
-	if rOn.eng.Stats.HintClusters == 0 {
-		t.Fatal("hint never engaged")
-	}
-	if rOn.d.Stats.Reads >= rOff.d.Stats.Reads {
-		t.Errorf("hinted random reads used %d disk I/Os, unhinted %d: no clustering benefit",
-			rOn.d.Stats.Reads, rOff.d.Stats.Reads)
-	}
-}
-
 func TestRandomClusteringDataIntact(t *testing.T) {
 	mk, _ := clusteredOpts()
 	cfg := ConfigA()
@@ -118,39 +83,6 @@ func TestRandomClusteringDataIntact(t *testing.T) {
 }
 
 // --- Further Work: bmap cache (ufs-level, exercised through the engine) ----
-
-func TestBmapCacheSpeedsLargeFileReads(t *testing.T) {
-	mk, cfg := clusteredOpts()
-	run := func(cache bool) (*rig, int64) {
-		r := newRigOpts(t, mk, cfg, ufs.MountOpts{BmapCache: cache})
-		var cpuTime sim.Time
-		r.run(t, func(p *sim.Proc) {
-			f, _ := r.eng.Create(p, "/big")
-			// Past the direct range so translations need the indirect
-			// block.
-			f.Write(p, 0, make([]byte, 2<<20))
-			f.Purge(p)
-			r.eng.CPU.Reset()
-			buf := make([]byte, 8192)
-			for off := int64(0); off < 2<<20; off += 8192 {
-				f.Read(p, off, buf)
-			}
-			cpuTime = r.eng.CPU.SystemTime()
-		})
-		return r, int64(cpuTime)
-	}
-	rOff, tOff := run(false)
-	rOn, tOn := run(true)
-	if rOn.fs.BmapCacheHits == 0 {
-		t.Fatal("bmap cache never hit")
-	}
-	if rOff.fs.BmapCacheHits != 0 {
-		t.Fatal("bmap cache hit while disabled")
-	}
-	if tOn >= tOff {
-		t.Errorf("bmap cache did not reduce CPU: %d vs %d", tOn, tOff)
-	}
-}
 
 func TestBmapCacheInvalidatedByReallocation(t *testing.T) {
 	mk, cfg := clusteredOpts()

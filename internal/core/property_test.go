@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -222,5 +223,78 @@ func TestCrashLosesOnlyUnsyncedData(t *testing.T) {
 	})
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: a file's last block — the only one FFS keeps in fragments —
+// behaves like a flat array too. Files inside the direct range take
+// appends, overwrites, writes past EOF, truncates to sizes that are not
+// block multiples and Purges, and now and then a 1000-byte neighbour
+// lands behind some tail so it must move to grow. After every step the
+// file reads back as its shadow copy and Fsck finds the image clean; a
+// coin decides whether the read-back stays cached, so tails grow both
+// cached and cold.
+func TestPropertyLastBlockIsAFlatArray(t *testing.T) {
+	for v, opts := range []func() (ufs.MkfsOpts, Config){clusteredOpts, legacyOpts} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", [2]string{"clustered", "legacy"}[v], seed), func(t *testing.T) {
+				mk, cfg := opts()
+				r := newRig(t, mk, cfg, 240<<10)
+				rng := rand.New(rand.NewSource(seed))
+				r.run(t, func(p *sim.Proc) {
+					var files [3]*File
+					var shadow [3][]byte
+					for i := range files {
+						files[i], _ = r.eng.Create(p, fmt.Sprintf("/f%d", i))
+					}
+					for step := 0; step < 60; step++ {
+						i := rng.Intn(len(files))
+						f, size := files[i], int64(len(shadow[i]))
+						op, err := "purge", error(nil)
+						switch k := rng.Intn(10); {
+						case k < 6: // append, overwrite or write past EOF
+							off := [3]int64{size, rng.Int63n(size + 1), size + rng.Int63n(20000)}[k%3]
+							data := make([]byte, rng.Intn(5000)+1)
+							if off+int64(len(data)) > 11*8192 { // every byte in DB[0..10]
+								continue
+							}
+							rng.Read(data)
+							op = fmt.Sprintf("write %d bytes at %d", len(data), off)
+							_, err = f.Write(p, off, data)
+							if end := off + int64(len(data)); end > size {
+								shadow[i] = append(shadow[i], make([]byte, end-size)...)
+							}
+							copy(shadow[i][off:], data)
+						case k < 8: // truncate inside a block
+							to := rng.Int63n(size + 1)
+							if to%8192 == 0 {
+								continue
+							}
+							op, err = fmt.Sprintf("truncate %d to %d", size, to), f.Truncate(p, to)
+							shadow[i] = shadow[i][:to]
+						case k < 9:
+							err = f.Purge(p)
+						default:
+							op = "create a neighbour"
+							g, _ := r.eng.Create(p, fmt.Sprintf("/n%d", step))
+							_, err = g.Write(p, 0, make([]byte, 1000))
+						}
+						got := make([]byte, len(shadow[i])+1)
+						n, rerr := f.Read(p, 0, got)
+						if err != nil || rerr != nil || !bytes.Equal(got[:n], shadow[i]) {
+							t.Fatalf("step %d, /f%d after %s (%v, %v): read %d of %d bytes, contents differ from the shadow copy",
+								step, i, op, err, rerr, n, len(shadow[i]))
+						}
+						if rng.Intn(2) == 0 {
+							f.Purge(p)
+						}
+						r.fs.SyncImage()
+						if rep, err := ufs.Fsck(r.d); err != nil || !rep.Clean() {
+							t.Fatalf("step %d, /f%d after %s: fsck: %v %v", step, i, op, err, rep.Problems)
+						}
+					}
+				})
+			})
+		}
 	}
 }

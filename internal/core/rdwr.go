@@ -213,15 +213,21 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 		blockStart := off - int64(boff)
 
 		// Size the allocation for this block: whole blocks everywhere
-		// except a direct-range tail.
+		// except a direct-range tail, the block the file ends in once
+		// this write is done.
 		endInBlock := boff + n
 		allocSize := int(sb.Bsize)
 		newEOF := off + int64(n)
-		if newEOF >= vn.IP.D.Size && lbn < ufs.NDADDR && newEOF < (lbn+1)*int64(sb.Bsize) {
-			if old := sb.BlkSize(vn.IP.D.Size, lbn); old > endInBlock {
-				allocSize = old
-			} else {
-				allocSize = endInBlock
+		if lbn < ufs.NDADDR && max(newEOF, vn.IP.D.Size) < (lbn+1)*int64(sb.Bsize) {
+			old := sb.BlkSize(vn.IP.D.Size, lbn)
+			allocSize = max(old, endInBlock)
+			// Growing the tail's fragments may move them, and the move
+			// copies nothing: bring the old bytes in first, as the
+			// pre-step above does.
+			if old > 0 && allocSize > old && !e.VM.Cached(vn, blockStart) {
+				if _, err := e.GetPage(p, vn, blockStart); err != nil {
+					return total, err
+				}
 			}
 		}
 		_, err := e.FS.BmapAlloc(p, vn.IP, lbn, allocSize)

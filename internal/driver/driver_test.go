@@ -243,46 +243,6 @@ func TestCoalesceRespectsMaxPhys(t *testing.T) {
 	}
 }
 
-func TestDriverClusteringHelpsWritesNotReads(t *testing.T) {
-	// The paper rejects driver clustering: "driver clustering helps
-	// only writes ... reads are synchronous, so there can be at most
-	// two [requests] in the queue at once."
-	run := func(write bool) int64 {
-		s, dr, d := newRig(t, true)
-		const bsize = 8192
-		const nblk = 24
-		s.Spawn("io", func(p *sim.Proc) {
-			if write {
-				// Asynchronous writes: fire and forget.
-				for i := 0; i < nblk; i++ {
-					dr.Strategy(p, &Buf{Blkno: int64(5000 + i*(bsize/512)), Data: make([]byte, bsize), Write: true})
-				}
-				p.Sleep(2 * sim.Second)
-			} else {
-				// Synchronous reads: wait for each.
-				for i := 0; i < nblk; i++ {
-					dr.IO(p, &Buf{Blkno: int64(5000 + i*(bsize/512)), Data: make([]byte, bsize)})
-				}
-			}
-		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if write {
-			return d.Stats.Writes
-		}
-		return d.Stats.Reads
-	}
-	writes := run(true)
-	reads := run(false)
-	if writes >= int64(24) {
-		t.Fatalf("async writes not coalesced: %d disk requests", writes)
-	}
-	if reads != 24 {
-		t.Fatalf("sync reads coalesced (%d requests): impossible with one outstanding", reads)
-	}
-}
-
 func TestStrategyChargesCPU(t *testing.T) {
 	s := sim.New(1)
 	t.Cleanup(s.Close)

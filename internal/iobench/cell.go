@@ -16,8 +16,15 @@ import (
 // an IObench cell, Kind sized by Params; a non-nil Alloc makes it the
 // allocator-contiguity experiment instead, a non-nil MusBus the
 // time-sharing mix.
+//
+// Options, applied after the Scenario's, make an IObench cell's machine
+// a shape no Scenario field names — driver coalescing, a write limit in
+// bytes, a Further Work switch — and Variant labels it in the row. They
+// are harness data for the ablation cells, not settings of the machine.
 type Cell struct {
 	Scenario ufsclust.Scenario
+	Variant  string
+	Options  []ufsclust.Option
 	Kind     Kind
 	Params   Params
 	Alloc    *alloclab.Case
@@ -33,6 +40,7 @@ type Cell struct {
 // counters under their telemetry names.
 type Row struct {
 	Run         string           `json:"run"`
+	Variant     string           `json:"variant,omitempty"`
 	Kind        Kind             `json:"kind,omitempty"`
 	FileMB      int              `json:"file_mb,omitempty"`
 	IOKB        int              `json:"io_kb,omitempty"`
@@ -61,7 +69,10 @@ type Row struct {
 // Measure runs the cell on a fresh machine and returns its row.
 func (c Cell) Measure() (Row, error) {
 	sc := c.Scenario
-	row := Row{Run: sc.Run.Name, MemMB: sc.MemBytes >> 20, ReadAhead: sc.ReadAhead, Vec: sc.Vec, Journal: sc.Journal}
+	row := Row{Run: sc.Run.Name, Variant: c.Variant, MemMB: sc.MemBytes >> 20, ReadAhead: sc.ReadAhead, Vec: sc.Vec, Journal: sc.Journal}
+	if (len(c.Options) > 0) != (c.Variant != "") || (len(c.Options) > 0 && (c.Alloc != nil || c.MusBus != nil)) {
+		return Row{}, fmt.Errorf("iobench: run %s variant %q: extra options need a variant label and an IObench cell", sc.Run.Name, c.Variant)
+	}
 	if v := sc.Volume; v != nil {
 		row.Vol, row.Members, row.StripeKB = v.Level.String(), v.Members, v.StripeKB
 	}
@@ -83,7 +94,7 @@ func (c Cell) Measure() (Row, error) {
 		row.Users, row.Minutes, row.Iterations = res.Users, int(res.Duration/(60*sim.Second)), res.Iterations
 		snap = s
 	default:
-		res, s, err := RunMeasured(sc, c.Kind, c.Params)
+		res, s, err := RunMeasured(sc, c.Kind, c.Params, c.Options...)
 		if err != nil {
 			return Row{}, fmt.Errorf("run %s %s: %w", sc.Run.Name, c.Kind, err)
 		}

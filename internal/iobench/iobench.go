@@ -160,8 +160,9 @@ func Run(sc ufsclust.Scenario, kind Kind, prm Params) (Result, error) {
 // Snapshot delta spanning exactly the timed I/O loop, with setup
 // (preallocation, cache purge) excluded. Result stays a comparable
 // value for the determinism gates; callers who want disk seek
-// histograms or driver queue depths read them from the snapshot.
-func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry.Snapshot, error) {
+// histograms or driver queue depths read them from the snapshot. Extra
+// options apply after the scenario's (see Cell.Options).
+func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params, extra ...ufsclust.Option) (Result, telemetry.Snapshot, error) {
 	if prm.FileMB < 0 || prm.IOSize < 0 || prm.RandomOps < 0 || prm.Record < 0 || prm.Stride < 0 || prm.VecBatch < 0 {
 		return Result{}, telemetry.Snapshot{}, fmt.Errorf("iobench: negative size (file %d MB, I/O %d, ops %d, record %d, stride %d, batch %d)",
 			prm.FileMB, prm.IOSize, prm.RandomOps, prm.Record, prm.Stride, prm.VecBatch)
@@ -179,7 +180,7 @@ func RunMeasured(sc ufsclust.Scenario, kind Kind, prm Params) (Result, telemetry
 		return Result{}, telemetry.Snapshot{}, fmt.Errorf("iobench: I/O size %d exceeds the %d MB file", prm.IOSize, prm.FileMB)
 	}
 	sc.Seed++
-	m, err := sc.New()
+	m, err := sc.New(extra...)
 	if err != nil {
 		return Result{}, telemetry.Snapshot{}, err
 	}

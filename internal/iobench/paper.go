@@ -6,10 +6,15 @@ import (
 	"strings"
 )
 
-// PaperTables names the paper's tables in the order EXPERIMENTS.md
-// prints them, each the NAME of one generated <!-- paper:NAME --> …
-// <!-- /paper:NAME --> block there.
-var PaperTables = []string{"fig10", "fig11", "fig12", "intro", "alloc", "musbus"}
+// PaperTables names the generated tables in the order EXPERIMENTS.md
+// prints them, each the Name of one <!-- paper:NAME --> …
+// <!-- /paper:NAME --> block there, beside the Section of
+// BENCH_iobench.json it is rendered from: the paper's evaluation, then
+// its design-discussion ablations and Further Work ideas.
+var PaperTables = []struct{ Name, Section string }{
+	{"fig10", "paper"}, {"fig11", "paper"}, {"fig12", "paper"}, {"intro", "paper"}, {"alloc", "paper"}, {"musbus", "paper"},
+	{"ablations", "ablations"}, {"furtherwork", "ablations"},
+}
 
 // paperFig10 is the paper's Figure 10 in KB/s. Its Figure 11 is these
 // rates' ratios, so both tables derive their paper rows from here the
@@ -73,6 +78,8 @@ func RenderPaper(name string, rows []Row) (string, error) {
 			return "", fmt.Errorf("iobench: no allocator rows")
 		}
 		return table(caption, body...), nil
+	case "ablations", "furtherwork":
+		return renderAblations(name, rows)
 	case "musbus":
 		body := [][]string{{"run", "script iterations per minute", "system CPU"}, {"paper", "improved only slightly", ""}}
 		var caption string
