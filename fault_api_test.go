@@ -173,6 +173,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m1.VM.Adversary = adversary
 	defer m1.Close()
 	payload := bytes.Repeat([]byte("extent"), 4096)
 	err = m1.Run(func(p *sim.Proc) {
@@ -218,6 +219,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m2.VM.Adversary = adversary
 	defer m2.Close()
 	err = m2.Run(func(p *sim.Proc) {
 		f, err := m2.Engine.Open(p, "/keep")

@@ -103,14 +103,15 @@ var blockPrimitives = map[string]bool{
 // runs (fixture tests) where the callee's source is not loaded and the
 // fixed point cannot discover the fact itself.
 var externBlock = map[string]bool{
-	"ufsclust/internal/ufs.Bcache.Bread":   true,
-	"ufsclust/internal/ufs.Bcache.Bwrite":  true,
-	"ufsclust/internal/ufs.Bcache.Flush":   true,
-	"ufsclust/internal/vm.Page.WaitUnbusy": true,
-	"ufsclust/internal/vm.VM.Alloc":        true,
-	"ufsclust/internal/driver.Driver.IO":   true,
-	"ufsclust/internal/disk.Disk.IO":       true,
-	"ufsclust/internal/cpu.Model.Use":      true,
+	"ufsclust/internal/ufs.Bcache.Bread":  true,
+	"ufsclust/internal/ufs.Bcache.Bwrite": true,
+	"ufsclust/internal/ufs.Bcache.Flush":  true,
+	"ufsclust/internal/vm.VM.Hold":        true,
+	"ufsclust/internal/vm.VM.Evict":       true,
+	"ufsclust/internal/vm.VM.Alloc":       true,
+	"ufsclust/internal/driver.Driver.IO":  true,
+	"ufsclust/internal/disk.Disk.IO":      true,
+	"ufsclust/internal/cpu.Model.Use":     true,
 }
 
 // FuncKey renders a *types.Func as package.Receiver.Method (pointer

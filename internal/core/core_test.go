@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ufsclust/internal/cpu"
@@ -40,9 +43,39 @@ func newRig(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, writeLimit int64) *rig 
 		t.Fatal(err)
 	}
 	v := vm.New(s, cm, 8<<20)
+	v.Adversary = adversary
 	cfg.WriteLimit = writeLimit
 	eng := NewEngine(s, cm, v, fs, cfg)
 	return &rig{s: s, d: d, dr: dr, fs: fs, v: v, eng: eng}
+}
+
+// adversary turns on the adversarial pageout in every rig newRig builds.
+var adversary bool
+
+// TestContentsSurviveAdversarialPageout runs every test that compares
+// file contents again, with the VM stealing and poisoning each clean
+// page nobody holds at every point where a process may have slept. Code
+// that keeps a page across a sleep without holding it then reads poison
+// at any memory size. Tests that pin counts are not rerun: any adversary
+// moves those.
+func TestContentsSurviveAdversarialPageout(t *testing.T) {
+	for _, test := range []func(*testing.T){
+		TestWriteReadBackClustered, TestWriteReadBackLegacy,
+		TestWriteReadBackUnalignedSizes, TestWriteReadBackSmallFile,
+		TestPartialOverwrite, TestSparseFileReadsZeros, TestTruncateDropsCachedPages,
+		TestConcurrentStreamsDataIntact, TestBmapCacheInvalidatedByReallocation,
+		TestInodeDataCacheServesSmallFiles, TestRandomClusteringDataIntact,
+		TestCrashLosesOnlyUnsyncedData, TestPropertyFileIsAFlatArray,
+		TestPropertyLastBlockIsAFlatArray, TestReadvEdgeCases, TestReadvHoles,
+		TestWritevEdgeCases,
+	} {
+		name := runtime.FuncForPC(reflect.ValueOf(test).Pointer()).Name()
+		t.Run(name[strings.LastIndex(name, ".")+1:], func(t *testing.T) {
+			adversary = true
+			defer func() { adversary = false }()
+			test(t)
+		})
+	}
 }
 
 func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {

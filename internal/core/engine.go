@@ -199,6 +199,7 @@ func (e *Engine) vecStrategy() vec.Strategy {
 func (e *Engine) charge(p *sim.Proc, c cpu.Category, instr int64) {
 	if e.CPU != nil && p != nil && instr > 0 {
 		e.CPU.Use(p, c, instr)
+		e.VM.Slept()
 	}
 }
 
@@ -353,7 +354,7 @@ func (f *File) Fsync(p *sim.Proc) error {
 // creation and its measured read. It also resets the read predictors.
 func (f *File) Purge(p *sim.Proc) error {
 	err := f.Fsync(p)
-	f.evict(p, 0)
+	f.eng.VM.Evict(p, f.vn, 0)
 	f.vn.nextr, f.vn.nextrio = 0, 0
 	f.vn.ra = prefetch.State{}
 	f.vn.seq = false
@@ -377,6 +378,7 @@ func (f *File) Truncate(p *sim.Proc, size int64) error {
 			if pg, err = e.GetPage(p, vn, blockStart); err == nil {
 				clear(pg.Data[boff:])
 				pg.SetDirty()
+				pg.Unbusy()
 				e.PutPage(p, vn, blockStart)
 			}
 		}
@@ -387,19 +389,8 @@ func (f *File) Truncate(p *sim.Proc, size int64) error {
 	if err := f.Fsync(p); err != nil {
 		return err
 	}
-	f.evict(p, size)
+	f.eng.VM.Evict(p, f.vn, size)
 	return f.eng.FS.Truncate(p, f.vn.IP, size)
-}
-
-// evict destroys the file's cached pages from byte offset from on,
-// waiting out any transfer that still holds one.
-func (f *File) evict(p *sim.Proc, from int64) {
-	for _, pg := range f.eng.VM.ObjectPages(f.vn) {
-		if pg.Off >= from {
-			pg.WaitUnbusy(p)
-			f.eng.VM.Destroy(pg)
-		}
-	}
 }
 
 // writeStarted accounts n bytes of write I/O entering the queue. With

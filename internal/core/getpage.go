@@ -10,10 +10,11 @@ import (
 
 // GetPage is the fault path: return the page at byte offset off of vn,
 // reading (and possibly reading ahead) as the configured engine
-// dictates. The returned page is not busy and holds valid data. A
+// dictates. The returned page holds valid data and is held: the caller
+// ends the hold with Unbusy once it has copied or dirtied the bytes. A
 // metadata read error (bmap could not reach an indirect block) is
 // returned directly; a data read error is latched on the vnode by the
-// completion handler — callers check vn.Err after waiting.
+// completion handler — callers check vn.Err once GetPage returns.
 func (e *Engine) GetPage(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, error) {
 	return e.GetPageHint(p, vn, off, 1)
 }
@@ -21,13 +22,27 @@ func (e *Engine) GetPage(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, error) {
 // GetPageHint is GetPage with the caller's total request size (in
 // blocks from off) passed down — the Further Work "random clustering"
 // hint, used only when Config.RandomClustering is on.
+//
+// The engines issue read-ahead before the demand page is held (DESIGN.md
+// "Page holds"), so the one Hold at the end can find it recycled, and the
+// fault runs again. A hole's zero-filled page comes back already held.
 func (e *Engine) GetPageHint(p *sim.Proc, vn *Vnode, off int64, hintBlocks int) (*vm.Page, error) {
 	e.Stats.GetPages++
 	e.charge(p, cpu.GetPage, cpu.GetPageInstr)
+	getpage, lbn := e.getpageLegacy, e.FS.SB.Lblkno(off)
 	if e.Cfg.Clustered {
-		return e.getpageClustered(p, vn, off, hintBlocks)
+		getpage = e.getpageClustered
 	}
-	return e.getpageLegacy(p, vn, off)
+	for {
+		pg, held, err := getpage(p, vn, off, hintBlocks)
+		if err != nil {
+			return nil, err
+		}
+		if held || e.VM.Hold(p, pg, vn, lbn*int64(e.FS.SB.Bsize)) {
+			vn.nextr = lbn + 1 // predict next I/O location.
+			return pg, nil
+		}
+	}
 }
 
 // noHoles conservatively reports whether the file certainly has no
@@ -39,7 +54,7 @@ func noHoles(e *Engine, vn *Vnode) bool {
 
 // getpageLegacy is Figure 2: block-at-a-time with one-block read-ahead
 // driven by the nextr prediction.
-func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, error) {
+func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64, _ int) (pg *vm.Page, held bool, err error) {
 	sb := e.FS.SB
 	lbn := sb.Lblkno(off)
 
@@ -47,7 +62,6 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 	// UFS_HOLE problem), unless the Further Work optimization knows the
 	// file has no holes.
 	var fsbn int32
-	var pg *vm.Page
 	var cached bool
 	if e.Cfg.SkipBmapOnHit && noHoles(e, vn) {
 		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
@@ -57,11 +71,10 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 		}
 	}
 	if !cached {
-		var err error
 		fsbn, _, err = e.bmap(p, vn, lbn)
 		if err != nil {
 			vn.recordErr(err)
-			return nil, err
+			return nil, false, err
 		}
 		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		pg, cached = e.VM.Lookup(vn, lbn*int64(sb.Bsize))
@@ -69,7 +82,7 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 	if cached {
 		e.cacheHit(pg)
 	} else {
-		pg = e.startRead(p, vn, lbn, fsbn, 1, false, false)
+		pg, held = e.startRead(p, vn, lbn, fsbn, 1, false, false), fsbn == 0
 	}
 
 	// if (sequential I/O) start I/O for next page.
@@ -89,16 +102,14 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64) (*vm.Page, err
 		}
 	}
 
-	// if (first page was not in cache) wait for I/O to finish.
-	pg.WaitUnbusy(p)
-	// predict next I/O location.
-	vn.nextr = lbn + 1
-	return pg, nil
+	// if (first page was not in cache) wait for I/O to finish: the
+	// caller's Hold does.
+	return pg, held, nil
 }
 
 // getpageClustered is Figure 6: transfer whole clusters and read ahead a
 // cluster at a time, tracked by nextrio.
-func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks int) (*vm.Page, error) {
+func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks int) (pg *vm.Page, held bool, err error) {
 	sb := e.FS.SB
 	lbn := sb.Lblkno(off)
 
@@ -111,16 +122,14 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 			e.Stats.BmapSkips++
 			e.cacheHit(pg)
 			vn.seq = false
-			pg.WaitUnbusy(p)
-			vn.nextr = lbn + 1
-			return pg, nil
+			return pg, false, nil
 		}
 	}
 
 	fsbn, contig, err := e.bmap(p, vn, lbn)
 	if err != nil {
 		vn.recordErr(err)
-		return nil, err
+		return nil, false, err
 	}
 
 	e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
@@ -149,7 +158,7 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 				e.Stats.HintClusters++
 			}
 		}
-		pg = e.startRead(p, vn, lbn, fsbn, n, false, false)
+		pg, held = e.startRead(p, vn, lbn, fsbn, n, false, false), fsbn == 0
 		edge = lbn + int64(n)
 	}
 	if e.Cfg.Prefetch != nil {
@@ -181,10 +190,7 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 			e.raTrigger(p, vn, lbn, contig, seq, edge, exact)
 		}
 	}
-
-	pg.WaitUnbusy(p)
-	vn.nextr = lbn + 1
-	return pg, nil
+	return pg, held, nil
 }
 
 // raVerbose reports whether the configured policy gets its decisions
@@ -284,8 +290,9 @@ func (e *Engine) raTrigger(p *sim.Proc, vn *Vnode, lbn int64, contig int, seq bo
 
 // startRead allocates pages for blocks [lbn, lbn+nblocks) that are not
 // already cached and issues read I/O for them, splitting at cache hits
-// and at the end of the file. It returns the (busy) page for lbn; with
-// async true it does not wait for anything. Holes zero-fill without I/O.
+// and at the end of the file. It returns the page for lbn, busy until its
+// read completes; with async true it does not wait for anything. A hole
+// zero-fills one page without I/O and returns it still held.
 // vtag marks the transfers for the driver's list-I/O accounting (the
 // vectored read path). It travels as a parameter, not engine state:
 // Bmap and page allocation can block mid-issue, so concurrent processes
@@ -324,10 +331,7 @@ func (e *Engine) startRead(p *sim.Proc, vn *Vnode, lbn int64, fsbn int32, nblock
 		pg := e.VM.Alloc(p, vn, lbn*int64(sb.Bsize))
 		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		e.charge(p, cpu.Copy, cpu.ZeroInstrPerByte*int64(sb.Bsize))
-		for i := range pg.Data {
-			pg.Data[i] = 0
-		}
-		pg.Unbusy()
+		clear(pg.Data)
 		return pg
 	}
 

@@ -70,13 +70,15 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool, row
 	lbn := first
 	end := (off + length + bsize - 1) / bsize
 	for lbn < end {
-		// Find the next dirty, unlocked, cached page.
+		// Find the next dirty, unlocked, cached page, and hold it
+		// across bmap.
 		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		pg, ok := e.VM.Lookup(vn, lbn*bsize)
 		if !ok || !pg.Dirty() || pg.Busy() {
 			lbn++
 			continue
 		}
+		pg.SetBusy()
 		fsbn, contig, err := e.bmap(p, vn, lbn)
 		if err != nil {
 			// An indirect block could not be read: the page's backing
@@ -85,6 +87,7 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool, row
 			// against the same failure forever.
 			vn.recordErr(err)
 			pg.ClearDirty()
+			pg.Unbusy()
 			lbn++
 			continue
 		}
@@ -120,6 +123,7 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool, row
 			held += int64(tail) * bsize
 			end -= int64(tail)
 			if contig -= tail; contig == 0 {
+				pg.Unbusy()
 				break
 			}
 		}
@@ -138,10 +142,13 @@ func (e *Engine) push(p *sim.Proc, vn *Vnode, off, length int64, limit bool, row
 			if n <= 0 {
 				break
 			}
-			q.SetBusy()
+			if i > 0 {
+				q.SetBusy()
+			}
 			run.add(q, n)
 		}
 		if len(run.pages) == 0 {
+			pg.Unbusy()
 			lbn++
 			continue
 		}

@@ -35,9 +35,11 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 				return 0, err
 			}
 			if err := vn.Err(); err != nil {
+				pg.Unbusy()
 				return 0, err
 			}
 			vn.inodeData = append([]byte(nil), pg.Data[:vn.IP.D.Size]...)
+			pg.Unbusy()
 		} else {
 			e.Stats.InodeDataHits++
 		}
@@ -72,12 +74,14 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 		// The demand read for this page has completed (GetPage waits):
 		// if it failed, the vnode error is latched by now.
 		if err := vn.Err(); err != nil {
+			pg.Unbusy()
 			return total, err
 		}
 		pg.Touch()
 
 		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
 		copy(buf[:n], pg.Data[boff:boff+n])
+		pg.Unbusy()
 
 		// Unmap; free-behind triggers here.
 		if boff+n == int(sb.Bsize) {
@@ -112,7 +116,11 @@ type segPager struct{ e *Engine }
 func (sp segPager) Fault(p *sim.Proc, obj vm.Object, off int64) (*vm.Page, error) {
 	vn := obj.(*Vnode)
 	sp.e.charge(p, cpu.Fault, cpu.FaultInstr)
-	return sp.e.GetPage(p, vn, off)
+	pg, err := sp.e.GetPage(p, vn, off)
+	if err == nil {
+		pg.Unbusy() // a translation does not hold its page
+	}
+	return pg, err
 }
 
 // Mmap maps the whole file at address 0 of a fresh address space, as
@@ -188,7 +196,10 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 			if err != nil {
 				return 0, err
 			}
+			// The page holds the tail's only copy until it is pushed:
+			// keep it held while BmapAlloc moves the fragments.
 			if _, err := e.FS.BmapAlloc(p, vn.IP, lastLbn, int(sb.Bsize)); err != nil {
+				pg.Unbusy()
 				return 0, err
 			}
 			// The block is whole now; round the size up to the block
@@ -198,6 +209,7 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 			vn.IP.D.Size = (lastLbn + 1) * int64(sb.Bsize)
 			vn.IP.MarkDirty()
 			pg.SetDirty()
+			pg.Unbusy() // push skips held pages
 			e.PutPage(p, vn, lastLbn*int64(sb.Bsize))
 		}
 	}
@@ -218,20 +230,27 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 		endInBlock := boff + n
 		allocSize := int(sb.Bsize)
 		newEOF := off + int64(n)
+		var tail *vm.Page
+		var err error
 		if lbn < ufs.NDADDR && max(newEOF, vn.IP.D.Size) < (lbn+1)*int64(sb.Bsize) {
 			old := sb.BlkSize(vn.IP.D.Size, lbn)
 			allocSize = max(old, endInBlock)
 			// Growing the tail's fragments may move them, and the move
-			// copies nothing: bring the old bytes in first, as the
-			// pre-step above does.
-			if old > 0 && allocSize > old && !e.VM.Cached(vn, blockStart) {
-				if _, err := e.GetPage(p, vn, blockStart); err != nil {
+			// copies nothing: hold the old bytes from before the move
+			// until the copy below, as the pre-step above does.
+			if old > 0 && allocSize > old {
+				pg, ok := e.VM.Lookup(vn, blockStart)
+				if ok && e.VM.Hold(p, pg, vn, blockStart) {
+					tail = pg
+				} else if tail, err = e.GetPage(p, vn, blockStart); err != nil {
 					return total, err
 				}
 			}
 		}
-		_, err := e.FS.BmapAlloc(p, vn.IP, lbn, allocSize)
-		if err != nil {
+		if _, err = e.FS.BmapAlloc(p, vn.IP, lbn, allocSize); err != nil {
+			if tail != nil {
+				tail.Unbusy()
+			}
 			return total, err
 		}
 
@@ -244,26 +263,24 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 		page, cached := e.VM.Lookup(vn, blockStart)
 		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 		needOld := (boff != 0 || n != int(sb.Bsize)) && blockStart < vn.IP.D.Size
-		if cached {
-			page.WaitUnbusy(p)
+		if cached && (page == tail || e.VM.Hold(p, page, vn, blockStart)) {
 			e.cacheHit(page)
-		} else if needOld {
-			page, err = e.GetPage(p, vn, blockStart)
-			if err != nil {
+		} else if needOld || cached {
+			// A cached page recycled under Hold may be back under
+			// another frame: only GetPage is safe then.
+			if page, err = e.GetPage(p, vn, blockStart); err != nil {
 				return total, err
 			}
 		} else {
 			page = e.VM.Alloc(p, vn, blockStart)
-			for i := range page.Data {
-				page.Data[i] = 0
-			}
-			page.Unbusy()
+			clear(page.Data)
 		}
 
 		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
 		copy(page.Data[boff:boff+n], data[:n])
 		page.SetDirty()
 		page.Touch()
+		page.Unbusy()
 
 		if newEOF > vn.IP.D.Size {
 			vn.IP.D.Size = newEOF

@@ -254,14 +254,16 @@ func (f *File) readvList(p *sim.Proc, v []vec.Ext, segs []int64, buf []byte, n v
 			} else if contig < nb {
 				nb = contig
 			}
-			e.startRead(p, vn, lbn, fsbn, nb, false, true)
+			if pg := e.startRead(p, vn, lbn, fsbn, nb, false, true); fsbn == 0 {
+				pg.Unbusy() // the zero fill is done; the gather holds it again
+			}
 			lbn += int64(nb)
 		}
 		planned = end
 	}
 
-	// Gather phase: per element, wait on each page and copy out. A page
-	// evicted between issue and gather (memory pressure) faults back in
+	// Gather phase: per element, hold each page and copy out. A page
+	// recycled between issue and gather (memory pressure) faults back in
 	// through the ordinary path.
 	total := 0
 	for i, el := range v {
@@ -277,20 +279,21 @@ func (f *File) readvList(p *sim.Proc, v []vec.Ext, segs []int64, buf []byte, n v
 			nn := min(bs-boff, avail-done)
 			e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
 			pg, ok := e.VM.Lookup(vn, off-boff)
-			if !ok {
+			if !ok || !e.VM.Hold(p, pg, vn, off-boff) {
 				var err error
 				pg, err = e.GetPage(p, vn, off-boff)
 				if err != nil {
 					return total, err
 				}
 			}
-			pg.WaitUnbusy(p)
 			if err := vn.Err(); err != nil {
+				pg.Unbusy()
 				return total, err
 			}
 			pg.Touch()
 			e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*nn)
 			copy(seg[done:done+nn], pg.Data[boff:boff+nn])
+			pg.Unbusy()
 			done += nn
 			total += int(nn)
 		}

@@ -95,14 +95,14 @@ func (as *AddressSpace) Touch(p *sim.Proc, addr int64) (*Page, error) {
 		return nil, err
 	}
 	pageAddr := addr &^ (PageSize - 1)
-	if pg, ok := seg.translations[pageAddr]; ok && !pg.onFree && pg.Obj == seg.Obj {
+	off := seg.Off + (pageAddr - seg.Base)
+	if pg, ok := seg.translations[pageAddr]; ok && !pg.onFree && pg.names(seg.Obj, off) {
 		// Valid translation: no fault. (A recycled page drops it.)
 		as.SoftTouches++
 		pg.Touch()
 		return pg, nil
 	}
 	as.Faults++
-	off := seg.Off + (pageAddr - seg.Base)
 	pg, err := seg.Pager.Fault(p, seg.Obj, off)
 	if err != nil {
 		return nil, err

@@ -14,8 +14,8 @@ type fakePager struct {
 
 func (fp *fakePager) Fault(p *sim.Proc, obj Object, off int64) (*Page, error) {
 	fp.faults++
-	if pg, ok := fp.v.Lookup(obj, off); ok {
-		pg.WaitUnbusy(p)
+	if pg, ok := fp.v.Lookup(obj, off); ok && fp.v.Hold(p, pg, obj, off) {
+		pg.Unbusy()
 		return pg, nil
 	}
 	pg := fp.v.Alloc(p, obj, off)
@@ -93,39 +93,50 @@ func TestAddressSpaceSegmentation(t *testing.T) {
 }
 
 func TestTranslationDroppedWhenPageRecycled(t *testing.T) {
-	// If the page behind a translation is stolen for another identity,
-	// the next touch must re-fault rather than read the recycled frame.
-	s := sim.New(1)
-	t.Cleanup(s.Close)
-	v := New(s, nil, 8<<20)
-	obj := &fakeObj{s: s}
-	fp := &fakePager{v: v}
-	as := NewAddressSpace(v)
-	if _, err := as.Map(0, PageSize, obj, 0, fp); err != nil {
-		t.Fatal(err)
-	}
-	s.Spawn("toucher", func(p *sim.Proc) {
-		pg, _ := as.Touch(p, 0)
-		// Steal the page: free it and recycle under a new identity.
-		v.Free(pg, true)
-		other := &fakeObj{s: s}
-		np := v.Alloc(p, other, 0)
-		np.Unbusy()
-		faults := fp.faults
-		pg2, err := as.Touch(p, 0)
-		if err != nil {
-			t.Errorf("touch: %v", err)
-			return
-		}
-		if fp.faults != faults+1 {
-			t.Error("touch of recycled translation did not re-fault")
-		}
-		if pg2.Obj != Object(obj) {
-			t.Error("touch returned a page belonging to another object")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	// If the page behind a translation is stolen for another identity —
+	// another object, or another offset of the same one — the next touch
+	// must re-fault rather than read the recycled frame.
+	for _, c := range []struct {
+		name  string
+		other func(obj *fakeObj) Object
+		off   int64
+	}{
+		{"other object", func(obj *fakeObj) Object { return &fakeObj{s: obj.s} }, 0},
+		{"same object, other offset", func(obj *fakeObj) Object { return obj }, PageSize},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New(1)
+			t.Cleanup(s.Close)
+			v := New(s, nil, 8<<20)
+			obj := &fakeObj{s: s}
+			fp := &fakePager{v: v}
+			as := NewAddressSpace(v)
+			if _, err := as.Map(0, PageSize, obj, 0, fp); err != nil {
+				t.Fatal(err)
+			}
+			s.Spawn("toucher", func(p *sim.Proc) {
+				pg, _ := as.Touch(p, 0)
+				// Steal the page: free it and recycle under a new identity.
+				v.Free(pg, true)
+				np := v.Alloc(p, c.other(obj), c.off)
+				np.Unbusy()
+				faults := fp.faults
+				pg2, err := as.Touch(p, 0)
+				if err != nil {
+					t.Errorf("touch: %v", err)
+					return
+				}
+				if fp.faults != faults+1 {
+					t.Error("touch of recycled translation did not re-fault")
+				}
+				if pg2.Obj != Object(obj) || pg2.Off != 0 {
+					t.Error("touch returned a page holding another identity")
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

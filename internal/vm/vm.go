@@ -68,18 +68,14 @@ func (pg *Page) SetBusy() {
 	pg.busy = true
 }
 
-// Unbusy unlocks the page and wakes any waiters.
+// Unbusy unlocks the page and wakes any waiters: it ends a hold.
 func (pg *Page) Unbusy() {
 	pg.busy = false
 	pg.wanted.WakeAll()
 }
 
-// WaitUnbusy blocks the calling process until the page is not busy.
-func (pg *Page) WaitUnbusy(p *sim.Proc) {
-	for pg.busy {
-		p.Block(&pg.wanted)
-	}
-}
+// names reports whether pg still holds the identity <obj, off>.
+func (pg *Page) names(obj Object, off int64) bool { return pg.Obj == obj && pg.Off == off }
 
 // Touch sets the reference bit, protecting the page from the next clock
 // sweep.
@@ -136,6 +132,11 @@ type VM struct {
 	memWait    sim.WaitQ
 
 	Stats Stats
+
+	// Adversary is a test-only switch: at each Slept every clean page
+	// nobody holds loses its identity and is filled with poison, so code
+	// that keeps a page it does not hold across a sleep reads garbage.
+	Adversary bool
 
 	// Telemetry; nil (and nil-safe) until AttachTelemetry.
 	bus *telemetry.Bus
@@ -207,7 +208,8 @@ func (v *VM) MemoryLow() bool { return len(v.free) <= v.lotsfree*2 }
 
 // Lookup finds the page <obj, off> in the cache. A page found on the
 // free list is reclaimed (its contents are still valid). The returned
-// page may be busy; callers that need its data must WaitUnbusy.
+// page is not held and may be busy: a caller that reads or writes its
+// bytes, or keeps it across a sleep, must Hold it first.
 func (v *VM) Lookup(obj Object, off int64) (*Page, bool) {
 	v.Stats.Lookups++
 	pg, ok := v.hash[key{obj, off}]
@@ -234,9 +236,34 @@ func (v *VM) Cached(obj Object, off int64) bool {
 	return ok
 }
 
-// Alloc takes a free page, names it <obj, off>, and returns it busy (the
-// caller is expected to fill it). It blocks while no memory is free,
-// waking the pageout daemon. The page must not already be cached.
+// Hold makes the caller pg's one user until it calls Unbusy: it waits
+// out the current holder, reclaims the page from the free list, and marks
+// it busy. It returns false, holding nothing, if pg no longer names <obj,
+// off>: the page was recycled while the caller slept.
+func (v *VM) Hold(p *sim.Proc, pg *Page, obj Object, off int64) bool {
+	waited := false
+	for pg.busy && pg.names(obj, off) {
+		p.Block(&pg.wanted)
+		waited = true
+	}
+	if !pg.names(obj, off) {
+		return false
+	}
+	if pg.onFree {
+		v.removeFree(pg)
+		v.Stats.Reclaims++
+	}
+	pg.busy = true
+	if waited {
+		v.Slept()
+	}
+	return true
+}
+
+// Alloc takes a free page, names it <obj, off>, and returns it held (the
+// caller fills it, then ends the hold with Unbusy or by handing the page
+// to a transfer). It blocks while no memory is free, waking the pageout
+// daemon. The page must not already be cached.
 func (v *VM) Alloc(p *sim.Proc, obj Object, off int64) *Page {
 	if _, ok := v.hash[key{obj, off}]; ok {
 		panic("vm: Alloc of cached page") // simlint:invariant -- page lifecycle bug, not caller input
@@ -253,6 +280,7 @@ func (v *VM) Alloc(p *sim.Proc, obj Object, off int64) *Page {
 		}
 		v.KickDaemon()
 		p.Block(&v.memWait)
+		v.Slept()
 	}
 	pg := v.free[0]
 	copy(v.free, v.free[1:])
@@ -341,6 +369,23 @@ func (v *VM) ObjectPages(obj Object) []*Page {
 	return out
 }
 
+// Evict destroys obj's cached pages from byte offset from on (truncate
+// and purge), waiting out any holder first. A page recycled meanwhile
+// belongs to someone else and is left alone.
+func (v *VM) Evict(p *sim.Proc, obj Object, from int64) {
+	for _, pg := range v.ObjectPages(obj) {
+		if off := pg.Off; off >= from {
+			for pg.busy && pg.names(obj, off) {
+				p.Block(&pg.wanted)
+				v.Slept()
+			}
+			if pg.names(obj, off) {
+				v.Destroy(pg)
+			}
+		}
+	}
+}
+
 func (v *VM) removeFree(pg *Page) {
 	for i, f := range v.free {
 		if f == pg {
@@ -352,6 +397,26 @@ func (v *VM) removeFree(pg *Page) {
 	}
 	panic("vm: page marked free but not on list") // simlint:invariant -- free-list/flag consistency assertion
 }
+
+// Slept is the adversary's steal point, called wherever a process may
+// have slept (the engine calls it after each CPU charge). It does
+// nothing unless Adversary is set.
+func (v *VM) Slept() {
+	if !v.Adversary {
+		return
+	}
+	for _, pg := range v.pages {
+		if pg.Obj != nil && !pg.busy && !pg.dirty {
+			v.Destroy(pg)
+			for i := range pg.Data {
+				pg.Data[i] = poison
+			}
+		}
+	}
+}
+
+// poison fills every page the adversary steals.
+const poison = 0xA5
 
 // KickDaemon wakes the pageout daemon.
 func (v *VM) KickDaemon() { v.daemonWake.WakeAll() }

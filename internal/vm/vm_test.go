@@ -166,7 +166,7 @@ func TestDestroyRemovesIdentity(t *testing.T) {
 	}
 }
 
-func TestWaitUnbusyBlocks(t *testing.T) {
+func TestHoldWaitsOutTheHolder(t *testing.T) {
 	s, v, obj := newVM(t, 8)
 	var when sim.Time
 	s.Spawn("filler", func(p *sim.Proc) {
@@ -177,7 +177,9 @@ func TestWaitUnbusyBlocks(t *testing.T) {
 				t.Error("page vanished")
 				return
 			}
-			got.WaitUnbusy(w)
+			if !v.Hold(w, got, obj, 0) || !got.Busy() {
+				t.Error("Hold did not claim the page")
+			}
 			when = w.Now()
 		})
 		p.Sleep(25 * sim.Millisecond)
@@ -188,6 +190,84 @@ func TestWaitUnbusyBlocks(t *testing.T) {
 	}
 	if when != 25*sim.Millisecond {
 		t.Fatalf("waiter released at %v, want 25ms", when)
+	}
+}
+
+// TestHoldRechecksIdentity: a page that rests on the free list when the
+// caller comes back for it is reclaimed; one recycled to another
+// identity, even another offset of the same object, is refused.
+func TestHoldRechecksIdentity(t *testing.T) {
+	s, v, obj := newVM(t, 8)
+	s.Spawn("p", func(p *sim.Proc) {
+		pg := v.Alloc(p, obj, 0)
+		pg.Unbusy()
+		v.Free(pg, true)
+		if !v.Hold(p, pg, obj, 0) || pg.onFree || v.Stats.Reclaims != 1 {
+			t.Errorf("Hold of a freed page: onFree=%v reclaims=%d", pg.onFree, v.Stats.Reclaims)
+		}
+		pg.Unbusy()
+		v.Free(pg, true)
+		if np := v.Alloc(p, obj, PageSize); np != pg {
+			t.Fatal("free-list head not reused")
+		}
+		pg.Unbusy()
+		if v.Hold(p, pg, obj, 0) || pg.Busy() {
+			t.Error("Hold claimed a page recycled to another offset")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEvictSparesRecycledPages: a page recycled to another object while
+// Evict waited out its holder is not destroyed.
+func TestEvictSparesRecycledPages(t *testing.T) {
+	s, v, obj := newVM(t, 8)
+	other := &fakeObj{s: s}
+	s.Spawn("p", func(p *sim.Proc) {
+		pg := v.Alloc(p, obj, 0)
+		s.Spawn("holder", func(h *sim.Proc) {
+			h.Sleep(sim.Millisecond)
+			pg.Unbusy()
+			v.Destroy(pg)
+			if v.Alloc(h, other, 0) != pg {
+				t.Error("destroyed page not reused first")
+			}
+			pg.SetDirty()
+			pg.Unbusy()
+		})
+		v.Evict(p, obj, 0)
+		if pg.Obj != Object(other) || !pg.Dirty() {
+			t.Error("Evict destroyed another object's page")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdversaryStealsUnheldCleanPages: a steal takes the identity of
+// every clean page nobody holds and poisons it; held and dirty pages
+// keep theirs.
+func TestAdversaryStealsUnheldCleanPages(t *testing.T) {
+	s, v, obj := newVM(t, 8)
+	v.Adversary = true
+	s.Spawn("p", func(p *sim.Proc) {
+		clean, held, dirty := v.Alloc(p, obj, 0), v.Alloc(p, obj, PageSize), v.Alloc(p, obj, 2*PageSize)
+		clean.Unbusy()
+		dirty.SetDirty()
+		dirty.Unbusy()
+		v.Slept()
+		if _, ok := v.Lookup(obj, 0); ok || clean.Obj != nil || clean.Data[0] != poison {
+			t.Error("clean unheld page kept its identity or its bytes")
+		}
+		if held.Obj == nil || dirty.Obj == nil {
+			t.Error("steal took a held or dirty page")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -26,6 +26,7 @@ func TestJournaledMachineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.VM.Adversary = adversary
 	if m.FS.J == nil {
 		t.Fatal("WithJournal machine has no WAL")
 	}
@@ -180,6 +181,7 @@ func TestFreedIndirectBlockStaysFreed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.VM.Adversary = adversary
 			defer m.Close()
 			fill := func(n int, v byte) []byte {
 				b := make([]byte, n)
@@ -251,6 +253,7 @@ func TestImageBootReplaysCommittedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	donor.VM.Adversary = adversary
 	defer donor.Close()
 	data := bytes.Repeat([]byte("fsync'd "), 640)
 	if err := donor.Run(func(p *sim.Proc) {
@@ -277,6 +280,7 @@ func TestImageBootReplaysCommittedLog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		m.VM.Adversary = adversary
 		if m.ReplayLog == nil || m.ReplayLog.Txns == 0 {
 			t.Errorf("%s: boot replayed no transaction: %v", name, m.ReplayLog)
 		}

@@ -2,6 +2,9 @@ package ufsclust
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ufsclust/internal/sim"
@@ -56,12 +59,38 @@ func TestRunAOptionsRaiseMaxphys(t *testing.T) {
 	}
 }
 
+// adversary turns on the adversarial pageout in the machines of the
+// tests TestContentsSurviveAdversarialPageout reruns.
+var adversary bool
+
+// TestContentsSurviveAdversarialPageout runs every test here that
+// compares file contents again, with the VM stealing and poisoning each
+// clean page nobody holds at every point where a process may have slept
+// (internal/core runs its own such tests the same way). Tests that pin
+// counts are not rerun: any adversary moves those.
+func TestContentsSurviveAdversarialPageout(t *testing.T) {
+	for _, test := range []func(*testing.T){
+		TestEndToEndThroughFacade, TestOnDiskFormatIdenticalAcrossEngines,
+		TestJournaledMachineEndToEnd, TestFreedIndirectBlockStaysFreed,
+		TestImageBootReplaysCommittedLog, TestSnapshotRestoreRoundTrip,
+		TestUFSOnEveryVolumeLevel, TestVolumeSnapshotBoot,
+	} {
+		name := runtime.FuncForPC(reflect.ValueOf(test).Pointer()).Name()
+		t.Run(name[strings.LastIndex(name, ".")+1:], func(t *testing.T) {
+			adversary = true
+			defer func() { adversary = false }()
+			test(t)
+		})
+	}
+}
+
 func TestEndToEndThroughFacade(t *testing.T) {
 	for _, rc := range Runs() {
 		m, err := New(rc)
 		if err != nil {
 			t.Fatalf("run %s: %v", rc.Name, err)
 		}
+		m.VM.Adversary = adversary
 		data := make([]byte, 256<<10)
 		for i := range data {
 			data[i] = byte(i * 31)
@@ -104,6 +133,7 @@ func TestOnDiskFormatIdenticalAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.VM.Adversary = adversary
 		data := make([]byte, 128<<10)
 		for i := range data {
 			data[i] = byte(i * 7)

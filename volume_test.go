@@ -43,6 +43,7 @@ func TestUFSOnEveryVolumeLevel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.VM.Adversary = adversary
 			defer m.Close()
 			if m.Driver.Disk != disk.Device(m.Vol) {
 				t.Fatal("volume machine did not route the driver through the volume")
@@ -107,6 +108,7 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.VM.Adversary = adversary
 	defer m.Close()
 	err = m.Run(func(p *sim.Proc) {
 		f, err := m.Engine.Create(p, "/keep")
@@ -127,6 +129,7 @@ func TestVolumeSnapshotBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m2.VM.Adversary = adversary
 	defer m2.Close()
 	err = m2.Run(func(p *sim.Proc) {
 		f, err := m2.Engine.Open(p, "/keep")
@@ -229,9 +232,12 @@ func TestBootImageCountMustMatchMembers(t *testing.T) {
 // dirtied is pushed to the array exactly once per dirtying — by the
 // next cluster, the sequentiality break, Fsync, Truncate or the pageout
 // daemon, whichever comes first — and the platters end up equal to a
-// flat shadow copy. The machine has 2 MB of memory and no free-behind,
-// and the writer now and then wanders off to stream another file, so
-// the daemon sweeps all of memory and launders the idle tail itself.
+// flat shadow copy. The machine has no free-behind, and the writer now
+// and then wanders off to stream another file, so the daemon sweeps all
+// of memory and launders the idle tail itself. Each seed runs with 2 MB
+// of memory and again starved at 256 KB, where the daemon recycles
+// pages at nearly every sleep: a page the engine keeps without holding
+// it is lost there.
 func TestRowCutTailNeverLostNeverRewritten(t *testing.T) {
 	const (
 		bsize   = 8192
@@ -240,117 +246,121 @@ func TestRowCutTailNeverLostNeverRewritten(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rc := RunA()
-			rc.FreeBehind = false
-			m, err := New(rc,
-				WithSeed(seed),
-				WithMemBytes(2<<20),
-				WithVolume(smallVol(vol.Config{Level: vol.RAID5, Members: 4})))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-
-			rng := rand.New(rand.NewSource(seed))
-			shadow := make([]byte, maxBlks*bsize)
-			var blocks int64 // file size in blocks
-			// pending holds the blocks dirtied and not yet pushed.
-			pending := make(map[int64]bool)
-			settled := func(what string) {
-				if len(pending) > 0 {
-					t.Errorf("%s left %d dirtied blocks unpushed: %v", what, len(pending), detsort.Keys(pending))
-				}
-			}
-			err = m.Run(func(p *sim.Proc) {
-				other, err := m.Engine.Create(p, "/other")
-				if err != nil {
-					t.Errorf("create: %v", err)
-					return
-				}
-				other.Write(p, 0, shadow)
-				other.Purge(p)
-				f, err := m.Engine.Create(p, "/tail")
-				if err != nil {
-					t.Errorf("create: %v", err)
-					return
-				}
-				m.Tel.Bus.Subscribe(func(ev telemetry.Event) {
-					if ev.Kind != telemetry.EvClusterPush {
-						return
+			for _, mem := range []int64{2 << 20, 256 << 10} {
+				t.Run(fmt.Sprintf("%dKB", mem>>10), func(t *testing.T) {
+					rc := RunA()
+					rc.FreeBehind = false
+					m, err := New(rc,
+						WithSeed(seed),
+						WithMemBytes(mem),
+						WithVolume(smallVol(vol.Config{Level: vol.RAID5, Members: 4})))
+					if err != nil {
+						t.Fatal(err)
 					}
-					for lbn := ev.LBN; lbn < ev.LBN+ev.Blocks; lbn++ {
-						if !pending[lbn] {
-							t.Errorf("block %d pushed at %v without having been dirtied since its last push", lbn, ev.T)
+					defer m.Close()
+
+					rng := rand.New(rand.NewSource(seed))
+					shadow := make([]byte, maxBlks*bsize)
+					var blocks int64 // file size in blocks
+					// pending holds the blocks dirtied and not yet pushed.
+					pending := make(map[int64]bool)
+					settled := func(what string) {
+						if len(pending) > 0 {
+							t.Errorf("%s left %d dirtied blocks unpushed: %v", what, len(pending), detsort.Keys(pending))
 						}
-						delete(pending, lbn)
+					}
+					err = m.Run(func(p *sim.Proc) {
+						other, err := m.Engine.Create(p, "/other")
+						if err != nil {
+							t.Errorf("create: %v", err)
+							return
+						}
+						other.Write(p, 0, shadow)
+						other.Purge(p)
+						f, err := m.Engine.Create(p, "/tail")
+						if err != nil {
+							t.Errorf("create: %v", err)
+							return
+						}
+						m.Tel.Bus.Subscribe(func(ev telemetry.Event) {
+							if ev.Kind != telemetry.EvClusterPush {
+								return
+							}
+							for lbn := ev.LBN; lbn < ev.LBN+ev.Blocks; lbn++ {
+								if !pending[lbn] {
+									t.Errorf("block %d pushed at %v without having been dirtied since its last push", lbn, ev.T)
+								}
+								delete(pending, lbn)
+							}
+						})
+						write := func(lbn, n int64) {
+							if lbn+n > maxBlks {
+								n = maxBlks - lbn
+							}
+							for i := int64(0); i < n; i++ {
+								b := shadow[(lbn+i)*bsize : (lbn+i+1)*bsize]
+								rng.Read(b)
+								pending[lbn+i] = true
+								if _, err := f.Write(p, (lbn+i)*bsize, b); err != nil {
+									t.Errorf("write block %d: %v", lbn+i, err)
+								}
+							}
+							if lbn+n > blocks {
+								blocks = lbn + n
+							}
+						}
+						cursor := int64(0)
+						sink := make([]byte, 64*bsize)
+						for op := 0; op < 60 && !t.Failed(); op++ {
+							switch k := rng.Intn(10); {
+							case k < 4: // sequential run at the cursor
+								write(cursor, int64(rng.Intn(40)+1))
+								cursor = blocks
+							case k < 6 && blocks > 0: // backward seek, then overwrite from there
+								cursor = rng.Int63n(blocks)
+								write(cursor, int64(rng.Intn(20)+1))
+							case k < 7:
+								if err := f.Fsync(p); err != nil {
+									t.Errorf("fsync: %v", err)
+								}
+								settled("fsync")
+							case k < 8 && blocks > 0:
+								blocks = rng.Int63n(blocks + 1)
+								if err := f.Truncate(p, blocks*bsize); err != nil {
+									t.Errorf("truncate: %v", err)
+								}
+								settled("truncate")
+								cursor = blocks
+							default: // leave the tail idle and stream the other file
+								for off := int64(0); off < maxBlks*bsize; off += int64(len(sink)) {
+									other.Read(p, off, sink)
+								}
+							}
+						}
+						if err := f.Purge(p); err != nil {
+							t.Errorf("purge: %v", err)
+						}
+						settled("purge")
+						got := make([]byte, blocks*bsize)
+						if n, err := f.Read(p, 0, got); err != nil || int64(n) != blocks*bsize {
+							t.Errorf("cold read: n=%d err=%v, want %d", n, err, blocks*bsize)
+						} else if !bytes.Equal(got, shadow[:blocks*bsize]) {
+							t.Error("platters diverge from the shadow copy")
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Engine.Stats.DaemonPushes == 0 {
+						t.Error("the pageout daemon never laundered a dirty page; the property ran without memory pressure")
+					}
+					if bad, first := m.Vol.CheckParity(); bad > 0 {
+						t.Errorf("%d bad parity spans: %v", bad, first)
+					}
+					if rep, err := m.Fsck(); err != nil || !rep.Clean() {
+						t.Errorf("fsck: %v %v", err, rep)
 					}
 				})
-				write := func(lbn, n int64) {
-					if lbn+n > maxBlks {
-						n = maxBlks - lbn
-					}
-					for i := int64(0); i < n; i++ {
-						b := shadow[(lbn+i)*bsize : (lbn+i+1)*bsize]
-						rng.Read(b)
-						pending[lbn+i] = true
-						if _, err := f.Write(p, (lbn+i)*bsize, b); err != nil {
-							t.Errorf("write block %d: %v", lbn+i, err)
-						}
-					}
-					if lbn+n > blocks {
-						blocks = lbn + n
-					}
-				}
-				cursor := int64(0)
-				sink := make([]byte, 64*bsize)
-				for op := 0; op < 60 && !t.Failed(); op++ {
-					switch k := rng.Intn(10); {
-					case k < 4: // sequential run at the cursor
-						write(cursor, int64(rng.Intn(40)+1))
-						cursor = blocks
-					case k < 6 && blocks > 0: // backward seek, then overwrite from there
-						cursor = rng.Int63n(blocks)
-						write(cursor, int64(rng.Intn(20)+1))
-					case k < 7:
-						if err := f.Fsync(p); err != nil {
-							t.Errorf("fsync: %v", err)
-						}
-						settled("fsync")
-					case k < 8 && blocks > 0:
-						blocks = rng.Int63n(blocks + 1)
-						if err := f.Truncate(p, blocks*bsize); err != nil {
-							t.Errorf("truncate: %v", err)
-						}
-						settled("truncate")
-						cursor = blocks
-					default: // leave the tail idle and stream the other file
-						for off := int64(0); off < maxBlks*bsize; off += int64(len(sink)) {
-							other.Read(p, off, sink)
-						}
-					}
-				}
-				if err := f.Purge(p); err != nil {
-					t.Errorf("purge: %v", err)
-				}
-				settled("purge")
-				got := make([]byte, blocks*bsize)
-				if n, err := f.Read(p, 0, got); err != nil || int64(n) != blocks*bsize {
-					t.Errorf("cold read: n=%d err=%v, want %d", n, err, blocks*bsize)
-				} else if !bytes.Equal(got, shadow[:blocks*bsize]) {
-					t.Error("platters diverge from the shadow copy")
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Engine.Stats.DaemonPushes == 0 {
-				t.Error("the pageout daemon never laundered a dirty page; the property ran without memory pressure")
-			}
-			if bad, first := m.Vol.CheckParity(); bad > 0 {
-				t.Errorf("%d bad parity spans: %v", bad, first)
-			}
-			if rep, err := m.Fsck(); err != nil || !rep.Clean() {
-				t.Errorf("fsck: %v %v", err, rep)
 			}
 		})
 	}
