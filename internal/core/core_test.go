@@ -64,7 +64,7 @@ func TestContentsSurviveAdversarialPageout(t *testing.T) {
 		TestWriteReadBackUnalignedSizes, TestWriteReadBackSmallFile,
 		TestPartialOverwrite, TestSparseFileReadsZeros, TestTruncateDropsCachedPages,
 		TestConcurrentStreamsDataIntact, TestBmapCacheInvalidatedByReallocation,
-		TestInodeDataCacheServesSmallFiles, TestRandomClusteringDataIntact,
+		TestRandomClusteringDataIntact,
 		TestCrashLosesOnlyUnsyncedData, TestPropertyFileIsAFlatArray,
 		TestPropertyLastBlockIsAFlatArray, TestReadvEdgeCases, TestReadvHoles,
 		TestWritevEdgeCases,

@@ -50,22 +50,10 @@ type Config struct {
 	// queue (the paper's fairness semaphore); 0 disables the limit.
 	WriteLimit int64
 
-	// SkipBmapOnHit enables the Further Work "UFS_HOLE" optimization:
-	// when the requested page is already cached and the file has no
-	// holes, skip the bmap call that getpage otherwise makes purely to
-	// detect unbacked pages.
-	SkipBmapOnHit bool
 	// RandomClustering enables the Further Work idea of passing the
 	// request size down to getpage "as a hint to turn on clustering
 	// for what is apparently random access".
 	RandomClustering bool
-	// InodeDataCache enables the Further Work "data in the inode"
-	// idea: files smaller than InodeDataMax are cached in the in-core
-	// inode, so "the system could satisfy many requests directly from
-	// the inode instead of the page cache" — avoiding per-page
-	// fragmentation for the many files under 2 KB. In-core only; the
-	// on-disk format is untouched.
-	InodeDataCache bool
 }
 
 // ConfigA and ConfigD return the code-path halves of the paper's Figure
@@ -83,37 +71,31 @@ func ConfigD() Config {
 
 // Stats counts engine events.
 type Stats struct {
-	GetPages      int64 // getpage calls (faults reaching the file system)
-	PutPages      int64 // putpage calls
-	CacheHits     int64 // getpage satisfied without I/O
-	SyncReads     int64 // demand reads issued
-	AsyncReads    int64 // read-ahead reads issued
-	ReadBlocks    int64 // blocks moved by reads
-	WriteIOs      int64 // write requests issued
-	WriteBlocks   int64 // blocks moved by writes
-	Lies          int64 // delayed ("lied about") putpages
-	Pushes        int64 // delayed-window flushes
-	FreeBehinds   int64
-	ZeroFills     int64 // hole reads
-	WriteStalls   int64 // writes blocked on the per-file limit
-	DaemonPushes  int64 // pageouts initiated by the VM daemon
-	BmapSkips     int64 // bmap calls avoided by SkipBmapOnHit
-	HintClusters  int64 // random reads clustered via the size hint
-	InodeDataHits int64 // small-file reads served from the inode cache
-	RAHits        int64 // demand accesses satisfied by a read-ahead page
-	RATriggers    int64 // read-ahead trigger points reached
-	RACollapses   int64 // policy collapses on a random seek
-	RAClampMem    int64 // windows reduced by the free-memory clamp
-	RAClampSem    int64 // windows reduced by the write-limit clamp
-	VecCalls      int64 // multi-element Readv/Writev calls dispatched
-	VecRuns       int64 // merged runs across all vectored calls
-	VecCoalesced  int64 // vector elements absorbed into a shared run
-	SieveWaste    int64 // sieving overhead bytes (gap transfer + RMW read-back)
+	GetPages     int64 // getpage calls (faults reaching the file system)
+	PutPages     int64 // putpage calls
+	CacheHits    int64 // getpage satisfied without I/O
+	SyncReads    int64 // demand reads issued
+	AsyncReads   int64 // read-ahead reads issued
+	ReadBlocks   int64 // blocks moved by reads
+	WriteIOs     int64 // write requests issued
+	WriteBlocks  int64 // blocks moved by writes
+	Lies         int64 // delayed ("lied about") putpages
+	Pushes       int64 // delayed-window flushes
+	FreeBehinds  int64
+	ZeroFills    int64 // hole reads
+	WriteStalls  int64 // writes blocked on the per-file limit
+	DaemonPushes int64 // pageouts initiated by the VM daemon
+	HintClusters int64 // random reads clustered via the size hint
+	RAHits       int64 // demand accesses satisfied by a read-ahead page
+	RATriggers   int64 // read-ahead trigger points reached
+	RACollapses  int64 // policy collapses on a random seek
+	RAClampMem   int64 // windows reduced by the free-memory clamp
+	RAClampSem   int64 // windows reduced by the write-limit clamp
+	VecCalls     int64 // multi-element Readv/Writev calls dispatched
+	VecRuns      int64 // merged runs across all vectored calls
+	VecCoalesced int64 // vector elements absorbed into a shared run
+	SieveWaste   int64 // sieving overhead bytes (gap transfer + RMW read-back)
 }
-
-// InodeDataMax is the size cap for the inode data cache ("many files
-// are small, less than 2KB").
-const InodeDataMax = 2048
 
 // freeBehindMin is the file offset after which free-behind may engage
 // ("at a large enough offset").
@@ -162,9 +144,7 @@ func (e *Engine) AttachTelemetry(tel *telemetry.Telemetry) {
 	r.Counter("core.zero_fills", func() int64 { return e.Stats.ZeroFills })
 	r.Counter("core.write_stalls", func() int64 { return e.Stats.WriteStalls })
 	r.Counter("core.daemon_pushes", func() int64 { return e.Stats.DaemonPushes })
-	r.Counter("core.bmap_skips", func() int64 { return e.Stats.BmapSkips })
 	r.Counter("core.hint_clusters", func() int64 { return e.Stats.HintClusters })
-	r.Counter("core.inode_data_hits", func() int64 { return e.Stats.InodeDataHits })
 	r.Counter("core.ra_hits", func() int64 { return e.Stats.RAHits })
 	r.Counter("core.ra_triggers", func() int64 { return e.Stats.RATriggers })
 	r.Counter("core.ra_collapses", func() int64 { return e.Stats.RACollapses })
@@ -235,11 +215,6 @@ type Vnode struct {
 
 	// seq tracks whether the current read pattern looks sequential.
 	seq bool
-
-	// inodeData caches the whole contents of a small file (<=
-	// InodeDataMax) when Config.InodeDataCache is on; nil otherwise or
-	// after invalidation.
-	inodeData []byte
 
 	// ioErr is the vnode's sticky I/O error: the first device error seen
 	// by any of this file's transfers (including asynchronous ones whose
@@ -358,7 +333,6 @@ func (f *File) Purge(p *sim.Proc) error {
 	f.vn.nextr, f.vn.nextrio = 0, 0
 	f.vn.ra = prefetch.State{}
 	f.vn.seq = false
-	f.vn.inodeData = nil
 	return err
 }
 
@@ -369,7 +343,6 @@ func (f *File) Purge(p *sim.Proc) error {
 // dirty page needs backing), so it is left alone.
 func (f *File) Truncate(p *sim.Proc, size int64) error {
 	e, vn := f.eng, f.vn
-	vn.inodeData = nil
 	if boff := e.FS.SB.Blkoff(size); boff != 0 && size < vn.IP.D.Size {
 		blockStart := size - int64(boff)
 		fsbn, _, err := e.FS.Bmap(p, vn.IP, e.FS.SB.Lblkno(size))

@@ -8,56 +8,6 @@ import (
 	"ufsclust/internal/ufs"
 )
 
-// --- Further Work: UFS_HOLE (skip bmap on cache hit) ----------------------
-
-func TestSkipBmapOnHitReducesBmapCalls(t *testing.T) {
-	mk, cfg := clusteredOpts()
-	cfg.SkipBmapOnHit = true
-	r := newRig(t, mk, cfg, 0)
-	r.run(t, func(p *sim.Proc) {
-		f, _ := r.eng.Create(p, "/f")
-		data := make([]byte, 256<<10)
-		pattern(data, 5)
-		f.Write(p, 0, data)
-		f.Fsync(p)
-		// Re-read random cached blocks: every one should skip bmap.
-		calls := r.fs.BmapCalls
-		buf := make([]byte, 8192)
-		for _, lbn := range []int64{20, 7, 15, 3, 11, 28, 9} {
-			f.Read(p, lbn*8192, buf)
-		}
-		if r.eng.Stats.BmapSkips < 7 {
-			t.Errorf("bmapSkips = %d, want >= 7", r.eng.Stats.BmapSkips)
-		}
-		if r.fs.BmapCalls != calls {
-			t.Errorf("bmap called %d more times on cached hole-free reads", r.fs.BmapCalls-calls)
-		}
-		// Data is still correct.
-		got := make([]byte, len(data))
-		f.Read(p, 0, got)
-		if !bytes.Equal(got, data) {
-			t.Error("skip-bmap path corrupted data")
-		}
-	})
-}
-
-func TestSkipBmapNotAppliedToSparseFiles(t *testing.T) {
-	mk, cfg := clusteredOpts()
-	cfg.SkipBmapOnHit = true
-	r := newRig(t, mk, cfg, 0)
-	r.run(t, func(p *sim.Proc) {
-		f, _ := r.eng.Create(p, "/sparse")
-		f.Write(p, 5*8192, make([]byte, 8192)) // hole in blocks 0-4
-		f.Fsync(p)
-		buf := make([]byte, 8192)
-		f.Read(p, 0, buf) // hole read: must consult bmap
-		f.Read(p, 0, buf) // cached hole page: still may not skip
-		if r.eng.Stats.BmapSkips != 0 {
-			t.Errorf("bmapSkips = %d on a sparse file, want 0", r.eng.Stats.BmapSkips)
-		}
-	})
-}
-
 // --- Further Work: random clustering ---------------------------------------
 
 func TestRandomClusteringDataIntact(t *testing.T) {
@@ -110,6 +60,65 @@ func TestBmapCacheInvalidatedByReallocation(t *testing.T) {
 	verifyOK(t, r)
 }
 
+// Skipping the bmap of a cached page (the paper's UFS_HOLE) is done by
+// the bmap cache: a hit answers without a descent, and holes are never
+// cached, so a sparse file always takes the full bmap.
+
+func TestSkipBmapOnHitReducesBmapCalls(t *testing.T) {
+	mk, cfg := clusteredOpts()
+	r := newRigOpts(t, mk, cfg, ufs.MountOpts{BmapCache: true})
+	r.run(t, func(p *sim.Proc) {
+		f, _ := r.eng.Create(p, "/f")
+		data := make([]byte, 256<<10)
+		pattern(data, 5)
+		f.Write(p, 0, data)
+		f.Fsync(p)
+		// Re-read the cached blocks in order: each getpage still
+		// bmaps, but only the first block of each extent descends.
+		calls, hits := r.fs.BmapCalls, r.fs.BmapCacheHits
+		buf := make([]byte, 8192)
+		const blocks = 32
+		for lbn := int64(0); lbn < blocks; lbn++ {
+			f.Read(p, lbn*8192, buf)
+		}
+		if d := r.fs.BmapCalls - calls; 2*d >= blocks {
+			t.Errorf("bmap descended %d times for %d cached blocks, want under half", d, blocks)
+		}
+		if d := r.fs.BmapCacheHits - hits; 2*d <= blocks {
+			t.Errorf("bmap cache hits = %d for %d cached blocks, want over half", d, blocks)
+		}
+		// Data is still correct.
+		got := make([]byte, len(data))
+		f.Read(p, 0, got)
+		if !bytes.Equal(got, data) {
+			t.Error("bmap cache hits corrupted data")
+		}
+	})
+}
+
+func TestSkipBmapNotAppliedToSparseFiles(t *testing.T) {
+	mk, cfg := clusteredOpts()
+	r := newRigOpts(t, mk, cfg, ufs.MountOpts{BmapCache: true})
+	r.run(t, func(p *sim.Proc) {
+		f, _ := r.eng.Create(p, "/sparse")
+		f.Write(p, 5*8192, make([]byte, 8192)) // hole in blocks 0-4
+		f.Fsync(p)
+		buf := make([]byte, 8192)
+		f.Read(p, 0, buf) // hole read: must consult bmap
+		calls, hits := r.fs.BmapCalls, r.fs.BmapCacheHits
+		f.Read(p, 0, buf) // cached hole page: still may not skip
+		if r.fs.BmapCacheHits != hits {
+			t.Errorf("bmap cache hits = %d on a hole, want 0", r.fs.BmapCacheHits-hits)
+		}
+		if r.fs.BmapCalls == calls {
+			t.Error("re-read of a cached hole skipped bmap")
+		}
+		if !bytes.Equal(buf, make([]byte, 8192)) {
+			t.Error("hole read returned non-zero data")
+		}
+	})
+}
+
 // newRigOpts is newRig with explicit mount options.
 func newRigOpts(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, mo ufs.MountOpts) *rig {
 	t.Helper()
@@ -121,63 +130,4 @@ func newRigOpts(t *testing.T, mkfs ufs.MkfsOpts, cfg Config, mo ufs.MountOpts) *
 	r.fs = fs
 	r.eng = NewEngine(r.s, r.eng.CPU, r.v, fs, cfg)
 	return r
-}
-
-// --- Further Work: data in the inode ----------------------------------------
-
-func TestInodeDataCacheServesSmallFiles(t *testing.T) {
-	mk, _ := clusteredOpts()
-	cfg := ConfigA()
-	cfg.InodeDataCache = true
-	r := newRig(t, mk, cfg, 0)
-	r.run(t, func(p *sim.Proc) {
-		f, _ := r.eng.Create(p, "/small")
-		data := make([]byte, 1500)
-		pattern(data, 13)
-		f.Write(p, 0, data)
-		f.Fsync(p)
-		got := make([]byte, len(data))
-		f.Read(p, 0, got) // populates the cache
-		faults := r.eng.Stats.GetPages
-		for i := 0; i < 10; i++ {
-			f.Read(p, 0, got)
-		}
-		if r.eng.Stats.GetPages != faults {
-			t.Errorf("%d extra getpage calls for inode-cached reads", r.eng.Stats.GetPages-faults)
-		}
-		if r.eng.Stats.InodeDataHits < 10 {
-			t.Errorf("inodeDataHits = %d, want >= 10", r.eng.Stats.InodeDataHits)
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("inode data cache corrupted content")
-		}
-		// A write invalidates it.
-		patch := []byte{0xAA, 0xBB}
-		f.Write(p, 10, patch)
-		f.Fsync(p)
-		copy(data[10:], patch)
-		f.Read(p, 0, got)
-		if !bytes.Equal(got, data) {
-			t.Error("stale inode data served after write")
-		}
-	})
-}
-
-func TestInodeDataCacheIgnoresLargeFiles(t *testing.T) {
-	mk, _ := clusteredOpts()
-	cfg := ConfigA()
-	cfg.InodeDataCache = true
-	r := newRig(t, mk, cfg, 0)
-	r.run(t, func(p *sim.Proc) {
-		f, _ := r.eng.Create(p, "/big")
-		f.Write(p, 0, make([]byte, 64<<10))
-		f.Fsync(p)
-		buf := make([]byte, 8192)
-		for i := 0; i < 5; i++ {
-			f.Read(p, 0, buf)
-		}
-		if r.eng.Stats.InodeDataHits != 0 {
-			t.Errorf("inode cache engaged for a %dKB file", 64)
-		}
-	})
 }

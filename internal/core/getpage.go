@@ -45,13 +45,6 @@ func (e *Engine) GetPageHint(p *sim.Proc, vn *Vnode, off int64, hintBlocks int) 
 	}
 }
 
-// noHoles conservatively reports whether the file certainly has no
-// holes: it holds at least as many fragments as its size needs.
-func noHoles(e *Engine, vn *Vnode) bool {
-	need := (vn.IP.D.Size + int64(e.FS.SB.Fsize) - 1) / int64(e.FS.SB.Fsize)
-	return int64(vn.IP.D.Blocks) >= need
-}
-
 // getpageLegacy is Figure 2: block-at-a-time with one-block read-ahead
 // driven by the nextr prediction.
 func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64, _ int) (pg *vm.Page, held bool, err error) {
@@ -59,26 +52,14 @@ func (e *Engine) getpageLegacy(p *sim.Proc, vn *Vnode, off int64, _ int) (pg *vm
 	lbn := sb.Lblkno(off)
 
 	// bmap() to find disk location — called even for cached pages (the
-	// UFS_HOLE problem), unless the Further Work optimization knows the
-	// file has no holes.
-	var fsbn int32
-	var cached bool
-	if e.Cfg.SkipBmapOnHit && noHoles(e, vn) {
-		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
-		pg, cached = e.VM.Lookup(vn, lbn*int64(sb.Bsize))
-		if cached {
-			e.Stats.BmapSkips++
-		}
+	// UFS_HOLE problem).
+	fsbn, _, err := e.bmap(p, vn, lbn)
+	if err != nil {
+		vn.recordErr(err)
+		return nil, false, err
 	}
-	if !cached {
-		fsbn, _, err = e.bmap(p, vn, lbn)
-		if err != nil {
-			vn.recordErr(err)
-			return nil, false, err
-		}
-		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
-		pg, cached = e.VM.Lookup(vn, lbn*int64(sb.Bsize))
-	}
+	e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
+	pg, cached := e.VM.Lookup(vn, lbn*int64(sb.Bsize))
 	if cached {
 		e.cacheHit(pg)
 	} else {
@@ -114,18 +95,6 @@ func (e *Engine) getpageClustered(p *sim.Proc, vn *Vnode, off int64, hintBlocks 
 	lbn := sb.Lblkno(off)
 
 	seq := lbn == vn.nextr
-	// The UFS_HOLE fast path: a cached page in a hole-free file needs
-	// no bmap at all. (Read-ahead decisions still work from nextrio.)
-	if e.Cfg.SkipBmapOnHit && !seq && noHoles(e, vn) {
-		e.charge(p, cpu.PageCache, cpu.PageLookupInstr)
-		if pg, ok := e.VM.Lookup(vn, lbn*int64(sb.Bsize)); ok {
-			e.Stats.BmapSkips++
-			e.cacheHit(pg)
-			vn.seq = false
-			return pg, false, nil
-		}
-	}
-
 	fsbn, contig, err := e.bmap(p, vn, lbn)
 	if err != nil {
 		vn.recordErr(err)

@@ -25,32 +25,6 @@ func (f *File) Read(p *sim.Proc, off int64, buf []byte) (int, error) {
 	}
 	e.charge(p, cpu.Syscall, cpu.SyscallInstr)
 
-	// Further Work, "data in the inode": serve small files from the
-	// in-core inode copy, skipping the map/fault/page machinery.
-	if e.Cfg.InodeDataCache && vn.IP.D.Size <= InodeDataMax {
-		if vn.inodeData == nil {
-			// First touch: fill the cache through the normal path.
-			pg, err := e.GetPage(p, vn, 0)
-			if err != nil {
-				return 0, err
-			}
-			if err := vn.Err(); err != nil {
-				pg.Unbusy()
-				return 0, err
-			}
-			vn.inodeData = append([]byte(nil), pg.Data[:vn.IP.D.Size]...)
-			pg.Unbusy()
-		} else {
-			e.Stats.InodeDataHits++
-		}
-		if off >= vn.IP.D.Size {
-			return 0, nil
-		}
-		n := copy(buf, vn.inodeData[off:])
-		e.charge(p, cpu.Copy, cpu.CopyInstrPerByte*int64(n))
-		return n, nil
-	}
-
 	total := 0
 	for len(buf) > 0 && off < vn.IP.D.Size {
 		boff := sb.Blkoff(off)
@@ -180,7 +154,6 @@ func (f *File) Write(p *sim.Proc, off int64, data []byte) (int, error) {
 		return 0, err
 	}
 	e.charge(p, cpu.Syscall, cpu.SyscallInstr)
-	vn.inodeData = nil // writes invalidate the inode data cache
 
 	// FFS keeps fragments only in a file's last block: extending the
 	// file past a fragmented tail must first expand that tail to a full

@@ -1,6 +1,8 @@
 package ufs
 
 import (
+	"math"
+
 	"ufsclust/internal/cpu"
 	"ufsclust/internal/sim"
 )
@@ -21,50 +23,53 @@ func (fs *Fs) Bmap(p *sim.Proc, ip *Inode, lbn int64) (int32, int, error) {
 		return 0, 0, err
 	}
 	// The Further Work bmap cache: serve from the inode's last
-	// translation run without touching pointer blocks.
-	if fs.BmapCache && ip.bmapCache.valid &&
-		lbn >= ip.bmapCache.lbn && lbn < ip.bmapCache.lbn+int64(ip.bmapCache.run) {
+	// translated extent without touching pointer blocks. A hit answers
+	// what a fresh bmap from lbn would.
+	c := &ip.bmapCache
+	if fs.BmapCache && lbn >= c.lbn && lbn < c.lbn+int64(c.n) {
 		fs.chargeCPU(p, cpu.Bmap, cpu.BmapInstr/8)
 		fs.BmapCacheHits++
-		off := int32(lbn - ip.bmapCache.lbn)
-		return ip.bmapCache.fsbn + off*fs.SB.Frag, int(ip.bmapCache.run - off), nil
+		off := int32(lbn - c.lbn)
+		return c.fsbn + off*fs.SB.Frag, fs.clip(ip, lbn, int(c.n-off)), nil
 	}
 	fs.chargeCPU(p, cpu.Bmap, cpu.BmapInstr)
 	fs.BmapCalls++
-	fsbn, run, err := fs.bmapSlow(p, ip, lbn, pp)
-	if err == nil && fs.BmapCache && fsbn != 0 {
-		ip.bmapCache.valid = true
-		ip.bmapCache.lbn = lbn
-		ip.bmapCache.fsbn = fsbn
-		ip.bmapCache.run = int32(run)
+	// With the cache on, measure the whole extent so later hits can
+	// answer from any block of it; otherwise stop at maxcontig.
+	limit := int(fs.SB.Maxcontig)
+	if fs.BmapCache {
+		limit = math.MaxInt
 	}
-	return fsbn, run, err
+	fsbn, n, err := fs.bmapSlow(p, ip, pp, limit)
+	if err == nil && fs.BmapCache && fsbn != 0 {
+		c.lbn, c.fsbn, c.n = lbn, fsbn, int32(n)
+	}
+	return fsbn, fs.clip(ip, lbn, n), err
 }
 
 // bmapSlow descends to the table of data-block addresses that holds
 // lbn's entry — the dinode's direct array, or the last pointer block on
-// the path — and measures the run there. The table travels as a byte
+// the path — and measures the extent there. The table travels as a byte
 // slice (nil = the direct array) and nothing here defers or closes over
 // the locked buffer: this runs on every getpage and must not allocate.
-func (fs *Fs) bmapSlow(p *sim.Proc, ip *Inode, lbn int64, pp ptrPath) (int32, int, error) {
+func (fs *Fs) bmapSlow(p *sim.Proc, ip *Inode, pp ptrPath, limit int) (int32, int, error) {
 	if pp.depth == 0 {
-		addr, run := fs.runAt(ip, nil, int64(pp.root), lbn)
-		return addr, run, nil
+		addr, n := fs.runAt(ip, nil, int64(pp.root), limit)
+		return addr, n, nil
 	}
 	b, err := fs.lastIndir(p, ip, pp, false)
 	if b == nil {
 		return 0, 1, err // a hole high in the tree, unless err
 	}
-	addr, run := fs.runAt(ip, b.Data, pp.idx[pp.depth-1], lbn)
+	addr, n := fs.runAt(ip, b.Data, pp.idx[pp.depth-1], limit)
 	fs.BC.Brelse(b)
-	return addr, run, nil
+	return addr, n, nil
 }
 
 // runAt returns the address in entry at of table and the length of the
-// contiguous run of blocks starting there: at most maxcontig, never
-// into the next table, never past the end of the file. A hole is
-// address 0 with length 1.
-func (fs *Fs) runAt(ip *Inode, table []byte, at, lbn int64) (int32, int) {
+// contiguous run of blocks starting there: at most limit, never into
+// the next table. A hole is address 0 with length 1.
+func (fs *Fs) runAt(ip *Inode, table []byte, at int64, limit int) (int32, int) {
 	addr := ip.dataAddr(table, at)
 	if addr == 0 {
 		return 0, 1
@@ -74,15 +79,23 @@ func (fs *Fs) runAt(ip *Inode, table []byte, at, lbn int64) (int32, int) {
 		n = int64(len(table) / 4)
 	}
 	run := 1
-	for at+int64(run) < n && run < int(fs.SB.Maxcontig) &&
+	for at+int64(run) < n && run < limit &&
 		ip.dataAddr(table, at+int64(run)) == addr+int32(run)*fs.SB.Frag {
 		run++
 	}
+	return addr, run
+}
+
+// clip turns an extent of n blocks from lbn into the run Bmap returns:
+// at most maxcontig (below 1 counts as 1), never past the end of the
+// file.
+func (fs *Fs) clip(ip *Inode, lbn int64, n int) int {
+	run := min(n, max(int(fs.SB.Maxcontig), 1))
 	lastLbn := (ip.D.Size + int64(fs.SB.Bsize) - 1) / int64(fs.SB.Bsize)
 	if max := int(lastLbn - lbn); run > max && max >= 1 {
 		run = max
 	}
-	return addr, run
+	return run
 }
 
 // dataAddr returns entry i of a table of data-block addresses: the

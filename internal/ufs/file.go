@@ -254,7 +254,9 @@ func (fs *Fs) truncate(p *sim.Proc, ip *Inode, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("ufs: negative truncate")
 	}
-	ip.InvalidateBmapCache()
+	// On the way out: the direct-slot walk below re-warms the cache
+	// with blocks it then frees.
+	defer ip.InvalidateBmapCache()
 	if size >= ip.D.Size {
 		ip.D.Size = size
 		ip.MarkDirty()

@@ -121,33 +121,96 @@ func TestOrderedWritesKeepDriverOrder(t *testing.T) {
 	}
 }
 
+// TestBmapCacheConsistencyUnderGrowth holds the bmap cache to its
+// contract: a hit returns the (fsbn, run) a fresh bmap of the same block
+// returns. Each check first queries every block, last first, with the
+// cache the last step left, then warms the cache at each block in turn and queries
+// every later one, two blocks past the end of the file included. The
+// file crosses the direct → IB[0] boundary, a second file grown
+// alternately breaks its layout, and a truncate shrinks it into the
+// direct range before it grows again.
 func TestBmapCacheConsistencyUnderGrowth(t *testing.T) {
 	r := newRigOpts(t, MkfsOpts{Rotdelay: 0, Maxcontig: 15}, MountOpts{BmapCache: true})
+	bsize := int64(r.sb.Bsize)
 	r.run(t, func(p *sim.Proc) {
-		ip, _ := r.fs.Create(p, "/grow")
-		for lbn := int64(0); lbn < 40; lbn++ {
-			if _, err := r.fs.BmapAlloc(p, ip, lbn, int(r.sb.Bsize)); err != nil {
+		grow := func(ip *Inode, lbn int64) bool {
+			if _, err := r.fs.BmapAlloc(p, ip, lbn, int(bsize)); err != nil {
 				t.Errorf("alloc: %v", err)
-				return
+				return false
 			}
-			ip.D.Size = (lbn + 1) * int64(r.sb.Bsize)
-			// Interleave lookups so the cache is hot during growth.
-			fsbnCached, _, err := r.fs.Bmap(p, ip, lbn)
-			if err != nil {
-				t.Errorf("bmap: %v", err)
-				return
-			}
-			// Compare with the uncached truth.
+			ip.D.Size = (lbn + 1) * bsize
+			r.fs.Bmap(p, ip, lbn) // keep the cache hot during growth
+			return true
+		}
+		// same compares one cached query of lbn with a fresh bmap.
+		same := func(step string, ip *Inode, warm, lbn int64) bool {
+			fsbn, run, err := r.fs.Bmap(p, ip, lbn)
 			r.fs.BmapCache = false
-			ip.InvalidateBmapCache()
-			fsbnTrue, _, _ := r.fs.Bmap(p, ip, lbn)
+			wantFsbn, wantRun, wantErr := r.fs.Bmap(p, ip, lbn)
 			r.fs.BmapCache = true
-			if fsbnCached != fsbnTrue {
-				t.Errorf("lbn %d: cached %d != true %d", lbn, fsbnCached, fsbnTrue)
+			if fsbn != wantFsbn || run != wantRun || (err == nil) != (wantErr == nil) {
+				t.Errorf("%s, warm at %d, lbn %d: cached (%d,%d,%v), fresh (%d,%d,%v)",
+					step, warm, lbn, fsbn, run, err, wantFsbn, wantRun, wantErr)
+				return false
+			}
+			return true
+		}
+		check := func(step string, ip *Inode) bool {
+			end := (ip.D.Size+bsize-1)/bsize + 2
+			for lbn := end - 1; lbn >= 0; lbn-- {
+				if !same(step, ip, -1, lbn) {
+					return false
+				}
+			}
+			for warm := int64(0); warm < end; warm++ {
+				ip.InvalidateBmapCache()
+				r.fs.Bmap(p, ip, warm)
+				for lbn := warm; lbn < end; lbn++ {
+					if !same(step, ip, warm, lbn) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		a, _ := r.fs.Create(p, "/a")
+		for lbn := int64(0); lbn < 60; lbn++ {
+			if !grow(a, lbn) {
 				return
 			}
 		}
+		if !check("grown to 60 blocks", a) {
+			return
+		}
+		b, _ := r.fs.Create(p, "/b")
+		for lbn := int64(60); lbn < 90; lbn++ {
+			if !grow(a, lbn) || !grow(b, lbn-60) {
+				return
+			}
+		}
+		if !check("grown beside /b", a) || !check("/b", b) {
+			return
+		}
+		r.fs.Bmap(p, a, 5)
+		if err := r.fs.Truncate(p, a, 5*bsize+1000); err != nil {
+			t.Errorf("truncate: %v", err)
+			return
+		}
+		if !check("truncated to 5 blocks and a tail", a) {
+			return
+		}
+		for lbn := int64(5); lbn < 30; lbn++ {
+			if !grow(a, lbn) {
+				return
+			}
+		}
+		if !check("regrown to 30 blocks", a) {
+			return
+		}
 	})
+	if r.fs.BmapCacheHits == 0 {
+		t.Error("no query hit the cache")
+	}
 }
 
 // --- Symlinks (the precedent the paper cites for data-in-inode) -------------

@@ -124,20 +124,22 @@ type Inode struct {
 	queued bool
 	loaded int64
 
-	// bmapCache holds the most recent translation run when the mount
-	// enables the paper's "bmap cache" future-work idea: "A small cache
-	// in the inode could reduce the cost of bmap substantially."
+	// bmapCache holds the most recently translated extent when the
+	// mount enables the paper's "bmap cache" future-work idea: "A small
+	// cache in the inode could reduce the cost of bmap substantially."
+	// The extent runs from lbn to a break in contiguity or the end of
+	// its pointer table, whatever maxcontig and the file size say; n 0
+	// is an empty cache.
 	bmapCache struct {
-		valid bool
-		lbn   int64 // first logical block of the cached run
-		fsbn  int32 // its fragment address
-		run   int32 // blocks in the run
+		lbn  int64 // first logical block of the cached extent
+		fsbn int32 // its fragment address
+		n    int32 // blocks in the extent
 	}
 }
 
-// InvalidateBmapCache drops the cached translation; callers that change
-// the block map (allocation, truncation) must invoke it.
-func (ip *Inode) InvalidateBmapCache() { ip.bmapCache.valid = false }
+// InvalidateBmapCache drops the cached extent; callers that change the
+// block map (allocation, truncation) must invoke it.
+func (ip *Inode) InvalidateBmapCache() { ip.bmapCache.n = 0 }
 
 // MarkDirty notes that the dinode must be written back, and on a
 // journaled mount queues it for the next commit.

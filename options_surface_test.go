@@ -36,8 +36,7 @@ func TestPublicOptionsSurface(t *testing.T) {
 			"Images", "Recover",
 			"Volume",
 		}},
-		{core.Config{}, []string{"Clustered", "Prefetch", "Vec", "FreeBehind", "WriteLimit",
-			"SkipBmapOnHit", "RandomClustering", "InodeDataCache"}},
+		{core.Config{}, []string{"Clustered", "Prefetch", "Vec", "FreeBehind", "WriteLimit", "RandomClustering"}},
 		{ufs.MkfsOpts{}, []string{"Ipg", "Minfree", "Rotdelay", "Maxcontig", "LogBlocks"}},
 		{ufs.MountOpts{}, []string{"BmapCache", "OrderedWrites"}},
 		{driver.Config{}, []string{"MaxPhys", "Coalesce"}},
@@ -56,8 +55,8 @@ func TestPublicOptionsSurface(t *testing.T) {
 		}
 	}
 	t.Logf("settable values: %d", total)
-	if total != 33 {
-		t.Errorf("settable values = %d, want 33", total)
+	if total != 31 {
+		t.Errorf("settable values = %d, want 31", total)
 	}
 }
 
